@@ -10,7 +10,7 @@ trip compares structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from .errors import Span
@@ -288,6 +288,20 @@ class SourceUnit:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# traversal
+# ---------------------------------------------------------------------------
+
+def children(node):
+    """Yield (field name, value) for each field of an expression or
+    statement that holds a child node or a list of them (argument lists,
+    array elements, statement blocks); other fields are skipped."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, (Expr, Stmt, list)):
+            yield f.name, value
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 Exit codes: 0 on success with all assertions passing and no findings;
 1 when an assertion fails or reentrancy findings exist; 2 on parse or
-semantic errors (diagnostics go to standard error as file:line:col).
+semantic errors (diagnostics go to standard error as file:line:col), on a
+run halted by an aborted deploy or transaction, and on an engine fault;
+a halt or a fault is reported in one line on standard error.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ def _cmd_run(args) -> int:
                 _print_layout(rep, handle)
 
     if outcome.halted:
+        failed = outcome.results[-1]
+        print(f"error: {failed.description}: {failed.detail}", file=sys.stderr)
         return 2
     if not outcome.assertions_ok or findings:
         return 1
@@ -203,6 +207,10 @@ def main(argv=None) -> int:
         return e.code
     except SolsemError as err:
         print(err.diagnostic("<cli>"), file=sys.stderr)
+        return 2
+    except Exception as err:  # an engine fault: one line, not a traceback
+        print(f"error: engine fault: {type(err).__name__}: {err}",
+              file=sys.stderr)
         return 2
     return 2
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .keccak import keccak256_int
 from .state import (
-    HashedRegion, decode_value, encode_key32, encode_value,
+    FunctionInfo, HashedRegion, decode_value, encode_key32, encode_value,
 )
 from .trace import Write
 
@@ -98,28 +98,24 @@ class LValue(NamedTuple):
     located: typesys.Located
 
 
-class Evaluator(typesys.TypeEnv):
-    """Evaluation within one contract instance; calls delegate to the executor."""
+class Evaluator:
+    """Evaluation within one contract instance and, when `fn` is given, one
+    running function; calls delegate to the executor. It is also the
+    environment `typesys.type_of` types expressions against."""
 
-    def __init__(self, executor, address: int):
+    def __init__(self, executor, address: int,
+                 fn: Optional[FunctionInfo] = None):
+        world = executor.world
+        instance = world.instance(address)
         self.executor = executor
-        self.world = executor.world
+        self.world = world
         self.address = address
+        self.fn = fn
+        self.config = instance.config
+        self.info = world.contract_info(instance.contract_name)
+        self.trace = world.trace
 
-    @property
-    def config(self):
-        return self.world.instance(self.address).config
-
-    @property
-    def info(self):
-        return self.world.contract_info(
-            self.world.instance(self.address).contract_name)
-
-    @property
-    def trace(self):
-        return self.world.trace
-
-    # -- TypeEnv ---------------------------------------------------------------
+    # -- typing environment ----------------------------------------------------
 
     def binding(self, name: str) -> Optional[typesys.Located]:
         try:
@@ -284,8 +280,7 @@ class Evaluator(typesys.TypeEnv):
         if isinstance(e, ast.Call):
             return self._call_rvalue(e)
         if isinstance(e, ast.ExternalCall):
-            return self.executor.eval_external_call(self.address, e,
-                                                    expression=True)
+            return self.executor.eval_external_call(self, e, expression=True)
         if isinstance(e, (ast.Ident, ast.Index, ast.Member)):
             located = self.type_of(e)
             if isinstance(located.sem, typesys.Ref):
@@ -363,8 +358,7 @@ class Evaluator(typesys.TypeEnv):
                 raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
             v = self.eval_rvalue(e.args[0])
             return self._convert(v, cast, e.span)
-        value = self.executor.eval_internal_call(self.address, e,
-                                                 expression=True)
+        value = self.executor.eval_internal_call(self, e, expression=True)
         ret = self.function_return(e.name)
         if ret is not None:
             self.trace.rule("Type5")

@@ -1,7 +1,7 @@
 """Statement and call execution over a world of deployed instances.
 
 Transactions are atomic: the world is snapshotted on entry and restored on
-any error, so an aborted transaction leaves no trace in storage or balances
+any exception, so an aborted transaction leaves no trace in storage or balances
 (the event log keeps the aborted slice for observability, marked TX-ABORT).
 
 External calls thread the ambient Msg through a save/restore stack and push
@@ -11,6 +11,7 @@ SKIP2, and expression statements completing with an empty omega emit SKIP1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .evaluator import Evaluator, slot_of_dyn, _slot_stride
 from .state import (
-    Config, FunctionInfo, HashedRegion, Instance, Msg, OmegaEntry, World,
+    Config, FunctionInfo, HashedRegion, Instance, Msg, World,
     encode_value, zero_value,
 )
 from .trace import CallInfo, Write
@@ -54,10 +55,11 @@ class Executor:
     def __init__(self, world: World):
         self.world = world
 
-    def evaluator(self, address: int) -> Evaluator:
-        return Evaluator(self, address)
+    def evaluator(self, address: int,
+                  fn: Optional[FunctionInfo] = None) -> Evaluator:
+        return Evaluator(self, address, fn)
 
-    # -- deployment --------------------------------------------------------------
+    # -- transactions --------------------------------------------------------------
 
     def deploy(self, contract_name: str, args=(), sender: int = 0,
                value: int = 0, gas: int = 0) -> int:
@@ -65,20 +67,14 @@ class Executor:
         then run the constructor under the creation Msg."""
         world = self.world
         info = world.contract_info(contract_name)
-        world.tx_count += 1
-        snap = world.snapshot()
-        address = world.fresh_address()
-        world.instances[address] = Instance(config=Config(),
-                                            contract_name=contract_name,
-                                            balance=value)
-        world.msg = Msg(sender=sender, value=value, gas=gas)
-        world.stmt_steps = 0
-        frame = world.new_frame_id()
-        world.trace.push_context(address, None, frame)
-        world.trace.emit("TX-START", call=CallInfo(
-            kind="deploy", to=address, fn=contract_name,
-            args=tuple(args), value=value, gas=gas))
-        try:
+        # the address is taken inside the bracket, so an abort gives it back
+        tx = Tx(sender=sender, to=world.next_address, fname=contract_name,
+                args=tuple(args), value=value, gas=gas)
+
+        def create():
+            address = world.fresh_address()
+            world.instances[address] = Instance(
+                config=Config(), contract_name=contract_name, balance=value)
             ev = self.evaluator(address)
             for name, t, init in info.state_vars:
                 init_value = ev.eval_rvalue(init) if init is not None else None
@@ -88,38 +84,22 @@ class Executor:
                     writes = ev.write_value(typesys.STORAGE, addr, t, init_value)
                 world.trace.emit("VD1", writes=writes)
             if info.constructor is not None:
-                self.call_internal(address, info.constructor, tuple(args),
+                self.call_internal(address, info.constructor, tx.args,
                                    expression=False)
             elif args:
                 raise SolTypeError(
                     f"{contract_name} has no constructor but got arguments")
-            world.trace.emit("TX-END")
             return address
-        except SolsemError as err:
-            world.restore(snap)
-            world.trace.emit("TX-ABORT", note=str(err))
-            raise TxAborted(str(err), cause=err) from err
-        finally:
-            world.trace.pop_context()
-            world.msg = None
-            world.msg_stack.clear()
-            world.call_depth = 0
 
-    # -- transactions --------------------------------------------------------------
+        res = self._transact(tx, "deploy", create)
+        if not res.ok:
+            raise res.error from res.error.cause
+        return res.value
 
     def run_transaction(self, tx: Tx) -> TxResult:
         world = self.world
-        world.tx_count += 1
-        snap = world.snapshot()
-        start = len(world.trace)
-        world.msg = Msg(sender=tx.sender, value=tx.value, gas=tx.gas)
-        world.stmt_steps = 0
-        frame = world.new_frame_id()
-        world.trace.push_context(tx.to, tx.fname, frame)
-        world.trace.emit("TX-START", call=CallInfo(
-            kind="tx", to=tx.to, fn=tx.fname, args=tuple(tx.args),
-            value=tx.value, gas=tx.gas), value=tx.value or None)
-        try:
+
+        def call():
             callee = world.instance(tx.to)
             info = world.contract_info(callee.contract_name)
             fn = info.functions.get(tx.fname)
@@ -127,51 +107,82 @@ class Executor:
                 raise UnknownIdentifier(
                     f"{callee.contract_name} has no function {tx.fname}")
             callee.balance += tx.value
-            value = self.call_internal(tx.to, fn, tuple(tx.args),
-                                       expression=fn.ret is not None)
-            world.trace.emit("TX-END")
+            return self.call_internal(tx.to, fn, tuple(tx.args),
+                                      expression=fn.ret is not None)
+
+        return self._transact(tx, "tx", call)
+
+    def _transact(self, tx: Tx, kind: str, body) -> TxResult:
+        """The transaction bracket: run `body` under a fresh Msg and frame.
+
+        On any exception the world is rolled back to its pre-state and the
+        trace gets TX-ABORT. A SolsemError, or the interpreter running out
+        of stack, comes back as a failed TxResult; any other exception is
+        re-raised after the rollback. Either way the ambient context (Msg,
+        Msg stack, call depth, trace context) ends as it was before.
+        """
+        world, trace = self.world, self.world.trace
+        world.tx_count += 1
+        snap = world.snapshot()
+        saved = (world.msg, world.msg_stack, world.call_depth)
+        depth = trace.depth
+        start = len(trace)
+        world.msg = Msg(sender=tx.sender, value=tx.value, gas=tx.gas)
+        world.msg_stack = []
+        world.stmt_steps = 0
+        deploying = kind == "deploy"
+        trace.push_context(tx.to, None if deploying else tx.fname,
+                           world.new_frame_id())
+        trace.emit("TX-START", call=CallInfo(
+            kind=kind, to=tx.to, fn=tx.fname, args=tuple(tx.args),
+            value=tx.value, gas=tx.gas),
+            value=None if deploying else tx.value or None)
+        try:
+            value = body()
+            trace.emit("TX-END")
             return TxResult(ok=True, value=value,
-                            events=world.trace.slice_from(start),
+                            events=trace.slice_from(start),
                             steps=world.stmt_steps)
-        except SolsemError as err:
+        except BaseException as exc:
             world.restore(snap)
-            world.trace.emit("TX-ABORT", note=str(err))
-            aborted = err if isinstance(err, TxAborted) \
-                else TxAborted(str(err), cause=err)
+            if isinstance(exc, RecursionError):
+                exc = TxAborted(
+                    f"Python stack limit reached (recursion limit "
+                    f"{sys.getrecursionlimit()}); call nesting is bounded by "
+                    f"the interpreter stack")
+            if not isinstance(exc, SolsemError):
+                trace.emit("TX-ABORT", note=f"{type(exc).__name__}: {exc}")
+                raise
+            trace.emit("TX-ABORT", note=str(exc))
+            aborted = exc if isinstance(exc, TxAborted) \
+                else TxAborted(str(exc), cause=exc)
             return TxResult(ok=False, error=aborted,
-                            events=world.trace.slice_from(start),
+                            events=trace.slice_from(start),
                             steps=world.stmt_steps)
         finally:
-            world.trace.pop_context()
-            world.msg = None
-            world.msg_stack.clear()
-            world.call_depth = 0
+            world.msg, world.msg_stack, world.call_depth = saved
+            trace.unwind(depth)
 
     # -- function calls ---------------------------------------------------------------
 
     def call_internal(self, address: int, fn: FunctionInfo, values: tuple,
-                      expression: bool, entry_rule: Optional[str] = None,
-                      call_kind: str = "internal"):
+                      expression: bool, call_kind: str = "internal"):
         """Push a fresh scope, bind parameters and the return slot, run the
         body under the modifier guard, and hand back the return value."""
         world = self.world
-        world.call_depth += 1
-        if world.call_depth > world.options.max_call_depth:
-            world.call_depth -= 1
+        if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
-        config = world.instance(address).config
+        ev = self.evaluator(address, fn)
         if len(values) != len(fn.params):
-            world.call_depth -= 1
             raise SolTypeError(
                 f"{fn.name or 'fallback'} expects {len(fn.params)} arguments, "
                 f"got {len(values)}")
+        world.call_depth += 1
         display = fn.name or "()"
         world.trace.push_context(address, display)
-        rule = entry_rule or ("E-FUN" if expression else "I-FUN")
-        world.trace.emit(rule, call=CallInfo(kind=call_kind, to=address,
-                                             fn=display, args=tuple(values)))
-        config.memory.push_scope()
-        ev = self.evaluator(address)
+        world.trace.emit("E-FUN" if expression else "I-FUN", call=CallInfo(
+            kind=call_kind, to=address, fn=display, args=tuple(values)))
+        ev.config.memory.push_scope()
         try:
             for (pname, ptype), v in zip(fn.params, values):
                 self._bind_local(ev, pname, ptype, v)
@@ -192,11 +203,11 @@ class Executor:
             result = None
             if fn.ret is not None and expression:
                 rname, rtype = fn.ret
-                binding = config.lookup(rname)
+                binding = ev.config.lookup(rname)
                 result = ev.read_value(typesys.MEMORY, binding.addr, rtype)
             return result
         finally:
-            config.memory.pop_scope()
+            ev.config.memory.pop_scope()
             world.trace.pop_context()
             world.call_depth -= 1
 
@@ -217,19 +228,20 @@ class Executor:
                                             data=data)])
         return addr
 
-    def eval_internal_call(self, address: int, call: ast.Call, expression: bool):
-        ev = self.evaluator(address)
+    def eval_internal_call(self, ev: Evaluator, call: ast.Call,
+                           expression: bool):
         fn = ev.info.functions.get(call.name)
         if fn is None:
             raise UnknownIdentifier(f"unknown function {call.name}", call.span)
         values = tuple(ev.eval_rvalue(a) for a in call.args)
-        return self.call_internal(address, fn, values, expression=expression)
+        return self.call_internal(ev.address, fn, values,
+                                  expression=expression)
 
-    def eval_external_call(self, caller: int, e: ast.ExternalCall,
+    def eval_external_call(self, ev: Evaluator, e: ast.ExternalCall,
                            expression: bool):
         """E-FUN1: a named call on another instance, with optional value/gas."""
         world = self.world
-        ev = self.evaluator(caller)
+        caller = ev.address
         target = ev.eval_rvalue(e.target)
         values = tuple(ev.eval_rvalue(a) for a in e.args)
         m = ev.eval_rvalue(e.value) if e.value is not None else 0
@@ -250,7 +262,7 @@ class Executor:
         return self._enter_external(caller, target, fn, values, m, n,
                                     expression, rule="E-FUN1", kind="external")
 
-    def eval_low_level_call(self, caller: int, e: ast.LowLevelCallValue):
+    def eval_low_level_call(self, ev: Evaluator, e: ast.LowLevelCallValue):
         """E-FUN2: `target.call.value(E)()` invokes the callee's fallback.
 
         A transfer the caller cannot fund fails softly (no state change, a
@@ -259,7 +271,7 @@ class Executor:
         the recursive drain stop exactly when the victim's balance hits zero.
         """
         world = self.world
-        ev = self.evaluator(caller)
+        caller = ev.address
         target = ev.eval_rvalue(e.target)
         m = ev.eval_rvalue(e.value)
         n = ev.eval_rvalue(e.gas) if e.gas is not None else \
@@ -294,8 +306,7 @@ class Executor:
         callee's omega stack, save Msg, run, then restore (SKIP2)."""
         world = self.world
         callee_config = world.instance(target).config
-        callee_config.omega.append(OmegaEntry(
-            caller=caller, saved_msg=world.msg, depth=world.call_depth))
+        callee_config.omega.append(caller)
         world.msg_stack.append(world.msg)
         world.msg = Msg(sender=caller, value=m, gas=n)
         frame = world.new_frame_id()
@@ -377,11 +388,11 @@ class Executor:
         if isinstance(e, ast.Push):
             self.exec_push(ev, e)
         elif isinstance(e, ast.Call):
-            self.eval_internal_call(ev.address, e, expression=False)
+            self.eval_internal_call(ev, e, expression=False)
         elif isinstance(e, ast.ExternalCall):
-            self.eval_external_call(ev.address, e, expression=False)
+            self.eval_external_call(ev, e, expression=False)
         elif isinstance(e, ast.LowLevelCallValue):
-            self.eval_low_level_call(ev.address, e)
+            self.eval_low_level_call(ev, e)
         else:
             ev.eval_rvalue(e)  # evaluate for effect, discard
         if not ev.config.omega:
@@ -425,7 +436,7 @@ class Executor:
 
     def _exec_return(self, ev: Evaluator, stmt: ast.Return) -> None:
         world = self.world
-        frame_fn = self._current_function(ev)
+        frame_fn = ev.fn
         if frame_fn is None:
             raise ReturnOutsideFunction("return outside of a function", stmt.span)
         writes = []
@@ -440,17 +451,6 @@ class Executor:
             writes = ev.write_value(typesys.MEMORY, binding.addr, rtype, value)
         world.trace.emit("RETURN", writes=writes)
         raise _ReturnSignal()
-
-    def _current_function(self, ev: Evaluator) -> Optional[FunctionInfo]:
-        name = self.world.trace.context.fn
-        if name is None:
-            return None
-        info = ev.info
-        if name == "()":
-            return info.fallback
-        if info.constructor is not None and name == info.constructor.name:
-            return info.constructor
-        return info.functions.get(name)
 
     def exec_push(self, ev: Evaluator, e: ast.Push) -> None:
         """Dynamic-array growth: store at the hashed slot for the current

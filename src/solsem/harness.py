@@ -15,7 +15,7 @@ scenario file: the implicit script is `deploy main Main () ...; tx main()`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import ast, typesys
@@ -161,18 +161,8 @@ class ScenarioOutcome:
 def _contains_call(e: ast.Expr) -> bool:
     if isinstance(e, (ast.Call, ast.ExternalCall, ast.LowLevelCallValue, ast.Push)):
         return True
-    children = []
-    if isinstance(e, ast.Index):
-        children = [e.base, e.index]
-    elif isinstance(e, (ast.Member, ast.ArrayLength)):
-        children = [e.base]
-    elif isinstance(e, ast.Binary):
-        children = [e.lhs, e.rhs]
-    elif isinstance(e, ast.Unary):
-        children = [e.operand]
-    elif isinstance(e, ast.ArrayLit):
-        children = e.elements
-    return any(_contains_call(c) for c in children)
+    return any(_contains_call(c) for _, v in ast.children(e)
+               for c in (v if isinstance(v, list) else (v,)))
 
 
 def _substitute_handles(world: World, address: int, expr: ast.Expr,
@@ -186,21 +176,9 @@ def _substitute_handles(world: World, address: int, expr: ast.Expr,
             if e.name in handles and not config.has_name(e.name):
                 return ast.IntLit(value=handles[e.name], span=e.span)
             return e
-        if isinstance(e, ast.Index):
-            return ast.Index(base=walk(e.base), index=walk(e.index), span=e.span)
-        if isinstance(e, ast.Member):
-            return ast.Member(base=walk(e.base), name=e.name, span=e.span)
-        if isinstance(e, ast.ArrayLength):
-            return ast.ArrayLength(base=walk(e.base), span=e.span)
-        if isinstance(e, ast.Binary):
-            return ast.Binary(op=e.op, lhs=walk(e.lhs), rhs=walk(e.rhs),
-                              span=e.span)
-        if isinstance(e, ast.Unary):
-            return ast.Unary(op=e.op, operand=walk(e.operand), span=e.span)
-        if isinstance(e, ast.ArrayLit):
-            return ast.ArrayLit(elements=[walk(x) for x in e.elements],
-                                span=e.span)
-        return e
+        return replace(e, **{
+            name: [walk(x) for x in v] if isinstance(v, list) else walk(v)
+            for name, v in ast.children(e)})
 
     return walk(expr)
 

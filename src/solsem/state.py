@@ -11,7 +11,7 @@ makes a previously packed uint128 at offset 0 read back as zero.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 from . import ast, typesys
@@ -178,18 +178,12 @@ class Msg:
 
 
 @dataclass
-class OmegaEntry:
-    """Saved caller context for one in-flight external call into an instance."""
-    caller: int
-    saved_msg: Msg
-    depth: int
-
-
-@dataclass
 class Config:
     """A contract instance's sigma = (storage, memory, omega)."""
     storage: StorageState = field(default_factory=StorageState)
     memory: MemoryState = field(default_factory=MemoryState)
+    # callers of the in-flight external calls into this instance; their Msgs
+    # are saved on World.msg_stack
     omega: list = field(default_factory=list)
 
     # -- byte access, space selected by the expression's location class ------
@@ -295,18 +289,10 @@ def _inline_placeholder(mod_body: list, fn_body: list) -> list:
     for s in mod_body:
         if isinstance(s, ast.Placeholder):
             out.extend(fn_body)
-        elif isinstance(s, ast.If):
-            out.append(ast.If(cond=s.cond,
-                              then=_inline_placeholder(s.then, fn_body),
-                              otherwise=None if s.otherwise is None
-                              else _inline_placeholder(s.otherwise, fn_body),
-                              span=s.span))
-        elif isinstance(s, ast.While):
-            out.append(ast.While(cond=s.cond,
-                                 body=_inline_placeholder(s.body, fn_body),
-                                 span=s.span))
-        else:
-            out.append(s)
+        else:  # a statement's list-valued children are its nested blocks
+            out.append(replace(s, **{
+                name: _inline_placeholder(block, fn_body)
+                for name, block in ast.children(s) if isinstance(block, list)}))
     return out
 
 
@@ -440,8 +426,23 @@ class World:
         self.instances, self.next_address = snap
 
     def storage_fingerprint(self) -> dict:
-        """Comparable view of all persistent bytes and balances."""
-        return {
-            addr: (tuple(sorted(inst.config.storage.bytes.items())), inst.balance)
-            for addr, inst in sorted(self.instances.items())
-        }
+        """Comparable, hashable view of all persistent state: per instance
+        its contract, balance, storage bytes, names, types, lam and hashed
+        regions, plus (under "next_address") the next address to deploy at."""
+        out: dict = {}
+        for addr, inst in sorted(self.instances.items()):
+            st = inst.config.storage
+            out[addr] = (
+                inst.contract_name, inst.balance,
+                tuple(sorted(st.bytes.items())),
+                tuple(sorted(st.names.items())),
+                tuple(sorted(st.types.items())), st.lam,
+                tuple((slot, r.kind, r.base_slot, _frozen(r.key), r.value_type)
+                      for slot, r in sorted(st.hashed.items())))
+        out["next_address"] = self.next_address
+        return out
+
+
+def _frozen(v):
+    """A mapping key from a static array is a list; make it hashable."""
+    return tuple(map(_frozen, v)) if isinstance(v, list) else v

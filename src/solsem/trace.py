@@ -9,6 +9,7 @@ and the replay check consume. Serialized form is newline-delimited JSON.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,8 +127,13 @@ class Trace:
         self._ctx.pop()
 
     @property
-    def context(self) -> _Context:
-        return self._ctx[-1]
+    def depth(self) -> int:
+        return len(self._ctx)
+
+    def unwind(self, depth: int) -> None:
+        """Drop every context above `depth`, including any that a failing
+        frame did not get to pop."""
+        del self._ctx[depth:]
 
     # -- emission ----------------------------------------------------------------
 
@@ -150,18 +156,13 @@ class Trace:
 
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 
+    @contextmanager
     def mute(self):
-        trace = self
-
-        class _Muter:
-            def __enter__(self):
-                trace._muted += 1
-
-            def __exit__(self, *exc):
-                trace._muted -= 1
-                return False
-
-        return _Muter()
+        self._muted += 1
+        try:
+            yield
+        finally:
+            self._muted -= 1
 
     # -- views --------------------------------------------------------------------
 
@@ -185,6 +186,7 @@ def replay_storage_writes(events: list) -> dict:
     Slices belonging to aborted transactions are skipped, so the result
     matches the post-state byte-for-byte (the rule-label fidelity check).
     """
+    from .state import write_byte_map  # state imports this module
     out: dict = {}
     committed: list = []
     pending: list = []
@@ -209,12 +211,6 @@ def replay_storage_writes(events: list) -> dict:
                 pending = []
     for ev in committed:
         for w in ev.writes:
-            if w.space != "storage":
-                continue
-            bucket = out.setdefault(ev.addr, {})
-            for i, b in enumerate(w.data):
-                if b:
-                    bucket[w.at + i] = b
-                else:
-                    bucket.pop(w.at + i, None)
+            if w.space == "storage":
+                write_byte_map(out.setdefault(ev.addr, {}), w.at, w.data)
     return out

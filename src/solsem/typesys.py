@@ -9,7 +9,7 @@ always start slot-aligned and occupy a multiple of 32 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import ast
 from .errors import SolTypeError, UnsizedType
@@ -75,9 +75,6 @@ class Mapping(SemType):
 class Struct(SemType):
     name: str
     fields: tuple  # tuple[(field name, SemType), ...]
-
-    def field_names(self):
-        return [n for n, _ in self.fields]
 
     def field_types(self):
         return [t for _, t in self.fields]
@@ -310,24 +307,6 @@ def field_index(struct_t: Struct, name: str) -> int:
 # static expression typing
 # ---------------------------------------------------------------------------
 
-class TypeEnv:
-    """What typing needs from the evaluation context."""
-
-    def binding(self, name: str) -> Optional[Located]:
-        raise NotImplementedError
-
-    def function_return(self, name: str) -> Optional[SemType]:
-        raise NotImplementedError
-
-    def cast_target(self, name: str) -> Optional[SemType]:
-        raise NotImplementedError
-
-    def external_return(self, contract_name: str, fn: str) -> Optional[SemType]:
-        raise NotImplementedError
-
-    trace = None
-
-
 def _unify_arith(a: SemType, b: SemType, span) -> SemType:
     if isinstance(a, UInt) and isinstance(b, UInt):
         return a if a.width >= b.width else b
@@ -372,8 +351,11 @@ def _comparable(a: SemType, b: SemType) -> bool:
     return False
 
 
-def type_of(env: TypeEnv, e: ast.Expr) -> Located:
-    """Static type with location class; mirrors the typing judgement rules."""
+def type_of(env, e: ast.Expr) -> Located:
+    """Static type with location class; mirrors the typing judgement rules.
+
+    `env` is an `evaluator.Evaluator`: typing reads its `binding`,
+    `function_return`, `cast_target`, `external_return` and `trace`."""
     trace = env.trace
     if isinstance(e, ast.Ident):
         found = env.binding(e.name)
@@ -500,7 +482,3 @@ def mapping_key_ok(declared: SemType, actual: SemType, index_expr) -> bool:
         return True
     return isinstance(declared, Address) and isinstance(index_expr, ast.IntLit)
 
-
-def storage_class(env: TypeEnv, e: ast.Expr) -> str:
-    """Which byte store (storage or memory) accesses through `e` touch."""
-    return type_of(env, e).loc

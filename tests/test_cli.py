@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from solsem.cli import main
+from solsem.executor import Executor
 
 from conftest import CONTRACTS, SCENARIOS
 
@@ -231,3 +232,29 @@ def test_layout_human_output(capsys):
     out = capsys.readouterr().out
     assert "lambda=64" in out
     assert "uint128" in out and "uint256" in out
+
+
+def test_stack_exhaustion_exits_two_with_one_line(tmp_path, capsys):
+    # at bank value 400 the drain nests past the Python stack
+    scn = tmp_path / "dao400.scn"
+    scn.write_text("deploy bank Bank () from 0xA11CE value 400\n"
+                   "deploy attack Attack (bank) from 0xBADD1E value 2\n"
+                   "tx attack.addToBalance() from 0xBADD1E\n"
+                   "tx attack.withdrawBalance() from 0xBADD1E\n")
+    code = main(["run", _path("c", "dao.sol"), "--scenario", str(scn)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "stack limit" in err
+
+
+def test_engine_fault_exits_two_with_one_line(monkeypatch, capsys):
+    def fault(self, ev, stmt):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Executor, "exec_stmt", fault)
+    code = main(["run", _path("c", "coin.sol"),
+                 "--scenario", _path("s", "coin.scn")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: engine fault: RuntimeError: boom"]

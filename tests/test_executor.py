@@ -471,6 +471,34 @@ def test_max_steps_bounds_nontermination():
     assert world.storage_fingerprint() == before
 
 
+def test_deploy_abort_message_has_one_prefix():
+    world = world_from_source(
+        "contract L { uint x; function L() { while (true) { x = x + 1; } } }",
+        options=EngineOptions(max_steps=5))
+    before = world.storage_fingerprint()
+    with pytest.raises(TxAborted) as info:
+        Executor(world).deploy("L")
+    assert str(info.value) == "transaction aborted: exceeded max steps (5)"
+    assert world.storage_fingerprint() == before
+
+
+def test_stack_exhausting_drain_aborts_and_rolls_back(dao_world):
+    # 5001 nested withdraw levels: the Python stack runs out long before
+    ex = Executor(dao_world)
+    bank = ex.deploy("Bank", value=10000)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                 fname="addToBalance")).ok
+    before = dao_world.storage_fingerprint()
+    res = ex.run_transaction(Tx(sender=0xB, to=attack,
+                                fname="withdrawBalance"))
+    assert not res.ok and "stack limit" in str(res.error)
+    assert dao_world.storage_fingerprint() == before
+    assert dao_world.trace.events[-1].rule == "TX-ABORT"
+    assert (dao_world.msg, dao_world.msg_stack, dao_world.call_depth,
+            dao_world.trace.depth) == (None, [], 0, 1)
+
+
 def test_call_depth_cap():
     world = world_from_source(
         "contract R { function r() public { r(); } }",

@@ -278,17 +278,24 @@ def test_external_frames_open_with_a_call_marker():
 
 
 def test_handles_resolve_in_sender_and_arg_positions():
-    world = make_world("dao.sol")
+    world = make_world("dao.sol", "coverage.sol")
     scn = parse_scenario("""
     deploy bank Bank () from 0xA value 4
     deploy attack Attack (bank) from 0xB value 2
     # a handle used as the tx sender resolves to the instance address
     tx bank.deposit() from attack value 0
     assert bank.credit[attack] == 0
+    deploy main Main () from 0xA
+    tx main.main() from 0xA
+    # every non-call expression kind, with handles nested deep inside
+    assert main.(!(s.x + arr[da.length - 1] * m2[bank - bank + 7] > 24 - -(-1)) != !flag) && true == true
+    # a call nested as deep is still found and rejected
+    assert main.!(s.x + arr[da.length - helper(1)] > 0) == true
     """)
     outcome = run_scenario(world, scn)
     assert not outcome.halted
-    assert outcome.assertions_ok
+    assert [r.ok for r in outcome.results] == [True] * 7 + [False]
+    assert "calls are not allowed" in outcome.results[-1].detail
 
 
 def test_two_instances_in_one_world_have_identical_storage():

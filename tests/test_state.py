@@ -9,7 +9,8 @@ from solsem import typesys
 from solsem.errors import DuplicateDeclaration, RangeError, ScopeUnderflow
 from solsem.executor import Executor
 from solsem.state import (
-    Config, Msg, decode_value, encode_key32, encode_value, zero_value,
+    Config, HashedRegion, Msg, decode_value, encode_key32, encode_value,
+    zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
@@ -275,6 +276,20 @@ def test_deploy_is_deterministic():
         inst = world.instance(address)
         return sorted(inst.config.storage.bytes.items()), inst.config.storage.lam
     assert fingerprint() == fingerprint()
+
+
+def test_fingerprint_sees_leaked_regions_and_addresses():
+    world = make_world("coin.sol")
+    address = deploy(world, "Coin")
+    before = world.storage_fingerprint()
+    # a mapping key taken from a static array is a list
+    world.instance(address).config.storage.record_hashed(HashedRegion(
+        slot=7, kind="mapping", base_slot=1, key=[1, 2], value_type=U256))
+    leaked = world.storage_fingerprint()
+    assert leaked != before
+    hash(tuple(leaked.items()))
+    world.fresh_address()
+    assert world.storage_fingerprint() != leaked
 
 
 def test_constructor_runs_under_creation_msg():

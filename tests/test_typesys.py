@@ -214,7 +214,7 @@ def test_type_of_storage_pointer():
     # indexing through the ref lands on the element type, still storage
     assert typesys.type_of(env, parse_expression("d[0]")) == \
         Located(U256, typesys.STORAGE)
-    assert typesys.storage_class(env, parse_expression("d")) == typesys.STORAGE
+    assert typesys.type_of(env, parse_expression("d")).loc == typesys.STORAGE
 
 
 def test_storage_class_state_vs_param():
@@ -222,12 +222,12 @@ def test_storage_class_state_vs_param():
     address = deploy(world, "Coin", sender=0xAA)
     config = world.instance(address).config
     env = _typing_env(world, address)
-    assert typesys.storage_class(env, parse_expression("minter")) == \
+    assert typesys.type_of(env, parse_expression("minter")).loc == \
         typesys.STORAGE
     # a parameter binds in memory (the I-FUN binding discipline)
     config.memory.push_scope()
     config.fr("amount", Located(U256, typesys.MEMORY), (5).to_bytes(32, "big"))
-    assert typesys.storage_class(env, parse_expression("amount")) == \
+    assert typesys.type_of(env, parse_expression("amount")).loc == \
         typesys.MEMORY
     config.memory.pop_scope()
 
