@@ -152,7 +152,8 @@ class Evaluator:
 
     def eval_lvalue(self, e: ast.Expr) -> LValue:
         if isinstance(e, ast.Ident):
-            b = self.config.lookup(e.name)
+            b = self.config.lookup(e.name, e.span)
+            self.trace.rule("Type3")
             self.trace.rule("E-ID2" if b.space == typesys.MEMORY else "E-ID1")
             return LValue(b.addr, b.located)
         if isinstance(e, ast.Index):
@@ -161,41 +162,39 @@ class Evaluator:
             return self._member_lvalue(e)
         raise SolTypeError(f"expression is not addressable", getattr(e, "span", None))
 
-    def _base_address(self, base: ast.Expr, is_ref: bool, rule: str) -> int:
-        """Base address for an indexed/member access; ref bases dereference
-        the pointer binding (their R-value is the address they alias)."""
+    def _base_address(self, base: ast.Expr, is_ref: bool, rule: str,
+                      type_rule: Optional[str] = None) -> int:
+        """Base address for an indexed/member access, then the node's typing
+        rule (if any) and its evaluation rule. A ref base's R-value is its
+        binding, the address it aliases."""
+        addr = self.eval_lvalue(base).addr
         if is_ref:
-            if isinstance(base, ast.Ident):
-                b = self.config.lookup(base.name)
-                self.trace.rule("E-ID2" if b.space == typesys.MEMORY else "E-ID1")
-                typesys.size_of(typesys.Ref(typesys.UINT256), self.trace)
-                addr = b.addr
-            else:
-                addr = self.eval_lvalue(base).addr
-        else:
-            addr = self.eval_lvalue(base).addr
+            typesys.size_of(typesys.Ref(typesys.UINT256), self.trace)
+        if type_rule is not None:
+            self.trace.rule(type_rule)
         self.trace.rule(rule)
         return addr
 
     def _index_lvalue(self, e: ast.Index) -> LValue:
         base_t = self.type_of(e.base)
+        located = typesys.index_type(self, e, base_t)
         sem, is_ref = typesys._strip_ref(base_t.sem)
         if isinstance(sem, typesys.StaticArray):
-            self.trace.rule("Type7" if is_ref else "Type1")
-            i = self._numeric_index(e.index)
+            i = self._index(e.index)
             addr_b = self._base_address(e.base, is_ref,
-                                        "E-ARRAY-REF" if is_ref else "E-ARRAY")
+                                        "E-ARRAY-REF" if is_ref else "E-ARRAY",
+                                        "Type7" if is_ref else "Type1")
             if i >= sem.length:
                 raise IndexOutOfBounds(
                     f"index {i} out of bounds for {typesys.type_to_str(sem)}",
                     e.span)
             addr = addr_b + i * typesys.size_of(sem.elem, self.trace)
-            return LValue(addr, typesys.Located(sem.elem, base_t.loc))
+            return LValue(addr, located)
         if isinstance(sem, typesys.DynArray):
-            self.trace.rule("Type7" if is_ref else "Type1")
-            i = self._numeric_index(e.index)
+            i = self._index(e.index)
             addr_b = self._base_address(e.base, is_ref,
-                                        "E-D-ARRAY-ref" if is_ref else "E-D-ARRAY")
+                                        "E-D-ARRAY-ref" if is_ref else "E-D-ARRAY",
+                                        "Type7" if is_ref else "Type1")
             length = decode_value(
                 self.config.read_bytes(base_t.loc, addr_b, typesys.SLOT),
                 typesys.UINT256)
@@ -208,49 +207,31 @@ class Evaluator:
             self.config.storage.record_hashed(HashedRegion(
                 slot=slot, kind="dynarray", base_slot=p, key=i,
                 value_type=sem.elem))
-            return LValue(slot * typesys.SLOT,
-                          typesys.Located(sem.elem, base_t.loc))
-        if isinstance(sem, typesys.Mapping):
-            self.trace.rule("Type6" if is_ref else "Type4")
-            key = self.eval_rvalue(e.index)
-            key_t = self.type_of(e.index).sem
-            if not typesys.mapping_key_ok(sem.key, key_t, e.index):
-                raise SolTypeError(
-                    f"mapping key must be {typesys.type_to_str(sem.key)}",
-                    e.span)
-            key32 = encode_key32(key, sem.key)
-            addr_b = self._base_address(e.base, is_ref,
-                                        "E-MAPPING-REF" if is_ref else "E-MAPPING")
-            p = addr_b // typesys.SLOT
-            slot = slot_of_map(p, key32, self.world.options.evm_hash_order)
-            self.config.storage.record_hashed(HashedRegion(
-                slot=slot, kind="mapping", base_slot=p, key=key,
-                value_type=sem.value))
-            return LValue(slot * typesys.SLOT,
-                          typesys.Located(sem.value, base_t.loc))
-        raise SolTypeError(
-            f"cannot index a value of type {typesys.type_to_str(base_t.sem)}",
-            e.span)
+            return LValue(slot * typesys.SLOT, located)
+        key = self.eval_rvalue(e.index)  # a mapping: index_type checked the key
+        key32 = encode_key32(key, sem.key)
+        addr_b = self._base_address(e.base, is_ref,
+                                    "E-MAPPING-REF" if is_ref else "E-MAPPING",
+                                    "Type6" if is_ref else "Type4")
+        p = addr_b // typesys.SLOT
+        slot = slot_of_map(p, key32, self.world.options.evm_hash_order)
+        self.config.storage.record_hashed(HashedRegion(
+            slot=slot, kind="mapping", base_slot=p, key=key,
+            value_type=sem.value))
+        return LValue(slot * typesys.SLOT, located)
 
     def _member_lvalue(self, e: ast.Member) -> LValue:
         base_t = self.type_of(e.base)
+        located = typesys.member_type(e, base_t)
         sem, is_ref = typesys._strip_ref(base_t.sem)
-        if not isinstance(sem, typesys.Struct):
-            raise SolTypeError(
-                f"no member {e.name} on {typesys.type_to_str(base_t.sem)}", e.span)
-        self.trace.rule("Type8" if is_ref else "Type2")
-        k = typesys.field_index(sem, e.name)
         addr_b = self._base_address(e.base, is_ref,
-                                    "E-STRUCT-ref" if is_ref else "E-STRUCT")
-        offset = typesys.field_offset(sem, k, self.trace)
-        return LValue(addr_b + offset,
-                      typesys.Located(sem.fields[k][1], base_t.loc))
+                                    "E-STRUCT-ref" if is_ref else "E-STRUCT",
+                                    "Type8" if is_ref else "Type2")
+        offset = typesys.field_offset(sem, typesys.field_index(sem, e.name),
+                                      self.trace)
+        return LValue(addr_b + offset, located)
 
-    def _numeric_index(self, e: ast.Expr) -> int:
-        t = self.type_of(e).sem
-        if not isinstance(t, (typesys.UInt, typesys.Int256)):
-            raise SolTypeError("array index must be an integer",
-                               getattr(e, "span", None))
+    def _index(self, e: ast.Expr) -> int:
         i = self.eval_rvalue(e)
         if i < 0:
             raise IndexOutOfBounds(f"negative index {i}", getattr(e, "span", None))
@@ -282,13 +263,11 @@ class Evaluator:
         if isinstance(e, ast.ExternalCall):
             return self.executor.eval_external_call(self, e, expression=True)
         if isinstance(e, (ast.Ident, ast.Index, ast.Member)):
-            located = self.type_of(e)
-            if isinstance(located.sem, typesys.Ref):
-                # the pointer value of a ref binding is the address it aliases
-                lv = self.eval_lvalue(e)
-                typesys.size_of(located.sem, self.trace)
-                return lv.addr
             lv = self.eval_lvalue(e)
+            if isinstance(lv.located.sem, typesys.Ref):
+                # the pointer value of a ref binding is the address it aliases
+                typesys.size_of(lv.located.sem, self.trace)
+                return lv.addr
             self.trace.rule("E-RV")
             return self.read_value(lv.located.loc, lv.addr, lv.located.sem)
         raise SolTypeError(f"cannot evaluate {e!r}", getattr(e, "span", None))
@@ -299,46 +278,35 @@ class Evaluator:
         return self.world.msg
 
     def _unary(self, e: ast.Unary):
-        t = self.type_of(e.operand).sem
+        t = self.type_of(e).sem  # checks the operand
         v = self.eval_rvalue(e.operand)
         if e.op == "!":
-            if not isinstance(t, typesys.Bool):
-                raise SolTypeError("! requires a bool operand", e.span)
             return not v
         if isinstance(e.operand, ast.IntLit):
             return -v  # a signed literal, not modular negation
         if isinstance(t, typesys.UInt):
             return (-v) % (1 << t.width)
-        if isinstance(t, typesys.Int256):
-            return apply_binop("-", 0, v, t)
-        raise SolTypeError("unary - requires a numeric operand", e.span)
+        return apply_binop("-", 0, v, t)
 
     def _binary(self, e: ast.Binary):
         if e.op in ("&&", "||"):
-            lt = self.type_of(e.lhs).sem
-            if not isinstance(lt, typesys.Bool):
-                raise SolTypeError(f"{e.op} requires bool operands", e.span)
-            left = self.eval_rvalue(e.lhs)
-            if e.op == "&&" and not left:
-                return False
-            if e.op == "||" and left:
-                return True
-            rt = self.type_of(e.rhs).sem
-            if not isinstance(rt, typesys.Bool):
-                raise SolTypeError(f"{e.op} requires bool operands", e.span)
-            return bool(self.eval_rvalue(e.rhs))
-        lt = self.type_of(e.lhs).sem
-        rt = self.type_of(e.rhs).sem
+            # short-circuit: the rhs is typed only when it is evaluated
+            for operand in (e.lhs, e.rhs):
+                if not isinstance(self.type_of(operand).sem, typesys.Bool):
+                    raise SolTypeError(f"{e.op} requires bool operands", e.span)
+                v = bool(self.eval_rvalue(operand))
+                if v == (e.op == "||"):
+                    break
+            return v
+        t = self.type_of(e).sem  # checks the operands; the arithmetic type
         lhs = self.eval_rvalue(e.lhs)
         rhs = self.eval_rvalue(e.rhs)
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            if not typesys._comparable(lt, rt):
-                raise SolTypeError(
-                    f"cannot compare {typesys.type_to_str(lt)} with "
-                    f"{typesys.type_to_str(rt)}", e.span)
-            return apply_binop(e.op, lhs, rhs, lt)
-        t = typesys.arith_result_type(lt, rt, e.lhs, e.rhs, e.span)
         return apply_binop(e.op, lhs, rhs, t)
+
+    def check_condition(self, e: ast.Expr, what: str, span=None) -> None:
+        """A branch, loop or modifier condition must type as bool."""
+        if not isinstance(self.type_of(e).sem, typesys.Bool):
+            raise SolTypeError(f"{what} condition must be boolean", span)
 
     def _array_length(self, e: ast.ArrayLength):
         base_t = self.type_of(e.base)
@@ -362,7 +330,6 @@ class Evaluator:
         ret = self.function_return(e.name)
         if ret is not None:
             self.trace.rule("Type5")
-            typesys.size_of(ret, None)
             self.trace.rule("Size6")
         return value
 

@@ -1,8 +1,9 @@
 """Statement and call execution over a world of deployed instances.
 
 Transactions are atomic: the world is snapshotted on entry and restored on
-any exception, so an aborted transaction leaves no trace in storage or balances
-(the event log keeps the aborted slice for observability, marked TX-ABORT).
+any exception, so an aborted transaction leaves no trace in storage, balances
+or warnings (the event log keeps the aborted slice for observability, marked
+TX-ABORT).
 
 External calls thread the ambient Msg through a save/restore stack and push
 the caller context onto the callee's omega stack; the pop on return emits
@@ -115,8 +116,8 @@ class Executor:
     def _transact(self, tx: Tx, kind: str, body) -> TxResult:
         """The transaction bracket: run `body` under a fresh Msg and frame.
 
-        On any exception the world is rolled back to its pre-state and the
-        trace gets TX-ABORT. A SolsemError, or the interpreter running out
+        On any exception the world and its warnings are rolled back to their
+        pre-state and the trace gets TX-ABORT. A SolsemError, or the interpreter running out
         of stack, comes back as a failed TxResult; any other exception is
         re-raised after the rollback. Either way the ambient context (Msg,
         Msg stack, call depth, trace context) ends as it was before.
@@ -124,6 +125,7 @@ class Executor:
         world, trace = self.world, self.world.trace
         world.tx_count += 1
         snap = world.snapshot()
+        warned = len(world.warnings)
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
         start = len(trace)
@@ -145,6 +147,7 @@ class Executor:
                             steps=world.stmt_steps)
         except BaseException as exc:
             world.restore(snap)
+            del world.warnings[warned:]
             if isinstance(exc, RecursionError):
                 exc = TxAborted(
                     f"Python stack limit reached (recursion limit "
@@ -191,9 +194,7 @@ class Executor:
                 self._bind_local(ev, rname, rtype, zero_value(rtype))
             guard_ok = True
             if fn.guard is not None:
-                guard_t = ev.type_of(fn.guard).sem
-                if not isinstance(guard_t, typesys.Bool):
-                    raise SolTypeError("modifier condition must be boolean")
+                ev.check_condition(fn.guard, "modifier")
                 guard_ok = bool(ev.eval_rvalue(fn.guard))
             if guard_ok:
                 try:
@@ -355,9 +356,7 @@ class Executor:
         elif isinstance(stmt, ast.ExprStmt):
             self._exec_expr_stmt(ev, stmt)
         elif isinstance(stmt, ast.If):
-            cond_t = ev.type_of(stmt.cond).sem
-            if not isinstance(cond_t, typesys.Bool):
-                raise SolTypeError("if condition must be boolean", stmt.span)
+            ev.check_condition(stmt.cond, "if", stmt.span)
             if ev.eval_rvalue(stmt.cond):
                 world.trace.rule("COND1")
                 self.exec_block(ev, stmt.then)
@@ -366,9 +365,7 @@ class Executor:
                 if stmt.otherwise is not None:
                     self.exec_block(ev, stmt.otherwise)
         elif isinstance(stmt, ast.While):
-            cond_t = ev.type_of(stmt.cond).sem
-            if not isinstance(cond_t, typesys.Bool):
-                raise SolTypeError("while condition must be boolean", stmt.span)
+            ev.check_condition(stmt.cond, "while", stmt.span)
             while True:
                 if not ev.eval_rvalue(stmt.cond):
                     world.trace.rule("WHILE1")

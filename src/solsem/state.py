@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from . import ast, typesys
 from .errors import (
     DuplicateDeclaration, RangeError, ScopeUnderflow, SolTypeError,
-    UnknownIdentifier,
+    UnknownAddress, UnknownIdentifier,
 )
 from .trace import Trace
 
@@ -203,7 +203,7 @@ class Config:
         st = self.storage
         if name in st.names:
             raise DuplicateDeclaration(f"state variable {name} already declared")
-        addr = typesys.align_up(st.lam, t, trace)
+        addr = typesys.align_up(st.lam, t)
         st.names[name] = addr
         st.types[name] = typesys.Located(t, typesys.STORAGE)
         st.lam = typesys.bump(st.lam, t, trace)
@@ -232,7 +232,7 @@ class Config:
         mem.top.names[name] = addr
         mem.top.types[name] = located
 
-    def lookup(self, name: str) -> Binding:
+    def lookup(self, name: str, span=None) -> Binding:
         mem = self.memory
         if name in mem.top.names:  # the top memory frame shadows storage
             return Binding(mem.top.names[name], typesys.MEMORY,
@@ -240,7 +240,7 @@ class Config:
         st = self.storage
         if name in st.names:
             return Binding(st.names[name], typesys.STORAGE, st.types[name])
-        raise UnknownIdentifier(f"unknown identifier {name}")
+        raise UnknownIdentifier(f"unknown identifier {name}", span)
 
     def has_name(self, name: str) -> bool:
         return name in self.memory.top.names or name in self.storage.names
@@ -403,7 +403,6 @@ class World:
         return self.registry[name]
 
     def instance(self, address: int) -> Instance:
-        from .errors import UnknownAddress
         if address not in self.instances:
             raise UnknownAddress(f"no contract instance at {address:#x}")
         return self.instances[address]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .errors import SolTypeError, UnsizedType
+from .errors import SolTypeError, UnknownIdentifier, UnsizedType
 
 SLOT = 32  # byte alignment `l`
 
@@ -247,7 +247,7 @@ def _next_boundary(addr: int) -> int:
     return (addr // SLOT + 1) * SLOT
 
 
-def align_up(addr: int, t: SemType, trace=None) -> int:
+def align_up(addr: int, t: SemType) -> int:
     """Smallest admissible address >= addr for a value of type t.
 
     Primitives stay in place when they fit before the next slot boundary;
@@ -262,7 +262,7 @@ def align_up(addr: int, t: SemType, trace=None) -> int:
 
 def bump(addr: int, t: SemType, trace=None) -> int:
     """align_up then advance by the type's size (the allocation step)."""
-    return align_up(addr, t, trace) + size_of(t, trace)
+    return align_up(addr, t) + size_of(t, trace)
 
 
 def size_packed(start: int, fields, trace=None) -> int:
@@ -354,16 +354,14 @@ def _comparable(a: SemType, b: SemType) -> bool:
 def type_of(env, e: ast.Expr) -> Located:
     """Static type with location class; mirrors the typing judgement rules.
 
-    `env` is an `evaluator.Evaluator`: typing reads its `binding`,
-    `function_return`, `cast_target`, `external_return` and `trace`."""
-    trace = env.trace
+    A pure judgement: it emits no trace events (the evaluator emits each
+    typing rule where it evaluates the node). `env` is an
+    `evaluator.Evaluator`: typing reads its `binding`, `function_return`,
+    `cast_target` and `external_return`."""
     if isinstance(e, ast.Ident):
         found = env.binding(e.name)
         if found is None:
-            from .errors import UnknownIdentifier
             raise UnknownIdentifier(f"unknown identifier {e.name}", e.span)
-        if trace:
-            trace.rule("Type3")
         return found
     if isinstance(e, ast.IntLit):
         return Located(UINT256, MEMORY)
@@ -376,33 +374,9 @@ def type_of(env, e: ast.Expr) -> Located:
     if isinstance(e, (ast.MsgValue,)):
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.Index):
-        base = type_of(env, e.base)
-        sem, is_ref = _strip_ref(base.sem)
-        if isinstance(sem, (StaticArray, DynArray)):
-            if trace:
-                trace.rule("Type7" if is_ref else "Type1")
-            return Located(sem.elem, base.loc)
-        if isinstance(sem, Mapping):
-            key_t = type_of(env, e.index).sem
-            if not mapping_key_ok(sem.key, key_t, e.index):
-                raise SolTypeError(
-                    f"mapping key must be {type_to_str(sem.key)}, got "
-                    f"{type_to_str(key_t)}", e.span)
-            if trace:
-                trace.rule("Type6" if is_ref else "Type4")
-            return Located(sem.value, base.loc)
-        raise SolTypeError(
-            f"cannot index a value of type {type_to_str(base.sem)}", e.span)
+        return index_type(env, e, type_of(env, e.base))
     if isinstance(e, ast.Member):
-        base = type_of(env, e.base)
-        sem, is_ref = _strip_ref(base.sem)
-        if isinstance(sem, Struct):
-            k = field_index(sem, e.name)
-            if trace:
-                trace.rule("Type8" if is_ref else "Type2")
-            return Located(sem.fields[k][1], base.loc)
-        raise SolTypeError(
-            f"no member {e.name} on type {type_to_str(base.sem)}", e.span)
+        return member_type(e, type_of(env, e.base))
     if isinstance(e, ast.ArrayLength):
         base = type_of(env, e.base)
         sem, _ = _strip_ref(base.sem)
@@ -417,8 +391,6 @@ def type_of(env, e: ast.Expr) -> Located:
         if ret is None:
             raise SolTypeError(
                 f"function {e.name} has no return value", e.span)
-        if trace:
-            trace.rule("Type5")
         return Located(ret, MEMORY)
     if isinstance(e, ast.ExternalCall):
         target = type_of(env, e.target)
@@ -428,8 +400,6 @@ def type_of(env, e: ast.Expr) -> Located:
             if ret is None:
                 raise SolTypeError(
                     f"function {e.name} of {sem.name} has no return value", e.span)
-            if trace:
-                trace.rule("Type5")
             return Located(ret, MEMORY)
         raise SolTypeError(
             "cannot statically type an external call on a plain address", e.span)
@@ -457,6 +427,36 @@ def type_of(env, e: ast.Expr) -> Located:
             raise SolTypeError("unary - requires a numeric operand", e.span)
         return Located(it, MEMORY)
     raise SolTypeError(f"expression has no type: {e!r}", getattr(e, "span", None))
+
+
+def index_type(env, e: ast.Index, base: Located) -> Located:
+    """Type of `e` given its base's type: an array element (Type1/Type7;
+    the index must be an integer) or a mapping value (Type4/Type6; the key
+    must fit the declared key type)."""
+    sem, _ = _strip_ref(base.sem)
+    if isinstance(sem, (StaticArray, DynArray)):
+        if not isinstance(type_of(env, e.index).sem, (UInt, Int256)):
+            raise SolTypeError("array index must be an integer",
+                               getattr(e.index, "span", None))
+        return Located(sem.elem, base.loc)
+    if isinstance(sem, Mapping):
+        key_t = type_of(env, e.index).sem
+        if not mapping_key_ok(sem.key, key_t, e.index):
+            raise SolTypeError(
+                f"mapping key must be {type_to_str(sem.key)}, got "
+                f"{type_to_str(key_t)}", e.span)
+        return Located(sem.value, base.loc)
+    raise SolTypeError(
+        f"cannot index a value of type {type_to_str(base.sem)}", e.span)
+
+
+def member_type(e: ast.Member, base: Located) -> Located:
+    """Type of struct field access `e` given its base's type (Type2/Type8)."""
+    sem, _ = _strip_ref(base.sem)
+    if isinstance(sem, Struct):
+        return Located(sem.fields[field_index(sem, e.name)][1], base.loc)
+    raise SolTypeError(
+        f"no member {e.name} on type {type_to_str(base.sem)}", e.span)
 
 
 def _strip_ref(t: SemType):

@@ -1,6 +1,7 @@
 """L-value/R-value evaluation, hash-derived addressing, and arithmetic."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,12 @@ from solsem.errors import (
 )
 from solsem.evaluator import apply_binop, read_value, slot_of_dyn, slot_of_map
 from solsem.executor import Executor, Tx
+from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, Msg, decode_value
 from solsem.typesys import Address, Bool, Int256, UInt
 
-from conftest import deploy, make_world
+from conftest import deploy, make_world, scenario_source
 from keccak_oracle import keccak256_oracle_int
 
 U128 = UInt(128)
@@ -193,6 +195,63 @@ def test_short_circuit_does_not_evaluate_rhs():
     # rhs would raise UnknownIdentifier if evaluated
     assert ev.eval_rvalue(parse_expression("false && nosuch")) is False
     assert ev.eval_rvalue(parse_expression("true || nosuch")) is True
+
+
+def test_type_of_is_pure():
+    world = make_world("coin.sol")
+    address = deploy(world, "Coin")
+    ev = _ev(world, address)
+    n = len(world.trace)
+    located = ev.type_of(parse_expression("balances[msg.sender] < 1"))
+    assert located.sem == Bool()
+    assert len(world.trace) == n
+
+
+def _coverage_gate_traces():
+    """The traces the rule-label coverage gate (test_acceptance) reads."""
+    for contract_file, scn_file in (("dao.sol", "dao.scn"),
+                                    ("dao_fixed.sol", "dao_fixed.scn"),
+                                    ("coin.sol", "coin.scn")):
+        world = make_world(contract_file)
+        run_scenario(world, parse_scenario(scenario_source(scn_file)))
+        yield world.trace
+    world = make_world("coverage.sol")
+    run_main_contract(world)
+    yield world.trace
+    for fixture, fname in (("test.sol", "foo"), ("test2.sol", "foo2"),
+                           ("test3.sol", "foo3"), ("test4.sol", "foo4")):
+        world = make_world(fixture)
+        address = deploy(world, fixture[:-4].capitalize())
+        assert Executor(world).run_transaction(
+            Tx(sender=1, to=address, fname=fname)).ok
+        yield world.trace
+
+
+# each typing rule -> the evaluation rules of the nodes it types
+_TYPED_BY = {
+    "Type3": {"E-ID1", "E-ID2"},
+    "Type1": {"E-ARRAY", "E-D-ARRAY"},
+    "Type7": {"E-ARRAY-REF", "E-D-ARRAY-ref"},
+    "Type4": {"E-MAPPING"},
+    "Type6": {"E-MAPPING-REF"},
+    "Type2": {"E-STRUCT"},
+    "Type8": {"E-STRUCT-ref"},
+}
+
+
+def test_each_evaluated_node_is_typed_once():
+    counts = Counter()
+    for trace in _coverage_gate_traces():
+        rules = [e.rule for e in trace.events]
+        counts.update(rules)
+        for rule, following in zip(rules, rules[1:]):
+            if rule in _TYPED_BY:  # right before the node's evaluation rule
+                assert following in _TYPED_BY[rule], (rule, following)
+    for typing, evaluation in _TYPED_BY.items():
+        assert counts[typing] == sum(counts[r] for r in evaluation), typing
+    assert counts["Type3"] > 0 and counts["Type1"] + counts["Type7"] > 0
+    assert counts["Type4"] + counts["Type6"] > 0
+    assert counts["Type2"] + counts["Type8"] > 0
 
 
 def test_unary_ops():

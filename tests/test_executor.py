@@ -5,7 +5,7 @@ import random
 import pytest
 
 from solsem import typesys
-from solsem.errors import SolsemError, TxAborted
+from solsem.errors import SolsemError, SolTypeError, TxAborted
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
 from solsem.parser import parse_expression
@@ -411,6 +411,7 @@ def test_abort_restores_bytes_for_runtime_faults():
       uint[2] xs;
       function div0(uint d) public { a = 1; a = a / d; }
       function oob(uint i) public { a = 2; xs[i] = 1; }
+      function warn(uint d) public { uint[2] p; p[0] = 1 / d; }
     }""")
     address = deploy(world, "F")
     ex = Executor(world)
@@ -419,9 +420,46 @@ def test_abort_restores_bytes_for_runtime_faults():
     assert not res.ok and world.storage_fingerprint() == before
     res = ex.run_transaction(Tx(sender=1, to=address, fname="oob", args=(5,)))
     assert not res.ok and world.storage_fingerprint() == before
+    # the aborted transaction's warning goes with it
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="warn", args=(0,)))
+    assert not res.ok and world.storage_fingerprint() == before
+    assert world.warnings == []
     # committed sanity: the same functions succeed with benign arguments
     assert ex.run_transaction(Tx(sender=1, to=address, fname="div0",
                                  args=(1,))).ok
+
+
+_ILL_TYPED = {  # the function (with its modifier) -> the type error's message
+    "function f() public { a = 5; b = !a; }": "! requires a bool operand",
+    "function f() public { a = 5; a = -b; }":
+        "unary - requires a numeric operand",
+    "function f() public { a = 5; b = true && a; }":
+        "&& requires bool operands",
+    "function f() public { a = 5; b = a || false; }":
+        "|| requires bool operands",
+    "function f() public { a = 5; b = b < a; }":
+        "cannot compare bool with uint256",
+    "function f() public { a = 5; a = b + 1; }":
+        "arithmetic on non-numeric types bool/uint256",
+    "function f() public { a = 5; if (a) { a = 6; } }":
+        "if condition must be boolean",
+    "function f() public { a = 5; while (a) { a = 0; } }":
+        "while condition must be boolean",
+    "modifier m { if (a) _; } function f() m public { a = 5; }":
+        "modifier condition must be boolean",
+}
+
+
+@pytest.mark.parametrize("fn, message", _ILL_TYPED.items())
+def test_ill_typed_operands_abort_with_a_type_error(fn, message):
+    world = world_from_source(f"contract T {{ uint a; bool b; {fn} }}")
+    address = deploy(world, "T")
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert not res.ok
+    assert isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message == message
+    assert world.storage_fingerprint() == before
 
 
 def test_tx_count_increments_even_on_abort():
