@@ -203,7 +203,8 @@ class Evaluator:
                     f"index {i} out of bounds for dynamic array of length "
                     f"{length}", e.span)
             p = addr_b // typesys.SLOT
-            slot = slot_of_dyn(p, i * _slot_stride(sem.elem))
+            slot = self.world.derived_slot(slot_of_dyn, p, 0) \
+                + i * _slot_stride(sem.elem)
             self.config.storage.record_hashed(HashedRegion(
                 slot=slot, kind="dynarray", base_slot=p, key=i,
                 value_type=sem.elem))
@@ -214,7 +215,8 @@ class Evaluator:
                                     "E-MAPPING-REF" if is_ref else "E-MAPPING",
                                     "Type6" if is_ref else "Type4")
         p = addr_b // typesys.SLOT
-        slot = slot_of_map(p, key32, self.world.options.evm_hash_order)
+        slot = self.world.derived_slot(slot_of_map, p, key32,
+                                       self.world.options.evm_hash_order)
         self.config.storage.record_hashed(HashedRegion(
             slot=slot, kind="mapping", base_slot=p, key=key,
             value_type=sem.value))
@@ -382,7 +384,7 @@ class Evaluator:
                 writes.append(Write(space=loc, at=addr + typesys.SLOT, data=raw))
             return writes
         p = addr // typesys.SLOT
-        h = slot_of_dyn(p, 0)
+        h = self.world.derived_slot(slot_of_dyn, p, 0)
         for j in range(0, len(raw), typesys.SLOT):
             chunk = raw[j:j + typesys.SLOT].ljust(typesys.SLOT, b"\x00")
             at = (h + j // typesys.SLOT) * typesys.SLOT
@@ -410,7 +412,8 @@ def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):
         p = addr // typesys.SLOT
         stride = _slot_stride(sem.elem)
         return [read_value(world, config, loc,
-                           slot_of_dyn(p, i * stride) * typesys.SLOT, sem.elem)
+                           (world.derived_slot(slot_of_dyn, p, 0) + i * stride)
+                           * typesys.SLOT, sem.elem)
                 for i in range(length)]
     if isinstance(sem, typesys.Mapping):
         return None  # not enumerable
@@ -420,8 +423,7 @@ def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):
         if loc == typesys.MEMORY:
             raw = config.read_bytes(loc, addr + typesys.SLOT, length)
         else:
-            p = addr // typesys.SLOT
-            h = slot_of_dyn(p, 0)
+            h = world.derived_slot(slot_of_dyn, addr // typesys.SLOT, 0)
             raw = b"".join(
                 config.read_bytes(loc, (h + j) * typesys.SLOT, typesys.SLOT)
                 for j in range((length + typesys.SLOT - 1) // typesys.SLOT)

@@ -1,9 +1,11 @@
 """Statement and call execution over a world of deployed instances.
 
-Transactions are atomic: the world is snapshotted on entry and restored on
-any exception, so an aborted transaction leaves no trace in storage, balances
-or warnings (the event log keeps the aborted slice for observability, marked
-TX-ABORT).
+Transactions are atomic: every change to persistent state appends an undo
+record to the world's journal, and on any exception the bracket replays the
+transaction's records backwards, so an aborted transaction leaves no trace in
+storage, balances, instances or warnings (the event log keeps the aborted
+slice for observability, marked TX-ABORT). Either way the journal is emptied
+when the transaction ends, so it never holds more than one transaction.
 
 External calls thread the ambient Msg through a save/restore stack and push
 the caller context onto the callee's omega stack; the pop on return emits
@@ -23,8 +25,7 @@ from .errors import (
 )
 from .evaluator import Evaluator, slot_of_dyn, _slot_stride
 from .state import (
-    Config, FunctionInfo, HashedRegion, Instance, Msg, World,
-    encode_value, zero_value,
+    FunctionInfo, HashedRegion, Msg, World, encode_value, zero_value,
 )
 from .trace import CallInfo, Write
 
@@ -73,9 +74,7 @@ class Executor:
                 args=tuple(args), value=value, gas=gas)
 
         def create():
-            address = world.fresh_address()
-            world.instances[address] = Instance(
-                config=Config(), contract_name=contract_name, balance=value)
+            address = world.create_instance(contract_name, value)
             ev = self.evaluator(address)
             for name, t, init in info.state_vars:
                 init_value = ev.eval_rvalue(init) if init is not None else None
@@ -107,7 +106,7 @@ class Executor:
             if fn is None:
                 raise UnknownIdentifier(
                     f"{callee.contract_name} has no function {tx.fname}")
-            callee.balance += tx.value
+            world.credit(callee, tx.value)
             return self.call_internal(tx.to, fn, tuple(tx.args),
                                       expression=fn.ret is not None)
 
@@ -116,15 +115,16 @@ class Executor:
     def _transact(self, tx: Tx, kind: str, body) -> TxResult:
         """The transaction bracket: run `body` under a fresh Msg and frame.
 
-        On any exception the world and its warnings are rolled back to their
-        pre-state and the trace gets TX-ABORT. A SolsemError, or the interpreter running out
-        of stack, comes back as a failed TxResult; any other exception is
-        re-raised after the rollback. Either way the ambient context (Msg,
-        Msg stack, call depth, trace context) ends as it was before.
+        On any exception the world is rolled back to its pre-state through
+        the journal, its warnings are truncated, and the trace gets TX-ABORT.
+        A SolsemError, or the interpreter running out of stack, comes back as
+        a failed TxResult; any other exception is re-raised after the
+        rollback. Either way the journal is emptied and the ambient context
+        (Msg, Msg stack, call depth, trace context) ends as it was before.
         """
         world, trace = self.world, self.world.trace
         world.tx_count += 1
-        snap = world.snapshot()
+        mark = world.snapshot()
         warned = len(world.warnings)
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
@@ -146,7 +146,7 @@ class Executor:
                             events=trace.slice_from(start),
                             steps=world.stmt_steps)
         except BaseException as exc:
-            world.restore(snap)
+            world.restore(mark)
             del world.warnings[warned:]
             if isinstance(exc, RecursionError):
                 exc = TxAborted(
@@ -163,6 +163,7 @@ class Executor:
                             events=trace.slice_from(start),
                             steps=world.stmt_steps)
         finally:
+            world.commit()
             world.msg, world.msg_stack, world.call_depth = saved
             trace.unwind(depth)
 
@@ -212,7 +213,8 @@ class Executor:
             world.trace.pop_context()
             world.call_depth -= 1
 
-    def _bind_local(self, ev: Evaluator, name: str, sem: typesys.SemType, v):
+    def _bind_local(self, ev: Evaluator, name: str, sem: typesys.SemType, v,
+                    decl: Optional[ast.VarDecl] = None):
         """VD2: bind into the top frame at a fresh memory address."""
         if isinstance(sem, typesys.String):
             raw = str(v).encode("utf-8")
@@ -223,7 +225,8 @@ class Executor:
             raise SolTypeError(
                 f"cannot bind a value of type {typesys.type_to_str(sem)} "
                 f"in memory")
-        addr = ev.config.fr(name, typesys.Located(sem, typesys.MEMORY), data)
+        addr = ev.config.fr(name, typesys.Located(sem, typesys.MEMORY), data,
+                            decl)
         self.world.trace.emit("VD2",
                               writes=[Write(space=typesys.MEMORY, at=addr,
                                             data=data)])
@@ -258,8 +261,8 @@ class Executor:
         if caller_inst.balance < m:
             raise InsufficientBalance(
                 f"{caller:#x} holds {caller_inst.balance} wei, needs {m}")
-        caller_inst.balance -= m
-        callee_inst.balance += m
+        world.credit(caller_inst, -m)
+        world.credit(callee_inst, m)
         return self._enter_external(caller, target, fn, values, m, n,
                                     expression, rule="E-FUN1", kind="external")
 
@@ -285,8 +288,8 @@ class Executor:
                 f"{caller_inst.balance} wei, needs {m}"))
             world.warnings.append("low-level call failed: insufficient balance")
             return False
-        caller_inst.balance -= m
-        callee_inst.balance += m
+        world.credit(caller_inst, -m)
+        world.credit(callee_inst, m)
         callee_info = world.contract_info(callee_inst.contract_name)
         fn = callee_info.fallback
         if fn is None:
@@ -413,14 +416,14 @@ class Executor:
                 world.trace.emit("WARN", note=(
                     f"uninitialized storage pointer {stmt.name} "
                     f"references storage slot 0"))
-            ev.config.bind_pointer(stmt.name, located, addr)
+            ev.config.bind_pointer(stmt.name, located, addr, stmt)
             world.trace.emit("VD2")
             return
         if typesys.is_reference_kind(t):  # memory aggregate
             size = typesys.size_of(t, world.trace)
             data = bytes(size)
             addr = ev.config.fr(stmt.name, typesys.Located(t, typesys.MEMORY),
-                                data)
+                                data, stmt)
             writes = [Write(space=typesys.MEMORY, at=addr, data=data)]
             if stmt.init is not None:
                 writes += ev.write_value(typesys.MEMORY, addr, t,
@@ -429,7 +432,7 @@ class Executor:
             return
         value = ev.eval_rvalue(stmt.init) if stmt.init is not None \
             else zero_value(t)
-        self._bind_local(ev, stmt.name, t, value)
+        self._bind_local(ev, stmt.name, t, value, stmt)
 
     def _exec_return(self, ev: Evaluator, stmt: ast.Return) -> None:
         world = self.world
@@ -462,7 +465,8 @@ class Executor:
         length = ev.read_value(base_t.loc, addr_b, typesys.UINT256)
         value = ev.eval_rvalue(e.arg)
         p = addr_b // typesys.SLOT
-        slot = slot_of_dyn(p, length * _slot_stride(sem.elem))
+        slot = world.derived_slot(slot_of_dyn, p, 0) \
+            + length * _slot_stride(sem.elem)
         ev.config.storage.record_hashed(HashedRegion(
             slot=slot, kind="dynarray", base_slot=p, key=length,
             value_type=sem.elem))

@@ -10,7 +10,6 @@ makes a previously packed uint128 at offset 0 read back as zero.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -129,27 +128,38 @@ class StorageState:
     names: dict = field(default_factory=dict)  # id -> byte address
     types: dict = field(default_factory=dict)  # id -> Located
     hashed: dict = field(default_factory=dict)  # slot -> HashedRegion
+    # undo records (fn, *args); a deployed instance shares World.journal
+    journal: list = field(default_factory=list, repr=False, compare=False)
 
     def read(self, addr: int, size: int) -> bytes:
         return read_byte_map(self.bytes, addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
+        self.journal.append((write_byte_map, self.bytes, addr,
+                             self.read(addr, len(data))))
         write_byte_map(self.bytes, addr, data)
 
     def record_hashed(self, region: HashedRegion) -> None:
-        self.hashed.setdefault(region.slot, region)
+        if region.slot not in self.hashed:
+            self.hashed[region.slot] = region
+            self.journal.append((dict.pop, self.hashed, region.slot))
 
 
 class _Frame(NamedTuple):
     names: dict
     types: dict
+    decls: dict  # id -> the declaration statement that bound it, or None
 
 
 @dataclass
 class MemoryState:
+    """Memory lives while the instance has a live frame: it is cleared when
+    the scope stack is back to its base frame. `fresh` only grows, so a
+    memory address is never reused within a run."""
     bytes: dict = field(default_factory=dict)
     fresh: int = 0
-    scopes: list = field(default_factory=lambda: [_Frame({}, {})])
+    scopes: list = field(default_factory=lambda: [_Frame({}, {}, {})])
+    journal: list = field(default_factory=list, repr=False, compare=False)
 
     def read(self, addr: int, size: int) -> bytes:
         return read_byte_map(self.bytes, addr, size)
@@ -162,12 +172,14 @@ class MemoryState:
         return self.scopes[-1]
 
     def push_scope(self) -> None:
-        self.scopes.append(_Frame({}, {}))
+        self.scopes.append(_Frame({}, {}, {}))
 
     def pop_scope(self) -> None:
         if len(self.scopes) <= 1:
             raise ScopeUnderflow("cannot pop the base scope frame")
         self.scopes.pop()
+        if len(self.scopes) == 1:
+            self.bytes.clear()
 
 
 @dataclass
@@ -209,28 +221,31 @@ class Config:
         st.lam = typesys.bump(st.lam, t, trace)
         return addr
 
-    def fr(self, name: str, located: typesys.Located, data: bytes) -> int:
+    def fr(self, name: str, located: typesys.Located, data: bytes,
+           decl=None) -> int:
         """Bind `name` to a fresh memory address in the top frame and copy
         `data` there."""
         mem = self.memory
-        if name in mem.top.names:
-            raise DuplicateDeclaration(f"{name} already declared in this scope")
         addr = mem.fresh
+        self.bind_pointer(name, located, addr, decl)
+        mem.journal.append((setattr, mem, "fresh", addr))
         mem.fresh += max((len(data) + typesys.SLOT - 1)
                          // typesys.SLOT * typesys.SLOT, typesys.SLOT)
-        mem.top.names[name] = addr
-        mem.top.types[name] = located
         mem.write(addr, data)
         return addr
 
-    def bind_pointer(self, name: str, located: typesys.Located, addr: int) -> None:
+    def bind_pointer(self, name: str, located: typesys.Located, addr: int,
+                     decl=None) -> None:
         """Bind a local name directly to an existing address (storage pointers
-        and memory aggregates); no fresh bytes are written."""
-        mem = self.memory
-        if name in mem.top.names:
+        and memory aggregates); no fresh bytes are written. A local is scoped
+        to its whole function, so running its declaration `decl` again (a
+        loop body) rebinds it; any other redeclaration fails."""
+        top = self.memory.top
+        if name in top.names and (decl is None or top.decls[name] is not decl):
             raise DuplicateDeclaration(f"{name} already declared in this scope")
-        mem.top.names[name] = addr
-        mem.top.types[name] = located
+        top.names[name] = addr
+        top.types[name] = located
+        top.decls[name] = decl
 
     def lookup(self, name: str, span=None) -> Binding:
         mem = self.memory
@@ -387,6 +402,9 @@ class World:
         self.call_depth: int = 0
         self.stmt_steps: int = 0
         self._next_frame_id: int = 0
+        # undo records (fn, *args) of the running transaction, oldest first
+        self.journal: list = []
+        self.derived_slots: dict = {}  # Keccak input -> slot, see derived_slot
 
     # -- registry -------------------------------------------------------------
 
@@ -409,20 +427,54 @@ class World:
 
     def fresh_address(self) -> int:
         addr = self.next_address
+        self.journal.append((setattr, self, "next_address", addr))
         self.next_address += 1
         return addr
+
+    def create_instance(self, contract_name: str, balance: int) -> int:
+        """Deploy an empty instance of `contract_name` at a fresh address."""
+        address = self.fresh_address()
+        journal = self.journal
+        self.instances[address] = Instance(
+            config=Config(storage=StorageState(journal=journal),
+                          memory=MemoryState(journal=journal)),
+            contract_name=contract_name, balance=balance)
+        journal.append((dict.pop, self.instances, address))
+        return address
+
+    def credit(self, instance: Instance, amount: int) -> None:
+        """Add `amount` wei (negative for a debit) to an instance's balance."""
+        self.journal.append((setattr, instance, "balance", instance.balance))
+        instance.balance += amount
+
+    def derived_slot(self, derive, *args) -> int:
+        """`derive(*args)` for a pure slot function, computed once per World.
+        The args are the Keccak input, so they key the memo: (p, key32,
+        order) for a mapping, (p, 0) for a dynamic array's base."""
+        slot = self.derived_slots.get(args)
+        if slot is None:
+            slot = self.derived_slots[args] = derive(*args)
+        return slot
 
     def new_frame_id(self) -> int:
         self._next_frame_id += 1
         return self._next_frame_id
 
-    # -- snapshots (transaction atomicity) -------------------------------------
+    # -- the undo journal (transaction atomicity) ------------------------------
 
-    def snapshot(self):
-        return (copy.deepcopy(self.instances), self.next_address)
+    def snapshot(self) -> int:
+        """A mark in the journal; restore(mark) undoes every later change."""
+        return len(self.journal)
 
-    def restore(self, snap) -> None:
-        self.instances, self.next_address = snap
+    def restore(self, mark: int) -> None:
+        journal = self.journal
+        while len(journal) > mark:
+            undo, *args = journal.pop()
+            undo(*args)
+
+    def commit(self) -> None:
+        """Drop the undo records: the state, kept or restored, is final."""
+        self.journal.clear()
 
     def storage_fingerprint(self) -> dict:
         """Comparable, hashable view of all persistent state: per instance

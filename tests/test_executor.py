@@ -69,6 +69,25 @@ def test_while_false_is_a_no_op():
     assert not any(e.rule == "WHILE2" for e in res.events)
 
 
+def test_declaration_in_a_loop_body_runs_again():
+    # pre-0.5 locals are scoped to the whole function: a declaration run again
+    # rebinds its local; a second declaration of the name still fails
+    world = world_from_source("""
+    contract W { uint s;
+      function f() public {
+        uint i = 0;
+        while (i < 3) { uint x = i; uint[2] m; uint[2] storage p; i = i + 1; }
+        s = i; }
+      function g() public { uint x = 1; uint x = 2; } }""")
+    address = deploy(world, "W")
+    ex = Executor(world)
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok
+    assert _read(world, address, "s") == 3
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="g"))
+    assert not res.ok and "x already declared" in str(res.error)
+
+
 # -- push --------------------------------------------------------------------------
 
 def test_push_pair_and_length():
@@ -535,6 +554,9 @@ def test_stack_exhausting_drain_aborts_and_rolls_back(dao_world):
     assert dao_world.trace.events[-1].rule == "TX-ABORT"
     assert (dao_world.msg, dao_world.msg_stack, dao_world.call_depth,
             dao_world.trace.depth) == (None, [], 0, 1)
+    for inst in dao_world.instances.values():  # even if a frame's pop failed
+        memory = inst.config.memory
+        assert (memory.bytes, len(memory.scopes)) == ({}, 1)
 
 
 def test_call_depth_cap():
