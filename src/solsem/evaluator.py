@@ -6,6 +6,11 @@ class, not by which name space resolved it. Local reference variables bind
 directly to the address they alias, so the pointer value of a ref-typed
 expression is its binding.
 
+Evaluation types each node once: `eval_typed` returns a node's value with
+its type, built by the node's typing step in `typesys` from the types its
+children's evaluation returned, and the node's typing rule is emitted just
+before its evaluation rule. No separate typing pass runs beside it.
+
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
 and key k of a mapping based at slot p lives at slot
@@ -19,10 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import ast, typesys
-from .errors import (
-    DivisionByZero, IndexOutOfBounds, SolTypeError, SolsemError,
-    UnknownIdentifier,
-)
+from .errors import DivisionByZero, IndexOutOfBounds, SolTypeError, SolsemError
 from .keccak import keccak256_int
 from .state import (
     FunctionInfo, HashedRegion, decode_value, encode_key32, encode_value,
@@ -36,6 +38,16 @@ _CAST_TARGETS = {
     "uint256": typesys.UInt(256), "int": typesys.Int256(),
     "int256": typesys.Int256(), "address": typesys.Address(),
 }
+
+# the (typing, evaluation) rules of an access by its base's kind: through a
+# plain base, then through a ref
+_ACCESS_RULES = {
+    typesys.StaticArray: (("Type1", "E-ARRAY"), ("Type7", "E-ARRAY-REF")),
+    typesys.DynArray: (("Type1", "E-D-ARRAY"), ("Type7", "E-D-ARRAY-ref")),
+    typesys.Mapping: (("Type4", "E-MAPPING"), ("Type6", "E-MAPPING-REF")),
+    typesys.Struct: (("Type2", "E-STRUCT"), ("Type8", "E-STRUCT-ref")),
+}
+_LENGTH_RULES = {typesys.DynArray: (("E-ARRAY-LEN",), ("E-ARRAY-LEN-ref",))}
 
 
 def slot_of_dyn(p: int, i: int) -> int:
@@ -101,7 +113,7 @@ class LValue(NamedTuple):
 class Evaluator:
     """Evaluation within one contract instance and, when `fn` is given, one
     running function; calls delegate to the executor. It is also the
-    environment `typesys.type_of` types expressions against."""
+    environment the static `typesys.type_of` types expressions against."""
 
     def __init__(self, executor, address: int,
                  fn: Optional[FunctionInfo] = None):
@@ -116,12 +128,6 @@ class Evaluator:
         self.trace = world.trace
 
     # -- typing environment ----------------------------------------------------
-
-    def binding(self, name: str) -> Optional[typesys.Located]:
-        try:
-            return self.config.lookup(name).located
-        except UnknownIdentifier:
-            return None
 
     def function_return(self, name: str) -> Optional[typesys.SemType]:
         fn = self.info.functions.get(name)
@@ -162,117 +168,121 @@ class Evaluator:
             return self._member_lvalue(e)
         raise SolTypeError(f"expression is not addressable", getattr(e, "span", None))
 
-    def _base_address(self, base: ast.Expr, is_ref: bool, rule: str,
-                      type_rule: Optional[str] = None) -> int:
-        """Base address for an indexed/member access, then the node's typing
-        rule (if any) and its evaluation rule. A ref base's R-value is its
-        binding, the address it aliases."""
-        addr = self.eval_lvalue(base).addr
+    def _access(self, base: typesys.Located, rules=_ACCESS_RULES):
+        """Emit the rules of an access whose base is evaluated and whose node
+        is typed: Size7 for a ref base (its R-value is the address it
+        aliases), then the node's typing and evaluation rules. Returns the
+        base's type under the ref."""
+        sem, is_ref = typesys._strip_ref(base.sem)
         if is_ref:
-            typesys.size_of(typesys.Ref(typesys.UINT256), self.trace)
-        if type_rule is not None:
-            self.trace.rule(type_rule)
-        self.trace.rule(rule)
-        return addr
+            typesys.size_of(base.sem, self.trace)
+        for rule in rules[type(sem)][is_ref]:
+            self.trace.rule(rule)
+        return sem
 
     def _index_lvalue(self, e: ast.Index) -> LValue:
-        base_t = self.type_of(e.base)
-        located = typesys.index_type(self, e, base_t)
-        sem, is_ref = typesys._strip_ref(base_t.sem)
+        i, index_t = self.eval_typed(e.index)
+        addr_b, base_t = self.eval_lvalue(e.base)
+        located = typesys.index_type(e, base_t, index_t)
+        sem = self._access(base_t)
+        if isinstance(sem, typesys.Mapping):
+            p = addr_b // typesys.SLOT
+            slot = self.world.derived_slot(slot_of_map, p,
+                                           encode_key32(i, sem.key),
+                                           self.world.options.evm_hash_order)
+            self.config.storage.record_hashed(HashedRegion(
+                slot=slot, kind="mapping", base_slot=p, key=i,
+                value_type=sem.value))
+            return LValue(slot * typesys.SLOT, located)
+        if i < 0:
+            raise IndexOutOfBounds(f"negative index {i}",
+                                   getattr(e.index, "span", None))
         if isinstance(sem, typesys.StaticArray):
-            i = self._index(e.index)
-            addr_b = self._base_address(e.base, is_ref,
-                                        "E-ARRAY-REF" if is_ref else "E-ARRAY",
-                                        "Type7" if is_ref else "Type1")
             if i >= sem.length:
                 raise IndexOutOfBounds(
                     f"index {i} out of bounds for {typesys.type_to_str(sem)}",
                     e.span)
-            addr = addr_b + i * typesys.size_of(sem.elem, self.trace)
-            return LValue(addr, located)
-        if isinstance(sem, typesys.DynArray):
-            i = self._index(e.index)
-            addr_b = self._base_address(e.base, is_ref,
-                                        "E-D-ARRAY-ref" if is_ref else "E-D-ARRAY",
-                                        "Type7" if is_ref else "Type1")
-            length = decode_value(
-                self.config.read_bytes(base_t.loc, addr_b, typesys.SLOT),
-                typesys.UINT256)
-            if i > length - 1:
-                raise IndexOutOfBounds(
-                    f"index {i} out of bounds for dynamic array of length "
-                    f"{length}", e.span)
-            p = addr_b // typesys.SLOT
-            slot = self.world.derived_slot(slot_of_dyn, p, 0) \
-                + i * _slot_stride(sem.elem)
-            self.config.storage.record_hashed(HashedRegion(
-                slot=slot, kind="dynarray", base_slot=p, key=i,
-                value_type=sem.elem))
-            return LValue(slot * typesys.SLOT, located)
-        key = self.eval_rvalue(e.index)  # a mapping: index_type checked the key
-        key32 = encode_key32(key, sem.key)
-        addr_b = self._base_address(e.base, is_ref,
-                                    "E-MAPPING-REF" if is_ref else "E-MAPPING",
-                                    "Type6" if is_ref else "Type4")
+            return LValue(addr_b + i * typesys.size_of(sem.elem, self.trace),
+                          located)
+        length = self.read_value(base_t.loc, addr_b, typesys.UINT256)
+        if i > length - 1:
+            raise IndexOutOfBounds(
+                f"index {i} out of bounds for dynamic array of length "
+                f"{length}", e.span)
         p = addr_b // typesys.SLOT
-        slot = self.world.derived_slot(slot_of_map, p, key32,
-                                       self.world.options.evm_hash_order)
+        slot = self.world.derived_slot(slot_of_dyn, p, 0) \
+            + i * _slot_stride(sem.elem)
         self.config.storage.record_hashed(HashedRegion(
-            slot=slot, kind="mapping", base_slot=p, key=key,
-            value_type=sem.value))
+            slot=slot, kind="dynarray", base_slot=p, key=i,
+            value_type=sem.elem))
         return LValue(slot * typesys.SLOT, located)
 
     def _member_lvalue(self, e: ast.Member) -> LValue:
-        base_t = self.type_of(e.base)
+        addr_b, base_t = self.eval_lvalue(e.base)
         located = typesys.member_type(e, base_t)
-        sem, is_ref = typesys._strip_ref(base_t.sem)
-        addr_b = self._base_address(e.base, is_ref,
-                                    "E-STRUCT-ref" if is_ref else "E-STRUCT",
-                                    "Type8" if is_ref else "Type2")
+        sem = self._access(base_t)
         offset = typesys.field_offset(sem, typesys.field_index(sem, e.name),
                                       self.trace)
         return LValue(addr_b + offset, located)
 
-    def _index(self, e: ast.Expr) -> int:
-        i = self.eval_rvalue(e)
-        if i < 0:
-            raise IndexOutOfBounds(f"negative index {i}", getattr(e, "span", None))
-        return i
+    def length_access(self, base: ast.Expr, what: str, span) -> tuple:
+        """Evaluate the dynamic array under a `.length` or `push`
+        (E-ARRAY-LEN): its base address, location class, type and length."""
+        addr_b, base_t = self.eval_lvalue(base)
+        sem = typesys.dyn_array(base_t.sem, what, span)
+        self._access(base_t, _LENGTH_RULES)
+        length = self.read_value(base_t.loc, addr_b, typesys.UINT256)
+        return addr_b, base_t.loc, sem, length
 
     # -- R-values ---------------------------------------------------------------
 
     def eval_rvalue(self, e: ast.Expr):
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.BoolLit):
-            return e.value
-        if isinstance(e, ast.StringLit):
-            return e.value
+        """The value of `e` where nothing operates on it, so an array
+        literal or an external call is evaluated without being typed."""
         if isinstance(e, ast.ArrayLit):
             return [self.eval_rvalue(x) for x in e.elements]
-        if isinstance(e, ast.MsgSender):
-            return self._msg().sender
-        if isinstance(e, ast.MsgValue):
-            return self._msg().value
-        if isinstance(e, ast.Unary):
-            return self._unary(e)
-        if isinstance(e, ast.Binary):
-            return self._binary(e)
-        if isinstance(e, ast.ArrayLength):
-            return self._array_length(e)
-        if isinstance(e, ast.Call):
-            return self._call_rvalue(e)
         if isinstance(e, ast.ExternalCall):
             return self.executor.eval_external_call(self, e, expression=True)
+        return self.eval_typed(e)[0]
+
+    def eval_typed(self, e: ast.Expr) -> tuple:
+        """(value, SemType) of `e`. The node is typed as it is evaluated:
+        its typing step (`typesys.index_type`, `binary_type`, ...) takes
+        the types its children's evaluation returned, so no subtree is
+        typed twice."""
         if isinstance(e, (ast.Ident, ast.Index, ast.Member)):
             lv = self.eval_lvalue(e)
-            if isinstance(lv.located.sem, typesys.Ref):
+            sem = lv.located.sem
+            if isinstance(sem, typesys.Ref):
                 # the pointer value of a ref binding is the address it aliases
-                typesys.size_of(lv.located.sem, self.trace)
-                return lv.addr
+                typesys.size_of(sem, self.trace)
+                return lv.addr, sem
             self.trace.rule("E-RV")
-            return self.read_value(lv.located.loc, lv.addr, lv.located.sem)
-        raise SolTypeError(f"cannot evaluate {e!r}", getattr(e, "span", None))
+            return self.read_value(lv.located.loc, lv.addr, sem), sem
+        if isinstance(e, ast.IntLit):
+            return e.value, typesys.UINT256
+        if isinstance(e, ast.BoolLit):
+            return e.value, typesys.Bool()
+        if isinstance(e, ast.StringLit):
+            return e.value, typesys.String()
+        if isinstance(e, ast.MsgSender):
+            return self._msg().sender, typesys.Address()
+        if isinstance(e, ast.MsgValue):
+            return self._msg().value, typesys.UINT256
+        if isinstance(e, ast.Binary):
+            return self._binary(e)
+        if isinstance(e, ast.Unary):
+            return self._unary(e)
+        if isinstance(e, ast.ArrayLength):
+            return self.length_access(e.base, ".length", e.span)[3], \
+                typesys.UINT256
+        if isinstance(e, ast.Call):
+            return self._call(e)
+        if isinstance(e, ast.ExternalCall):
+            t = self.type_of(e).sem  # the callee's declared return type
+            return self.executor.eval_external_call(self, e, expression=True), t
+        raise SolTypeError(f"expression has no type: {e!r}",
+                           getattr(e, "span", None))
 
     def _msg(self):
         if self.world.msg is None:
@@ -280,60 +290,50 @@ class Evaluator:
         return self.world.msg
 
     def _unary(self, e: ast.Unary):
-        t = self.type_of(e).sem  # checks the operand
-        v = self.eval_rvalue(e.operand)
+        v, it = self.eval_typed(e.operand)
+        t = typesys.unary_type(e, it)
         if e.op == "!":
-            return not v
+            return not v, t
         if isinstance(e.operand, ast.IntLit):
-            return -v  # a signed literal, not modular negation
+            return -v, t  # a signed literal, not modular negation
         if isinstance(t, typesys.UInt):
-            return (-v) % (1 << t.width)
-        return apply_binop("-", 0, v, t)
+            return (-v) % (1 << t.width), t
+        return apply_binop("-", 0, v, t), t
 
     def _binary(self, e: ast.Binary):
         if e.op in ("&&", "||"):
-            # short-circuit: the rhs is typed only when it is evaluated
+            # short-circuit: the rhs is evaluated, and typed, only if needed
             for operand in (e.lhs, e.rhs):
-                if not isinstance(self.type_of(operand).sem, typesys.Bool):
-                    raise SolTypeError(f"{e.op} requires bool operands", e.span)
-                v = bool(self.eval_rvalue(operand))
+                v = self.eval_condition(operand, f"{e.op} requires bool operands",
+                                        e.span)
                 if v == (e.op == "||"):
                     break
-            return v
-        t = self.type_of(e).sem  # checks the operands; the arithmetic type
-        lhs = self.eval_rvalue(e.lhs)
-        rhs = self.eval_rvalue(e.rhs)
-        return apply_binop(e.op, lhs, rhs, t)
+            return v, typesys.Bool()
+        lhs, lt = self.eval_typed(e.lhs)
+        rhs, rt = self.eval_typed(e.rhs)
+        t = typesys.binary_type(e, lt, rt)
+        return apply_binop(e.op, lhs, rhs, t), t
 
-    def check_condition(self, e: ast.Expr, what: str, span=None) -> None:
-        """A branch, loop or modifier condition must type as bool."""
-        if not isinstance(self.type_of(e).sem, typesys.Bool):
-            raise SolTypeError(f"{what} condition must be boolean", span)
+    def eval_condition(self, e: ast.Expr, error: str, span=None) -> bool:
+        """A branch, loop, modifier or `&&`/`||` operand: it must type as
+        bool, or it raises a SolTypeError with `error`."""
+        v, t = self.eval_typed(e)
+        if not isinstance(t, typesys.Bool):
+            raise SolTypeError(error, span)
+        return bool(v)
 
-    def _array_length(self, e: ast.ArrayLength):
-        base_t = self.type_of(e.base)
-        sem, is_ref = typesys._strip_ref(base_t.sem)
-        if not isinstance(sem, typesys.DynArray):
-            raise SolTypeError(".length requires a dynamic array", e.span)
-        addr_b = self._base_address(e.base, is_ref,
-                                    "E-ARRAY-LEN-ref" if is_ref else "E-ARRAY-LEN")
-        return decode_value(
-            self.config.read_bytes(base_t.loc, addr_b, typesys.SLOT),
-            typesys.UINT256)
-
-    def _call_rvalue(self, e: ast.Call):
+    def _call(self, e: ast.Call):
         cast = self.cast_target(e.name)
         if cast is not None:
             if len(e.args) != 1:
                 raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
             v = self.eval_rvalue(e.args[0])
-            return self._convert(v, cast, e.span)
+            return self._convert(v, cast, e.span), cast
+        # the executor rejects a function with no return value before it runs
         value = self.executor.eval_internal_call(self, e, expression=True)
-        ret = self.function_return(e.name)
-        if ret is not None:
-            self.trace.rule("Type5")
-            self.trace.rule("Size6")
-        return value
+        self.trace.rule("Type5")
+        self.trace.rule("Size6")
+        return value, self.function_return(e.name)
 
     def _convert(self, v, t: typesys.SemType, span):
         if isinstance(t, typesys.UInt):

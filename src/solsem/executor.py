@@ -193,11 +193,8 @@ class Executor:
             if fn.ret is not None:
                 rname, rtype = fn.ret
                 self._bind_local(ev, rname, rtype, zero_value(rtype))
-            guard_ok = True
-            if fn.guard is not None:
-                ev.check_condition(fn.guard, "modifier")
-                guard_ok = bool(ev.eval_rvalue(fn.guard))
-            if guard_ok:
+            if fn.guard is None or ev.eval_condition(
+                    fn.guard, "modifier condition must be boolean"):
                 try:
                     self.exec_block(ev, fn.body)
                 except _ReturnSignal:
@@ -237,6 +234,9 @@ class Executor:
         fn = ev.info.functions.get(call.name)
         if fn is None:
             raise UnknownIdentifier(f"unknown function {call.name}", call.span)
+        if expression and fn.ret is None:
+            raise SolTypeError(
+                f"function {call.name} has no return value", call.span)
         values = tuple(ev.eval_rvalue(a) for a in call.args)
         return self.call_internal(ev.address, fn, values,
                                   expression=expression)
@@ -359,8 +359,8 @@ class Executor:
         elif isinstance(stmt, ast.ExprStmt):
             self._exec_expr_stmt(ev, stmt)
         elif isinstance(stmt, ast.If):
-            ev.check_condition(stmt.cond, "if", stmt.span)
-            if ev.eval_rvalue(stmt.cond):
+            if ev.eval_condition(stmt.cond, "if condition must be boolean",
+                                 stmt.span):
                 world.trace.rule("COND1")
                 self.exec_block(ev, stmt.then)
             else:
@@ -368,9 +368,9 @@ class Executor:
                 if stmt.otherwise is not None:
                     self.exec_block(ev, stmt.otherwise)
         elif isinstance(stmt, ast.While):
-            ev.check_condition(stmt.cond, "while", stmt.span)
             while True:
-                if not ev.eval_rvalue(stmt.cond):
+                if not ev.eval_condition(
+                        stmt.cond, "while condition must be boolean", stmt.span):
                     world.trace.rule("WHILE1")
                     break
                 world.trace.rule("WHILE2")
@@ -456,13 +456,7 @@ class Executor:
         """Dynamic-array growth: store at the hashed slot for the current
         length, then bump the length in the base slot."""
         world = self.world
-        base_t = ev.type_of(e.base)
-        sem, is_ref = typesys._strip_ref(base_t.sem)
-        if not isinstance(sem, typesys.DynArray):
-            raise SolTypeError("push requires a dynamic array", e.span)
-        addr_b = ev._base_address(e.base, is_ref,
-                                  "E-ARRAY-LEN-ref" if is_ref else "E-ARRAY-LEN")
-        length = ev.read_value(base_t.loc, addr_b, typesys.UINT256)
+        addr_b, loc, sem, length = ev.length_access(e.base, "push", e.span)
         value = ev.eval_rvalue(e.arg)
         p = addr_b // typesys.SLOT
         slot = world.derived_slot(slot_of_dyn, p, 0) \
@@ -470,8 +464,8 @@ class Executor:
         ev.config.storage.record_hashed(HashedRegion(
             slot=slot, kind="dynarray", base_slot=p, key=length,
             value_type=sem.elem))
-        writes = ev.write_value(base_t.loc, slot * typesys.SLOT, sem.elem, value)
+        writes = ev.write_value(loc, slot * typesys.SLOT, sem.elem, value)
         len_data = encode_value(length + 1, typesys.UINT256)
-        ev.config.write_bytes(base_t.loc, addr_b, len_data)
-        writes.append(Write(space=base_t.loc, at=addr_b, data=len_data))
+        ev.config.write_bytes(loc, addr_b, len_data)
+        writes.append(Write(space=loc, at=addr_b, data=len_data))
         world.trace.emit("PUSH", writes=writes)

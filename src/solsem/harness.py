@@ -197,8 +197,12 @@ def eval_readonly(world: World, address: int, expr: ast.Expr,
         return instance.balance
     ex = Executor(world)
     ev = ex.evaluator(address)
-    with world.trace.mute():
-        return ev.eval_rvalue(expr)
+    mark = world.snapshot()  # a read of an unseen key records its region
+    try:
+        with world.trace.mute():
+            return ev.eval_rvalue(expr)
+    finally:
+        world.restore(mark)
 
 
 def run_scenario(world: World, scenario: Scenario) -> ScenarioOutcome:

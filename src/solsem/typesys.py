@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .errors import SolTypeError, UnknownIdentifier, UnsizedType
+from .errors import SolTypeError, UnsizedType
 
 SLOT = 32  # byte alignment `l`
 
@@ -307,35 +307,10 @@ def field_index(struct_t: Struct, name: str) -> int:
 # static expression typing
 # ---------------------------------------------------------------------------
 
-def _unify_arith(a: SemType, b: SemType, span) -> SemType:
-    if isinstance(a, UInt) and isinstance(b, UInt):
-        return a if a.width >= b.width else b
-    if isinstance(a, Int256) and isinstance(b, Int256):
-        return a
-    if isinstance(a, UInt) and isinstance(b, Int256):
-        raise SolTypeError("cannot mix signed and unsigned arithmetic", span)
-    if isinstance(a, Int256) and isinstance(b, UInt):
-        raise SolTypeError("cannot mix signed and unsigned arithmetic", span)
-    raise SolTypeError(
-        f"arithmetic on non-numeric types {type_to_str(a)}/{type_to_str(b)}", span)
-
-
 def _is_int_literal(e) -> bool:
     return isinstance(e, ast.IntLit) or (
         isinstance(e, ast.Unary) and e.op == "-"
         and isinstance(e.operand, ast.IntLit))
-
-
-def arith_result_type(lt: SemType, rt: SemType, lhs_expr, rhs_expr,
-                      span) -> SemType:
-    """Operand unification; an integer literal adapts to a signed operand."""
-    if isinstance(lt, Int256) and isinstance(rt, UInt) \
-            and _is_int_literal(rhs_expr):
-        return lt
-    if isinstance(rt, Int256) and isinstance(lt, UInt) \
-            and _is_int_literal(lhs_expr):
-        return rt
-    return _unify_arith(lt, rt, span)
 
 
 def _comparable(a: SemType, b: SemType) -> bool:
@@ -354,15 +329,15 @@ def _comparable(a: SemType, b: SemType) -> bool:
 def type_of(env, e: ast.Expr) -> Located:
     """Static type with location class; mirrors the typing judgement rules.
 
-    A pure judgement: it emits no trace events (the evaluator emits each
-    typing rule where it evaluates the node). `env` is an
-    `evaluator.Evaluator`: typing reads its `binding`, `function_return`,
+    The static walk over the per-node typing steps (`index_type`,
+    `member_type`, `dyn_array`, `binary_type`, `unary_type`): it types the
+    children, then applies the node's step. The evaluator applies the same
+    steps to the types its children's evaluation returns, so it does not
+    call this. A pure judgement: it emits no trace events. `env` is an
+    `evaluator.Evaluator`: typing reads its `config`, `function_return`,
     `cast_target` and `external_return`."""
     if isinstance(e, ast.Ident):
-        found = env.binding(e.name)
-        if found is None:
-            raise UnknownIdentifier(f"unknown identifier {e.name}", e.span)
-        return found
+        return env.config.lookup(e.name, e.span).located
     if isinstance(e, ast.IntLit):
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.BoolLit):
@@ -374,14 +349,12 @@ def type_of(env, e: ast.Expr) -> Located:
     if isinstance(e, (ast.MsgValue,)):
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.Index):
-        return index_type(env, e, type_of(env, e.base))
+        base = type_of(env, e.base)
+        return index_type(e, base, type_of(env, e.index).sem)
     if isinstance(e, ast.Member):
         return member_type(e, type_of(env, e.base))
     if isinstance(e, ast.ArrayLength):
-        base = type_of(env, e.base)
-        sem, _ = _strip_ref(base.sem)
-        if not isinstance(sem, DynArray):
-            raise SolTypeError(".length requires a dynamic array", e.span)
+        dyn_array(type_of(env, e.base).sem, ".length", e.span)
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.Call):
         cast = env.cast_target(e.name)
@@ -405,46 +378,29 @@ def type_of(env, e: ast.Expr) -> Located:
             "cannot statically type an external call on a plain address", e.span)
     if isinstance(e, ast.Binary):
         lt = type_of(env, e.lhs).sem
-        rt = type_of(env, e.rhs).sem
-        if e.op in ("&&", "||"):
-            if not (isinstance(lt, Bool) and isinstance(rt, Bool)):
-                raise SolTypeError(f"{e.op} requires bool operands", e.span)
-            return Located(Bool(), MEMORY)
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            if not _comparable(lt, rt):
-                raise SolTypeError(
-                    f"cannot compare {type_to_str(lt)} with {type_to_str(rt)}",
-                    e.span)
-            return Located(Bool(), MEMORY)
-        return Located(arith_result_type(lt, rt, e.lhs, e.rhs, e.span), MEMORY)
+        return Located(binary_type(e, lt, type_of(env, e.rhs).sem), MEMORY)
     if isinstance(e, ast.Unary):
-        it = type_of(env, e.operand).sem
-        if e.op == "!":
-            if not isinstance(it, Bool):
-                raise SolTypeError("! requires a bool operand", e.span)
-            return Located(Bool(), MEMORY)
-        if not isinstance(it, (UInt, Int256)):
-            raise SolTypeError("unary - requires a numeric operand", e.span)
-        return Located(it, MEMORY)
+        return Located(unary_type(e, type_of(env, e.operand).sem), MEMORY)
     raise SolTypeError(f"expression has no type: {e!r}", getattr(e, "span", None))
 
 
-def index_type(env, e: ast.Index, base: Located) -> Located:
-    """Type of `e` given its base's type: an array element (Type1/Type7;
-    the index must be an integer) or a mapping value (Type4/Type6; the key
-    must fit the declared key type)."""
+def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:
+    """Type of `e` given its base's and its index's types: an array element
+    (Type1/Type7; the index must be an integer) or a mapping value
+    (Type4/Type6; the key must fit the declared key type)."""
     sem, _ = _strip_ref(base.sem)
     if isinstance(sem, (StaticArray, DynArray)):
-        if not isinstance(type_of(env, e.index).sem, (UInt, Int256)):
+        if not isinstance(index_t, (UInt, Int256)):
             raise SolTypeError("array index must be an integer",
                                getattr(e.index, "span", None))
         return Located(sem.elem, base.loc)
     if isinstance(sem, Mapping):
-        key_t = type_of(env, e.index).sem
-        if not mapping_key_ok(sem.key, key_t, e.index):
+        # an integer literal may stand for an address key
+        if not (_mapping_key_compatible(sem.key, index_t) or isinstance(
+                sem.key, Address) and isinstance(e.index, ast.IntLit)):
             raise SolTypeError(
                 f"mapping key must be {type_to_str(sem.key)}, got "
-                f"{type_to_str(key_t)}", e.span)
+                f"{type_to_str(index_t)}", e.span)
         return Located(sem.value, base.loc)
     raise SolTypeError(
         f"cannot index a value of type {type_to_str(base.sem)}", e.span)
@@ -457,6 +413,54 @@ def member_type(e: ast.Member, base: Located) -> Located:
         return Located(sem.fields[field_index(sem, e.name)][1], base.loc)
     raise SolTypeError(
         f"no member {e.name} on type {type_to_str(base.sem)}", e.span)
+
+
+def dyn_array(base: SemType, what: str, span) -> DynArray:
+    """The dynamic array a `.length` or `push` base types as, through a ref."""
+    sem, _ = _strip_ref(base)
+    if not isinstance(sem, DynArray):
+        raise SolTypeError(f"{what} requires a dynamic array", span)
+    return sem
+
+
+def binary_type(e: ast.Binary, lt: SemType, rt: SemType) -> SemType:
+    """Result type of `e` given its operands' types: bool for the logical
+    operators and comparisons, the unified operand type for arithmetic."""
+    if e.op in ("&&", "||"):
+        if not (isinstance(lt, Bool) and isinstance(rt, Bool)):
+            raise SolTypeError(f"{e.op} requires bool operands", e.span)
+        return Bool()
+    if e.op in ("==", "!=", "<", "<=", ">", ">="):
+        if not _comparable(lt, rt):
+            raise SolTypeError(
+                f"cannot compare {type_to_str(lt)} with {type_to_str(rt)}",
+                e.span)
+        return Bool()
+    # arithmetic: the operands unify; an integer literal adapts to a signed
+    # operand
+    if isinstance(lt, UInt) and isinstance(rt, UInt):
+        return lt if lt.width >= rt.width else rt
+    if isinstance(lt, Int256) and (isinstance(rt, Int256) or isinstance(
+            rt, UInt) and _is_int_literal(e.rhs)):
+        return lt
+    if isinstance(lt, UInt) and isinstance(rt, Int256) \
+            and _is_int_literal(e.lhs):
+        return rt
+    if isinstance(lt, (UInt, Int256)) and isinstance(rt, (UInt, Int256)):
+        raise SolTypeError("cannot mix signed and unsigned arithmetic", e.span)
+    raise SolTypeError(f"arithmetic on non-numeric types {type_to_str(lt)}/"
+                       f"{type_to_str(rt)}", e.span)
+
+
+def unary_type(e: ast.Unary, it: SemType) -> SemType:
+    """Result type of `!` (bool) or unary `-` (numeric) given the operand's."""
+    if e.op == "!":
+        if not isinstance(it, Bool):
+            raise SolTypeError("! requires a bool operand", e.span)
+        return Bool()
+    if not isinstance(it, (UInt, Int256)):
+        raise SolTypeError("unary - requires a numeric operand", e.span)
+    return it
 
 
 def _strip_ref(t: SemType):
@@ -474,11 +478,4 @@ def _mapping_key_compatible(declared: SemType, actual: SemType) -> bool:
         return declared.length == actual.length and \
             _mapping_key_compatible(declared.elem, actual.elem)
     return False
-
-
-def mapping_key_ok(declared: SemType, actual: SemType, index_expr) -> bool:
-    """Key compatibility; an integer literal may stand for an address key."""
-    if _mapping_key_compatible(declared, actual):
-        return True
-    return isinstance(declared, Address) and isinstance(index_expr, ast.IntLit)
 

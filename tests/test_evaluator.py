@@ -207,6 +207,101 @@ def test_type_of_is_pure():
     assert len(world.trace) == n
 
 
+# expressions per fixture: identifiers, nested index and member, refs,
+# .length, arithmetic, comparisons, casts, msg.* and internal calls
+_TYPED_EXPRESSIONS = {
+    "Main": ("small", "arr[1]", "arr", "da[0]", "da.length", "m2[7]", "s.x",
+             "blob.lanes[2]", "blob.lanes", "s", "pa", "pa[2]", "pd",
+             "pd[1]", "pd.length", "pm[8]", "pp.y", "flag", "who",
+             "small + 1", "arr[1] * s.y - small", "-small", "int(small) - 1",
+             "-1 + int(blob.big)", "da[0] < da[1]", "flag == true", "!flag",
+             "flag && m2[8] > 0 || false", "who != msg.sender",
+             "msg.value + small", "uint8(blob.big)", "address(small)",
+             "helper(pd[0]) + sum(3)", "helper(5) == 10", "\"text\"",
+             "m2[da.length] + pm[pd.length + 6]"),
+    "Test2": ("a", "b", "b[1]", "b[1][2]", "a + b[1][2]", "b[0][1] >= a"),
+    "Test3": ("a", "a[1]", "a.length", "a[a.length - 1] + a[0]"),
+    "Test4": ("m[100]", "m[200] > m[100]", "m[m[100] * 20]"),
+}
+
+# ill-typed: the evaluator raises the static judgement's message
+_ILL_TYPED_EXPRESSIONS = (
+    "flag + 1", "small + int(1) * int(small)", "!small", "-flag",
+    "m2[flag]", "small[0]", "s.nosuch", "small.length", "flag && small",
+    "flag < small", "arr[flag]", "who + 1", "pd[true]", "s.x.y")
+
+
+def _typed_fixture_evaluators():
+    """An evaluator per fixture instance, each under a message, after its
+    transaction; Main also gets storage pointers into its state."""
+    world = make_world("coverage.sol")
+    main = run_main_contract(world).handles["main"]
+    world.msg = Msg(sender=0xAB, value=3)
+    ev = _ev(world, main)
+    config = world.instance(main).config
+    for name, target in (("pa", "arr"), ("pd", "da"), ("pm", "m2"),
+                         ("pp", "s")):
+        lv = ev.eval_lvalue(parse_expression(target))
+        config.bind_pointer(name, typesys.Located(
+            typesys.make_ref(lv.located.sem), typesys.STORAGE), lv.addr)
+    yield "Main", ev
+    for fixture, fname in (("test2.sol", "foo2"), ("test3.sol", "foo3"),
+                           ("test4.sol", "foo4")):
+        world = make_world(fixture)
+        name = fixture[:-4].capitalize()
+        address = deploy(world, name)
+        assert Executor(world).run_transaction(
+            Tx(sender=1, to=address, fname=fname)).ok
+        world.msg = Msg(sender=0xAB)
+        yield name, _ev(world, address)
+
+
+def test_eval_typed_agrees_with_the_static_judgement():
+    for name, ev in _typed_fixture_evaluators():
+        for text in _TYPED_EXPRESSIONS[name]:
+            e = parse_expression(text)
+            value, sem = ev.eval_typed(e)
+            assert sem == ev.type_of(e).sem, text
+            assert value == ev.eval_rvalue(e), text
+        if name != "Main":
+            continue
+        for text in _ILL_TYPED_EXPRESSIONS:
+            e = parse_expression(text)
+            with pytest.raises(SolTypeError) as static:
+                ev.type_of(e)
+            with pytest.raises(SolTypeError) as evaluated:
+                ev.eval_typed(e)
+            assert evaluated.value.message == static.value.message, text
+
+
+def test_transactions_never_call_the_static_judgement(monkeypatch):
+    calls = Counter()
+    static = typesys.type_of
+
+    def counted(env, e):
+        calls["type_of"] += 1
+        return static(env, e)
+
+    monkeypatch.setattr(typesys, "type_of", counted)
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin", sender=0xA)
+    ex = Executor(world)
+    for fname, sender, args in (("mint", 0xA, (0xB, 50)),
+                                ("send", 0xB, (0xC, 20))):
+        assert ex.run_transaction(Tx(sender=sender, to=coin, fname=fname,
+                                     args=args)).ok
+    world = make_world("dao.sol")
+    bank = deploy(world, "Bank", value=100)
+    ex = Executor(world)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    for fname in ("addToBalance", "withdrawBalance"):
+        res = ex.run_transaction(Tx(sender=0xB, to=attack, fname=fname))
+        assert res.ok
+    assert world.instance(bank).balance == 0
+    assert sum(e.rule == "E-FUN2" for e in res.events) == 51
+    assert calls["type_of"] == 0
+
+
 def _coverage_gate_traces():
     """The traces the rule-label coverage gate (test_acceptance) reads."""
     for contract_file, scn_file in (("dao.sol", "dao.scn"),

@@ -196,6 +196,23 @@ def test_function_without_return_statement_yields_zero():
     assert _read(world, address, "out") == 5  # 0 + 5
 
 
+def test_value_of_a_function_without_return_aborts_before_it_runs():
+    world = world_from_source("""
+    contract C {
+      uint out;
+      function g() internal { out = 7; }
+      function f() public { uint x = g(); out = x; }
+    }""")
+    address = deploy(world, "C")
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert not res.ok
+    assert isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message == "function g has no return value"
+    assert all(ev.fn != "g" for ev in res.events)  # g never ran
+    assert world.storage_fingerprint() == before
+
+
 # -- return ------------------------------------------------------------------------------
 
 def test_transaction_returns_declared_value(dao_world):

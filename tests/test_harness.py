@@ -5,9 +5,10 @@ import pytest
 from solsem.errors import SolsemError
 from solsem.executor import Executor, Tx
 from solsem.harness import (
-    Scenario, detect_reentrancy, dump_layout, parse_scenario,
+    Scenario, detect_reentrancy, dump_layout, eval_readonly, parse_scenario,
     run_main_contract, run_scenario,
 )
+from solsem.parser import parse_expression
 from solsem.state import World
 
 from conftest import deploy, make_world, scenario_source, world_from_source
@@ -255,6 +256,15 @@ def test_layout_is_pure():
     assert world.storage_fingerprint() == before
     assert world.instance(address).config.storage.hashed == regions_before
     assert len(world.trace.events) == events_before
+
+
+def test_assert_read_of_an_unseen_key_changes_no_state():
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin")
+    before = world.storage_fingerprint()
+    assert eval_readonly(world, coin, parse_expression("balances[0xB]")) == 0
+    assert world.storage_fingerprint() == before
+    assert world.journal == []
 
 
 # -- determinism ----------------------------------------------------------------------
