@@ -257,6 +257,10 @@ class Executor:
         if fn is None:
             raise SolTypeError(
                 f"{callee_inst.contract_name} has no function {e.name}", e.span)
+        if expression and fn.ret is None:
+            raise SolTypeError(f"function {e.name} of "
+                               f"{callee_inst.contract_name} has no return value",
+                               e.span)
         caller_inst = world.instance(caller)
         if caller_inst.balance < m:
             raise InsufficientBalance(

@@ -1,11 +1,13 @@
 """Run-time state: per-instance storage and memory, the chain, and Msg.
 
-Storage and memory are sparse byte maps (absent bytes read as zero) keyed by
-unbounded integer addresses, so hash-derived slots near 2^256 cost nothing.
-Multi-byte values are big-endian within their own field width, and fields
-pack starting at the low byte-offset end of a slot; a uint256 written over a
-slot therefore lands its numeric low-order byte at offset 31, which is what
-makes a previously packed uint128 at offset 0 read back as zero.
+Storage and memory are byte-addressed spaces kept as sparse maps from slot
+(byte address // 32) to 32-byte word, the EVM's word-to-word store; an
+all-zero word is absent and reads as zero. Addresses are unbounded integers,
+so hash-derived slots near 2^256 cost nothing. Multi-byte values are
+big-endian within their own field width, and fields pack starting at the
+low byte-offset end of a slot; a uint256 written over a slot therefore lands
+its numeric low-order byte at offset 31, which is what makes a previously
+packed uint128 at offset 0 read back as zero.
 """
 
 from __future__ import annotations
@@ -22,19 +24,58 @@ from .trace import Trace
 
 
 # ---------------------------------------------------------------------------
-# byte maps
+# 32-byte words
 # ---------------------------------------------------------------------------
 
-def write_byte_map(bm: dict, addr: int, data: bytes) -> None:
-    for i, b in enumerate(data):
-        if b:
-            bm[addr + i] = b
-        else:
-            bm.pop(addr + i, None)  # keep the map canonical: zero == absent
+SLOT = typesys.SLOT
+ZERO_WORD = bytes(SLOT)
 
 
-def read_byte_map(bm: dict, addr: int, size: int) -> bytes:
-    return bytes(bm.get(addr + i, 0) for i in range(size))
+def _put_word(words: dict, slot: int, word) -> None:
+    """Set a slot's word; None or an all-zero word leaves the slot absent."""
+    if word is None or word == ZERO_WORD:
+        words.pop(slot, None)
+    else:
+        words[slot] = word
+
+
+@dataclass
+class ByteStore:
+    """Bytes at arbitrary addresses, stored by 32-byte word. A read or write
+    inside one slot is one lookup and a slice; a longer one loops over the
+    slots it spans. Equal contents have equal `words`."""
+    words: dict = field(default_factory=dict)  # slot -> non-zero word
+
+    def read(self, addr: int, size: int) -> bytes:
+        slot, off = divmod(addr, SLOT)
+        end = off + size
+        if end <= SLOT:
+            return self.words.get(slot, ZERO_WORD)[off:end]
+        get = self.words.get
+        return b"".join([get(s, ZERO_WORD) for s in
+                         range(slot, slot + (end + SLOT - 1) // SLOT)])[off:end]
+
+    def write(self, addr: int, data: bytes, journal: list | None = None) -> None:
+        """Splice `data` in at `addr`; with a journal, append one undo record
+        (put-word, words, slot, old word or None) per slot written."""
+        words = self.words
+        slot, off = divmod(addr, SLOT)
+        pos, size = 0, len(data)
+        while pos < size:
+            take = min(SLOT - off, size - pos)
+            old = words.get(slot)
+            base = old or ZERO_WORD
+            if journal is not None:
+                journal.append((_put_word, words, slot, old))
+            _put_word(words, slot,
+                      base[:off] + data[pos:pos + take] + base[off + take:])
+            slot, off, pos = slot + 1, 0, pos + take
+
+    @property
+    def bytes(self) -> dict:
+        """Read-only {byte address: byte} view of the non-zero bytes."""
+        return {slot * SLOT + i: b for slot, word in self.words.items()
+                for i, b in enumerate(word) if b}
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +163,7 @@ class HashedRegion:
 
 
 @dataclass
-class StorageState:
-    bytes: dict = field(default_factory=dict)
+class StorageState(ByteStore):
     lam: int = 0  # next static allocation address
     names: dict = field(default_factory=dict)  # id -> byte address
     types: dict = field(default_factory=dict)  # id -> Located
@@ -131,13 +171,8 @@ class StorageState:
     # undo records (fn, *args); a deployed instance shares World.journal
     journal: list = field(default_factory=list, repr=False, compare=False)
 
-    def read(self, addr: int, size: int) -> bytes:
-        return read_byte_map(self.bytes, addr, size)
-
     def write(self, addr: int, data: bytes) -> None:
-        self.journal.append((write_byte_map, self.bytes, addr,
-                             self.read(addr, len(data))))
-        write_byte_map(self.bytes, addr, data)
+        super().write(addr, data, self.journal)
 
     def record_hashed(self, region: HashedRegion) -> None:
         if region.slot not in self.hashed:
@@ -152,20 +187,14 @@ class _Frame(NamedTuple):
 
 
 @dataclass
-class MemoryState:
+class MemoryState(ByteStore):
     """Memory lives while the instance has a live frame: it is cleared when
     the scope stack is back to its base frame. `fresh` only grows, so a
-    memory address is never reused within a run."""
-    bytes: dict = field(default_factory=dict)
+    memory address is never reused within a run. Its writes are not
+    journaled: a transaction leaves memory empty, rolled back or not."""
     fresh: int = 0
     scopes: list = field(default_factory=lambda: [_Frame({}, {}, {})])
     journal: list = field(default_factory=list, repr=False, compare=False)
-
-    def read(self, addr: int, size: int) -> bytes:
-        return read_byte_map(self.bytes, addr, size)
-
-    def write(self, addr: int, data: bytes) -> None:
-        write_byte_map(self.bytes, addr, data)
 
     @property
     def top(self) -> _Frame:
@@ -179,7 +208,7 @@ class MemoryState:
             raise ScopeUnderflow("cannot pop the base scope frame")
         self.scopes.pop()
         if len(self.scopes) == 1:
-            self.bytes.clear()
+            self.words.clear()
 
 
 @dataclass
@@ -478,14 +507,14 @@ class World:
 
     def storage_fingerprint(self) -> dict:
         """Comparable, hashable view of all persistent state: per instance
-        its contract, balance, storage bytes, names, types, lam and hashed
+        its contract, balance, storage words, names, types, lam and hashed
         regions, plus (under "next_address") the next address to deploy at."""
         out: dict = {}
         for addr, inst in sorted(self.instances.items()):
             st = inst.config.storage
             out[addr] = (
                 inst.contract_name, inst.balance,
-                tuple(sorted(st.bytes.items())),
+                tuple(sorted(st.words.items())),
                 tuple(sorted(st.names.items())),
                 tuple(sorted(st.types.items())), st.lam,
                 tuple((slot, r.kind, r.base_slot, _frozen(r.key), r.value_type)

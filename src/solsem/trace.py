@@ -9,6 +9,7 @@ and the replay check consume. Serialized form is newline-delimited JSON.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,8 +31,11 @@ RULE_LABELS = frozenset({
     "TX-START", "TX-END", "TX-ABORT", "PUSH", "WARN",
 })
 
+# the encoder json.dumps(..., sort_keys=True) would build anew for each event
+_JSON = json.JSONEncoder(sort_keys=True)
 
-@dataclass
+
+@dataclass(slots=True)
 class Write:
     space: str  # 'storage' | 'memory'
     at: int
@@ -42,7 +46,7 @@ class Write:
                 "bytes": "0x" + self.data.hex()}
 
 
-@dataclass
+@dataclass(slots=True)
 class CallInfo:
     kind: str  # 'tx' | 'internal' | 'external' | 'fallback'
     to: Optional[int] = None
@@ -66,7 +70,7 @@ class CallInfo:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     rule: str
@@ -176,18 +180,19 @@ class Trace:
         return {e.rule for e in self.events}
 
     def to_ndjson(self) -> str:
-        return "\n".join(json.dumps(e.to_json(), sort_keys=True)
+        return "\n".join(_JSON.encode(e.to_json())
                          for e in self.events) + ("\n" if self.events else "")
 
 
 def replay_storage_writes(events: list) -> dict:
-    """Reapply committed storage writes; returns {address: {byte: value}}.
+    """Reapply committed storage writes to a fresh word store per instance;
+    returns {address: {byte: value}}, the stores' byte views.
 
     Slices belonging to aborted transactions are skipped, so the result
-    matches the post-state byte-for-byte (the rule-label fidelity check).
+    matches each instance's `storage.bytes` (the rule-label fidelity check).
     """
-    from .state import write_byte_map  # state imports this module
-    out: dict = {}
+    from .state import ByteStore  # state imports this module
+    stores = defaultdict(ByteStore)
     committed: list = []
     pending: list = []
     depth = 0
@@ -212,5 +217,5 @@ def replay_storage_writes(events: list) -> dict:
     for ev in committed:
         for w in ev.writes:
             if w.space == "storage":
-                write_byte_map(out.setdefault(ev.addr, {}), w.at, w.data)
-    return out
+                stores[ev.addr].write(w.at, w.data)
+    return {addr: store.bytes for addr, store in stores.items()}

@@ -213,6 +213,25 @@ def test_value_of_a_function_without_return_aborts_before_it_runs():
     assert world.storage_fingerprint() == before
 
 
+def test_value_of_an_external_function_without_return_aborts_before_it_runs():
+    world = world_from_source("""
+    contract B { uint z; function g() public { z = 1; } }
+    contract A {
+      B b;
+      function A(B _b) public { b = _b; }
+      function f() public { uint y = b.g(); }
+    }""")
+    b = deploy(world, "B")
+    a = deploy(world, "A", args=(b,))
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=a, fname="f"))
+    assert not res.ok
+    assert isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message == "function g of B has no return value"
+    assert all(ev.fn != "g" for ev in res.events)  # g never ran
+    assert world.storage_fingerprint() == before
+
+
 # -- return ------------------------------------------------------------------------------
 
 def test_transaction_returns_declared_value(dao_world):

@@ -1,4 +1,4 @@
-"""Byte maps, encoding, allocation, scopes, and deployment state."""
+"""The word store, encoding, allocation, scopes, and deployment state."""
 
 import random
 
@@ -9,8 +9,8 @@ from solsem import typesys
 from solsem.errors import DuplicateDeclaration, RangeError, ScopeUnderflow
 from solsem.executor import Executor
 from solsem.state import (
-    Config, HashedRegion, Msg, decode_value, encode_key32, encode_value,
-    zero_value,
+    ByteStore, Config, HashedRegion, Msg, StorageState, decode_value,
+    encode_key32, encode_value, zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
@@ -20,7 +20,7 @@ U128 = UInt(128)
 U256 = UInt(256)
 
 
-# -- byte maps ----------------------------------------------------------------
+# -- the word store -------------------------------------------------------------
 
 def test_fresh_read_is_zero():
     c = Config()
@@ -47,6 +47,48 @@ def test_zero_writes_keep_map_canonical():
     c.write_bytes("storage", 0, encode_value(7, U256))
     c.write_bytes("storage", 0, bytes(32))
     assert c.storage.bytes == {}
+
+
+TOP = (1 << 256) * 32  # one past the last byte of slot 2^256 - 1
+_addrs = st.one_of(st.integers(0, 200), st.integers(TOP - 200, TOP - 1),
+                   st.integers(0, TOP - 1))
+_data = st.one_of(st.binary(min_size=1, max_size=96),
+                  st.integers(1, 96).map(bytes))  # all-zero data
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _addrs, _data),
+    st.tuples(st.just("read"), _addrs, st.integers(1, 96)),
+    st.tuples(st.just("mark"), st.none(), st.none())), max_size=40)
+
+
+@given(_ops)
+def test_byte_store_agrees_with_a_byte_map_and_undoes_to_any_mark(ops):
+    store, model, journal, marks = ByteStore(), {}, [], []
+    for op, addr, arg in ops:
+        if op == "write":
+            store.write(addr, arg, journal)
+            model.update((addr + i, b) for i, b in enumerate(arg))
+        elif op == "read":
+            assert store.read(addr, arg) == bytes(
+                model.get(addr + i, 0) for i in range(arg))
+        else:
+            marks.append((len(journal), dict(store.words)))
+        assert all(len(w) == 32 and any(w) for w in store.words.values())
+    assert store.bytes == {a: b for a, b in model.items() if b}
+    for mark, words in reversed(marks):
+        while len(journal) > mark:
+            undo, *args = journal.pop()
+            undo(*args)
+        assert store.words == words
+
+
+def test_storage_journals_one_record_per_slot_written():
+    s = StorageState()
+    s.write(0, encode_value(7, U256))  # aligned uint256
+    assert len(s.journal) == 1
+    s.write(32 + 16, encode_value(1, U128))  # uint128 at offset 16
+    assert len(s.journal) == 2
+    s.write(64 + 8, bytes(range(1, 41)))  # 40 bytes from offset 8: two slots
+    assert len(s.journal) == 4
 
 
 # -- encoding ------------------------------------------------------------------
