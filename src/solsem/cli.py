@@ -4,10 +4,12 @@
     solsem layout contracts.sol --contract Name [--json]
 
 Exit codes: 0 on success with all assertions passing and no findings;
-1 when an assertion fails or reentrancy findings exist; 2 on parse or
-semantic errors (diagnostics go to standard error as file:line:col), on a
-run halted by an aborted deploy or transaction, and on an engine fault;
-a halt or a fault is reported in one line on standard error.
+1 when an assertion fails or reentrancy findings exist; 2 on a usage error
+(an unknown flag, or a --max-steps, --max-call-depth or SOLSEM_MAX_STEPS
+that is not a non-negative integer; nothing runs), on parse or semantic
+errors (diagnostics go to standard error as file:line:col, a scenario's
+as line N), on a run halted by an aborted deploy or transaction, and on an
+engine fault; a halt or a fault is reported in one line on standard error.
 """
 
 from __future__ import annotations
@@ -53,21 +55,32 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--evm-hash-order", action="store_true",
                    help="hash key||slot (real-chain order) instead of slot||key")
-    p.add_argument("--max-steps", type=int,
-                   default=None, help="per-transaction statement budget "
-                                      "(env SOLSEM_MAX_STEPS)")
-    p.add_argument("--max-call-depth", type=int, default=1024)
+    # argparse runs a string default through `type` too, so a malformed
+    # SOLSEM_MAX_STEPS is a usage error like a malformed --max-steps
+    p.add_argument("--max-steps", type=_non_negative_int,
+                   default=os.environ.get("SOLSEM_MAX_STEPS") or None,
+                   help="per-transaction statement budget "
+                        "(env SOLSEM_MAX_STEPS)")
+    p.add_argument("--max-call-depth", type=_non_negative_int, default=1024)
 
 
 def _options(args) -> EngineOptions:
-    max_steps = args.max_steps
-    if max_steps is None and os.environ.get("SOLSEM_MAX_STEPS"):
-        max_steps = int(os.environ["SOLSEM_MAX_STEPS"])
     return EngineOptions(evm_hash_order=args.evm_hash_order,
-                         max_steps=max_steps,
+                         max_steps=args.max_steps,
                          max_call_depth=args.max_call_depth)
 
 

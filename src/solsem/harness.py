@@ -93,6 +93,20 @@ def _literal(tok: str, line: int):
     raise ScenarioError(f"line {line}: cannot parse literal {tok!r}")
 
 
+def _amount(tok: Optional[str], line: int) -> int:
+    """A `value` or `gas` field: a non-negative integer, 0 when absent."""
+    if tok is None:
+        return 0
+    try:
+        amount = int(tok, 0)
+        if amount >= 0:
+            return amount
+    except ValueError:
+        pass
+    raise ScenarioError(
+        f"line {line}: expected a non-negative integer, got {tok!r}")
+
+
 @dataclass(frozen=True)
 class HandleRef:
     name: str
@@ -117,7 +131,7 @@ def parse_scenario(text: str) -> Scenario:
             actions.append(DeployAction(
                 handle=handle, contract=contract,
                 args=_arg_list(args, lineno), sender=_literal(sender, lineno),
-                value=int(value, 0) if value else 0, line=lineno))
+                value=_amount(value, lineno), line=lineno))
             continue
         m = _TX_RE.match(line)
         if m:
@@ -125,8 +139,8 @@ def parse_scenario(text: str) -> Scenario:
             actions.append(TxAction(
                 handle=handle, fname=fname, args=_arg_list(args, lineno),
                 sender=_literal(sender, lineno),
-                value=int(value, 0) if value else 0,
-                gas=int(gas, 0) if gas else 0, line=lineno))
+                value=_amount(value, lineno), gas=_amount(gas, lineno),
+                line=lineno))
             continue
         m = _ASSERT_RE.match(line)
         if m:

@@ -198,6 +198,49 @@ def test_max_steps_env_var(tmp_path, monkeypatch, capsys):
     assert "max steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, env, error", [
+    ([], "lots", "argument --max-steps: expected a non-negative integer, "
+                 "got 'lots'"),
+    (["--max-steps", "-5"], None,
+     "argument --max-steps: expected a non-negative integer, got '-5'"),
+    (["--max-call-depth", "-1"], None,
+     "argument --max-call-depth: expected a non-negative integer, got '-1'"),
+], ids=["env-max-steps", "max-steps", "max-call-depth"])
+def test_malformed_engine_limit_is_a_usage_error(monkeypatch, capsys, flags,
+                                                 env, error):
+    if env is None:
+        monkeypatch.delenv("SOLSEM_MAX_STEPS", raising=False)
+    else:
+        monkeypatch.setenv("SOLSEM_MAX_STEPS", env)
+    deploys = []
+    monkeypatch.setattr(Executor, "deploy",
+                        lambda self, *a, **k: deploys.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", _path("c", "coin.sol"),
+              "--scenario", _path("s", "coin.scn"), *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert deploys == [] and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"solsem run: error: {error}"
+
+
+@pytest.mark.parametrize("line, field", [
+    ("deploy d Coin () from 0xA value 1x", "1x"),
+    ("tx c.mint(0xB, 5) from 0xA gas 0x", "0x"),
+    ("tx c.mint(0xB, 5) from 0xA value -3", "-3"),
+], ids=["value", "gas", "negative-value"])
+def test_malformed_scenario_integer_is_a_scenario_error(tmp_path, capsys,
+                                                        line, field):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(f"deploy c Coin () from 0xA\n{line}\n")
+    code = main(["run", _path("c", "coin.sol"), "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # rejected before anything deploys
+    assert captured.err.splitlines() == [
+        f"<run>: line 2: expected a non-negative integer, got {field!r}"]
+
+
 def test_evm_hash_order_flag_changes_layout(capsys):
     main(["layout", _path("c", "test4.sol"), "--contract", "Test4", "--json"])
     capsys.readouterr()

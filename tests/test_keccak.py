@@ -3,7 +3,7 @@ independently structured oracle."""
 
 import random
 
-from solsem.keccak import keccak256, keccak256_int
+from solsem.keccak import _keccak_f, keccak256, keccak256_int
 
 from keccak_oracle import keccak256_oracle
 
@@ -32,11 +32,23 @@ def test_oracle_matches_published_vectors():
 
 def test_differential_against_oracle():
     rng = random.Random(0xC0FFEE)
-    lengths = [0, 1, 31, 32, 55, 135, 136, 137, 200, 271, 272, 500]
+    # 134 and 270 end a block with two padding bytes, 135, 271 and 407 with
+    # one; 408 fills three blocks, so the padding takes a fourth
+    lengths = [0, 1, 31, 32, 55, 134, 135, 136, 137, 200, 270, 271, 272, 407,
+               408, 500]
     for _ in range(200):
         n = rng.choice(lengths + [rng.randrange(0, 400)])
         data = rng.randbytes(n)
         assert keccak256(data) == keccak256_oracle(data)
+
+
+def test_permutation_of_the_zero_state():
+    # published Keccak-f[1600] intermediate values (KeccakF-1600-IntermediateValues)
+    lanes = [0] * 25
+    _keccak_f(lanes)
+    assert lanes[:2] == [0xF1258F7940E1DDE7, 0x84D5CCF933C0478A]
+    _keccak_f(lanes)
+    assert lanes[0] == 0x2D5C954DF96ECB3C
 
 
 def test_int_form_is_big_endian():
