@@ -8,8 +8,9 @@ Exit codes: 0 on success with all assertions passing and no findings;
 (an unknown flag, or a --max-steps, --max-call-depth or SOLSEM_MAX_STEPS
 that is not a non-negative integer; nothing runs), on parse or semantic
 errors (diagnostics go to standard error as file:line:col, a scenario's
-as line N), on a run halted by an aborted deploy or transaction, and on an
-engine fault; a halt or a fault is reported in one line on standard error.
+as scenario-file: line N), on a run halted by an aborted deploy or
+transaction, and on an engine fault; a halt or a fault is reported in one
+line on standard error.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _cmd_run(args) -> int:
                 return 2
             outcome = run_main_contract(world)
     except SolsemError as err:
-        print(err.diagnostic("<run>"), file=sys.stderr)
+        print(err.diagnostic(args.scenario or "<run>"), file=sys.stderr)
         return 2
 
     findings = detect_reentrancy(world.trace.events) \

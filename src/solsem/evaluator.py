@@ -281,6 +281,8 @@ class Evaluator:
         if isinstance(e, ast.ExternalCall):
             t = self.type_of(e).sem  # the callee's declared return type
             return self.executor.eval_external_call(self, e, expression=True), t
+        if isinstance(e, ast.LowLevelCallValue):  # its value is its success
+            return self.executor.eval_low_level_call(self, e), typesys.Bool()
         raise SolTypeError(f"expression has no type: {e!r}",
                            getattr(e, "span", None))
 

@@ -10,6 +10,11 @@ Handles name deployed instances; argument positions accept decimal or hex
 integers, true/false, or a handle (which resolves to its address). A
 contract named `Main` with a function `main()` can drive a run instead of a
 scenario file: the implicit script is `deploy main Main () ...; tx main()`.
+A malformed line, including a malformed assert expression, raises a
+`ScenarioError` that names its line.
+
+Reentrancy is read off a finished trace in one pass, linear in the number
+of events: each reentry is decided when its outer frame closes.
 """
 
 from __future__ import annotations
@@ -145,7 +150,10 @@ def parse_scenario(text: str) -> Scenario:
         m = _ASSERT_RE.match(line)
         if m:
             handle, expr_text, expected = m.groups()
-            expr = parse_expression(expr_text)
+            try:
+                expr = parse_expression(expr_text)
+            except SolsemError as err:  # its span is within expr_text
+                raise ScenarioError(f"line {lineno}: {err.message}") from err
             actions.append(AssertAction(
                 handle=handle, expr=expr, expr_text=expr_text,
                 expected=_literal(expected, lineno), line=lineno))
@@ -297,8 +305,8 @@ def run_main_contract(world: World, contract: str = "Main",
 # reentrancy detection
 # ---------------------------------------------------------------------------
 
-_FRAME_OPEN = ("TX-START", "E-FUN1", "E-FUN2")
-_FRAME_CLOSE = ("TX-END", "TX-ABORT", "SKIP2")
+_FRAME_OPEN = frozenset(("TX-START", "E-FUN1", "E-FUN2"))
+_FRAME_CLOSE = frozenset(("TX-END", "TX-ABORT", "SKIP2"))
 
 
 @dataclass
@@ -322,62 +330,50 @@ class ReentrancyFinding:
         }
 
 
-class _OpenFrame:
-    __slots__ = ("frame", "addr", "fn", "entry_seq")
-
-    def __init__(self, frame, addr, fn, entry_seq):
-        self.frame = frame
-        self.addr = addr
-        self.fn = fn
-        self.entry_seq = entry_seq
-
-
 def detect_reentrancy(events) -> list:
-    """Scan a trace for frames entered on an instance that already has an
-    open frame, where the outer frame still writes storage afterwards (the
-    state-update-after-external-call shape)."""
-    stack: list = []
-    by_addr: dict = {}
-    candidates: list = []  # [outer frame, inner frame info, writes]
+    """Find frames entered on an instance that already has an open frame,
+    where the outer frame still writes storage afterwards (the
+    state-update-after-external-call shape).
+
+    One pass over the events. A reentry is attached to its outer frame when
+    the inner frame opens, and is decided when the outer frame closes: it is
+    a finding if the outer frame wrote storage in between. Only the
+    innermost open frame emits events, so a write can extend only the
+    reentries attached to the top of the stack. Findings come out in the
+    order their inner frames opened."""
+    stack: list = []  # open frames: (opening event, reentries into its instance)
+    path: list = []  # (address, fn) of each open frame, outermost first
+    by_addr: dict = {}  # address -> its open frames, innermost last
     findings: list = []
     for ev in events:
-        if ev.rule in _FRAME_OPEN and ev.call is not None:
-            fr = _OpenFrame(ev.frame, ev.addr, ev.fn, ev.seq)
-            open_same = by_addr.get(ev.addr)
-            if open_same:
-                outer = open_same[-1]
-                candidates.append({
-                    "outer": outer,
-                    "inner": fr,
-                    "path": tuple((f.addr, f.fn) for f in stack) + ((fr.addr, fr.fn),),
-                    "writes": [],
-                })
-            stack.append(fr)
-            by_addr.setdefault(ev.addr, []).append(fr)
-        elif ev.rule in _FRAME_CLOSE:
+        rule = ev.rule
+        if rule in _FRAME_OPEN and ev.call is not None:
+            path.append((ev.addr, ev.fn))
+            same = by_addr.setdefault(ev.addr, [])
+            if same:
+                outer, reentries = same[-1]
+                reentries.append(ReentrancyFinding(
+                    victim=outer.addr, fn=outer.fn, outer_seq=outer.seq,
+                    reentrant_seq=ev.seq, path=tuple(path), writes_after=[]))
+            frame = (ev, [])
+            stack.append(frame)
+            same.append(frame)
+        elif rule in _FRAME_CLOSE:
             if stack:
-                fr = stack.pop()
-                frames = by_addr.get(fr.addr)
-                if frames and frames[-1] is fr:
-                    frames.pop()
-        else:
-            if not ev.writes or ev.frame is None:
-                continue
-            for cand in candidates:
-                if ev.frame == cand["outer"].frame \
-                        and ev.seq > cand["inner"].entry_seq:
-                    for w in ev.writes:
-                        if w.space == typesys.STORAGE:
-                            cand["writes"].append((ev.seq, w))
-    for cand in candidates:
-        if cand["writes"]:
-            findings.append(ReentrancyFinding(
-                victim=cand["outer"].addr,
-                fn=cand["outer"].fn,
-                outer_seq=cand["outer"].entry_seq,
-                reentrant_seq=cand["inner"].entry_seq,
-                path=cand["path"],
-                writes_after=cand["writes"]))
+                path.pop()
+                opened, reentries = stack.pop()
+                by_addr[opened.addr].pop()
+                findings += (f for f in reentries if f.writes_after)
+        elif ev.writes and stack:
+            opened, reentries = stack[-1]
+            if reentries and ev.frame == opened.frame:
+                writes = [(ev.seq, w) for w in ev.writes
+                          if w.space == typesys.STORAGE]
+                for f in reentries:
+                    f.writes_after += writes
+    for _, reentries in stack:  # frames a truncated trace leaves open
+        findings += (f for f in reentries if f.writes_after)
+    findings.sort(key=lambda f: f.reentrant_seq)
     return findings
 
 

@@ -313,6 +313,11 @@ def _is_int_literal(e) -> bool:
         and isinstance(e.operand, ast.IntLit))
 
 
+def _literal_fits(e, t: UInt) -> bool:
+    """`e` is a non-negative integer literal within the range of `t`."""
+    return isinstance(e, ast.IntLit) and e.value < 1 << t.width
+
+
 def _comparable(a: SemType, b: SemType) -> bool:
     if isinstance(a, (UInt, Int256)) and isinstance(b, (UInt, Int256)):
         return True
@@ -376,6 +381,8 @@ def type_of(env, e: ast.Expr) -> Located:
             return Located(ret, MEMORY)
         raise SolTypeError(
             "cannot statically type an external call on a plain address", e.span)
+    if isinstance(e, ast.LowLevelCallValue):
+        return Located(Bool(), MEMORY)  # whether the call succeeded
     if isinstance(e, ast.Binary):
         lt = type_of(env, e.lhs).sem
         return Located(binary_type(e, lt, type_of(env, e.rhs).sem), MEMORY)
@@ -437,8 +444,12 @@ def binary_type(e: ast.Binary, lt: SemType, rt: SemType) -> SemType:
                 e.span)
         return Bool()
     # arithmetic: the operands unify; an integer literal adapts to a signed
-    # operand
+    # operand, and to an unsigned one that can hold it
     if isinstance(lt, UInt) and isinstance(rt, UInt):
+        if _literal_fits(e.rhs, lt):
+            return lt
+        if _literal_fits(e.lhs, rt):
+            return rt
         return lt if lt.width >= rt.width else rt
     if isinstance(lt, Int256) and (isinstance(rt, Int256) or isinstance(
             rt, UInt) and _is_int_literal(e.rhs)):

@@ -238,7 +238,18 @@ def test_malformed_scenario_integer_is_a_scenario_error(tmp_path, capsys,
     assert code == 2
     assert captured.out == ""  # rejected before anything deploys
     assert captured.err.splitlines() == [
-        f"<run>: line 2: expected a non-negative integer, got {field!r}"]
+        f"{scn}: line 2: expected a non-negative integer, got {field!r}"]
+
+
+def test_malformed_assert_expression_names_its_scenario_line(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("deploy c Coin () from 0xA\nassert c.nosuch( == 1\n")
+    code = main(["run", _path("c", "coin.sol"), "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{scn}: line 2: unexpected token 'eof'"]
 
 
 def test_evm_hash_order_flag_changes_layout(capsys):

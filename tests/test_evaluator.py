@@ -16,7 +16,7 @@ from solsem.parser import parse_expression
 from solsem.state import EngineOptions, Msg, decode_value
 from solsem.typesys import Address, Bool, Int256, UInt
 
-from conftest import deploy, make_world, scenario_source
+from conftest import deploy, make_world, scenario_source, world_from_source
 from keccak_oracle import keccak256_oracle_int
 
 U128 = UInt(128)
@@ -180,6 +180,29 @@ def test_division():
         apply_binop("%", 1, 0, U256)
 
 
+def test_a_literal_takes_its_unsigned_partners_width():
+    # Solidity 0.4 types `x + 1` at uint8 and wraps; a literal too big for
+    # the operand still widens the operation to uint256
+    world = world_from_source("""
+    contract Narrow {
+      uint8 x = 255;
+      uint128 y = 170141183460469231731687303715884105728;
+      function bump() public { x = x + 1; y = y * 2; }
+    }""")
+    address = deploy(world, "Narrow")
+    ev = _ev(world, address)
+    with world.trace.mute():
+        assert ev.eval_typed(parse_expression("x + 1")) == (0, UInt(8))
+        assert ev.eval_typed(parse_expression("1 + x")) == (0, UInt(8))
+        assert ev.eval_typed(parse_expression("x + 256")) == (511, U256)
+    res = Executor(world).run_transaction(Tx(sender=1, to=address,
+                                             fname="bump"))
+    assert res.ok, res.error
+    with world.trace.mute():
+        assert ev.eval_rvalue(parse_expression("x")) == 0
+        assert ev.eval_rvalue(parse_expression("y")) == 0
+
+
 def test_int256_truncates_toward_zero():
     t = Int256()
     assert apply_binop("/", -5, 2, t) == -2
@@ -222,6 +245,10 @@ _TYPED_EXPRESSIONS = {
     "Test2": ("a", "b", "b[1]", "b[1][2]", "a + b[1][2]", "b[0][1] >= a"),
     "Test3": ("a", "a[1]", "a.length", "a[a.length - 1] + a[0]"),
     "Test4": ("m[100]", "m[200] > m[100]", "m[m[100] * 20]"),
+    # external and low-level calls; Bank has no fallback, so the value-0
+    # call runs no code, and the unfunded one fails softly
+    "Attack": ("target.getUserBalance(0xB) + 1", "target.call.value(0)()",
+               "!target.call.value(1000)()"),
 }
 
 # ill-typed: the evaluator raises the static judgement's message
@@ -254,6 +281,14 @@ def _typed_fixture_evaluators():
             Tx(sender=1, to=address, fname=fname)).ok
         world.msg = Msg(sender=0xAB)
         yield name, _ev(world, address)
+    world = make_world("dao.sol")
+    bank = deploy(world, "Bank", value=10)
+    ex = Executor(world)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                 fname="addToBalance")).ok
+    world.msg = Msg(sender=0xB)
+    yield "Attack", _ev(world, attack)
 
 
 def test_eval_typed_agrees_with_the_static_judgement():

@@ -438,6 +438,32 @@ def test_value_zero_fallback_call_runs_body():
     assert world.instance(recv).balance == 0
 
 
+def test_low_level_call_value_is_its_success():
+    world = world_from_source("""
+    contract Recv { uint hits; function() payable { hits = hits + 1; } }
+    contract Payer {
+      bool funded; bool unfunded = true;
+      function pay(address to) public {
+        bool ok = to.call.value(1)();
+        funded = ok;
+        if (to.call.value(1000)()) { } else { unfunded = false; }
+      } }""")
+    ex = Executor(world)
+    recv = ex.deploy("Recv")
+    payer = ex.deploy("Payer", value=3)
+    res = ex.run_transaction(Tx(sender=1, to=payer, fname="pay",
+                                args=(recv,)))
+    assert res.ok, res.error
+    assert (_read(world, payer, "funded"), _read(world, payer, "unfunded")) \
+        == (True, False)
+    # the unfunded call moved nothing and ran no code
+    assert (world.instance(recv).balance, world.instance(payer).balance) \
+        == (1, 2)
+    assert _read(world, recv, "hits") == 1
+    warns = [e.note for e in res.events if e.rule == "WARN"]
+    assert len(warns) == 1 and "low-level call failed" in warns[0]
+
+
 def test_insufficient_balance_for_named_value_call_aborts(dao_world):
     bank = deploy(dao_world, "Bank", value=10)
     ex = Executor(dao_world)

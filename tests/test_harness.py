@@ -1,5 +1,7 @@
 """Scenario running, reentrancy detection, and layout reports."""
 
+import random
+
 import pytest
 
 from solsem.errors import SolsemError
@@ -11,7 +13,10 @@ from solsem.harness import (
 from solsem.parser import parse_expression
 from solsem.state import World
 
-from conftest import deploy, make_world, scenario_source, world_from_source
+from conftest import (
+    contract_source, deploy, make_world, scenario_source, world_from_source,
+)
+from reentrancy_oracle import detect_reentrancy as oracle_detect_reentrancy
 
 
 def _run(contract_file, scenario_file):
@@ -183,7 +188,7 @@ def test_proxy_variant_detected_even_without_theft():
     assert world.instance(bank).balance == 10
 
 
-def test_detector_ignores_sibling_calls_to_same_instance():
+def _sibling_calls_world() -> World:
     # two sequential (not nested) calls into the same contract are benign
     world = world_from_source("""
     contract Emitter {
@@ -199,7 +204,82 @@ def test_detector_ignores_sibling_calls_to_same_instance():
     sink = ex.deploy("Sink")
     emitter = ex.deploy("Emitter", args=(sink,))
     assert ex.run_transaction(Tx(sender=1, to=emitter, fname="go")).ok
-    assert detect_reentrancy(world.trace.events) == []
+    return world
+
+
+def test_detector_ignores_sibling_calls_to_same_instance():
+    assert detect_reentrancy(_sibling_calls_world().trace.events) == []
+
+
+def _drain(ex: Executor, contract_file: str, bank_value: int):
+    """Deploy a bank holding `bank_value` wei and an attacker with 2 wei,
+    deposit the 2 wei, then run the drain; returns the drain's TxResult."""
+    bank = ex.deploy("Bank", value=bank_value)
+    args = (bank,)
+    if contract_file == "dao_proxy.sol":
+        args += (ex.deploy("Proxy", args=(bank,), sender=0xB),)
+    attack = ex.deploy("Attack", args=args, sender=0xB, value=2)
+    assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                 fname="addToBalance")).ok
+    return ex.run_transaction(Tx(sender=0xB, to=attack,
+                                 fname="withdrawBalance"))
+
+
+def _detector_traces():
+    """(label, trace) pairs the one-pass detector is checked on."""
+    for contract_file, scn_file in (("coin.sol", "coin.scn"),
+                                    ("coin.sol", "empty.scn"),
+                                    ("dao.sol", "dao.scn"),
+                                    ("dao_fixed.sol", "dao_fixed.scn")):
+        world, _ = _run(contract_file, scn_file)
+        yield scn_file, world.trace
+    world = make_world("coverage.sol")
+    run_main_contract(world)
+    yield "coverage.sol", world.trace
+    for fixture, fname in (("test.sol", "foo"), ("test2.sol", "foo2"),
+                           ("test3.sol", "foo3"), ("test4.sol", "foo4")):
+        world = make_world(fixture)
+        address = deploy(world, fixture[:-4].capitalize())
+        Executor(world).run_transaction(Tx(sender=1, to=address, fname=fname))
+        yield fixture, world.trace
+    # several drains in one world; an odd bank value ends its drain on a
+    # low-level call the bank cannot fund, which fails softly
+    for contract_file in ("dao.sol", "dao_depth1.sol", "dao_proxy.sol"):
+        for drains in range(1, 6):
+            rng = random.Random(f"{contract_file}/{drains}")
+            world = make_world(contract_file)
+            ex = Executor(world)
+            for _ in range(drains):
+                assert _drain(ex, contract_file, rng.randrange(1, 25)).ok
+            yield f"{contract_file} x{drains}", world.trace
+    yield "sibling calls", _sibling_calls_world().trace
+    # the victim binds a memory local after the reentrant call: only its
+    # storage write counts
+    world = world_from_source(contract_source("dao.sol").replace(
+        "credit[msg.sender] -= amount;",
+        "uint left = credit[msg.sender] - amount; credit[msg.sender] = left;"))
+    assert _drain(Executor(world), "dao.sol", 6).ok
+    yield "memory write after reentry", world.trace
+    # a drain the Python stack cannot hold aborts mid-drain; the drain
+    # after it in the same world succeeds
+    world = make_world("dao.sol")
+    ex = Executor(world)
+    res = _drain(ex, "dao.sol", 10000)
+    assert not res.ok and "stack limit" in str(res.error)
+    assert _drain(ex, "dao.sol", 10).ok
+    yield "stack-exhausting drain", world.trace
+
+
+def test_one_pass_detector_matches_the_quadratic_oracle():
+    found = 0
+    soft_failures = 0
+    for label, trace in _detector_traces():
+        findings = detect_reentrancy(trace.events)
+        assert findings == oracle_detect_reentrancy(trace.events), label
+        found += len(findings)
+        soft_failures += sum(e.rule == "WARN" and "low-level call failed"
+                             in e.note for e in trace.events)
+    assert found and soft_failures
 
 
 # -- layout reports -----------------------------------------------------------------
