@@ -234,12 +234,13 @@ def run_scenario(world: World, scenario: Scenario) -> ScenarioOutcome:
     handles: dict = {}
     results: list = []
 
+    def handle(name):
+        if name not in handles:
+            raise ScenarioError(f"unknown handle {name}")
+        return handles[name]
+
     def resolve(v):
-        if isinstance(v, HandleRef):
-            if v.name not in handles:
-                raise ScenarioError(f"unknown handle {v.name}")
-            return handles[v.name]
-        return v
+        return handle(v.name) if isinstance(v, HandleRef) else v
 
     for action in scenario.actions:
         if isinstance(action, DeployAction):
@@ -257,15 +258,14 @@ def run_scenario(world: World, scenario: Scenario) -> ScenarioOutcome:
         elif isinstance(action, TxAction):
             desc = f"tx {action.handle}.{action.fname}"
             try:
-                to = handles[action.handle]
-            except KeyError:
-                results.append(ActionResult(desc, False,
-                                            f"unknown handle {action.handle}"))
+                tx = Tx(to=handle(action.handle),
+                        sender=resolve(action.sender), fname=action.fname,
+                        args=tuple(resolve(a) for a in action.args),
+                        value=action.value, gas=action.gas)
+            except ScenarioError as err:
+                results.append(ActionResult(desc, False, str(err)))
                 return ScenarioOutcome(handles, results, halted=True)
-            res = ex.run_transaction(Tx(
-                sender=resolve(action.sender), to=to, fname=action.fname,
-                args=tuple(resolve(a) for a in action.args),
-                value=action.value, gas=action.gas))
+            res = ex.run_transaction(tx)
             if not res.ok:
                 results.append(ActionResult(desc, False, str(res.error)))
                 return ScenarioOutcome(handles, results, halted=True)
@@ -274,12 +274,12 @@ def run_scenario(world: World, scenario: Scenario) -> ScenarioOutcome:
         elif isinstance(action, AssertAction):
             desc = f"assert {action.handle}.{action.expr_text}"
             try:
-                address = handles[action.handle]
+                address = handle(action.handle)
                 actual = eval_readonly(world, address, action.expr, handles)
+                expected = resolve(action.expected)
             except (SolsemError, KeyError) as err:
                 results.append(ActionResult(desc, False, str(err)))
                 continue
-            expected = resolve(action.expected)
             ok = actual == expected
             results.append(ActionResult(
                 desc, ok, f"actual {actual!r}" if not ok else ""))

@@ -3,7 +3,15 @@
 Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
 so tests and downstream tooling can grep for them. Events carry the cell
 changes (byte writes, calls, value transfers) that the reentrancy detector
-and the replay check consume. Serialized form is newline-delimited JSON.
+and the replay check consume.
+
+Serialized form is newline-delimited JSON. `Trace.to_ndjson` writes each
+line straight out as f-strings, with no dict per event: keys in sorted
+order, hex fields as `0x..`, every string through the C escaper
+`json.dumps` uses. Each line is byte for byte what `json.dumps(event,
+sort_keys=True)` gives for the event's JSON form (tests/ndjson_oracle.py
+keeps that dict builder to check against). Nothing is encoded at `emit`
+time, so the op path pays nothing for the format.
 """
 
 from __future__ import annotations
@@ -31,8 +39,13 @@ RULE_LABELS = frozenset({
     "TX-START", "TX-END", "TX-ABORT", "PUSH", "WARN",
 })
 
-# the encoder json.dumps(..., sort_keys=True) would build anew for each event
-_JSON = json.JSONEncoder(sort_keys=True)
+# the C string escaper json.dumps uses (ensure_ascii)
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _int(x) -> str:
+    """A transferred value or gas as JSON: a contract can pass a bool."""
+    return "true" if x is True else "false" if x is False else repr(x)
 
 
 @dataclass(slots=True)
@@ -55,20 +68,6 @@ class CallInfo:
     value: Optional[int] = None
     gas: Optional[int] = None
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.to is not None:
-            out["to"] = hex(self.to)
-        if self.fn is not None:
-            out["fn"] = self.fn
-        if self.args:
-            out["args"] = [str(a) for a in self.args]
-        if self.value is not None:
-            out["value"] = self.value
-        if self.gas is not None:
-            out["gas"] = self.gas
-        return out
-
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -82,26 +81,6 @@ class TraceEvent:
     value: Optional[int] = None
     omega: Optional[int] = None  # callee omega depth right after a push
     note: Optional[str] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "seq": self.seq,
-            "rule": self.rule,
-            "addr": hex(self.addr) if self.addr is not None else None,
-            "fn": self.fn,
-            "writes": [w.to_json() for w in self.writes],
-        }
-        if self.frame is not None:
-            out["frame"] = self.frame
-        if self.call is not None:
-            out["call"] = self.call.to_json()
-        if self.value is not None:
-            out["value"] = self.value
-        if self.omega is not None:
-            out["omega"] = self.omega
-        if self.note is not None:
-            out["note"] = self.note
-        return out
 
 
 class _Context:
@@ -180,8 +159,62 @@ class Trace:
         return {e.rule for e in self.events}
 
     def to_ndjson(self) -> str:
-        return "\n".join(_JSON.encode(e.to_json())
-                         for e in self.events) + ("\n" if self.events else "")
+        """One line per event, each equal to `json.dumps(event,
+        sort_keys=True)` of its JSON form, written straight out: keys in
+        sorted order, `addr`, `fn`, `rule`, `seq` and `writes` always, the
+        other fields only when they are not None (a call's `args` only when
+        non-empty). The `{"addr": .., "fn": .., "frame": .., ` head of a
+        call-less event is shared per (addr, fn, frame) within one call."""
+        esc = _esc
+        heads: dict = {}
+        lines: list = []
+        for ev in self.events:
+            call = ev.call
+            key = (ev.addr, ev.fn, ev.frame)
+            head = heads.get(key) if call is None else None
+            if head is None:
+                addr, fn, frame = key
+                head = "{\"addr\": " + ("null" if addr is None
+                                        else f'"{addr:#x}"') + ", "
+                if call is not None:
+                    c = []
+                    if call.args:
+                        c.append('"args": ['
+                                 + ", ".join([esc(str(a)) for a in call.args])
+                                 + "]")
+                    if call.fn is not None:
+                        c.append(f'"fn": {esc(call.fn)}')
+                    if call.gas is not None:
+                        c.append(f'"gas": {_int(call.gas)}')
+                    c.append(f'"kind": {esc(call.kind)}')
+                    if call.to is not None:
+                        c.append(f'"to": "{call.to:#x}"')
+                    if call.value is not None:
+                        c.append(f'"value": {_int(call.value)}')
+                    head += '"call": {' + ", ".join(c) + "}, "
+                head += '"fn": ' + ("null" if fn is None else esc(fn)) + ", "
+                if frame is not None:
+                    head += f'"frame": {frame}, '
+                if call is None:
+                    heads[key] = head
+            line = head
+            if ev.note is not None:
+                line += f'"note": {esc(ev.note)}, '
+            if ev.omega is not None:
+                line += f'"omega": {ev.omega}, '
+            line += f'"rule": {esc(ev.rule)}, "seq": {ev.seq}, '
+            if ev.value is not None:
+                line += f'"value": {_int(ev.value)}, '
+            writes = ev.writes
+            if writes:
+                lines.append(line + '"writes": [' + ", ".join([
+                    f'{{"at": "{w.at:#x}", "bytes": "0x{w.data.hex()}", '
+                    f'"space": {esc(w.space)}}}' for w in writes]) + "]}\n")
+            else:
+                lines.append(line + '"writes": []}\n')
+        # each line carries its newline: joined lines plus a trailing "\n"
+        # would hold a second copy of the whole output while `lines` lives
+        return "".join(lines)
 
 
 def replay_storage_writes(events: list) -> dict:

@@ -13,6 +13,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 FIXTURE_CONTRACTS = sorted(p.name for p in CONTRACTS.glob("*.sol"))
 FIXTURE_SCENARIOS = sorted(p.name for p in SCENARIOS.glob("*.scn"))
+# the CLI's fixture runs: (contract, scenario), None for the Main mode
+CLI_RUNS = (("dao.sol", "dao.scn"), ("dao_fixed.sol", "dao_fixed.scn"),
+            ("coin.sol", "coin.scn"), ("coin.sol", "empty.scn"),
+            ("coverage.sol", None))
 
 
 def contract_source(name: str) -> str:

@@ -8,7 +8,7 @@ import pytest
 from solsem.cli import main
 from solsem.executor import Executor
 
-from conftest import CONTRACTS, SCENARIOS
+from conftest import CLI_RUNS, CONTRACTS, SCENARIOS
 
 TRACE_EVENT_SCHEMA = {
     "type": "object",
@@ -123,21 +123,24 @@ def test_main_mode_runs_coverage(capsys):
 
 
 def test_trace_ndjson_validates(tmp_path):
-    trace_path = tmp_path / "trace.ndjson"
-    code = main(["run", _path("c", "dao.sol"),
-                 "--scenario", _path("s", "dao.scn"),
-                 "--trace", str(trace_path)])
-    assert code == 0
-    lines = trace_path.read_text().splitlines()
-    assert lines
-    seqs = []
     rules = set()
-    for line in lines:
-        doc = json.loads(line)
-        jsonschema.validate(doc, TRACE_EVENT_SCHEMA)
-        seqs.append(doc["seq"])
-        rules.add(doc["rule"])
-    assert seqs == sorted(seqs)  # strictly increasing emission order
+    for contract_file, scn_file in CLI_RUNS:
+        trace_path = tmp_path / f"{contract_file}.{scn_file}.ndjson"
+        scenario = ["--scenario", _path("s", scn_file)] if scn_file else []
+        code = main(["run", _path("c", contract_file), *scenario,
+                     "--trace", str(trace_path)])
+        assert code == 0
+        lines = trace_path.read_text().splitlines()
+        assert bool(lines) == (scn_file != "empty.scn")
+        seqs = []
+        for line in lines:
+            doc = json.loads(line)
+            jsonschema.validate(doc, TRACE_EVENT_SCHEMA)
+            # each line is the sorted-key json.dumps of its own event
+            assert json.dumps(doc, sort_keys=True) == line
+            seqs.append(doc["seq"])
+            rules.add(doc["rule"])
+        assert seqs == sorted(seqs)  # strictly increasing emission order
     assert "E-FUN1" in rules and "E-FUN2" in rules  # greppable labels
 
 
@@ -250,6 +253,36 @@ def test_malformed_assert_expression_names_its_scenario_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"{scn}: line 2: unexpected token 'eof'"]
+
+
+def test_unknown_handle_in_tx_arguments_halts_that_action(tmp_path, capsys):
+    scn = tmp_path / "h.scn"
+    scn.write_text("deploy c Coin () from 0xA\n"
+                   "tx c.mint(nosuch, 5) from 0xA\n"
+                   "assert c.minter == 0xA\n")
+    code = main(["run", _path("c", "coin.sol"), "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [
+        "[ok] deploy c = Coin  (at 0x1000)",
+        "[FAIL] tx c.mint  (unknown handle nosuch)"]
+    assert captured.err.splitlines() == [
+        "error: tx c.mint: unknown handle nosuch"]
+
+
+def test_unknown_handle_as_expected_value_fails_that_assert(tmp_path, capsys):
+    scn = tmp_path / "h.scn"
+    scn.write_text("deploy c Coin () from 0xA\n"
+                   "assert c.balances[0xB] == nosuch\n"
+                   "assert c.minter == 0xA\n")
+    code = main(["run", _path("c", "coin.sol"), "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "[ok] deploy c = Coin  (at 0x1000)",
+        "[FAIL] assert c.balances[0xB]  (unknown handle nosuch)",
+        "[ok] assert c.minter"]
+    assert captured.err == ""
 
 
 def test_evm_hash_order_flag_changes_layout(capsys):

@@ -1,0 +1,103 @@
+"""The NDJSON trace writer against the dict-building encoder it replaced."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from solsem.executor import Executor, Tx
+from solsem.harness import parse_scenario, run_main_contract, run_scenario
+from solsem.trace import CallInfo, Trace, TraceEvent, Write
+
+from conftest import CLI_RUNS, deploy, make_world, scenario_source, \
+    world_from_source
+from ndjson_oracle import event_to_json
+
+# a transfer to a contract without a fallback (WARN with value and note),
+# an unfunded one (WARN with a note), and a bool passed as the value, which
+# the engine accepts and JSON spells `true`
+_PAYER = """
+contract Sink { uint x; }
+contract Recv { function() public payable { } }
+contract Payer {
+    function pay(address to, uint m) public { to.call.value(m)(); }
+    function payTrue(address to) public { to.call.value(true)(); }
+}
+"""
+
+
+def _oracle_ndjson(events) -> str:
+    return "".join(json.dumps(event_to_json(ev), sort_keys=True) + "\n"
+                   for ev in events)
+
+
+def _traces():
+    """(label, trace) pairs the writer is checked on."""
+    for contract_file, scn_file in CLI_RUNS:
+        world = make_world(contract_file)
+        if scn_file is None:
+            run_main_contract(world)
+        else:
+            run_scenario(world, parse_scenario(scenario_source(scn_file)))
+        yield f"{contract_file} {scn_file}", world.trace
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin")
+    res = Executor(world).run_transaction(Tx(sender=1, to=coin,
+                                             fname="nosuch"))
+    assert not res.ok and world.trace.events[-1].note
+    yield "aborted tx", world.trace
+    world = world_from_source(_PAYER)
+    ex = Executor(world)
+    sink, recv = deploy(world, "Sink"), deploy(world, "Recv")
+    payer = deploy(world, "Payer", value=5)
+    for fname, args in (("pay", (sink, 3)), ("pay", (sink, 100)),
+                        ("payTrue", (sink,)), ("payTrue", (recv,))):
+        assert ex.run_transaction(Tx(sender=1, to=payer, fname=fname,
+                                     args=args)).ok
+    warns = [ev for ev in world.trace.events if ev.rule == "WARN"]
+    assert [ev.value for ev in warns] == [3, None, True]
+    assert all(ev.note for ev in warns)
+    assert any(ev.call is not None and ev.call.value is True
+               for ev in world.trace.events)
+    yield "transfers", world.trace
+
+
+_chars = st.one_of(st.characters(),
+                   st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\u2029'
+                                   '\ud800\udfff\U0001f600'))
+_strings = st.text(_chars, max_size=8)
+_ints = st.integers(min_value=0, max_value=(1 << 256) - 1)
+_opt_ints = st.one_of(st.none(), st.just(0), _ints)
+_opt_amounts = st.one_of(_opt_ints, st.booleans())  # value and gas
+# a few shared values, so that lines share their (addr, fn, frame) head
+_addrs = st.one_of(st.sampled_from((None, 0, 0x1000)), _ints)
+_fns = st.one_of(st.sampled_from((None, "", "f")), _strings)
+_frames = st.one_of(st.sampled_from((None, 0, 3)), _ints)
+
+_writes = st.builds(Write, space=_strings, at=_ints,
+                    data=st.binary(max_size=40))
+_calls = st.builds(
+    CallInfo, kind=_strings, to=_opt_ints,
+    fn=st.one_of(st.none(), _strings),
+    args=st.one_of(st.just(()), st.lists(
+        st.one_of(_ints, st.booleans(), _strings), min_size=1,
+        max_size=3).map(tuple)),
+    value=_opt_amounts, gas=_opt_amounts)
+_events = st.builds(
+    TraceEvent, seq=_ints, rule=_strings, addr=_addrs, fn=_fns, frame=_frames,
+    writes=st.lists(_writes, max_size=3),
+    call=st.one_of(st.none(), _calls), value=_opt_amounts, omega=_opt_ints,
+    note=st.one_of(st.none(), _strings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_events, max_size=6))
+def _drawn_events_match(events):
+    trace = Trace()
+    trace.events = events
+    assert trace.to_ndjson() == _oracle_ndjson(events)
+
+
+def test_ndjson_matches_the_dict_oracle():
+    for label, trace in _traces():
+        assert trace.to_ndjson() == _oracle_ndjson(trace.events), label
+    _drawn_events_match()
