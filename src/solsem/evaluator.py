@@ -238,11 +238,9 @@ class Evaluator:
 
     def eval_rvalue(self, e: ast.Expr):
         """The value of `e` where nothing operates on it, so an array
-        literal or an external call is evaluated without being typed."""
+        literal, which has no type of its own, can stand there."""
         if isinstance(e, ast.ArrayLit):
             return [self.eval_rvalue(x) for x in e.elements]
-        if isinstance(e, ast.ExternalCall):
-            return self.executor.eval_external_call(self, e, expression=True)
         return self.eval_typed(e)[0]
 
     def eval_typed(self, e: ast.Expr) -> tuple:
@@ -278,11 +276,9 @@ class Evaluator:
                 typesys.UINT256
         if isinstance(e, ast.Call):
             return self._call(e)
-        if isinstance(e, ast.ExternalCall):
-            t = self.type_of(e).sem  # the callee's declared return type
-            return self.executor.eval_external_call(self, e, expression=True), t
-        if isinstance(e, ast.LowLevelCallValue):  # its value is its success
-            return self.executor.eval_low_level_call(self, e), typesys.Bool()
+        if isinstance(e, (ast.ExternalCall, ast.LowLevelCallValue)):
+            # typed by the function it reaches; a low-level call by success
+            return self.executor.external_call(self, e, expression=True)
         raise SolTypeError(f"expression has no type: {e!r}",
                            getattr(e, "span", None))
 

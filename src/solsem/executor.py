@@ -7,9 +7,12 @@ storage, balances, instances or warnings (the event log keeps the aborted
 slice for observability, marked TX-ABORT). Either way the journal is emptied
 when the transaction ends, so it never holds more than one transaction.
 
-External calls thread the ambient Msg through a save/restore stack and push
-the caller context onto the callee's omega stack; the pop on return emits
-SKIP2, and expression statements completing with an empty omega emit SKIP1.
+A named external call (E-FUN1) and a low-level call that runs the fallback
+(E-FUN2) share one routine, `Executor.external_call`. It threads the ambient
+Msg through a save/restore stack and pushes the caller context onto the
+callee's omega stack; the pop on return emits SKIP2, and expression
+statements completing with an empty omega emit SKIP1. A named call is typed
+by the function it reaches.
 """
 
 from __future__ import annotations
@@ -241,96 +244,92 @@ class Executor:
         return self.call_internal(ev.address, fn, values,
                                   expression=expression)
 
-    def eval_external_call(self, ev: Evaluator, e: ast.ExternalCall,
-                           expression: bool):
-        """E-FUN1: a named call on another instance, with optional value/gas."""
-        world = self.world
-        caller = ev.address
-        target = ev.eval_rvalue(e.target)
-        values = tuple(ev.eval_rvalue(a) for a in e.args)
-        m = ev.eval_rvalue(e.value) if e.value is not None else 0
-        n = ev.eval_rvalue(e.gas) if e.gas is not None else \
-            (world.msg.gas if world.msg else 0)
-        callee_inst = world.instance(target)
-        callee_info = world.contract_info(callee_inst.contract_name)
-        fn = callee_info.functions.get(e.name)
-        if fn is None:
-            raise SolTypeError(
-                f"{callee_inst.contract_name} has no function {e.name}", e.span)
-        if expression and fn.ret is None:
-            raise SolTypeError(f"function {e.name} of "
-                               f"{callee_inst.contract_name} has no return value",
-                               e.span)
-        caller_inst = world.instance(caller)
-        if caller_inst.balance < m:
-            raise InsufficientBalance(
-                f"{caller:#x} holds {caller_inst.balance} wei, needs {m}")
-        world.credit(caller_inst, -m)
-        world.credit(callee_inst, m)
-        return self._enter_external(caller, target, fn, values, m, n,
-                                    expression, rule="E-FUN1", kind="external")
+    def external_call(self, ev: Evaluator,
+                      e: ast.ExternalCall | ast.LowLevelCallValue,
+                      expression: bool = False):
+        """E-FUN1, a named call `c.f.value(m)(args)`, or E-FUN2, a low-level
+        `c.call.value(m)()` that runs the callee's fallback.
 
-    def eval_low_level_call(self, ev: Evaluator, e: ast.LowLevelCallValue):
-        """E-FUN2: `target.call.value(E)()` invokes the callee's fallback.
-
-        A transfer the caller cannot fund fails softly (no state change, a
-        warning event) instead of aborting: the low-level call reports
-        failure to its caller rather than raising, which is also what lets
-        the recursive drain stop exactly when the victim's balance hits zero.
+        Both evaluate in the caller, move m wei, push the caller onto the
+        callee's omega stack under a fresh Msg, run, and pop (SKIP2). The
+        value and gas must be unsigned integers; gas defaults to the
+        caller's. A named call returns (value, type) with the return type of
+        the function it reaches. A low-level call returns (success, bool): a
+        transfer the caller cannot fund fails softly (a warning, no state
+        change) instead of aborting, which is also what lets the recursive
+        drain stop exactly when the victim's balance hits zero, and a callee
+        with no fallback takes the wei and runs nothing.
         """
         world = self.world
+
+        def amount(x, what, default):
+            if x is None:
+                return default
+            v, t = ev.eval_typed(x)
+            if not isinstance(t, typesys.UInt):
+                raise SolTypeError(f"call {what} must be an unsigned integer, "
+                                   f"not {typesys.type_to_str(t)}", x.span)
+            return v
+
         caller = ev.address
+        named = isinstance(e, ast.ExternalCall)
         target = ev.eval_rvalue(e.target)
-        m = ev.eval_rvalue(e.value)
-        n = ev.eval_rvalue(e.gas) if e.gas is not None else \
-            (world.msg.gas if world.msg else 0)
+        values = tuple(ev.eval_rvalue(a) for a in e.args) if named else ()
+        m = amount(e.value, "value", 0)
+        n = amount(e.gas, "gas", world.msg.gas if world.msg else 0)
         callee_inst = world.instance(target)
+        callee_name = callee_inst.contract_name
+        callee_info = world.contract_info(callee_name)
         caller_inst = world.instance(caller)
-        if caller_inst.balance < m:
+        if named:
+            fn = callee_info.functions.get(e.name)
+            if fn is None:
+                raise SolTypeError(f"{callee_name} has no function {e.name}",
+                                   e.span)
+            if expression and fn.ret is None:
+                raise SolTypeError(f"function {e.name} of {callee_name} has "
+                                   f"no return value", e.span)
+            if caller_inst.balance < m:
+                raise InsufficientBalance(
+                    f"{caller:#x} holds {caller_inst.balance} wei, needs {m}")
+        elif caller_inst.balance < m:
             world.trace.emit("WARN", note=(
                 f"low-level call failed: {caller:#x} holds "
                 f"{caller_inst.balance} wei, needs {m}"))
             world.warnings.append("low-level call failed: insufficient balance")
-            return False
+            return False, typesys.Bool()
         world.credit(caller_inst, -m)
         world.credit(callee_inst, m)
-        callee_info = world.contract_info(callee_inst.contract_name)
-        fn = callee_info.fallback
-        if fn is None:
-            world.trace.emit("WARN", value=m, note=(
-                f"{callee_inst.contract_name} has no fallback; "
-                f"value transferred, no code ran"))
-            world.warnings.append(
-                f"{callee_inst.contract_name} has no fallback function")
-            return True
-        self._enter_external(caller, target, fn, (), m, n, expression=False,
-                             rule="E-FUN2", kind="fallback")
-        return True
-
-    def _enter_external(self, caller: int, target: int, fn: FunctionInfo,
-                        values: tuple, m: int, n: int, expression: bool,
-                        rule: str, kind: str):
-        """Shared E-FUN1/E-FUN2 machinery: push the caller context onto the
-        callee's omega stack, save Msg, run, then restore (SKIP2)."""
-        world = self.world
-        callee_config = world.instance(target).config
+        if not named:
+            fn = callee_info.fallback
+            if fn is None:
+                world.trace.emit("WARN", value=m, note=(
+                    f"{callee_name} has no fallback; "
+                    f"value transferred, no code ran"))
+                world.warnings.append(f"{callee_name} has no fallback function")
+                return True, typesys.Bool()
+        kind = "external" if named else "fallback"
+        callee_config = callee_inst.config
         callee_config.omega.append(caller)
         world.msg_stack.append(world.msg)
         world.msg = Msg(sender=caller, value=m, gas=n)
-        frame = world.new_frame_id()
         display = fn.name or "()"
-        world.trace.push_context(target, display, frame)
-        world.trace.emit(rule, call=CallInfo(
-            kind=kind, to=target, fn=display, args=tuple(values),
-            value=m, gas=n), value=m, omega=len(callee_config.omega))
+        world.trace.push_context(target, display, world.new_frame_id())
+        world.trace.emit("E-FUN1" if named else "E-FUN2", call=CallInfo(
+            kind=kind, to=target, fn=display, args=values, value=m, gas=n),
+            value=m, omega=len(callee_config.omega))
         try:
-            return self.call_internal(target, fn, values, expression=expression,
-                                      call_kind=kind)
+            value = self.call_internal(target, fn, values,
+                                       expression=named and expression,
+                                       call_kind=kind)
         finally:
             world.msg = world.msg_stack.pop()
             callee_config.omega.pop()
             world.trace.emit("SKIP2", omega=len(callee_config.omega))
             world.trace.pop_context()
+        if not named:
+            return True, typesys.Bool()
+        return value, fn.ret[1] if expression else None
 
     # -- statements ---------------------------------------------------------------------
 
@@ -393,10 +392,8 @@ class Executor:
             self.exec_push(ev, e)
         elif isinstance(e, ast.Call):
             self.eval_internal_call(ev, e, expression=False)
-        elif isinstance(e, ast.ExternalCall):
-            self.eval_external_call(ev, e, expression=False)
-        elif isinstance(e, ast.LowLevelCallValue):
-            self.eval_low_level_call(ev, e)
+        elif isinstance(e, (ast.ExternalCall, ast.LowLevelCallValue)):
+            self.external_call(ev, e)
         else:
             ev.eval_rvalue(e)  # evaluate for effect, discard
         if not ev.config.omega:

@@ -304,7 +304,6 @@ class FunctionInfo:
     ret: Optional[tuple]  # (name, SemType) or None
     guard: Optional[ast.Expr]  # normalized modifier condition; None = true
     body: list
-    specifiers: tuple = ()
 
 
 @dataclass
@@ -315,7 +314,6 @@ class ContractInfo:
     functions: dict
     constructor: Optional[FunctionInfo]
     fallback: Optional[FunctionInfo]
-    source: ast.ContractDef
 
 
 def _is_guard_modifier(body: list):
@@ -361,7 +359,7 @@ def _normalize_function(f: ast.FunctionDef, modifiers: dict, structs: dict,
         else:
             body = _inline_placeholder(mbody, body)
     return FunctionInfo(name=f.name, params=params, ret=ret, guard=guard,
-                        body=body, specifiers=f.specifiers)
+                        body=body)
 
 
 def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
@@ -389,7 +387,7 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
             functions[f.name] = info
     return ContractInfo(name=c.name, state_vars=state_vars, structs=structs,
                         functions=functions, constructor=constructor,
-                        fallback=fallback, source=c)
+                        fallback=fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ _esc = json.encoder.encode_basestring_ascii
 
 
 def _int(x) -> str:
-    """A transferred value or gas as JSON: a contract can pass a bool."""
+    """A transferred value or gas as JSON: a library `Tx` can carry a bool."""
     return "true" if x is True else "false" if x is False else repr(x)
 
 

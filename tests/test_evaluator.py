@@ -334,6 +334,22 @@ def test_transactions_never_call_the_static_judgement(monkeypatch):
         assert res.ok
     assert world.instance(bank).balance == 0
     assert sum(e.rule == "E-FUN2" for e in res.events) == 51
+    # an external call as an operand, on a contract-typed target
+    world = world_from_source("""
+    contract B { function g() public returns (uint) { return 41; } }
+    contract A {
+      B b; uint out;
+      function A(B _b) public { b = _b; }
+      function f() public { out = b.g() + 1; }
+    }""")
+    a = deploy(world, "A", args=(deploy(world, "B"),))
+    assert Executor(world).run_transaction(Tx(sender=1, to=a, fname="f")).ok
+    # a scenario's assert lines
+    outcome = run_scenario(make_world("coin.sol"),
+                           parse_scenario(scenario_source("coin.scn")))
+    assert outcome.assertions_ok
+    assert sum(r.description.startswith("assert")
+               for r in outcome.results) == 3
     assert calls["type_of"] == 0
 
 

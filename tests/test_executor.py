@@ -1,6 +1,7 @@
 """Statement execution, calls, transactions, and their invariants."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, decode_value
-from solsem.trace import replay_storage_writes
+from solsem.trace import Trace, replay_storage_writes
 from solsem.typesys import UInt
 
 from conftest import deploy, make_world, world_from_source
@@ -230,6 +231,31 @@ def test_value_of_an_external_function_without_return_aborts_before_it_runs():
     assert res.error.cause.message == "function g of B has no return value"
     assert all(ev.fn != "g" for ev in res.events)  # g never ran
     assert world.storage_fingerprint() == before
+
+
+
+def test_an_external_call_is_typed_by_the_function_it_reaches():
+    # `b` is a plain address, so no static type names g's return type; the
+    # call is typed by the function it reaches, as an operand or as a value
+    world = world_from_source("""
+    contract B {
+      function g() public returns (uint) { return 41; }
+      function ok() public returns (bool) { return true; }
+    }
+    contract A {
+      address b; uint out; uint kept;
+      function A(address _b) public { b = _b; }
+      function operand() public { out = b.g() + 1; }
+      function value() public { uint y = b.g(); kept = y; }
+      function condition() public { if (b.ok()) { kept = kept + 1; } }
+    }""")
+    b = deploy(world, "B")
+    a = deploy(world, "A", args=(b,))
+    ex = Executor(world)
+    for fname in ("operand", "value", "condition"):
+        res = ex.run_transaction(Tx(sender=1, to=a, fname=fname))
+        assert res.ok, (fname, res.error)
+    assert (_read(world, a, "out"), _read(world, a, "kept")) == (42, 42)
 
 
 # -- return ------------------------------------------------------------------------------
@@ -475,6 +501,33 @@ def test_insufficient_balance_for_named_value_call_aborts(dao_world):
     assert dao_world.storage_fingerprint() == before  # atomic rollback
 
 
+
+@pytest.mark.parametrize("call", [
+    "to.call.value(true)();",
+    "to.call.value(1).gas(true)();",
+    "R(to).g.value(true)();",
+    "R(to).g.value(1).gas(true)();",
+    "bool ok = to.call.value(1).gas(false)();",
+])
+def test_a_non_integer_call_value_or_gas_aborts(call):
+    world = world_from_source(f"""
+    contract R {{ uint hits; function g() public {{ hits = 1; }}
+                  function() payable {{ hits = 2; }} }}
+    contract Payer {{ function pay(address to) public {{ {call} }} }}""")
+    ex = Executor(world)
+    recv = ex.deploy("R")
+    payer = ex.deploy("Payer", value=5)
+    before = world.storage_fingerprint()
+    res = ex.run_transaction(Tx(sender=1, to=payer, fname="pay",
+                                args=(recv,)))
+    assert not res.ok
+    assert isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message.endswith("must be an unsigned integer, "
+                                            "not bool")
+    assert not any(ev.rule in ("E-FUN1", "E-FUN2") for ev in res.events)
+    assert world.storage_fingerprint() == before
+
+
 # -- transactions --------------------------------------------------------------------------
 
 def test_sequential_transactions_observe_commits(coin_world):
@@ -619,6 +672,39 @@ def test_stack_exhausting_drain_aborts_and_rolls_back(dao_world):
     for inst in dao_world.instances.values():  # even if a frame's pop failed
         memory = inst.config.memory
         assert (memory.bytes, len(memory.scopes)) == ({}, 1)
+
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_reentrant_round_costs_twelve_python_frames(dao_world, monkeypatch):
+    # reentrant nesting is bounded by the Python stack (ROADMAP item 1), so
+    # a frame more per round lowers the deepest drain that completes; the
+    # depth between successive E-FUN1 events does not depend on the runner
+    depths = []
+    emit = Trace.emit
+
+    def recording(trace, rule, *args, **kwargs):
+        if rule == "E-FUN1":
+            depths.append(_stack_depth())
+        return emit(trace, rule, *args, **kwargs)
+
+    ex = Executor(dao_world)
+    bank = ex.deploy("Bank", value=100)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                 fname="addToBalance")).ok
+    monkeypatch.setattr(Trace, "emit", recording)
+    res = ex.run_transaction(Tx(sender=0xB, to=attack,
+                                fname="withdrawBalance"))
+    assert res.ok and dao_world.instance(bank).balance == 0
+    assert len(depths) == 52  # the last withdraw finds the bank empty
+    assert {b - a for a, b in zip(depths, depths[1:])} == {12}
 
 
 def test_call_depth_cap():

@@ -12,15 +12,13 @@ from conftest import CLI_RUNS, deploy, make_world, scenario_source, \
     world_from_source
 from ndjson_oracle import event_to_json
 
-# a transfer to a contract without a fallback (WARN with value and note),
-# an unfunded one (WARN with a note), and a bool passed as the value, which
-# the engine accepts and JSON spells `true`
+# a transfer to a contract without a fallback (WARN with value and note)
+# and an unfunded one (WARN with a note); a bool value or gas only reaches
+# the writer through a library Tx, which the drawn events below cover
 _PAYER = """
 contract Sink { uint x; }
-contract Recv { function() public payable { } }
 contract Payer {
     function pay(address to, uint m) public { to.call.value(m)(); }
-    function payTrue(address to) public { to.call.value(true)(); }
 }
 """
 
@@ -47,17 +45,14 @@ def _traces():
     yield "aborted tx", world.trace
     world = world_from_source(_PAYER)
     ex = Executor(world)
-    sink, recv = deploy(world, "Sink"), deploy(world, "Recv")
+    sink = deploy(world, "Sink")
     payer = deploy(world, "Payer", value=5)
-    for fname, args in (("pay", (sink, 3)), ("pay", (sink, 100)),
-                        ("payTrue", (sink,)), ("payTrue", (recv,))):
-        assert ex.run_transaction(Tx(sender=1, to=payer, fname=fname,
-                                     args=args)).ok
+    for m in (3, 100):
+        assert ex.run_transaction(Tx(sender=1, to=payer, fname="pay",
+                                     args=(sink, m))).ok
     warns = [ev for ev in world.trace.events if ev.rule == "WARN"]
-    assert [ev.value for ev in warns] == [3, None, True]
+    assert [ev.value for ev in warns] == [3, None]
     assert all(ev.note for ev in warns)
-    assert any(ev.call is not None and ev.call.value is True
-               for ev in world.trace.events)
     yield "transfers", world.trace
 
 
