@@ -16,6 +16,7 @@ line on standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -136,34 +137,37 @@ def _cmd_run(args) -> int:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(ndjson)
 
-    if args.json:
-        doc = {
-            "transactions": world.tx_count,
-            "halted": outcome.halted,
-            "actions": [{"description": r.description, "ok": r.ok,
-                         "detail": r.detail} for r in outcome.results],
-            "findings": [f.to_json() for f in findings],
-            "events": len(world.trace.events),
-        }
-        if layouts:
-            doc["layouts"] = {h: rep.to_json() for h, rep in layouts}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for r in outcome.results:
-            mark = "ok" if r.ok else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"[{mark}] {r.description}{detail}")
-        for warning in world.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        for f in findings:
-            path = " -> ".join(f"{a:#x}.{fn}" for a, fn in f.path)
-            print(f"REENTRANCY {f.victim:#x}.{f.fn}: reentered at event "
-                  f"{f.reentrant_seq} (outer frame from event {f.outer_seq}); "
-                  f"{len(f.writes_after)} storage write(s) after reentry; "
-                  f"path {path}")
-        if layouts:
-            for handle, rep in layouts:
-                _print_layout(rep, handle)
+    # stdout holds nothing but a trace written there: the report goes to stderr
+    with contextlib.redirect_stdout(sys.stderr if args.trace == "-"
+                                    else sys.stdout):
+        if args.json:
+            doc = {
+                "transactions": world.tx_count,
+                "halted": outcome.halted,
+                "actions": [{"description": r.description, "ok": r.ok,
+                             "detail": r.detail} for r in outcome.results],
+                "findings": [f.to_json() for f in findings],
+                "events": len(world.trace.events),
+            }
+            if layouts:
+                doc["layouts"] = {h: rep.to_json() for h, rep in layouts}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            for r in outcome.results:
+                mark = "ok" if r.ok else "FAIL"
+                detail = f"  ({r.detail})" if r.detail else ""
+                print(f"[{mark}] {r.description}{detail}")
+            for warning in world.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+            for f in findings:
+                path = " -> ".join(f"{a:#x}.{fn}" for a, fn in f.path)
+                print(f"REENTRANCY {f.victim:#x}.{f.fn}: reentered at event "
+                      f"{f.reentrant_seq} (outer frame from event "
+                      f"{f.outer_seq}); {len(f.writes_after)} storage write(s) "
+                      f"after reentry; path {path}")
+            if layouts:
+                for handle, rep in layouts:
+                    _print_layout(rep, handle)
 
     if outcome.halted:
         failed = outcome.results[-1]

@@ -27,7 +27,7 @@ from . import ast, typesys
 from .errors import DivisionByZero, IndexOutOfBounds, SolTypeError, SolsemError
 from .keccak import keccak256_int
 from .state import (
-    FunctionInfo, HashedRegion, decode_value, encode_key32, encode_value,
+    FunctionInfo, decode_value, encode_key32, encode_value,
 )
 from .trace import Write
 
@@ -190,9 +190,7 @@ class Evaluator:
             slot = self.world.derived_slot(slot_of_map, p,
                                            encode_key32(i, sem.key),
                                            self.world.options.evm_hash_order)
-            self.config.storage.record_hashed(HashedRegion(
-                slot=slot, kind="mapping", base_slot=p, key=i,
-                value_type=sem.value))
+            self.config.storage.record_hashed(slot, "mapping", p, i, sem.value)
             return LValue(slot * typesys.SLOT, located)
         if i < 0:
             raise IndexOutOfBounds(f"negative index {i}",
@@ -212,9 +210,7 @@ class Evaluator:
         p = addr_b // typesys.SLOT
         slot = self.world.derived_slot(slot_of_dyn, p, 0) \
             + i * _slot_stride(sem.elem)
-        self.config.storage.record_hashed(HashedRegion(
-            slot=slot, kind="dynarray", base_slot=p, key=i,
-            value_type=sem.elem))
+        self.config.storage.record_hashed(slot, "dynarray", p, i, sem.elem)
         return LValue(slot * typesys.SLOT, located)
 
     def _member_lvalue(self, e: ast.Member) -> LValue:
@@ -367,19 +363,18 @@ class Evaluator:
                 f"cannot assign a whole {typesys.type_to_str(sem)}")
         data = encode_value(v, sem)
         self.config.write_bytes(loc, addr, data)
-        return [Write(space=loc, at=addr, data=data)]
+        return [Write(loc, addr, data)]
 
     def _write_string(self, loc: str, addr: int, v) -> list:
         if not isinstance(v, str):
             raise SolTypeError("expected a string value")
         raw = v.encode("utf-8")
-        writes = [Write(space=loc, at=addr,
-                        data=len(raw).to_bytes(typesys.SLOT, "big"))]
+        writes = [Write(loc, addr, len(raw).to_bytes(typesys.SLOT, "big"))]
         self.config.write_bytes(loc, addr, writes[0].data)
         if loc == typesys.MEMORY:
             self.config.write_bytes(loc, addr + typesys.SLOT, raw)
             if raw:
-                writes.append(Write(space=loc, at=addr + typesys.SLOT, data=raw))
+                writes.append(Write(loc, addr + typesys.SLOT, raw))
             return writes
         p = addr // typesys.SLOT
         h = self.world.derived_slot(slot_of_dyn, p, 0)
@@ -387,15 +382,17 @@ class Evaluator:
             chunk = raw[j:j + typesys.SLOT].ljust(typesys.SLOT, b"\x00")
             at = (h + j // typesys.SLOT) * typesys.SLOT
             self.config.write_bytes(loc, at, chunk)
-            writes.append(Write(space=loc, at=at, data=chunk))
-            self.config.storage.record_hashed(HashedRegion(
-                slot=h + j // typesys.SLOT, kind="string", base_slot=p,
-                key=j // typesys.SLOT))
+            writes.append(Write(loc, at, chunk))
+            self.config.storage.record_hashed(h + j // typesys.SLOT, "string",
+                                              p, j // typesys.SLOT)
         return writes
 
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):
     """Decode the value of type `sem` stored at addr (composites nest)."""
+    if typesys.is_primitive(sem):
+        return decode_value(config.read_bytes(loc, addr, typesys.size_of(sem)),
+                            sem)
     if isinstance(sem, typesys.StaticArray):
         stride = typesys.size_of(sem.elem)
         return [read_value(world, config, loc, addr + i * stride, sem.elem)
@@ -429,4 +426,5 @@ def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):
         return raw.decode("utf-8", errors="replace")
     if isinstance(sem, typesys.Ref):
         raise SolTypeError("a ref has no stored value; read through it instead")
-    return decode_value(config.read_bytes(loc, addr, typesys.size_of(sem)), sem)
+    raise SolTypeError(
+        f"cannot decode a value of type {typesys.type_to_str(sem)}")

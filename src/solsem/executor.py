@@ -28,7 +28,7 @@ from .errors import (
 )
 from .evaluator import Evaluator, slot_of_dyn, _slot_stride
 from .state import (
-    FunctionInfo, HashedRegion, Msg, World, encode_value, zero_value,
+    FunctionInfo, Msg, World, encode_value, zero_value,
 )
 from .trace import CallInfo, Write
 
@@ -132,21 +132,20 @@ class Executor:
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
         start = len(trace)
-        world.msg = Msg(sender=tx.sender, value=tx.value, gas=tx.gas)
+        world.msg = Msg(tx.sender, tx.value, tx.gas)
         world.msg_stack = []
         world.stmt_steps = 0
         deploying = kind == "deploy"
         trace.push_context(tx.to, None if deploying else tx.fname,
                            world.new_frame_id())
-        trace.emit("TX-START", call=CallInfo(
-            kind=kind, to=tx.to, fn=tx.fname, args=tuple(tx.args),
-            value=tx.value, gas=tx.gas),
-            value=None if deploying else tx.value or None)
+        trace.emit("TX-START", call=CallInfo(kind, tx.to, tx.fname,
+                                             tuple(tx.args), tx.value, tx.gas),
+                   value=None if deploying else tx.value or None)
         try:
             value = body()
             trace.emit("TX-END")
             return TxResult(ok=True, value=value,
-                            events=trace.slice_from(start),
+                            events=trace.events[start:],
                             steps=world.stmt_steps)
         except BaseException as exc:
             world.restore(mark)
@@ -163,7 +162,7 @@ class Executor:
             aborted = exc if isinstance(exc, TxAborted) \
                 else TxAborted(str(exc), cause=exc)
             return TxResult(ok=False, error=aborted,
-                            events=trace.slice_from(start),
+                            events=trace.events[start:],
                             steps=world.stmt_steps)
         finally:
             world.commit()
@@ -188,7 +187,7 @@ class Executor:
         display = fn.name or "()"
         world.trace.push_context(address, display)
         world.trace.emit("E-FUN" if expression else "I-FUN", call=CallInfo(
-            kind=call_kind, to=address, fn=display, args=tuple(values)))
+            call_kind, address, display, tuple(values)))
         ev.config.memory.push_scope()
         try:
             for (pname, ptype), v in zip(fn.params, values):
@@ -227,9 +226,7 @@ class Executor:
                 f"in memory")
         addr = ev.config.fr(name, typesys.Located(sem, typesys.MEMORY), data,
                             decl)
-        self.world.trace.emit("VD2",
-                              writes=[Write(space=typesys.MEMORY, at=addr,
-                                            data=data)])
+        self.world.trace.emit("VD2", writes=[Write(typesys.MEMORY, addr, data)])
         return addr
 
     def eval_internal_call(self, ev: Evaluator, call: ast.Call,
@@ -312,12 +309,12 @@ class Executor:
         callee_config = callee_inst.config
         callee_config.omega.append(caller)
         world.msg_stack.append(world.msg)
-        world.msg = Msg(sender=caller, value=m, gas=n)
+        world.msg = Msg(caller, m, n)
         display = fn.name or "()"
         world.trace.push_context(target, display, world.new_frame_id())
-        world.trace.emit("E-FUN1" if named else "E-FUN2", call=CallInfo(
-            kind=kind, to=target, fn=display, args=values, value=m, gas=n),
-            value=m, omega=len(callee_config.omega))
+        world.trace.emit("E-FUN1" if named else "E-FUN2",
+                         call=CallInfo(kind, target, display, values, m, n),
+                         value=m, omega=len(callee_config.omega))
         try:
             value = self.call_internal(target, fn, values,
                                        expression=named and expression,
@@ -425,7 +422,7 @@ class Executor:
             data = bytes(size)
             addr = ev.config.fr(stmt.name, typesys.Located(t, typesys.MEMORY),
                                 data, stmt)
-            writes = [Write(space=typesys.MEMORY, at=addr, data=data)]
+            writes = [Write(typesys.MEMORY, addr, data)]
             if stmt.init is not None:
                 writes += ev.write_value(typesys.MEMORY, addr, t,
                                          ev.eval_rvalue(stmt.init))
@@ -462,11 +459,9 @@ class Executor:
         p = addr_b // typesys.SLOT
         slot = world.derived_slot(slot_of_dyn, p, 0) \
             + length * _slot_stride(sem.elem)
-        ev.config.storage.record_hashed(HashedRegion(
-            slot=slot, kind="dynarray", base_slot=p, key=length,
-            value_type=sem.elem))
+        ev.config.storage.record_hashed(slot, "dynarray", p, length, sem.elem)
         writes = ev.write_value(loc, slot * typesys.SLOT, sem.elem, value)
         len_data = encode_value(length + 1, typesys.UINT256)
         ev.config.write_bytes(loc, addr_b, len_data)
-        writes.append(Write(space=loc, at=addr_b, data=len_data))
+        writes.append(Write(loc, addr_b, len_data))
         world.trace.emit("PUSH", writes=writes)

@@ -174,10 +174,14 @@ class StorageState(ByteStore):
     def write(self, addr: int, data: bytes) -> None:
         super().write(addr, data, self.journal)
 
-    def record_hashed(self, region: HashedRegion) -> None:
-        if region.slot not in self.hashed:
-            self.hashed[region.slot] = region
-            self.journal.append((dict.pop, self.hashed, region.slot))
+    def record_hashed(self, slot: int, kind: str, base_slot: int, key,
+                      value_type: Optional[typesys.SemType] = None) -> None:
+        """Record hash-derived `slot` undoably as a `HashedRegion`, built only
+        the first time the slot is seen: a seen slot keeps its first record."""
+        hashed = self.hashed
+        if slot not in hashed:
+            hashed[slot] = HashedRegion(slot, kind, base_slot, key, value_type)
+            self.journal.append((dict.pop, hashed, slot))
 
 
 class _Frame(NamedTuple):

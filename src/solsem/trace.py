@@ -12,6 +12,10 @@ order, hex fields as `0x..`, every string through the C escaper
 sort_keys=True)` gives for the event's JSON form (tests/ndjson_oracle.py
 keeps that dict builder to check against). Nothing is encoded at `emit`
 time, so the op path pays nothing for the format.
+
+Each applied rule is one call and one slotted event built positionally. An
+event holds the list of writes its rule produced, uncopied, or the shared
+empty tuple `()`; every consumer treats events as read-only.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # Every rule label the engine can emit for an applied semantics rule.
@@ -69,6 +73,7 @@ class CallInfo:
     gas: Optional[int] = None
 
 
+# `Trace.emit` builds events positionally: it depends on this field order
 @dataclass(slots=True)
 class TraceEvent:
     seq: int
@@ -76,20 +81,11 @@ class TraceEvent:
     addr: Optional[int]  # instance the rule fired in
     fn: Optional[str]
     frame: Optional[int]  # nearest enclosing external frame
-    writes: list = field(default_factory=list)
+    writes: list | tuple = ()  # its rule's own Write list, or the shared ()
     call: Optional[CallInfo] = None
     value: Optional[int] = None
     omega: Optional[int] = None  # callee omega depth right after a push
     note: Optional[str] = None
-
-
-class _Context:
-    __slots__ = ("addr", "fn", "frame")
-
-    def __init__(self, addr, fn, frame):
-        self.addr = addr
-        self.fn = fn
-        self.frame = frame
 
 
 class Trace:
@@ -97,14 +93,15 @@ class Trace:
 
     def __init__(self):
         self.events: list = []
-        self._ctx: list = [_Context(None, None, None)]
+        self._ctx: list = [(None, None, None)]  # (addr, fn, frame) tuples
         self._muted: int = 0
 
     # -- context ---------------------------------------------------------------
 
     def push_context(self, addr, fn, frame=None):
-        top = self._ctx[-1]
-        self._ctx.append(_Context(addr, fn, top.frame if frame is None else frame))
+        if frame is None:
+            frame = self._ctx[-1][2]
+        self._ctx.append((addr, fn, frame))
 
     def pop_context(self):
         self._ctx.pop()
@@ -120,22 +117,24 @@ class Trace:
 
     # -- emission ----------------------------------------------------------------
 
-    def emit(self, rule: str, writes=None, call=None, value=None, omega=None,
+    def emit(self, rule: str, writes=(), call=None, value=None, omega=None,
              note=None) -> Optional[TraceEvent]:
+        """Append and return the event of `rule` in the current context (None
+        while muted). It keeps `writes` uncopied: the caller must not change
+        that list afterwards."""
         if rule not in RULE_LABELS:
             raise ValueError(f"unknown rule label {rule!r}")
         if self._muted:
             return None
-        ctx = self._ctx[-1]
-        ev = TraceEvent(seq=len(self.events) + 1, rule=rule, addr=ctx.addr,
-                        fn=ctx.fn, frame=ctx.frame, writes=list(writes or ()),
-                        call=call, value=value, omega=omega, note=note)
-        self.events.append(ev)
+        addr, fn, frame = self._ctx[-1]
+        events = self.events
+        ev = TraceEvent(len(events) + 1, rule, addr, fn, frame, writes or (),
+                        call, value, omega, note)
+        events.append(ev)
         return ev
 
-    def rule(self, label: str):
-        """Minimal event for a pure rule application (sizing, typing)."""
-        return self.emit(label)
+    # a pure rule application (sizing, typing) is an event with no payload
+    rule = emit
 
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 
@@ -151,9 +150,6 @@ class Trace:
 
     def __len__(self):
         return len(self.events)
-
-    def slice_from(self, start_len: int) -> list:
-        return self.events[start_len:]
 
     def labels(self) -> set:
         return {e.rule for e in self.events}

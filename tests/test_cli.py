@@ -144,6 +144,22 @@ def test_trace_ndjson_validates(tmp_path):
     assert "E-FUN1" in rules and "E-FUN2" in rules  # greppable labels
 
 
+def test_trace_to_stdout_sends_the_report_to_stderr(tmp_path, capsys):
+    argv = ["run", _path("c", "dao.sol"), "--scenario", _path("s", "dao.scn"),
+            "--detect-reentrancy", "--json"]
+    assert main(argv + ["--trace", "-"]) == 1
+    streamed = capsys.readouterr()
+    for line in streamed.out.splitlines():
+        jsonschema.validate(json.loads(line), TRACE_EVENT_SCHEMA)
+    trace_path = tmp_path / "dao.ndjson"
+    assert main(argv + ["--trace", str(trace_path)]) == 1
+    assert streamed.out == trace_path.read_text()
+    doc = json.loads(streamed.err)
+    assert doc["findings"]
+    assert {f["fn"] for f in doc["findings"]} == {"withdraw"}
+    assert doc["events"] == len(streamed.out.splitlines())
+
+
 def test_layout_json_validates(capsys):
     code = main(["layout", _path("c", "test2.sol"), "--contract", "Test2",
                  "--json"])

@@ -9,7 +9,7 @@ from solsem import typesys
 from solsem.errors import DuplicateDeclaration, RangeError, ScopeUnderflow
 from solsem.executor import Executor
 from solsem.state import (
-    ByteStore, Config, HashedRegion, Msg, StorageState, decode_value,
+    ByteStore, Config, Msg, StorageState, decode_value,
     encode_key32, encode_value, zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
@@ -325,8 +325,8 @@ def test_fingerprint_sees_leaked_regions_and_addresses():
     address = deploy(world, "Coin")
     before = world.storage_fingerprint()
     # a mapping key taken from a static array is a list
-    world.instance(address).config.storage.record_hashed(HashedRegion(
-        slot=7, kind="mapping", base_slot=1, key=[1, 2], value_type=U256))
+    world.instance(address).config.storage.record_hashed(
+        7, "mapping", 1, [1, 2], U256)
     leaked = world.storage_fingerprint()
     assert leaked != before
     hash(tuple(leaked.items()))

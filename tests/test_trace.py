@@ -1,7 +1,9 @@
-"""The NDJSON trace writer against the dict-building encoder it replaced."""
+"""The NDJSON trace writer against the dict-building encoder it replaced,
+and the event contract `Trace.emit` keeps."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from solsem.executor import Executor, Tx
@@ -79,7 +81,7 @@ _calls = st.builds(
     value=_opt_amounts, gas=_opt_amounts)
 _events = st.builds(
     TraceEvent, seq=_ints, rule=_strings, addr=_addrs, fn=_fns, frame=_frames,
-    writes=st.lists(_writes, max_size=3),
+    writes=st.one_of(st.just(()), st.lists(_writes, max_size=3)),
     call=st.one_of(st.none(), _calls), value=_opt_amounts, omega=_opt_ints,
     note=st.one_of(st.none(), _strings))
 
@@ -96,3 +98,21 @@ def test_ndjson_matches_the_dict_oracle():
     for label, trace in _traces():
         assert trace.to_ndjson() == _oracle_ndjson(trace.events), label
     _drawn_events_match()
+
+
+def test_an_unknown_rule_label_raises_and_appends_nothing():
+    trace = Trace()
+    for emit in (trace.emit, trace.rule):
+        with pytest.raises(ValueError, match="NOPE"):
+            emit("NOPE")
+    assert trace.events == []
+
+
+def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
+    trace = Trace()
+    assert trace.rule("Type3").writes == ()
+    assert trace.emit("TX-END").writes == ()
+    ws = [Write("storage", 0x20, b"\x01")]
+    assert trace.emit("ASSIGN", writes=ws).writes is ws
+    assert [(ev.seq, ev.rule) for ev in trace.events] == [
+        (1, "Type3"), (2, "TX-END"), (3, "ASSIGN")]
