@@ -1,15 +1,25 @@
-"""Expression evaluation: L-values (addresses) and R-values (decoded values).
+"""The compiler: each function becomes a tree of closures, built once.
 
-Identifiers resolve through the scope stack with memory shadowing storage;
-the byte store an access touches is selected by the expression's location
-class, not by which name space resolved it. Local reference variables bind
-directly to the address they alias, so the pointer value of a ref-typed
-expression is its binding.
+`compile_function` compiles a function's parameter binding, modifier guard
+and body into Python closures on its first call in a World, and
+`Executor.call_internal` runs them; `Executor.deploy` compiles each
+state-variable initializer the first time it runs. The compiler is the one
+static walk over the AST. It fixes each node's kind, each identifier's
+binding, each typing step of `typesys` (`index_type`, `binary_type`, ...),
+the sizes, codecs and operators, and the rule labels each node emits (a
+node's typing rule just before its evaluation rule). A closure does only
+the dynamic work, against an `Evaluator`, the context of one running call:
+reads, journaled writes, slot derivations, calls and emission.
 
-Evaluation types each node once: `eval_typed` returns a node's value with
-its type, built by the node's typing step in `typesys` from the types its
-children's evaluation returned, and the node's typing rule is emitted just
-before its evaluation rule. No separate typing pass runs beside it.
+A name is fixed per function: a local if the function declares it
+(parameters, the return variable, any `VarDecl` in the body or an inlined
+modifier body), else a state variable, else a node that raises
+`UnknownIdentifier` when reached. A local's address is read from the live
+top frame, so a local used before its declaration has run aborts. A local
+declared twice has its first declaration's type; a declaration of another
+type aborts when reached. An ill-typed node compiles to a closure that
+evaluates its children in order, with their events, then raises its error:
+`false && nosuch` is false, and a branch never taken never aborts.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -21,15 +31,22 @@ against real-chain layouts.
 
 from __future__ import annotations
 
+import copy
+import operator
 from typing import NamedTuple, Optional
 
 from . import ast, typesys
-from .errors import DivisionByZero, IndexOutOfBounds, SolTypeError, SolsemError
+from .errors import (
+    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds,
+    ReturnOutsideFunction, SolTypeError, SolsemError, TxAborted,
+    UnknownIdentifier,
+)
 from .keccak import keccak256_int
 from .state import (
-    FunctionInfo, decode_value, encode_key32, encode_value,
+    FunctionInfo, decode_value, encode_key32, encode_value, zero_value,
 )
 from .trace import Write
+from .typesys import MEMORY, SLOT, STORAGE, UINT256, Located
 
 _CAST_TARGETS = {
     "uint": typesys.UInt(256), "uint8": typesys.UInt(8),
@@ -40,7 +57,7 @@ _CAST_TARGETS = {
 }
 
 # the (typing, evaluation) rules of an access by its base's kind: through a
-# plain base, then through a ref
+# plain base, then through a ref (after the ref's Size7)
 _ACCESS_RULES = {
     typesys.StaticArray: (("Type1", "E-ARRAY"), ("Type7", "E-ARRAY-REF")),
     typesys.DynArray: (("Type1", "E-D-ARRAY"), ("Type7", "E-D-ARRAY-ref")),
@@ -48,6 +65,13 @@ _ACCESS_RULES = {
     typesys.Struct: (("Type2", "E-STRUCT"), ("Type8", "E-STRUCT-ref")),
 }
 _LENGTH_RULES = {typesys.DynArray: (("E-ARRAY-LEN",), ("E-ARRAY-LEN-ref",))}
+
+_U256 = Located(UINT256, MEMORY)
+_BOOL = Located(typesys.Bool(), MEMORY)
+_ADDRESS = Located(typesys.Address(), MEMORY)
+_SPACE = {loc: operator.attrgetter(loc) for loc in (STORAGE, MEMORY)}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def slot_of_dyn(p: int, i: int) -> int:
@@ -64,7 +88,7 @@ def slot_of_map(p: int, key32: bytes, evm_hash_order: bool = False) -> int:
 
 def _slot_stride(elem: typesys.SemType) -> int:
     """Slots consumed per element inside a hashed region (at least one)."""
-    return max(1, typesys.size_of(elem) // typesys.SLOT)
+    return max(1, typesys.size_of(elem) // SLOT)
 
 
 def apply_binop(op: str, lhs, rhs, t: typesys.SemType):
@@ -105,243 +129,719 @@ def apply_binop(op: str, lhs, rhs, t: typesys.SemType):
     raise SolTypeError(f"operator {op} not defined at {typesys.type_to_str(t)}")
 
 
+def _convert(v, t: typesys.SemType, span):
+    if isinstance(t, typesys.UInt):
+        return int(v) % (1 << t.width)
+    if isinstance(t, (typesys.Address, typesys.Contract)):
+        return int(v) % (1 << 160)
+    if isinstance(t, typesys.Int256):
+        return (int(v) + (1 << 255)) % (1 << 256) - (1 << 255)
+    raise SolTypeError(f"unsupported cast to {typesys.type_to_str(t)}", span)
+
+
+def _count_step(world) -> None:
+    """One statement or loop iteration: the step hook and the step budget."""
+    world.stmt_steps += 1
+    options = world.options
+    if options.step_hook is not None:
+        options.step_hook(world, world.stmt_steps)
+    if options.max_steps is not None and world.stmt_steps > options.max_steps:
+        raise TxAborted(f"exceeded max steps ({options.max_steps})")
+
+
 class LValue(NamedTuple):
     addr: int
-    located: typesys.Located
+    located: Located
+
+
+# ---------------------------------------------------------------------------
+# the compiler
+# ---------------------------------------------------------------------------
+
+class _Labels(list):
+    """Stands in for the trace to record the rule labels of a sizing step."""
+    rule = list.append
+
+
+def _recorded(step, *args) -> tuple:
+    """(labels, result) of the typesys sizing step `step(*args, trace)`."""
+    labels = _Labels()
+    result = step(*args, labels)
+    return tuple(labels), result
+
+
+def _bad(located) -> bool:
+    return isinstance(located, SolsemError)
+
+
+def _failing(runs: list, err: SolsemError):
+    """An ill-typed node: it runs `runs` in order (an ill-typed child raises
+    its own error there), then raises `err`, which stands as its type."""
+    def run(ev, *_):
+        for r in runs:
+            r(ev)
+        raise copy.copy(err)
+    return run, err
+
+
+def _reader(located: Located):
+    """read(ev, addr): the value of `located` at addr (a ref's is addr)."""
+    sem, loc = located
+    if isinstance(sem, typesys.Ref):
+        return lambda ev, addr: addr
+    if not typesys.is_primitive(sem):
+        return lambda ev, addr: read_value(ev.world, ev.config, loc, addr, sem)
+    space, size = _SPACE[loc], typesys.size_of(sem)
+    return lambda ev, addr: decode_value(space(ev).read(addr, size), sem)
+
+
+def _writer(located: Located):
+    """write(ev, addr, v): store v at addr as `located`; its Write records."""
+    sem, loc = located
+    if not typesys.is_primitive(sem):
+        return lambda ev, addr, v: ev.write_value(loc, addr, sem, v)
+    space = _SPACE[loc]
+
+    def write(ev, addr, v):
+        data = encode_value(v, sem)
+        space(ev).write(addr, data)
+        return [Write(loc, addr, data)]
+    return write
+
+
+def _access(base: Located, table=_ACCESS_RULES) -> tuple:
+    """(sem, labels) of an access through a base of type `base`: Size7 for a
+    ref base, then the node's typing and evaluation rules."""
+    sem, is_ref = typesys._strip_ref(base.sem)
+    return sem, ("Size7",) * is_ref + table[type(sem)][is_ref]
+
+
+def _local(s: ast.VarDecl, structs: dict, registry) -> Located:
+    """What a local declaration binds: a storage pointer (a ref to its
+    referent) or a memory value."""
+    t = typesys.resolve_type(s.type_name, structs, registry)
+    if isinstance(t, typesys.Mapping) and s.location == "memory":
+        raise SolTypeError("mappings live in storage only", s.span)
+    if typesys.is_reference_kind(t) and s.location != "memory":
+        return Located(typesys.make_ref(t), STORAGE)
+    return Located(t, MEMORY)
+
+
+def _declarations(stmts: list):
+    """Every VarDecl of a body, nested blocks included, in source order."""
+    for s in stmts:
+        if isinstance(s, ast.VarDecl):
+            yield s
+        for _, child in ast.children(s):
+            if isinstance(child, list):
+                yield from _declarations(child)
+
+
+class _Compiler:
+    """Compiles the nodes of one function, or one expression against a live
+    frame. `locals` maps a local's name to its Located, or to the error of
+    its ill-typed declaration; `storage` holds the contract's state
+    variables, which sit at the same addresses in every instance. A node
+    compiles to (run, located); a statement to run, which returns True when
+    it executed a `return`."""
+
+    def __init__(self, world, info, storage, locals_: dict,
+                 fn: Optional[FunctionInfo] = None):
+        self.world, self.info, self.storage = world, info, storage
+        self.locals, self.fn = locals_, fn
+        self.rules, self.emit = world.trace.rules, world.trace.emit
+        self.kids = None  # runs of the children of the node being compiled
+
+    def _node(self, table, e, strict: bool = True, default=None):
+        """`table[type(e)](self, e)`. A static step that raises makes `e` an
+        ill-typed node over the children compiled so far; so does an
+        ill-typed child of a node that needs its type (`strict`)."""
+        outer, self.kids = self.kids, []
+        try:
+            code = table.get(type(e), default)(self, e)
+        except SolsemError as err:
+            code = _failing(self.kids, err)
+        finally:
+            self.kids = outer
+        if outer is not None:
+            outer.append(code[0])
+            if strict and _bad(code[1]):
+                raise code[1]
+        return code
+
+    def typed(self, e: ast.Expr, strict: bool = True):
+        """run returns the value, of type located.sem."""
+        return self._node(_TYPED, e, strict, _Compiler._untyped)
+
+    def lvalue(self, e: ast.Expr, strict: bool = True):
+        """run returns the node's address."""
+        return self._node(_LVALUES, e, strict, _Compiler._unaddressable)
+
+    def rvalue(self, e: ast.Expr):
+        """run of `e` where nothing operates on its value: an array literal,
+        or an external call no static type names, can stand there."""
+        return self._node(_RVALUES, e, False, _Compiler.typed)[0]
+
+    def condition(self, e: ast.Expr, error: str, span=None):
+        """run of a branch, loop, modifier or `&&`/`||` operand: it must type
+        as bool, or it raises a SolTypeError with `error`."""
+        run, located = self.typed(e, strict=False)
+        if _bad(located) or isinstance(located.sem, typesys.Bool):
+            return run
+        return _failing([run], SolTypeError(error, span))[0]
+
+    # -- expressions ------------------------------------------------------------
+
+    def _untyped(self, e):
+        raise SolTypeError(f"expression has no type: {e!r}",
+                           getattr(e, "span", None))
+
+    def _unaddressable(self, e):
+        raise SolTypeError("expression is not addressable",
+                           getattr(e, "span", None))
+
+    def _array(self, e: ast.ArrayLit):
+        elements = [self.rvalue(x) for x in e.elements]
+        return (lambda ev: [x(ev) for x in elements]), None
+
+    def _ident(self, e: ast.Ident):
+        """Type3 and E-ID1, or E-ID2 for a local, whose address is the live
+        top frame's."""
+        name, span, rules = e.name, e.span, self.rules
+        if name in self.locals:
+            located = self.locals[name]
+
+            def run(ev):
+                addr = ev.locals.get(name)
+                if addr is None:
+                    raise UnknownIdentifier(f"unknown identifier {name}", span)
+                rules(("Type3", "E-ID2"))
+                return addr
+            if _bad(located):
+                self.kids.append(run)
+                raise located
+            return run, located
+        if name not in self.storage.names:
+            raise UnknownIdentifier(f"unknown identifier {name}", span)
+        addr = self.storage.names[name]
+
+        def state_var(ev):
+            rules(("Type3", "E-ID1"))
+            return addr
+        return state_var, self.storage.types[name]
+
+    def _read(self, e):
+        """An identifier, index or member as a value: a ref's pointer after
+        Size7, or E-RV and the value at its address."""
+        run, located = self.lvalue(e)
+        labels = ("Size7",) if isinstance(located.sem, typesys.Ref) \
+            else ("E-RV",)
+        read, rules = _reader(located), self.rules
+
+        def value(ev):
+            addr = run(ev)
+            rules(labels)
+            return read(ev, addr)
+        return value, located
+
+    def _index(self, e: ast.Index):
+        run_i, index_t = self.typed(e.index)
+        run_b, base_t = self.lvalue(e.base)
+        located = typesys.index_type(e, base_t, index_t.sem)
+        sem, labels = _access(base_t)
+        rules, world = self.rules, self.world
+        if isinstance(sem, typesys.Mapping):
+            key_t, value_t = sem.key, sem.value
+
+            def run(ev):
+                i = run_i(ev)
+                p = run_b(ev) // SLOT
+                rules(labels)
+                slot = world.derived_slot(slot_of_map, p, encode_key32(i, key_t),
+                                          world.options.evm_hash_order)
+                ev.storage.record_hashed(slot, "mapping", p, i, value_t)
+                return slot * SLOT
+            return run, located
+        ispan, span, elem = getattr(e.index, "span", None), e.span, sem.elem
+        if isinstance(sem, typesys.StaticArray):
+            n, what = sem.length, typesys.type_to_str(sem)
+            sized, stride = _recorded(typesys.size_of, elem)
+        else:
+            n, stride = None, _slot_stride(elem)
+            read_length = _reader(Located(UINT256, base_t.loc))
+
+        def run(ev):
+            i = run_i(ev)
+            addr = run_b(ev)
+            rules(labels)
+            if i < 0:
+                raise IndexOutOfBounds(f"negative index {i}", ispan)
+            if n is not None:
+                if i >= n:
+                    raise IndexOutOfBounds(
+                        f"index {i} out of bounds for {what}", span)
+                rules(sized)
+                return addr + i * stride
+            length = read_length(ev, addr)
+            if i > length - 1:
+                raise IndexOutOfBounds(
+                    f"index {i} out of bounds for dynamic array of length "
+                    f"{length}", span)
+            p = addr // SLOT
+            slot = world.derived_slot(slot_of_dyn, p, 0) + i * stride
+            ev.storage.record_hashed(slot, "dynarray", p, i, elem)
+            return slot * SLOT
+        return run, located
+
+    def _member(self, e: ast.Member):
+        run, base_t = self.lvalue(e.base)
+        located = typesys.member_type(e, base_t)
+        sem, labels = _access(base_t)
+        sized, offset = _recorded(typesys.field_offset, sem,
+                                  typesys.field_index(sem, e.name))
+        labels, rules = labels + sized, self.rules
+
+        def member(ev):
+            addr = run(ev)
+            rules(labels)
+            return addr + offset
+        return member, located
+
+    def _length(self, base: ast.Expr, what: str, span):
+        """(run, DynArray, location) of the array under a `.length` or
+        `push` (E-ARRAY-LEN): run returns (its address, its length)."""
+        run, base_t = self.lvalue(base)
+        sem = typesys.dyn_array(base_t.sem, what, span)
+        labels, rules = _access(base_t, _LENGTH_RULES)[1], self.rules
+        read = _reader(Located(UINT256, base_t.loc))
+
+        def length(ev):
+            addr = run(ev)
+            rules(labels)
+            return addr, read(ev, addr)
+        return length, sem, base_t.loc
+
+    def _array_length(self, e: ast.ArrayLength):
+        run = self._length(e.base, ".length", e.span)[0]
+        return (lambda ev: run(ev)[1]), _U256
+
+    def _constant(self, e):
+        value = e.value
+        return (lambda ev: value), _LITERALS[type(e)]
+
+    def _msg(self, e):
+        field = "sender" if isinstance(e, ast.MsgSender) else "value"
+
+        def run(ev):
+            if ev.world.msg is None:
+                raise SolsemError("no transaction context (msg) is active")
+            return getattr(ev.world.msg, field)
+        return run, _ADDRESS if field == "sender" else _U256
+
+    def _unary(self, e: ast.Unary):
+        run, it = self.typed(e.operand)
+        t = typesys.unary_type(e, it.sem)
+        if e.op == "!":
+            return (lambda ev: not run(ev)), _BOOL
+        if isinstance(e.operand, ast.IntLit):  # a signed literal
+            return (lambda ev: -run(ev)), Located(t, MEMORY)
+        return (lambda ev: apply_binop("-", 0, run(ev), t)), Located(t, MEMORY)
+
+    def _binary(self, e: ast.Binary):
+        op = e.op
+        if op in ("&&", "||"):  # short-circuit: the rhs only if needed
+            lhs = self.condition(e.lhs, f"{op} requires bool operands", e.span)
+            rhs = self.condition(e.rhs, f"{op} requires bool operands", e.span)
+            if op == "&&":
+                return (lambda ev: lhs(ev) and rhs(ev)), _BOOL
+            return (lambda ev: lhs(ev) or rhs(ev)), _BOOL
+        lhs, lt = self.typed(e.lhs)
+        rhs, rt = self.typed(e.rhs)
+        t = typesys.binary_type(e, lt.sem, rt.sem)
+        if op in _COMPARE:
+            f = _COMPARE[op]
+            return (lambda ev: f(lhs(ev), rhs(ev))), Located(t, MEMORY)
+        return (lambda ev: apply_binop(op, lhs(ev), rhs(ev), t)), \
+            Located(t, MEMORY)
+
+    def _call(self, e: ast.Call):
+        cast = None if e.name in self.info.functions \
+            else _CAST_TARGETS.get(e.name) or (  # a function wins over a cast
+                typesys.Contract(e.name) if e.name in self.world.registry
+                else None)
+        if cast is None:
+            return self._internal(e)
+        if len(e.args) != 1:
+            raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
+        arg, span = self.rvalue(e.args[0]), e.span
+        return (lambda ev: _convert(arg(ev), cast, span)), Located(cast, MEMORY)
+
+    def _internal(self, e: ast.Call, expression: bool = True):
+        """An internal call; as an expression, Type5 and Size6 follow it."""
+        fn = self.info.functions.get(e.name)
+        if fn is None:
+            raise UnknownIdentifier(f"unknown function {e.name}", e.span)
+        if expression and fn.ret is None:
+            raise SolTypeError(f"function {e.name} has no return value", e.span)
+        args, rules = [self.rvalue(a) for a in e.args], self.rules
+
+        def run(ev):
+            value = ev.executor.call_internal(
+                ev.address, fn, tuple([a(ev) for a in args]), expression)
+            if expression:
+                rules(("Type5", "Size6"))
+            return value
+        return run, Located(fn.ret[1], MEMORY) if expression else None
+
+    def _amount(self, x: Optional[ast.Expr], what: str):
+        """run of a call's `.value(...)` or `.gas(...)`: an unsigned integer."""
+        if x is None:
+            return None
+        run, t = self.typed(x)
+        if not isinstance(t.sem, typesys.UInt):
+            raise SolTypeError(f"call {what} must be an unsigned integer, not "
+                               f"{typesys.type_to_str(t.sem)}", x.span)
+        return run
+
+    def _returns(self, e: ast.ExternalCall, target) -> Located:
+        """The static type of a named call's value: what the declared
+        contract's function returns, for a contract-typed target, else what
+        every registered function of that name returns; or the error."""
+        registry = self.world.registry
+        sem = None if _bad(target) else typesys._strip_ref(target.sem)[0]
+        if isinstance(sem, typesys.Contract):
+            fns = [registry[sem.name].functions.get(e.name)] \
+                if sem.name in registry else []
+            error = f"function {e.name} of {sem.name} has no return value"
+        else:
+            fns = [info.functions.get(e.name) for info in registry.values()]
+            error = "cannot statically type an external call on a plain address"
+        rets = {f.ret and f.ret[1] for f in fns if f is not None}
+        if len(rets) != 1 or None in rets:
+            return SolTypeError(error, e.span)
+        return Located(rets.pop(), MEMORY)
+
+    def _external(self, e, expression: bool = True, operand: bool = False):
+        """E-FUN1 `c.f.value(m).gas(n)(args)` or E-FUN2 `c.call.value(m)()`:
+        target, arguments, value and gas in that order, then the call. An
+        operand (`operand`) must have a static type; a value need not."""
+        named = isinstance(e, ast.ExternalCall)
+        target, target_t = self.typed(e.target, strict=False)
+        args = [self.rvalue(a) for a in e.args] if named else []
+        value, gas = self._amount(e.value, "value"), self._amount(e.gas, "gas")
+        located = self._returns(e, target_t) if named else _BOOL
+        if operand and _bad(located):
+            raise located
+        name, span = e.name if named else None, e.span
+        expect = None if _bad(located) else located.sem
+
+        def run(ev):
+            to = target(ev)
+            values = tuple([a(ev) for a in args])
+            m = value(ev) if value is not None else 0
+            msg = ev.world.msg
+            n = gas(ev) if gas is not None else msg.gas if msg else 0
+            return ev.executor.external_call(ev, to, name, values, m, n, span,
+                                             expression, expect)
+        return run, located
+
+    # -- statements ---------------------------------------------------------------
+
+    def block(self, stmts: list):
+        runs, rules = [self.stmt(s) for s in stmts], self.rules
+        seq = ("SEQ",) * (len(stmts) > 1)
+
+        def run(ev):
+            if seq:
+                rules(seq)
+            world = ev.world
+            for s in runs:
+                _count_step(world)
+                if s(ev):
+                    return True
+            return False
+        return run
+
+    def stmt(self, s: ast.Stmt):
+        try:
+            return _STATEMENTS.get(type(s), _Compiler._unknown)(self, s)
+        except SolsemError as err:
+            return _failing([], err)[0]
+
+    def _unknown(self, s):
+        raise SolsemError("placeholder statement outside a modifier"
+                          if isinstance(s, ast.Placeholder) else
+                          f"cannot execute {s!r}", getattr(s, "span", None))
+
+    def _assign(self, s: ast.Assign):
+        rhs = self.rvalue(s.rhs)  # rhs first
+        lhs, located = self.lvalue(s.lhs, strict=False)
+        if _bad(located):
+            return lambda ev: (rhs(ev), lhs(ev))
+        write, emit = _writer(located), self.emit
+
+        def run(ev):
+            value = rhs(ev)
+            emit("ASSIGN", write(ev, lhs(ev), value))
+        return run
+
+    def _expr_stmt(self, s: ast.ExprStmt):
+        run = self._node(_EFFECTS, s.expr, False, _Compiler.typed)[0]
+        rules = self.rules
+
+        def stmt(ev):
+            run(ev)  # for effect
+            if not ev.config.omega:
+                rules(("SKIP1",))
+        return stmt
+
+    def _push(self, e: ast.Push):
+        """Dynamic-array growth: store at the hashed slot for the current
+        length, then bump the length in the base slot."""
+        base, sem, loc = self._length(e.base, "push", e.span)
+        arg, elem, world, emit = self.rvalue(e.arg), sem.elem, self.world, \
+            self.emit
+        stride, write = _slot_stride(elem), _writer(Located(elem, loc))
+        write_length = _writer(Located(UINT256, loc))
+
+        def run(ev):
+            addr, length = base(ev)
+            value = arg(ev)
+            p = addr // SLOT
+            slot = world.derived_slot(slot_of_dyn, p, 0) + length * stride
+            ev.storage.record_hashed(slot, "dynarray", p, length, elem)
+            emit("PUSH", write(ev, slot * SLOT, value)
+                 + write_length(ev, addr, length + 1))
+        return run, None
+
+    def _if(self, s: ast.If):
+        cond = self.condition(s.cond, "if condition must be boolean", s.span)
+        then = self.block(s.then)
+        otherwise = self.block(s.otherwise or [])
+        rules, has_else = self.rules, s.otherwise is not None
+
+        def run(ev):
+            if cond(ev):
+                rules(("COND1",))
+                return then(ev)
+            rules(("COND2",))
+            return has_else and otherwise(ev)
+        return run
+
+    def _while(self, s: ast.While):
+        cond = self.condition(s.cond, "while condition must be boolean",
+                              s.span)
+        body, rules = self.block(s.body), self.rules
+
+        def run(ev):
+            while cond(ev):
+                rules(("WHILE2",))
+                _count_step(ev.world)
+                if body(ev):
+                    return True
+            rules(("WHILE1",))
+            return False
+        return run
+
+    def _return(self, s: ast.Return):
+        fn, emit = self.fn, self.emit
+        if fn is None:
+            raise ReturnOutsideFunction("return outside of a function", s.span)
+        if s.expr is None:
+            def run(ev):
+                emit("RETURN")
+                return True
+            return run
+        if fn.ret is None:
+            raise SolTypeError(
+                "return value in a function with no declared return", s.span)
+        value, rname = self.rvalue(s.expr), fn.ret[0]
+        write = _writer(Located(fn.ret[1], MEMORY))
+
+        def run(ev):
+            v = value(ev)
+            emit("RETURN", write(ev, ev.locals[rname], v))
+            return True
+        return run
+
+    def _var_decl(self, s: ast.VarDecl):
+        located = _local(s, self.info.structs, self.world.registry)
+        name, sem, emit = s.name, located.sem, self.emit
+        clash = None if self.locals.get(name) == located else \
+            DuplicateDeclaration(f"{name} already declared in this scope",
+                                 s.span)
+        if isinstance(sem, typesys.Ref):  # a storage pointer
+            init = self.lvalue(s.init, strict=False)[0] if s.init else None
+            warning = f"uninitialized storage pointer {name}"
+
+            def run(ev):
+                if init is not None:
+                    addr = init(ev)
+                else:
+                    addr = 0  # aliases storage slot 0
+                    ev.world.warnings.append(warning)
+                    emit("WARN", note=f"{warning} references storage slot 0")
+                if clash:
+                    raise copy.copy(clash)
+                ev.config.bind_pointer(name, located, addr, s)
+                emit("VD2")
+            return run
+        if typesys.is_reference_kind(sem):  # a memory aggregate
+            (sized, size), rules = _recorded(typesys.size_of, sem), self.rules
+            init = self.rvalue(s.init) if s.init is not None else None
+
+            def run(ev):
+                rules(sized)
+                if clash:
+                    raise copy.copy(clash)
+                addr = ev.config.fr(name, located, bytes(size), s)
+                writes = [Write(MEMORY, addr, bytes(size))]
+                if init is not None:
+                    writes += ev.write_value(MEMORY, addr, sem, init(ev))
+                emit("VD2", writes)
+            return run
+        zero = zero_value(sem)
+        init = self.rvalue(s.init) if s.init is not None else lambda ev: zero
+        bind = self.binder(name, sem, s, clash)
+        return lambda ev: bind(ev, init(ev))
+
+    def binder(self, name: str, sem, decl=None, clash=None):
+        """bind(ev, v), VD2: bind `name` in the top frame to a fresh memory
+        address holding v."""
+        if isinstance(sem, typesys.String):
+            def encode(v):
+                raw = str(v).encode("utf-8")
+                return len(raw).to_bytes(SLOT, "big") + raw
+        elif typesys.is_primitive(sem):
+            def encode(v):
+                return encode_value(v, sem)
+        else:
+            return _failing([], SolTypeError(
+                f"cannot bind a value of type {typesys.type_to_str(sem)} "
+                f"in memory"))[0]
+        located, emit = Located(sem, MEMORY), self.emit
+
+        def bind(ev, v):
+            data = encode(v)
+            if clash:
+                raise copy.copy(clash)
+            addr = ev.config.fr(name, located, data, decl)
+            emit("VD2", [Write(MEMORY, addr, data)])
+        return bind
+
+
+_LITERALS = {ast.IntLit: _U256, ast.BoolLit: _BOOL,
+             ast.StringLit: Located(typesys.String(), MEMORY)}
+_C = _Compiler
+_LVALUES = {ast.Ident: _C._ident, ast.Index: _C._index, ast.Member: _C._member}
+_TYPED = {
+    ast.Ident: _C._read, ast.Index: _C._read, ast.Member: _C._read,
+    ast.IntLit: _C._constant, ast.BoolLit: _C._constant,
+    ast.StringLit: _C._constant, ast.MsgSender: _C._msg,
+    ast.MsgValue: _C._msg, ast.Unary: _C._unary, ast.Binary: _C._binary,
+    ast.ArrayLength: _C._array_length, ast.Call: _C._call,
+    ast.ExternalCall: lambda c, e: c._external(e, operand=True),
+    ast.LowLevelCallValue: lambda c, e: c._external(e, operand=True),
+}
+_RVALUES = {ast.ArrayLit: _C._array, ast.ExternalCall: _C._external,
+            ast.LowLevelCallValue: _C._external}
+_EFFECTS = {  # expression statements that are not evaluated as a value
+    ast.ArrayLit: _C._array, ast.Push: _C._push,
+    ast.Call: lambda c, e: c._internal(e, expression=False),
+    ast.ExternalCall: lambda c, e: c._external(e, expression=False),
+    ast.LowLevelCallValue: lambda c, e: c._external(e, expression=False),
+}
+_STATEMENTS = {
+    ast.VarDecl: _C._var_decl, ast.Assign: _C._assign,
+    ast.ExprStmt: _C._expr_stmt, ast.If: _C._if, ast.While: _C._while,
+    ast.Return: _C._return,
+}
+
+
+def compile_function(ev: "Evaluator") -> tuple:
+    """Compile `ev.fn` against `ev`'s contract, with every name it declares:
+    (bind(ev, args), guard(ev) or None, body(ev), result(ev) or None), which
+    `call_internal` runs in that order."""
+    fn, world, info = ev.fn, ev.world, ev.info
+    ret = [fn.ret] if fn.ret is not None else []
+    locals_: dict = {}  # the first declaration of a name gives its type
+    for name, t in fn.params + ret:
+        locals_.setdefault(name, Located(t, MEMORY))
+    for s in _declarations(fn.body):
+        try:
+            locals_.setdefault(s.name, _local(s, info.structs, world.registry))
+        except SolsemError as err:
+            locals_.setdefault(s.name, err)
+    c = _Compiler(world, info, ev.storage, locals_, fn)
+    binders = [c.binder(name, t) for name, t in fn.params + ret]
+    zero = [zero_value(t) for _, t in ret]
+    guard = c.condition(fn.guard, "modifier condition must be boolean") \
+        if fn.guard is not None else None
+    result = None
+    if ret:
+        read, rname = _reader(Located(fn.ret[1], MEMORY)), fn.ret[0]
+        result = lambda ev: read(ev, ev.locals[rname])  # noqa: E731
+
+    def bind(ev, args):
+        for b, v in zip(binders, [*args, *zero]):
+            b(ev, v)
+    return bind, guard, c.block(fn.body), result
 
 
 class Evaluator:
-    """Evaluation within one contract instance and, when `fn` is given, one
-    running function; calls delegate to the executor. It is also the
-    environment the static `typesys.type_of` types expressions against."""
+    """The context of one running call: the instance (its config, storage
+    and memory), the function, and `locals`, the names of the top frame.
+    The compiled closures read it; it also compiles and runs one expression
+    against the live frame, for scenario asserts and tests."""
 
     def __init__(self, executor, address: int,
                  fn: Optional[FunctionInfo] = None):
         world = executor.world
         instance = world.instance(address)
+        config = instance.config
         self.executor = executor
         self.world = world
         self.address = address
         self.fn = fn
-        self.config = instance.config
+        self.config = config
+        self.storage = config.storage
+        self.memory = config.memory
+        self.locals = config.memory.top.names
         self.info = world.contract_info(instance.contract_name)
-        self.trace = world.trace
 
-    # -- typing environment ----------------------------------------------------
+    # -- one expression, compiled against the live frame, then run -------------
 
-    def function_return(self, name: str) -> Optional[typesys.SemType]:
-        fn = self.info.functions.get(name)
-        if fn is None or fn.ret is None:
-            return None
-        return fn.ret[1]
-
-    def cast_target(self, name: str) -> Optional[typesys.SemType]:
-        if name in self.info.functions:
-            return None  # a local function wins over a cast
-        if name in _CAST_TARGETS:
-            return _CAST_TARGETS[name]
-        if name in self.world.registry:
-            return typesys.Contract(name)
-        return None
-
-    def external_return(self, contract_name: str, fn: str):
-        info = self.world.registry.get(contract_name)
-        if info is None:
-            return None
-        f = info.functions.get(fn)
-        return f.ret[1] if f is not None and f.ret is not None else None
+    def _compiler(self) -> _Compiler:
+        top = self.memory.top
+        self.locals = top.names
+        return _Compiler(self.world, self.info, self.storage, dict(top.types),
+                         self.fn)
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
-        return typesys.type_of(self, e)
-
-    # -- L-values ---------------------------------------------------------------
+        """The static type of `e`; an ill-typed `e` raises its error. A `&&`
+        or `||` types as bool: its operands are checked when reached."""
+        located = self._compiler().typed(e)[1]
+        if _bad(located):
+            raise copy.copy(located)
+        return located
 
     def eval_lvalue(self, e: ast.Expr) -> LValue:
-        if isinstance(e, ast.Ident):
-            b = self.config.lookup(e.name, e.span)
-            self.trace.rule("Type3")
-            self.trace.rule("E-ID2" if b.space == typesys.MEMORY else "E-ID1")
-            return LValue(b.addr, b.located)
-        if isinstance(e, ast.Index):
-            return self._index_lvalue(e)
-        if isinstance(e, ast.Member):
-            return self._member_lvalue(e)
-        raise SolTypeError(f"expression is not addressable", getattr(e, "span", None))
+        run, located = self._compiler().lvalue(e)
+        return LValue(run(self), located)
 
-    def _access(self, base: typesys.Located, rules=_ACCESS_RULES):
-        """Emit the rules of an access whose base is evaluated and whose node
-        is typed: Size7 for a ref base (its R-value is the address it
-        aliases), then the node's typing and evaluation rules. Returns the
-        base's type under the ref."""
-        sem, is_ref = typesys._strip_ref(base.sem)
-        if is_ref:
-            typesys.size_of(base.sem, self.trace)
-        for rule in rules[type(sem)][is_ref]:
-            self.trace.rule(rule)
-        return sem
-
-    def _index_lvalue(self, e: ast.Index) -> LValue:
-        i, index_t = self.eval_typed(e.index)
-        addr_b, base_t = self.eval_lvalue(e.base)
-        located = typesys.index_type(e, base_t, index_t)
-        sem = self._access(base_t)
-        if isinstance(sem, typesys.Mapping):
-            p = addr_b // typesys.SLOT
-            slot = self.world.derived_slot(slot_of_map, p,
-                                           encode_key32(i, sem.key),
-                                           self.world.options.evm_hash_order)
-            self.config.storage.record_hashed(slot, "mapping", p, i, sem.value)
-            return LValue(slot * typesys.SLOT, located)
-        if i < 0:
-            raise IndexOutOfBounds(f"negative index {i}",
-                                   getattr(e.index, "span", None))
-        if isinstance(sem, typesys.StaticArray):
-            if i >= sem.length:
-                raise IndexOutOfBounds(
-                    f"index {i} out of bounds for {typesys.type_to_str(sem)}",
-                    e.span)
-            return LValue(addr_b + i * typesys.size_of(sem.elem, self.trace),
-                          located)
-        length = self.read_value(base_t.loc, addr_b, typesys.UINT256)
-        if i > length - 1:
-            raise IndexOutOfBounds(
-                f"index {i} out of bounds for dynamic array of length "
-                f"{length}", e.span)
-        p = addr_b // typesys.SLOT
-        slot = self.world.derived_slot(slot_of_dyn, p, 0) \
-            + i * _slot_stride(sem.elem)
-        self.config.storage.record_hashed(slot, "dynarray", p, i, sem.elem)
-        return LValue(slot * typesys.SLOT, located)
-
-    def _member_lvalue(self, e: ast.Member) -> LValue:
-        addr_b, base_t = self.eval_lvalue(e.base)
-        located = typesys.member_type(e, base_t)
-        sem = self._access(base_t)
-        offset = typesys.field_offset(sem, typesys.field_index(sem, e.name),
-                                      self.trace)
-        return LValue(addr_b + offset, located)
-
-    def length_access(self, base: ast.Expr, what: str, span) -> tuple:
-        """Evaluate the dynamic array under a `.length` or `push`
-        (E-ARRAY-LEN): its base address, location class, type and length."""
-        addr_b, base_t = self.eval_lvalue(base)
-        sem = typesys.dyn_array(base_t.sem, what, span)
-        self._access(base_t, _LENGTH_RULES)
-        length = self.read_value(base_t.loc, addr_b, typesys.UINT256)
-        return addr_b, base_t.loc, sem, length
-
-    # -- R-values ---------------------------------------------------------------
+    def compile_rvalue(self, e: ast.Expr):
+        """run(ev) of `e` as a value, against the names bound right now."""
+        return self._compiler().rvalue(e)
 
     def eval_rvalue(self, e: ast.Expr):
-        """The value of `e` where nothing operates on it, so an array
-        literal, which has no type of its own, can stand there."""
-        if isinstance(e, ast.ArrayLit):
-            return [self.eval_rvalue(x) for x in e.elements]
-        return self.eval_typed(e)[0]
+        return self.compile_rvalue(e)(self)
 
     def eval_typed(self, e: ast.Expr) -> tuple:
-        """(value, SemType) of `e`. The node is typed as it is evaluated:
-        its typing step (`typesys.index_type`, `binary_type`, ...) takes
-        the types its children's evaluation returned, so no subtree is
-        typed twice."""
-        if isinstance(e, (ast.Ident, ast.Index, ast.Member)):
-            lv = self.eval_lvalue(e)
-            sem = lv.located.sem
-            if isinstance(sem, typesys.Ref):
-                # the pointer value of a ref binding is the address it aliases
-                typesys.size_of(sem, self.trace)
-                return lv.addr, sem
-            self.trace.rule("E-RV")
-            return self.read_value(lv.located.loc, lv.addr, sem), sem
-        if isinstance(e, ast.IntLit):
-            return e.value, typesys.UINT256
-        if isinstance(e, ast.BoolLit):
-            return e.value, typesys.Bool()
-        if isinstance(e, ast.StringLit):
-            return e.value, typesys.String()
-        if isinstance(e, ast.MsgSender):
-            return self._msg().sender, typesys.Address()
-        if isinstance(e, ast.MsgValue):
-            return self._msg().value, typesys.UINT256
-        if isinstance(e, ast.Binary):
-            return self._binary(e)
-        if isinstance(e, ast.Unary):
-            return self._unary(e)
-        if isinstance(e, ast.ArrayLength):
-            return self.length_access(e.base, ".length", e.span)[3], \
-                typesys.UINT256
-        if isinstance(e, ast.Call):
-            return self._call(e)
-        if isinstance(e, (ast.ExternalCall, ast.LowLevelCallValue)):
-            # typed by the function it reaches; a low-level call by success
-            return self.executor.external_call(self, e, expression=True)
-        raise SolTypeError(f"expression has no type: {e!r}",
-                           getattr(e, "span", None))
+        """(value, SemType) of `e`."""
+        run, located = self._compiler().typed(e)
+        return run(self), located.sem
 
-    def _msg(self):
-        if self.world.msg is None:
-            raise SolsemError("no transaction context (msg) is active")
-        return self.world.msg
-
-    def _unary(self, e: ast.Unary):
-        v, it = self.eval_typed(e.operand)
-        t = typesys.unary_type(e, it)
-        if e.op == "!":
-            return not v, t
-        if isinstance(e.operand, ast.IntLit):
-            return -v, t  # a signed literal, not modular negation
-        if isinstance(t, typesys.UInt):
-            return (-v) % (1 << t.width), t
-        return apply_binop("-", 0, v, t), t
-
-    def _binary(self, e: ast.Binary):
-        if e.op in ("&&", "||"):
-            # short-circuit: the rhs is evaluated, and typed, only if needed
-            for operand in (e.lhs, e.rhs):
-                v = self.eval_condition(operand, f"{e.op} requires bool operands",
-                                        e.span)
-                if v == (e.op == "||"):
-                    break
-            return v, typesys.Bool()
-        lhs, lt = self.eval_typed(e.lhs)
-        rhs, rt = self.eval_typed(e.rhs)
-        t = typesys.binary_type(e, lt, rt)
-        return apply_binop(e.op, lhs, rhs, t), t
-
-    def eval_condition(self, e: ast.Expr, error: str, span=None) -> bool:
-        """A branch, loop, modifier or `&&`/`||` operand: it must type as
-        bool, or it raises a SolTypeError with `error`."""
-        v, t = self.eval_typed(e)
-        if not isinstance(t, typesys.Bool):
-            raise SolTypeError(error, span)
-        return bool(v)
-
-    def _call(self, e: ast.Call):
-        cast = self.cast_target(e.name)
-        if cast is not None:
-            if len(e.args) != 1:
-                raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
-            v = self.eval_rvalue(e.args[0])
-            return self._convert(v, cast, e.span), cast
-        # the executor rejects a function with no return value before it runs
-        value = self.executor.eval_internal_call(self, e, expression=True)
-        self.trace.rule("Type5")
-        self.trace.rule("Size6")
-        return value, self.function_return(e.name)
-
-    def _convert(self, v, t: typesys.SemType, span):
-        if isinstance(t, typesys.UInt):
-            return int(v) % (1 << t.width)
-        if isinstance(t, (typesys.Address, typesys.Contract)):
-            return int(v) % (1 << 160)
-        if isinstance(t, typesys.Int256):
-            return (int(v) + (1 << 255)) % (1 << 256) - (1 << 255)
-        raise SolTypeError(f"unsupported cast to {typesys.type_to_str(t)}", span)
-
-    # -- typed reads and writes ---------------------------------------------------
-
-    def read_value(self, loc: str, addr: int, sem: typesys.SemType):
-        return read_value(self.world, self.config, loc, addr, sem)
+    # -- typed writes -------------------------------------------------------------
 
     def write_value(self, loc: str, addr: int, sem: typesys.SemType, v) -> list:
         """Encode and store `v` at addr; returns the Write records."""

@@ -436,6 +436,8 @@ class World:
         # undo records (fn, *args) of the running transaction, oldest first
         self.journal: list = []
         self.derived_slots: dict = {}  # Keccak input -> slot, see derived_slot
+        # id(FunctionInfo or initializer) -> its closures, built on first use
+        self.code: dict = {}
 
     # -- registry -------------------------------------------------------------
 

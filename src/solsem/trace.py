@@ -136,6 +136,18 @@ class Trace:
     # a pure rule application (sizing, typing) is an event with no payload
     rule = emit
 
+    def rules(self, labels: tuple) -> None:
+        """`rule` for each of `labels` in turn, in one call. The labels are
+        not checked: the compiler passes only labels of RULE_LABELS."""
+        if self._muted:
+            return
+        addr, fn, frame = self._ctx[-1]
+        events = self.events
+        seq = len(events)
+        for rule in labels:
+            seq += 1
+            events.append(TraceEvent(seq, rule, addr, fn, frame))
+
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 
     @contextmanager

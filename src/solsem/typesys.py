@@ -1,4 +1,4 @@
-"""Semantic types, byte sizing, slot alignment, and static expression typing.
+"""Semantic types, byte sizing, slot alignment, and the per-node typing steps.
 
 The slot width is fixed at 32 bytes for the whole engine. Primitives pack
 into the current slot when they fit before the next 32-byte boundary;
@@ -200,7 +200,7 @@ def _check_packable(t: SemType, context: str):
 def size_of(t: SemType, trace=None) -> int:
     """Byte extent of a type, including padding for complex types."""
     if isinstance(t, UInt):
-        if trace:
+        if trace is not None:
             trace.rule("Size1")
         return t.width // 8
     if isinstance(t, Int256):
@@ -216,24 +216,24 @@ def size_of(t: SemType, trace=None) -> int:
         _check_packable(t.elem, "a static array")
         inner = size_of(t.elem, trace)
         total = _ceil_to_slot(t.length * inner)
-        if trace:
+        if trace is not None:
             trace.rule("Size2")
         return total
     if isinstance(t, Struct):
         extent = size_packed(0, t.field_types(), trace)
-        if trace:
+        if trace is not None:
             trace.rule("Size3")
         return _ceil_to_slot(extent)
     if isinstance(t, DynArray):
-        if trace:
+        if trace is not None:
             trace.rule("Size4")
         return SLOT
     if isinstance(t, Mapping):
-        if trace:
+        if trace is not None:
             trace.rule("Size5")
         return SLOT
     if isinstance(t, Ref):
-        if trace:
+        if trace is not None:
             trace.rule("Size7")
         return SLOT
     raise UnsizedType(f"type {t!r} has no size")
@@ -276,14 +276,14 @@ def size_packed(start: int, fields, trace=None) -> int:
         if is_primitive(t):
             _check_packable(t, "a struct")
             n = align_up(n, t) + size_of(t)
-            if trace:
+            if trace is not None:
                 trace.rule("SR2")
         else:
             _check_packable(t, "a struct")
             n = _ceil_to_slot(n) + size_of(t, trace)
-            if trace:
+            if trace is not None:
                 trace.rule("SR3")
-    if trace:
+    if trace is not None:
         trace.rule("SR1")
     return n
 
@@ -304,7 +304,7 @@ def field_index(struct_t: Struct, name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# static expression typing
+# typing steps: a node's type from its children's (the compiler applies them)
 # ---------------------------------------------------------------------------
 
 def _is_int_literal(e) -> bool:
@@ -329,66 +329,6 @@ def _comparable(a: SemType, b: SemType) -> bool:
     if isinstance(a, String) and isinstance(b, String):
         return True
     return False
-
-
-def type_of(env, e: ast.Expr) -> Located:
-    """Static type with location class; mirrors the typing judgement rules.
-
-    The static walk over the per-node typing steps (`index_type`,
-    `member_type`, `dyn_array`, `binary_type`, `unary_type`): it types the
-    children, then applies the node's step. The evaluator applies the same
-    steps to the types its children's evaluation returns, so it does not
-    call this. A pure judgement: it emits no trace events. `env` is an
-    `evaluator.Evaluator`: typing reads its `config`, `function_return`,
-    `cast_target` and `external_return`."""
-    if isinstance(e, ast.Ident):
-        return env.config.lookup(e.name, e.span).located
-    if isinstance(e, ast.IntLit):
-        return Located(UINT256, MEMORY)
-    if isinstance(e, ast.BoolLit):
-        return Located(Bool(), MEMORY)
-    if isinstance(e, ast.StringLit):
-        return Located(String(), MEMORY)
-    if isinstance(e, (ast.MsgSender,)):
-        return Located(Address(), MEMORY)
-    if isinstance(e, (ast.MsgValue,)):
-        return Located(UINT256, MEMORY)
-    if isinstance(e, ast.Index):
-        base = type_of(env, e.base)
-        return index_type(e, base, type_of(env, e.index).sem)
-    if isinstance(e, ast.Member):
-        return member_type(e, type_of(env, e.base))
-    if isinstance(e, ast.ArrayLength):
-        dyn_array(type_of(env, e.base).sem, ".length", e.span)
-        return Located(UINT256, MEMORY)
-    if isinstance(e, ast.Call):
-        cast = env.cast_target(e.name)
-        if cast is not None:
-            return Located(cast, MEMORY)
-        ret = env.function_return(e.name)
-        if ret is None:
-            raise SolTypeError(
-                f"function {e.name} has no return value", e.span)
-        return Located(ret, MEMORY)
-    if isinstance(e, ast.ExternalCall):
-        target = type_of(env, e.target)
-        sem, _ = _strip_ref(target.sem)
-        if isinstance(sem, Contract):
-            ret = env.external_return(sem.name, e.name)
-            if ret is None:
-                raise SolTypeError(
-                    f"function {e.name} of {sem.name} has no return value", e.span)
-            return Located(ret, MEMORY)
-        raise SolTypeError(
-            "cannot statically type an external call on a plain address", e.span)
-    if isinstance(e, ast.LowLevelCallValue):
-        return Located(Bool(), MEMORY)  # whether the call succeeded
-    if isinstance(e, ast.Binary):
-        lt = type_of(env, e.lhs).sem
-        return Located(binary_type(e, lt, type_of(env, e.rhs).sem), MEMORY)
-    if isinstance(e, ast.Unary):
-        return Located(unary_type(e, type_of(env, e.operand).sem), MEMORY)
-    raise SolTypeError(f"expression has no type: {e!r}", getattr(e, "span", None))
 
 
 def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:

@@ -1,10 +1,12 @@
 """CLI behaviour: exit codes, output formats, and schema validation."""
 
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
+from solsem import cli
 from solsem.cli import main
 from solsem.executor import Executor
 
@@ -352,10 +354,12 @@ def test_stack_exhaustion_exits_two_with_one_line(tmp_path, capsys):
 
 
 def test_engine_fault_exits_two_with_one_line(monkeypatch, capsys):
-    def fault(self, ev, stmt):
+    def fault(world, step):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(Executor, "exec_stmt", fault)
+    options = cli._options
+    monkeypatch.setattr(cli, "_options", lambda args: dataclasses.replace(
+        options(args), step_hook=fault))
     code = main(["run", _path("c", "coin.sol"),
                  "--scenario", _path("s", "coin.scn")])
     assert code == 2

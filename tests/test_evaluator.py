@@ -10,6 +10,7 @@ from solsem.errors import (
     DivisionByZero, IndexOutOfBounds, SolTypeError,
 )
 from solsem.evaluator import apply_binop, read_value, slot_of_dyn, slot_of_map
+from solsem import executor
 from solsem.executor import Executor, Tx
 from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
@@ -18,6 +19,7 @@ from solsem.typesys import Address, Bool, Int256, UInt
 
 from conftest import deploy, make_world, scenario_source, world_from_source
 from keccak_oracle import keccak256_oracle_int
+from typing_oracle import type_of
 
 U128 = UInt(128)
 U256 = UInt(256)
@@ -251,7 +253,7 @@ _TYPED_EXPRESSIONS = {
                "!target.call.value(1000)()"),
 }
 
-# ill-typed: the evaluator raises the static judgement's message
+# ill-typed: the compiled expression raises the static judgement's message
 _ILL_TYPED_EXPRESSIONS = (
     "flag + 1", "small + int(1) * int(small)", "!small", "-flag",
     "m2[flag]", "small[0]", "s.nosuch", "small.length", "flag && small",
@@ -296,28 +298,29 @@ def test_eval_typed_agrees_with_the_static_judgement():
         for text in _TYPED_EXPRESSIONS[name]:
             e = parse_expression(text)
             value, sem = ev.eval_typed(e)
-            assert sem == ev.type_of(e).sem, text
+            assert ev.type_of(e) == type_of(ev, e), text
+            assert sem == type_of(ev, e).sem, text
             assert value == ev.eval_rvalue(e), text
         if name != "Main":
             continue
         for text in _ILL_TYPED_EXPRESSIONS:
             e = parse_expression(text)
             with pytest.raises(SolTypeError) as static:
-                ev.type_of(e)
+                type_of(ev, e)
             with pytest.raises(SolTypeError) as evaluated:
                 ev.eval_typed(e)
             assert evaluated.value.message == static.value.message, text
 
 
-def test_transactions_never_call_the_static_judgement(monkeypatch):
-    calls = Counter()
-    static = typesys.type_of
+def test_each_function_is_compiled_at_most_once_per_world(monkeypatch):
+    compiled = Counter()  # (world, contract, function) -> compilations
+    compile_function = executor.compile_function
 
-    def counted(env, e):
-        calls["type_of"] += 1
-        return static(env, e)
+    def counted(ev):
+        compiled[ev.world, ev.info.name, ev.fn.name] += 1
+        return compile_function(ev)
 
-    monkeypatch.setattr(typesys, "type_of", counted)
+    monkeypatch.setattr(executor, "compile_function", counted)
     world = make_world("coin.sol")
     coin = deploy(world, "Coin", sender=0xA)
     ex = Executor(world)
@@ -344,13 +347,21 @@ def test_transactions_never_call_the_static_judgement(monkeypatch):
     }""")
     a = deploy(world, "A", args=(deploy(world, "B"),))
     assert Executor(world).run_transaction(Tx(sender=1, to=a, fname="f")).ok
-    # a scenario's assert lines
-    outcome = run_scenario(make_world("coin.sol"),
-                           parse_scenario(scenario_source("coin.scn")))
+    assert max(compiled.values()) == 1
+    # only what ran was compiled: Bank's getUserBalance never was
+    assert {(c, f) for _, c, f in compiled} == {
+        ("Coin", "Coin"), ("Coin", "mint"), ("Coin", "send"),
+        ("Bank", "deposit"), ("Bank", "withdraw"), ("Attack", "Attack"),
+        ("Attack", "addToBalance"), ("Attack", "withdrawBalance"),
+        ("Attack", ""), ("B", "g"), ("A", "A"), ("A", "f")}
+    # a scenario's assert lines compile no function
+    world = make_world("coin.sol")
+    outcome = run_scenario(world, parse_scenario(scenario_source("coin.scn")))
     assert outcome.assertions_ok
     assert sum(r.description.startswith("assert")
                for r in outcome.results) == 3
-    assert calls["type_of"] == 0
+    assert sorted(f for w, _, f in compiled if w is world) == \
+        ["Coin", "mint", "send"]
 
 
 def _coverage_gate_traces():

@@ -235,8 +235,8 @@ def test_value_of_an_external_function_without_return_aborts_before_it_runs():
 
 
 def test_an_external_call_is_typed_by_the_function_it_reaches():
-    # `b` is a plain address, so no static type names g's return type; the
-    # call is typed by the function it reaches, as an operand or as a value
+    # `b` is a plain address: the call is typed by what every registered
+    # function named g (or ok) returns, as an operand or as a value
     world = world_from_source("""
     contract B {
       function g() public returns (uint) { return 41; }
@@ -256,6 +256,74 @@ def test_an_external_call_is_typed_by_the_function_it_reaches():
         res = ex.run_transaction(Tx(sender=1, to=a, fname=fname))
         assert res.ok, (fname, res.error)
     assert (_read(world, a, "out"), _read(world, a, "kept")) == (42, 42)
+
+
+def test_a_call_is_typed_by_what_the_functions_of_its_name_return():
+    # B.g and D.g disagree, so a call on a plain address has no static type:
+    # it stands as a value but not as an operand. On a B-typed target the
+    # call is typed by B.g, and reaching D.g instead aborts
+    world = world_from_source("""
+    contract B { function g() public returns (uint) { return 41; } }
+    contract D { function g() public returns (bool) { return true; } }
+    contract A {
+      address a; B b; uint out;
+      function A(address x) public { a = x; b = B(x); }
+      function value() public { uint y = a.g(); out = y; }
+      function operand() public { out = a.g() + 1; }
+      function typed() public { out = b.g() + 1; }
+      function typedValue() public { uint y = b.g(); out = y; }
+    }""")
+    ex = Executor(world)
+    on_b = deploy(world, "A", args=(deploy(world, "B"),))
+    on_d = deploy(world, "A", args=(deploy(world, "D"),))
+    assert ex.run_transaction(Tx(sender=1, to=on_b, fname="value")).ok
+    assert ex.run_transaction(Tx(sender=1, to=on_b, fname="typed")).ok
+    assert _read(world, on_b, "out") == 42
+    before = world.storage_fingerprint()
+    plain = "cannot statically type an external call on a plain address"
+    other = "function g of D returns bool, not uint256"
+    for to, fname, message in ((on_b, "operand", plain),
+                               (on_d, "typed", other),
+                               (on_d, "typedValue", other)):
+        res = ex.run_transaction(Tx(sender=1, to=to, fname=fname))
+        assert not res.ok and isinstance(res.error.cause, SolTypeError)
+        assert res.error.cause.message == message, fname
+        assert all(e.fn != "g" for e in res.events)  # g never ran
+    assert world.storage_fingerprint() == before
+
+
+def test_a_local_used_before_its_declaration_aborts():
+    # pre-0.5 locals are scoped to the whole function: the `y` read here is
+    # the local, not yet bound, not the state variable of the same name
+    world = world_from_source("""
+    contract C {
+      uint y = 7; uint out;
+      function f() public { out = 1; out = y; uint y = 3; }
+    }""")
+    address = deploy(world, "C")
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert not res.ok
+    assert res.error.cause.message == "unknown identifier y"
+    assert world.storage_fingerprint() == before
+
+
+def test_an_ill_typed_branch_aborts_only_when_taken():
+    world = world_from_source("""
+    contract C {
+      bool flag; uint out;
+      function f(bool go) public { if (go) { out = flag + 1; } out = 2; }
+    }""")
+    address = deploy(world, "C")
+    ex = Executor(world)
+    assert ex.run_transaction(Tx(sender=1, to=address, fname="f",
+                                 args=(False,))).ok
+    assert _read(world, address, "out") == 2
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="f",
+                                args=(True,)))
+    assert not res.ok and isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message == \
+        "arithmetic on non-numeric types bool/uint256"
 
 
 # -- return ------------------------------------------------------------------------------

@@ -4,7 +4,7 @@ pretty-print round trip."""
 import pytest
 
 from solsem import ast
-from solsem.ast import to_source
+from ast_printer import to_source
 from solsem.errors import (
     DuplicateDeclaration, SolSyntaxError, UnsupportedFeature,
 )

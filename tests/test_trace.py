@@ -116,3 +116,18 @@ def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
     assert trace.emit("ASSIGN", writes=ws).writes is ws
     assert [(ev.seq, ev.rule) for ev in trace.events] == [
         (1, "Type3"), (2, "TX-END"), (3, "ASSIGN")]
+
+
+def test_rules_appends_what_rule_appends_one_label_at_a_time():
+    batched, single = Trace(), Trace()
+    labels = ("Type3", "E-ID1", "E-RV")
+    for trace in (batched, single):
+        trace.push_context(0x10, "f", 3)
+        trace.emit("TX-START")
+    batched.rules(labels)
+    for label in labels:
+        single.rule(label)
+    assert batched.events == single.events
+    with batched.mute():
+        batched.rules(("SEQ",))
+    assert len(batched) == 4

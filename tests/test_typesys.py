@@ -14,8 +14,11 @@ from solsem.typesys import (
     size_of, size_packed,
 )
 
+from solsem.trace import Trace
+
 from conftest import contract_source, deploy, make_world
 from packing_oracle import PRIMITIVE_POOL, all_field_lists, place_fields
+from typing_oracle import type_of
 
 U128 = UInt(128)
 U256 = UInt(256)
@@ -51,6 +54,14 @@ def test_size_of_structs():
     assert size_of(Struct("P", (("x", U128), ("y", U128)))) == 32
     assert size_of(Struct("Q", (("x", U128), ("y", U256)))) == 64
     assert size_of(Struct("R", (("a", U128), ("b", U128), ("c", U256)))) == 64
+
+
+def test_sizing_rules_reach_an_empty_trace():
+    # the compiler records a node's Size* labels into an empty recorder
+    trace = Trace()
+    size_of(StaticArray(UInt(8), 2), trace)
+    field_offset(Struct("P", (("x", U128), ("y", U128))), 1, trace)
+    assert [e.rule for e in trace.events] == ["Size1", "Size2", "SR2", "SR1"]
 
 
 def test_unsized_in_packing_contexts():
@@ -187,9 +198,9 @@ def test_type_of_nested_array_element():
     world = make_world("test2.sol")
     address = deploy(world, "Test2")
     env = _typing_env(world, address)
-    got = typesys.type_of(env, parse_expression("b[1]"))
+    got = type_of(env, parse_expression("b[1]"))
     assert got == Located(StaticArray(U128, 3), typesys.STORAGE)
-    got = typesys.type_of(env, parse_expression("b[1][2]"))
+    got = type_of(env, parse_expression("b[1][2]"))
     assert got == Located(U128, typesys.STORAGE)
 
 
@@ -199,7 +210,7 @@ def test_type_of_mapping_value():
     env = _typing_env(world, address)
     from solsem.state import Msg
     world.msg = Msg(sender=0xAB)
-    got = typesys.type_of(env, parse_expression("credit[msg.sender]"))
+    got = type_of(env, parse_expression("credit[msg.sender]"))
     assert got == Located(U256, typesys.STORAGE)
 
 
@@ -210,11 +221,11 @@ def test_type_of_storage_pointer():
     ptr_t = Located(Ref(StaticArray(U256, 2)), typesys.STORAGE)
     config.bind_pointer("d", ptr_t, 0)
     env = _typing_env(world, address)
-    assert typesys.type_of(env, parse_expression("d")) == ptr_t
+    assert type_of(env, parse_expression("d")) == ptr_t
     # indexing through the ref lands on the element type, still storage
-    assert typesys.type_of(env, parse_expression("d[0]")) == \
+    assert type_of(env, parse_expression("d[0]")) == \
         Located(U256, typesys.STORAGE)
-    assert typesys.type_of(env, parse_expression("d")).loc == typesys.STORAGE
+    assert type_of(env, parse_expression("d")).loc == typesys.STORAGE
 
 
 def test_storage_class_state_vs_param():
@@ -222,12 +233,12 @@ def test_storage_class_state_vs_param():
     address = deploy(world, "Coin", sender=0xAA)
     config = world.instance(address).config
     env = _typing_env(world, address)
-    assert typesys.type_of(env, parse_expression("minter")).loc == \
+    assert type_of(env, parse_expression("minter")).loc == \
         typesys.STORAGE
     # a parameter binds in memory (the I-FUN binding discipline)
     config.memory.push_scope()
     config.fr("amount", Located(U256, typesys.MEMORY), (5).to_bytes(32, "big"))
-    assert typesys.type_of(env, parse_expression("amount")).loc == \
+    assert type_of(env, parse_expression("amount")).loc == \
         typesys.MEMORY
     config.memory.pop_scope()
 
@@ -237,8 +248,8 @@ def test_type_errors():
     address = deploy(world, "Coin")
     env = _typing_env(world, address)
     with pytest.raises(SolTypeError):
-        typesys.type_of(env, parse_expression("minter[0]"))
+        type_of(env, parse_expression("minter[0]"))
     with pytest.raises(Exception):
-        typesys.type_of(env, parse_expression("nosuch"))
+        type_of(env, parse_expression("nosuch"))
     with pytest.raises(SolTypeError):
-        typesys.type_of(env, parse_expression("balances[true]"))
+        type_of(env, parse_expression("balances[true]"))
