@@ -92,10 +92,6 @@ class InsufficientBalance(SolsemError):
     pass
 
 
-class ReturnOutsideFunction(SolsemError):
-    pass
-
-
 class TxAborted(SolsemError):
     """Raised by the transaction harness after rolling back; wraps the cause."""
 

@@ -1,25 +1,23 @@
 """The compiler: each function becomes a tree of closures, built once.
 
-`compile_function` compiles a function's parameter binding, modifier guard
-and body into Python closures on its first call in a World, and
-`Executor.call_internal` runs them; `Executor.deploy` compiles each
-state-variable initializer the first time it runs. The compiler is the one
-static walk over the AST. It fixes each node's kind, each identifier's
-binding, each typing step of `typesys` (`index_type`, `binary_type`, ...),
-the sizes, codecs and operators, and the rule labels each node emits (a
-node's typing rule just before its evaluation rule). A closure does only
-the dynamic work, against an `Evaluator`, the context of one running call:
-reads, journaled writes, slot derivations, calls and emission.
+`World.register` compiles every function of a unit, with its modifier
+guard, and every state-variable initializer (`compile_contract`), before
+anything deploys; `Executor.call_internal` and `Executor.deploy` run the
+closures. The compiler is the one static walk over the AST, and the type
+check: it fixes each node's kind, each identifier's binding, each typing
+step of `typesys` (`index_type`, `binary_type`, ...), the sizes, codecs and
+operators, and the rule labels each node emits (a node's typing rule just
+before its evaluation rule). The first ill-typed node raises its error,
+with its span, so a contract that registers is well typed. A closure does
+only the dynamic work, against an `Evaluator`, the context of one running
+call: reads, journaled writes, slot derivations, calls and emission.
 
 A name is fixed per function: a local if the function declares it
 (parameters, the return variable, any `VarDecl` in the body or an inlined
-modifier body), else a state variable, else a node that raises
-`UnknownIdentifier` when reached. A local's address is read from the live
-top frame, so a local used before its declaration has run aborts. A local
-declared twice has its first declaration's type; a declaration of another
-type aborts when reached. An ill-typed node compiles to a closure that
-evaluates its children in order, with their events, then raises its error:
-`false && nosuch` is false, and a branch never taken never aborts.
+modifier body), else a state variable, else an `UnknownIdentifier`. A
+local's address is read from the live top frame, so a local used before
+its declaration has run aborts. A local declared twice has its first
+declaration's type, and a declaration of another type is an error.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -31,22 +29,20 @@ against real-chain layouts.
 
 from __future__ import annotations
 
-import copy
 import operator
 from typing import NamedTuple, Optional
 
 from . import ast, typesys
 from .errors import (
-    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds,
-    ReturnOutsideFunction, SolTypeError, SolsemError, TxAborted,
-    UnknownIdentifier,
+    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds, SolTypeError,
+    SolsemError, TxAborted, UnknownIdentifier,
 )
 from .keccak import keccak256_int
-from .state import (
-    FunctionInfo, decode_value, encode_key32, encode_value, zero_value,
-)
 from .trace import Write
-from .typesys import MEMORY, SLOT, STORAGE, UINT256, Located
+from .typesys import (
+    MEMORY, SLOT, STORAGE, UINT256, Located, decode_value, encode_key32,
+    encode_value, zero_value,
+)
 
 _CAST_TARGETS = {
     "uint": typesys.UInt(256), "uint8": typesys.UInt(8),
@@ -55,6 +51,8 @@ _CAST_TARGETS = {
     "uint256": typesys.UInt(256), "int": typesys.Int256(),
     "int256": typesys.Int256(), "address": typesys.Address(),
 }
+# what a cast converts: integers, addresses and contracts, among themselves
+_CASTABLE = (typesys.UInt, typesys.Int256, typesys.Address, typesys.Contract)
 
 # the (typing, evaluation) rules of an access by its base's kind: through a
 # plain base, then through a ref (after the ref's Size7)
@@ -129,14 +127,12 @@ def apply_binop(op: str, lhs, rhs, t: typesys.SemType):
     raise SolTypeError(f"operator {op} not defined at {typesys.type_to_str(t)}")
 
 
-def _convert(v, t: typesys.SemType, span):
+def _convert(v: int, t: typesys.SemType) -> int:
     if isinstance(t, typesys.UInt):
-        return int(v) % (1 << t.width)
-    if isinstance(t, (typesys.Address, typesys.Contract)):
-        return int(v) % (1 << 160)
+        return v % (1 << t.width)
     if isinstance(t, typesys.Int256):
-        return (int(v) + (1 << 255)) % (1 << 256) - (1 << 255)
-    raise SolTypeError(f"unsupported cast to {typesys.type_to_str(t)}", span)
+        return (v + (1 << 255)) % (1 << 256) - (1 << 255)
+    return v % (1 << 160)  # an address or a contract
 
 
 def _count_step(world) -> None:
@@ -168,20 +164,6 @@ def _recorded(step, *args) -> tuple:
     labels = _Labels()
     result = step(*args, labels)
     return tuple(labels), result
-
-
-def _bad(located) -> bool:
-    return isinstance(located, SolsemError)
-
-
-def _failing(runs: list, err: SolsemError):
-    """An ill-typed node: it runs `runs` in order (an ill-typed child raises
-    its own error there), then raises `err`, which stands as its type."""
-    def run(ev, *_):
-        for r in runs:
-            r(ev)
-        raise copy.copy(err)
-    return run, err
 
 
 def _reader(located: Located):
@@ -239,56 +221,42 @@ def _declarations(stmts: list):
 
 class _Compiler:
     """Compiles the nodes of one function, or one expression against a live
-    frame. `locals` maps a local's name to its Located, or to the error of
-    its ill-typed declaration; `storage` holds the contract's state
+    frame, against `registry`, the contracts it may name. `locals` maps a
+    local's name to its Located; `storage` holds the contract's state
     variables, which sit at the same addresses in every instance. A node
     compiles to (run, located); a statement to run, which returns True when
-    it executed a `return`."""
+    it executed a `return`. An ill-typed node raises its error."""
 
-    def __init__(self, world, info, storage, locals_: dict,
-                 fn: Optional[FunctionInfo] = None):
-        self.world, self.info, self.storage = world, info, storage
+    def __init__(self, registry: dict, trace, info, storage, locals_: dict,
+                 fn=None):
+        self.registry, self.info, self.storage = registry, info, storage
         self.locals, self.fn = locals_, fn
-        self.rules, self.emit = world.trace.rules, world.trace.emit
-        self.kids = None  # runs of the children of the node being compiled
+        self.rules, self.emit = trace.rules, trace.emit
 
-    def _node(self, table, e, strict: bool = True, default=None):
-        """`table[type(e)](self, e)`. A static step that raises makes `e` an
-        ill-typed node over the children compiled so far; so does an
-        ill-typed child of a node that needs its type (`strict`)."""
-        outer, self.kids = self.kids, []
-        try:
-            code = table.get(type(e), default)(self, e)
-        except SolsemError as err:
-            code = _failing(self.kids, err)
-        finally:
-            self.kids = outer
-        if outer is not None:
-            outer.append(code[0])
-            if strict and _bad(code[1]):
-                raise code[1]
-        return code
-
-    def typed(self, e: ast.Expr, strict: bool = True):
+    def typed(self, e: ast.Expr):
         """run returns the value, of type located.sem."""
-        return self._node(_TYPED, e, strict, _Compiler._untyped)
+        return _TYPED.get(type(e), _Compiler._untyped)(self, e)
 
-    def lvalue(self, e: ast.Expr, strict: bool = True):
+    def lvalue(self, e: ast.Expr):
         """run returns the node's address."""
-        return self._node(_LVALUES, e, strict, _Compiler._unaddressable)
+        return _LVALUES.get(type(e), _Compiler._unaddressable)(self, e)
+
+    def value(self, e: ast.Expr):
+        """(run, located) of `e` where nothing operates on its value: an
+        array literal, or an external call no static type names, can stand
+        there, with located None."""
+        return _RVALUES.get(type(e), _Compiler.typed)(self, e)
 
     def rvalue(self, e: ast.Expr):
-        """run of `e` where nothing operates on its value: an array literal,
-        or an external call no static type names, can stand there."""
-        return self._node(_RVALUES, e, False, _Compiler.typed)[0]
+        return self.value(e)[0]
 
-    def condition(self, e: ast.Expr, error: str, span=None):
+    def condition(self, e: ast.Expr, error: str, span):
         """run of a branch, loop, modifier or `&&`/`||` operand: it must type
         as bool, or it raises a SolTypeError with `error`."""
-        run, located = self.typed(e, strict=False)
-        if _bad(located) or isinstance(located.sem, typesys.Bool):
-            return run
-        return _failing([run], SolTypeError(error, span))[0]
+        run, located = self.typed(e)
+        if not isinstance(located.sem, typesys.Bool):
+            raise SolTypeError(error, span)
+        return run
 
     # -- expressions ------------------------------------------------------------
 
@@ -309,18 +277,13 @@ class _Compiler:
         top frame's."""
         name, span, rules = e.name, e.span, self.rules
         if name in self.locals:
-            located = self.locals[name]
-
             def run(ev):
                 addr = ev.locals.get(name)
                 if addr is None:
                     raise UnknownIdentifier(f"unknown identifier {name}", span)
                 rules(("Type3", "E-ID2"))
                 return addr
-            if _bad(located):
-                self.kids.append(run)
-                raise located
-            return run, located
+            return run, self.locals[name]
         if name not in self.storage.names:
             raise UnknownIdentifier(f"unknown identifier {name}", span)
         addr = self.storage.names[name]
@@ -349,7 +312,7 @@ class _Compiler:
         run_b, base_t = self.lvalue(e.base)
         located = typesys.index_type(e, base_t, index_t.sem)
         sem, labels = _access(base_t)
-        rules, world = self.rules, self.world
+        rules = self.rules
         if isinstance(sem, typesys.Mapping):
             key_t, value_t = sem.key, sem.value
 
@@ -357,6 +320,7 @@ class _Compiler:
                 i = run_i(ev)
                 p = run_b(ev) // SLOT
                 rules(labels)
+                world = ev.world
                 slot = world.derived_slot(slot_of_map, p, encode_key32(i, key_t),
                                           world.options.evm_hash_order)
                 ev.storage.record_hashed(slot, "mapping", p, i, value_t)
@@ -388,7 +352,7 @@ class _Compiler:
                     f"index {i} out of bounds for dynamic array of length "
                     f"{length}", span)
             p = addr // SLOT
-            slot = world.derived_slot(slot_of_dyn, p, 0) + i * stride
+            slot = ev.world.derived_slot(slot_of_dyn, p, 0) + i * stride
             ev.storage.record_hashed(slot, "dynarray", p, i, elem)
             return slot * SLOT
         return run, located
@@ -411,7 +375,7 @@ class _Compiler:
         """(run, DynArray, location) of the array under a `.length` or
         `push` (E-ARRAY-LEN): run returns (its address, its length)."""
         run, base_t = self.lvalue(base)
-        sem = typesys.dyn_array(base_t.sem, what, span)
+        sem = typesys.dyn_array(base_t, what, span)
         labels, rules = _access(base_t, _LENGTH_RULES)[1], self.rules
         read = _reader(Located(UINT256, base_t.loc))
 
@@ -467,14 +431,17 @@ class _Compiler:
     def _call(self, e: ast.Call):
         cast = None if e.name in self.info.functions \
             else _CAST_TARGETS.get(e.name) or (  # a function wins over a cast
-                typesys.Contract(e.name) if e.name in self.world.registry
-                else None)
+                typesys.Contract(e.name) if e.name in self.registry else None)
         if cast is None:
             return self._internal(e)
         if len(e.args) != 1:
             raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
-        arg, span = self.rvalue(e.args[0]), e.span
-        return (lambda ev: _convert(arg(ev), cast, span)), Located(cast, MEMORY)
+        arg, t = self.value(e.args[0])
+        if t is None or not isinstance(t.sem, _CASTABLE):
+            what = typesys.type_to_str(t.sem) if t else "a value of no type"
+            raise SolTypeError(f"cannot cast {what} to "
+                               f"{typesys.type_to_str(cast)}", e.span)
+        return (lambda ev: _convert(arg(ev), cast)), Located(cast, MEMORY)
 
     def _internal(self, e: ast.Call, expression: bool = True):
         """An internal call; as an expression, Type5 and Size6 follow it."""
@@ -503,12 +470,13 @@ class _Compiler:
                                f"{typesys.type_to_str(t.sem)}", x.span)
         return run
 
-    def _returns(self, e: ast.ExternalCall, target) -> Located:
+    def _returns(self, e: ast.ExternalCall, target: Located, operand: bool):
         """The static type of a named call's value: what the declared
         contract's function returns, for a contract-typed target, else what
-        every registered function of that name returns; or the error."""
-        registry = self.world.registry
-        sem = None if _bad(target) else typesys._strip_ref(target.sem)[0]
+        every registered function of that name returns. With none, the call
+        is None: it stands as a value, not as an operand."""
+        registry = self.registry
+        sem = typesys._strip_ref(target.sem)[0]
         if isinstance(sem, typesys.Contract):
             fns = [registry[sem.name].functions.get(e.name)] \
                 if sem.name in registry else []
@@ -517,23 +485,23 @@ class _Compiler:
             fns = [info.functions.get(e.name) for info in registry.values()]
             error = "cannot statically type an external call on a plain address"
         rets = {f.ret and f.ret[1] for f in fns if f is not None}
-        if len(rets) != 1 or None in rets:
-            return SolTypeError(error, e.span)
-        return Located(rets.pop(), MEMORY)
+        if len(rets) == 1 and None not in rets:
+            return Located(rets.pop(), MEMORY)
+        if operand:
+            raise SolTypeError(error, e.span)
+        return None
 
     def _external(self, e, expression: bool = True, operand: bool = False):
         """E-FUN1 `c.f.value(m).gas(n)(args)` or E-FUN2 `c.call.value(m)()`:
         target, arguments, value and gas in that order, then the call. An
         operand (`operand`) must have a static type; a value need not."""
         named = isinstance(e, ast.ExternalCall)
-        target, target_t = self.typed(e.target, strict=False)
+        target, target_t = self.typed(e.target)
         args = [self.rvalue(a) for a in e.args] if named else []
         value, gas = self._amount(e.value, "value"), self._amount(e.gas, "gas")
-        located = self._returns(e, target_t) if named else _BOOL
-        if operand and _bad(located):
-            raise located
+        located = self._returns(e, target_t, operand) if named else _BOOL
         name, span = e.name if named else None, e.span
-        expect = None if _bad(located) else located.sem
+        expect = located and located.sem
 
         def run(ev):
             to = target(ev)
@@ -548,7 +516,9 @@ class _Compiler:
     # -- statements ---------------------------------------------------------------
 
     def block(self, stmts: list):
-        runs, rules = [self.stmt(s) for s in stmts], self.rules
+        runs = [_STATEMENTS.get(type(s), _Compiler._unknown)(self, s)
+                for s in stmts]
+        rules = self.rules
         seq = ("SEQ",) * (len(stmts) > 1)
 
         def run(ev):
@@ -562,12 +532,6 @@ class _Compiler:
             return False
         return run
 
-    def stmt(self, s: ast.Stmt):
-        try:
-            return _STATEMENTS.get(type(s), _Compiler._unknown)(self, s)
-        except SolsemError as err:
-            return _failing([], err)[0]
-
     def _unknown(self, s):
         raise SolsemError("placeholder statement outside a modifier"
                           if isinstance(s, ast.Placeholder) else
@@ -575,9 +539,7 @@ class _Compiler:
 
     def _assign(self, s: ast.Assign):
         rhs = self.rvalue(s.rhs)  # rhs first
-        lhs, located = self.lvalue(s.lhs, strict=False)
-        if _bad(located):
-            return lambda ev: (rhs(ev), lhs(ev))
+        lhs, located = self.lvalue(s.lhs)
         write, emit = _writer(located), self.emit
 
         def run(ev):
@@ -586,7 +548,7 @@ class _Compiler:
         return run
 
     def _expr_stmt(self, s: ast.ExprStmt):
-        run = self._node(_EFFECTS, s.expr, False, _Compiler.typed)[0]
+        run = _EFFECTS.get(type(s.expr), _Compiler.typed)(self, s.expr)[0]
         rules = self.rules
 
         def stmt(ev):
@@ -599,8 +561,7 @@ class _Compiler:
         """Dynamic-array growth: store at the hashed slot for the current
         length, then bump the length in the base slot."""
         base, sem, loc = self._length(e.base, "push", e.span)
-        arg, elem, world, emit = self.rvalue(e.arg), sem.elem, self.world, \
-            self.emit
+        arg, elem, emit = self.rvalue(e.arg), sem.elem, self.emit
         stride, write = _slot_stride(elem), _writer(Located(elem, loc))
         write_length = _writer(Located(UINT256, loc))
 
@@ -608,7 +569,7 @@ class _Compiler:
             addr, length = base(ev)
             value = arg(ev)
             p = addr // SLOT
-            slot = world.derived_slot(slot_of_dyn, p, 0) + length * stride
+            slot = ev.world.derived_slot(slot_of_dyn, p, 0) + length * stride
             ev.storage.record_hashed(slot, "dynarray", p, length, elem)
             emit("PUSH", write(ev, slot * SLOT, value)
                  + write_length(ev, addr, length + 1))
@@ -645,8 +606,6 @@ class _Compiler:
 
     def _return(self, s: ast.Return):
         fn, emit = self.fn, self.emit
-        if fn is None:
-            raise ReturnOutsideFunction("return outside of a function", s.span)
         if s.expr is None:
             def run(ev):
                 emit("RETURN")
@@ -665,13 +624,13 @@ class _Compiler:
         return run
 
     def _var_decl(self, s: ast.VarDecl):
-        located = _local(s, self.info.structs, self.world.registry)
+        located = _local(s, self.info.structs, self.registry)
         name, sem, emit = s.name, located.sem, self.emit
-        clash = None if self.locals.get(name) == located else \
-            DuplicateDeclaration(f"{name} already declared in this scope",
-                                 s.span)
+        if self.locals[name] != located:  # its first declaration typed it
+            raise DuplicateDeclaration(f"{name} already declared in this scope",
+                                       s.span)
         if isinstance(sem, typesys.Ref):  # a storage pointer
-            init = self.lvalue(s.init, strict=False)[0] if s.init else None
+            init = self.lvalue(s.init)[0] if s.init else None
             warning = f"uninitialized storage pointer {name}"
 
             def run(ev):
@@ -681,8 +640,6 @@ class _Compiler:
                     addr = 0  # aliases storage slot 0
                     ev.world.warnings.append(warning)
                     emit("WARN", note=f"{warning} references storage slot 0")
-                if clash:
-                    raise copy.copy(clash)
                 ev.config.bind_pointer(name, located, addr, s)
                 emit("VD2")
             return run
@@ -692,8 +649,6 @@ class _Compiler:
 
             def run(ev):
                 rules(sized)
-                if clash:
-                    raise copy.copy(clash)
                 addr = ev.config.fr(name, located, bytes(size), s)
                 writes = [Write(MEMORY, addr, bytes(size))]
                 if init is not None:
@@ -702,10 +657,10 @@ class _Compiler:
             return run
         zero = zero_value(sem)
         init = self.rvalue(s.init) if s.init is not None else lambda ev: zero
-        bind = self.binder(name, sem, s, clash)
+        bind = self.binder(name, sem, s)
         return lambda ev: bind(ev, init(ev))
 
-    def binder(self, name: str, sem, decl=None, clash=None):
+    def binder(self, name: str, sem, decl=None, span=None):
         """bind(ev, v), VD2: bind `name` in the top frame to a fresh memory
         address holding v."""
         if isinstance(sem, typesys.String):
@@ -716,15 +671,12 @@ class _Compiler:
             def encode(v):
                 return encode_value(v, sem)
         else:
-            return _failing([], SolTypeError(
-                f"cannot bind a value of type {typesys.type_to_str(sem)} "
-                f"in memory"))[0]
+            raise SolTypeError(f"cannot bind a value of type "
+                               f"{typesys.type_to_str(sem)} in memory", span)
         located, emit = Located(sem, MEMORY), self.emit
 
         def bind(ev, v):
             data = encode(v)
-            if clash:
-                raise copy.copy(clash)
             addr = ev.config.fr(name, located, data, decl)
             emit("VD2", [Write(MEMORY, addr, data)])
         return bind
@@ -758,25 +710,21 @@ _STATEMENTS = {
 }
 
 
-def compile_function(ev: "Evaluator") -> tuple:
-    """Compile `ev.fn` against `ev`'s contract, with every name it declares:
+def compile_function(registry: dict, trace, info, storage, fn) -> tuple:
+    """Compile `fn` of contract `info`, with every name it declares:
     (bind(ev, args), guard(ev) or None, body(ev), result(ev) or None), which
     `call_internal` runs in that order."""
-    fn, world, info = ev.fn, ev.world, ev.info
     ret = [fn.ret] if fn.ret is not None else []
     locals_: dict = {}  # the first declaration of a name gives its type
     for name, t in fn.params + ret:
         locals_.setdefault(name, Located(t, MEMORY))
     for s in _declarations(fn.body):
-        try:
-            locals_.setdefault(s.name, _local(s, info.structs, world.registry))
-        except SolsemError as err:
-            locals_.setdefault(s.name, err)
-    c = _Compiler(world, info, ev.storage, locals_, fn)
-    binders = [c.binder(name, t) for name, t in fn.params + ret]
+        locals_.setdefault(s.name, _local(s, info.structs, registry))
+    c = _Compiler(registry, trace, info, storage, locals_, fn)
+    binders = [c.binder(name, t, span=fn.span) for name, t in fn.params + ret]
     zero = [zero_value(t) for _, t in ret]
-    guard = c.condition(fn.guard, "modifier condition must be boolean") \
-        if fn.guard is not None else None
+    guard = c.condition(fn.guard, "modifier condition must be boolean",
+                        fn.guard.span) if fn.guard is not None else None
     result = None
     if ret:
         read, rname = _reader(Located(fn.ret[1], MEMORY)), fn.ret[0]
@@ -788,14 +736,32 @@ def compile_function(ev: "Evaluator") -> tuple:
     return bind, guard, c.block(fn.body), result
 
 
+def compile_contract(registry: dict, trace, info, layout) -> dict:
+    """The code of every function, modifier guard and state-variable
+    initializer of contract `info`, keyed by the id of its FunctionInfo or
+    initializer. `layout`, an empty Config, allocates the state variables
+    as deploy will: an initializer is compiled against the variables before
+    it, a function against them all."""
+    code = {}
+    for name, t, init in info.state_vars:
+        if init is not None:
+            code[id(init)] = _Compiler(registry, trace, info, layout.storage,
+                                       {}).rvalue(init)
+        layout.allocate_static(name, t)
+    for fn in (*info.functions.values(), info.constructor, info.fallback):
+        if fn is not None:
+            code[id(fn)] = compile_function(registry, trace, info,
+                                            layout.storage, fn)
+    return code
+
+
 class Evaluator:
     """The context of one running call: the instance (its config, storage
     and memory), the function, and `locals`, the names of the top frame.
     The compiled closures read it; it also compiles and runs one expression
     against the live frame, for scenario asserts and tests."""
 
-    def __init__(self, executor, address: int,
-                 fn: Optional[FunctionInfo] = None):
+    def __init__(self, executor, address: int, fn=None):
         world = executor.world
         instance = world.instance(address)
         config = instance.config
@@ -812,29 +778,21 @@ class Evaluator:
     # -- one expression, compiled against the live frame, then run -------------
 
     def _compiler(self) -> _Compiler:
-        top = self.memory.top
+        top, world = self.memory.top, self.world
         self.locals = top.names
-        return _Compiler(self.world, self.info, self.storage, dict(top.types),
-                         self.fn)
+        return _Compiler(world.registry, world.trace, self.info, self.storage,
+                         dict(top.types), self.fn)
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
-        """The static type of `e`; an ill-typed `e` raises its error. A `&&`
-        or `||` types as bool: its operands are checked when reached."""
-        located = self._compiler().typed(e)[1]
-        if _bad(located):
-            raise copy.copy(located)
-        return located
+        """The static type of `e`; an ill-typed `e` raises its error."""
+        return self._compiler().typed(e)[1]
 
     def eval_lvalue(self, e: ast.Expr) -> LValue:
         run, located = self._compiler().lvalue(e)
         return LValue(run(self), located)
 
-    def compile_rvalue(self, e: ast.Expr):
-        """run(ev) of `e` as a value, against the names bound right now."""
-        return self._compiler().rvalue(e)
-
     def eval_rvalue(self, e: ast.Expr):
-        return self.compile_rvalue(e)(self)
+        return self._compiler().rvalue(e)(self)
 
     def eval_typed(self, e: ast.Expr) -> tuple:
         """(value, SemType) of `e`."""

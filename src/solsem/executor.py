@@ -15,10 +15,13 @@ statements completing with an empty omega emit SKIP1. A named call whose
 value is taken checks that the function it reaches returns the type the
 compiler gave the call.
 
-Statements and expressions run as the closures `evaluator.compile_function`
-builds: `call_internal` compiles a function on its first call in a World and
-runs its parameter binding, guard and body; `deploy` compiles each
-state-variable initializer the first time it runs.
+Statements and expressions run as the closures `World.register` compiled
+(`World.code`): `call_internal` runs a function's parameter binding, guard
+and body, and `deploy` each state-variable initializer. Registration has
+type-checked them, so the faults left to run time are dynamic: division by
+zero, a bad index, an unknown address, a local read before its declaration
+has run, and a named call reaching a function that does not return the type
+its value was given.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
 )
 # slot_of_dyn is not called here: the benchmark's tracer test checks that
 # the wrapper it installs reaches every module that names it
-from .evaluator import Evaluator, compile_function, slot_of_dyn  # noqa: F401
+from .evaluator import Evaluator, slot_of_dyn  # noqa: F401
 from .state import FunctionInfo, Msg, World
 from .trace import CallInfo
 
@@ -82,12 +85,7 @@ class Executor:
             address = world.create_instance(contract_name, value)
             ev = self.evaluator(address)
             for name, t, init in info.state_vars:
-                init_value = None
-                if init is not None:  # compiled against the vars before it
-                    run = world.code.get(id(init))
-                    if run is None:
-                        run = world.code[id(init)] = ev.compile_rvalue(init)
-                    init_value = run(ev)
+                init_value = None if init is None else world.code[id(init)](ev)
                 addr = ev.config.allocate_static(name, t, world.trace)
                 writes = []
                 if init_value is not None:
@@ -181,8 +179,7 @@ class Executor:
     def call_internal(self, address: int, fn: FunctionInfo, values: tuple,
                       expression: bool, call_kind: str = "internal"):
         """Push a fresh scope, bind parameters and the return slot, run the
-        body under the modifier guard, and hand back the return value. The
-        function is compiled on its first call in this World."""
+        body under the modifier guard, and hand back the return value."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
@@ -191,9 +188,7 @@ class Executor:
             raise SolTypeError(
                 f"{fn.name or 'fallback'} expects {len(fn.params)} arguments, "
                 f"got {len(values)}")
-        code = world.code.get(id(fn))
-        if code is None:
-            code = world.code[id(fn)] = compile_function(ev)
+        bind, guard, body, result = world.code[id(fn)]
         world.call_depth += 1
         display = fn.name or "()"
         trace = world.trace
@@ -203,7 +198,6 @@ class Executor:
         memory = ev.memory
         memory.push_scope()
         ev.locals = memory.top.names
-        bind, guard, body, result = code
         try:
             bind(ev, values)
             if guard is None or guard(ev):

@@ -1,7 +1,12 @@
-"""Tokenizer for the covered Solidity subset (pre-0.5 dialect)."""
+"""Tokenizer for the covered Solidity subset (pre-0.5 dialect).
+
+One master regex is matched at each position in turn; its first matching
+alternative names the token's kind. Comments and whitespace are skipped.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SolSyntaxError, Span
@@ -26,6 +31,20 @@ PUNCT = [
     "<", ">", "!", "&", "|", "^", "~", "?", ":",
 ]
 
+_TOKEN = re.compile("|".join((
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
+    r"(?P<hexnumber>0[xX][\da-fA-F]*)",
+    r"(?P<number>\d+)",
+    r"(?P<word>[^\W\d]\w*)",
+    r"""(?P<string>"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*')""",
+    r"""(?P<unclosed>/\*|["'])""",  # a comment or string with no end
+    "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")",
+    r"(?P<bad>.)",
+)), re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}  # any other escaped character is itself
+
 
 @dataclass
 class Token:
@@ -37,90 +56,33 @@ class Token:
         return f"{self.kind}({self.value!r})@{self.span}"
 
 
+def _escaped(m) -> str:
+    return _ESCAPES.get(m[1], m[1])
+
+
 def tokenize(source: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def bump(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            i += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            bump(source[i:j])
-            i = j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise SolSyntaxError("unterminated block comment", Span(line, col))
-            bump(source[i:j + 2])
-            i = j + 2
-            continue
-        span = Span(line, col)
-        if ch.isdigit():
-            j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and (source[j].isdigit() or source[j].lower() in "abcdef"):
-                    j += 1
-                tokens.append(Token("hexnumber", source[i:j], span))
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                tokens.append(Token("number", source[i:j], span))
-            bump(source[i:j])
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span))
-            bump(word)
-            i = j
-            continue
-        if ch in ('"', "'"):
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "'": "'",
-                                "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise SolSyntaxError("unterminated string literal", span)
-            tokens.append(Token("string", "".join(buf), span))
-            bump(source[i:j + 1])
-            i = j + 1
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, span))
-                bump(p)
-                i += len(p)
-                break
-        else:
-            raise SolSyntaxError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("eof", "", Span(line, col)))
+    line, line_start = 1, 0  # line_start: where the current line begins
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind != "space" and kind != "comment":
+            span = Span(line, m.start() - line_start + 1)
+            value = text
+            if kind == "word":
+                kind = "keyword" if text in KEYWORDS else "ident"
+            elif kind == "string":
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(_escaped, value)
+            elif kind == "unclosed":
+                raise SolSyntaxError("unterminated block comment"
+                                     if text == "/*" else
+                                     "unterminated string literal", span)
+            elif kind == "bad":
+                raise SolSyntaxError(f"unexpected character {text!r}", span)
+            tokens.append(Token(kind, value, span))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = m.start() + text.rindex("\n") + 1
+    tokens.append(Token("eof", "", Span(line, len(source) - line_start + 1)))
     return tokens

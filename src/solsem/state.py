@@ -17,10 +17,15 @@ from typing import NamedTuple, Optional
 
 from . import ast, typesys
 from .errors import (
-    DuplicateDeclaration, RangeError, ScopeUnderflow, SolTypeError,
-    UnknownAddress, UnknownIdentifier,
+    DuplicateDeclaration, ScopeUnderflow, Span, UnknownAddress,
+    UnknownIdentifier,
 )
+from .evaluator import compile_contract
 from .trace import Trace
+# the value codecs live in typesys; they are imported from here too
+from .typesys import (  # noqa: F401
+    decode_value, encode_key32, encode_value, zero_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,70 +81,6 @@ class ByteStore:
         """Read-only {byte address: byte} view of the non-zero bytes."""
         return {slot * SLOT + i: b for slot, word in self.words.items()
                 for i, b in enumerate(word) if b}
-
-
-# ---------------------------------------------------------------------------
-# value encoding
-# ---------------------------------------------------------------------------
-
-def encode_value(v, t: typesys.SemType) -> bytes:
-    """Fixed-width big-endian encoding of a primitive value at type t."""
-    if isinstance(t, typesys.UInt):
-        v = int(v)
-        if not 0 <= v < (1 << t.width):
-            raise RangeError(f"{v} out of range for uint{t.width}")
-        return v.to_bytes(t.width // 8, "big")
-    if isinstance(t, typesys.Int256):
-        v = int(v)
-        if not -(1 << 255) <= v < (1 << 255):
-            raise RangeError(f"{v} out of range for int256")
-        return (v % (1 << 256)).to_bytes(32, "big")
-    if isinstance(t, typesys.Bool):
-        if isinstance(v, int):
-            v = bool(v)
-        return b"\x01" if v else b"\x00"
-    if isinstance(t, (typesys.Address, typesys.Contract)):
-        v = int(v)
-        if not 0 <= v < (1 << 160):
-            raise RangeError(f"{v} is not a 160-bit address")
-        return v.to_bytes(20, "big")
-    raise SolTypeError(f"cannot encode a value of type {typesys.type_to_str(t)}")
-
-
-def decode_value(data: bytes, t: typesys.SemType):
-    if isinstance(t, typesys.UInt):
-        return int.from_bytes(data[-(t.width // 8):], "big")
-    if isinstance(t, typesys.Int256):
-        raw = int.from_bytes(data[-32:], "big")
-        return raw - (1 << 256) if raw >= (1 << 255) else raw
-    if isinstance(t, typesys.Bool):
-        return data[-1] != 0
-    if isinstance(t, (typesys.Address, typesys.Contract)):
-        return int.from_bytes(data[-20:], "big")
-    raise SolTypeError(f"cannot decode a value of type {typesys.type_to_str(t)}")
-
-
-def encode_key32(v, t: typesys.SemType) -> bytes:
-    """A mapping key left-padded into 32 bytes (bytes32(k))."""
-    if isinstance(t, typesys.StaticArray):
-        parts = b"".join(encode_key32(x, t.elem)[-typesys.size_of(t.elem):]
-                         for x in v)
-        if len(parts) > 32:
-            raise SolTypeError("mapping key wider than 32 bytes")
-        return parts.rjust(32, b"\x00")
-    raw = encode_value(v, t)
-    return raw.rjust(32, b"\x00")
-
-
-def zero_value(t: typesys.SemType):
-    if isinstance(t, (typesys.UInt, typesys.Int256, typesys.Address,
-                      typesys.Contract)):
-        return 0
-    if isinstance(t, typesys.Bool):
-        return False
-    if isinstance(t, typesys.String):
-        return ""
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +249,7 @@ class FunctionInfo:
     ret: Optional[tuple]  # (name, SemType) or None
     guard: Optional[ast.Expr]  # normalized modifier condition; None = true
     body: list
+    span: Optional[Span] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -358,12 +300,12 @@ def _normalize_function(f: ast.FunctionDef, modifiers: dict, structs: dict,
         mbody = modifiers[mname].body
         cond = _is_guard_modifier(mbody)
         if cond is not None:
-            guard = cond if guard is None else ast.Binary(op="&&", lhs=cond,
-                                                          rhs=guard)
+            guard = cond if guard is None else ast.Binary(
+                op="&&", lhs=cond, rhs=guard, span=cond.span)
         else:
             body = _inline_placeholder(mbody, body)
     return FunctionInfo(name=f.name, params=params, ret=ret, guard=guard,
-                        body=body)
+                        body=body, span=f.span)
 
 
 def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
@@ -376,6 +318,9 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
     modifiers = {m.name: m for m in c.modifiers}
     state_vars = []
     for v in c.state_vars:
+        if any(v.name == name for name, _, _ in state_vars):
+            raise DuplicateDeclaration(
+                f"state variable {v.name} already declared", v.span)
         t = typesys.resolve_type(v.type_name, structs, contract_names)
         state_vars.append((v.name, t, v.init))
     functions = {}
@@ -436,17 +381,31 @@ class World:
         # undo records (fn, *args) of the running transaction, oldest first
         self.journal: list = []
         self.derived_slots: dict = {}  # Keccak input -> slot, see derived_slot
-        # id(FunctionInfo or initializer) -> its closures, built on first use
+        # id(FunctionInfo or state-variable initializer) -> its closures,
+        # compiled when its contract is registered
         self.code: dict = {}
 
     # -- registry -------------------------------------------------------------
 
     def register(self, unit: ast.SourceUnit) -> None:
-        names = set(self.registry) | {c.name for c in unit.contracts}
+        """Add the unit's contracts, all or none. Each is built and compiled
+        against the registry with the whole unit in it: every function,
+        modifier guard and state-variable initializer, against the storage
+        layout its declarations give. The first error raises, with its span,
+        and leaves `registry` and `code` as they were."""
+        registry = dict(self.registry)
+        names = set(registry) | {c.name for c in unit.contracts}
         for c in unit.contracts:
-            if c.name in self.registry:
-                raise DuplicateDeclaration(f"contract {c.name} already registered")
-            self.registry[c.name] = build_contract_info(c, names)
+            if c.name in registry:
+                raise DuplicateDeclaration(
+                    f"contract {c.name} already registered", c.span)
+            registry[c.name] = build_contract_info(c, names)
+        code = {}
+        for c in unit.contracts:
+            code.update(compile_contract(registry, self.trace,
+                                         registry[c.name], Config()))
+        self.registry.update(registry)
+        self.code.update(code)
 
     def contract_info(self, name: str) -> ContractInfo:
         if name not in self.registry:

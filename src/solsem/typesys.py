@@ -1,4 +1,5 @@
-"""Semantic types, byte sizing, slot alignment, and the per-node typing steps.
+"""Semantic types, byte sizing, slot alignment, value encoding, and the
+per-node typing steps.
 
 The slot width is fixed at 32 bytes for the whole engine. Primitives pack
 into the current slot when they fit before the next 32-byte boundary;
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .errors import SolTypeError, UnsizedType
+from .errors import RangeError, SolTypeError, UnsizedType
 
 SLOT = 32  # byte alignment `l`
 
@@ -171,6 +172,7 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
             return DynArray(base)
         if tn.length <= 0:
             raise SolTypeError("static array length must be positive", tn.span)
+        _check_packable(base, "a static array", tn.span)
         return StaticArray(base, tn.length)
     if isinstance(tn, ast.MappingTypeName):
         key = resolve_type(tn.key, structs, contract_names)
@@ -192,9 +194,10 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
 # sizing and alignment
 # ---------------------------------------------------------------------------
 
-def _check_packable(t: SemType, context: str):
+def _check_packable(t: SemType, context: str, span=None):
     if isinstance(t, (Contract, String)):
-        raise UnsizedType(f"{type_to_str(t)} cannot be packed inside {context}")
+        raise UnsizedType(f"{type_to_str(t)} cannot be packed inside {context}",
+                          span)
 
 
 def size_of(t: SemType, trace=None) -> int:
@@ -296,11 +299,69 @@ def field_offset(struct_t: Struct, k: int, trace=None) -> int:
     return align_up(size_packed(0, types[:k], trace), types[k])
 
 
-def field_index(struct_t: Struct, name: str) -> int:
+def field_index(struct_t: Struct, name: str, span=None) -> int:
     for i, (fname, _) in enumerate(struct_t.fields):
         if fname == name:
             return i
-    raise SolTypeError(f"struct {struct_t.name} has no field {name}")
+    raise SolTypeError(f"struct {struct_t.name} has no field {name}", span)
+
+
+# ---------------------------------------------------------------------------
+# value encoding
+# ---------------------------------------------------------------------------
+
+def encode_value(v, t: SemType) -> bytes:
+    """Fixed-width big-endian encoding of a primitive value at type t."""
+    if isinstance(t, UInt):
+        v = int(v)
+        if not 0 <= v < (1 << t.width):
+            raise RangeError(f"{v} out of range for uint{t.width}")
+        return v.to_bytes(t.width // 8, "big")
+    if isinstance(t, Int256):
+        v = int(v)
+        if not -(1 << 255) <= v < (1 << 255):
+            raise RangeError(f"{v} out of range for int256")
+        return (v % (1 << 256)).to_bytes(32, "big")
+    if isinstance(t, Bool):
+        if isinstance(v, int):
+            v = bool(v)
+        return b"\x01" if v else b"\x00"
+    if isinstance(t, (Address, Contract)):
+        v = int(v)
+        if not 0 <= v < (1 << 160):
+            raise RangeError(f"{v} is not a 160-bit address")
+        return v.to_bytes(20, "big")
+    raise SolTypeError(f"cannot encode a value of type {type_to_str(t)}")
+
+
+def decode_value(data: bytes, t: SemType):
+    if isinstance(t, UInt):
+        return int.from_bytes(data[-(t.width // 8):], "big")
+    if isinstance(t, Int256):
+        raw = int.from_bytes(data[-32:], "big")
+        return raw - (1 << 256) if raw >= (1 << 255) else raw
+    if isinstance(t, Bool):
+        return data[-1] != 0
+    if isinstance(t, (Address, Contract)):
+        return int.from_bytes(data[-20:], "big")
+    raise SolTypeError(f"cannot decode a value of type {type_to_str(t)}")
+
+
+def encode_key32(v, t: SemType) -> bytes:
+    """A mapping key left-padded into 32 bytes (bytes32(k))."""
+    if isinstance(t, StaticArray):
+        parts = b"".join(encode_key32(x, t.elem)[-size_of(t.elem):]
+                         for x in v)
+        if len(parts) > 32:
+            raise SolTypeError("mapping key wider than 32 bytes")
+        return parts.rjust(32, b"\x00")
+    raw = encode_value(v, t)
+    return raw.rjust(32, b"\x00")
+
+
+def zero_value(t: SemType):
+    """The value a variable of type t holds before it is assigned."""
+    return False if isinstance(t, Bool) else "" if isinstance(t, String) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +379,12 @@ def _literal_fits(e, t: UInt) -> bool:
     return isinstance(e, ast.IntLit) and e.value < 1 << t.width
 
 
-def _comparable(a: SemType, b: SemType) -> bool:
-    if isinstance(a, (UInt, Int256)) and isinstance(b, (UInt, Int256)):
-        return True
-    kinds = (Address, Contract)
-    if isinstance(a, kinds) and isinstance(b, kinds):
-        return True
-    if isinstance(a, Bool) and isinstance(b, Bool):
-        return True
-    if isinstance(a, String) and isinstance(b, String):
-        return True
+def _comparable(op: str, a: SemType, b: SemType) -> bool:
+    """Integers, and addresses with contracts, compare among themselves by
+    any operator; bools and strings only by (in)equality."""
+    for kinds in ((UInt, Int256), (Address, Contract), (Bool,), (String,)):
+        if isinstance(a, kinds) and isinstance(b, kinds):
+            return op in ("==", "!=") or len(kinds) == 2
     return False
 
 
@@ -357,16 +414,20 @@ def member_type(e: ast.Member, base: Located) -> Located:
     """Type of struct field access `e` given its base's type (Type2/Type8)."""
     sem, _ = _strip_ref(base.sem)
     if isinstance(sem, Struct):
-        return Located(sem.fields[field_index(sem, e.name)][1], base.loc)
+        return Located(sem.fields[field_index(sem, e.name, e.span)][1],
+                       base.loc)
     raise SolTypeError(
         f"no member {e.name} on type {type_to_str(base.sem)}", e.span)
 
 
-def dyn_array(base: SemType, what: str, span) -> DynArray:
-    """The dynamic array a `.length` or `push` base types as, through a ref."""
-    sem, _ = _strip_ref(base)
+def dyn_array(base: Located, what: str, span) -> DynArray:
+    """The dynamic array a `.length` or `push` base types as, through a ref;
+    only a storage array can `push`."""
+    sem, _ = _strip_ref(base.sem)
     if not isinstance(sem, DynArray):
         raise SolTypeError(f"{what} requires a dynamic array", span)
+    if what == "push" and base.loc != STORAGE:
+        raise SolTypeError("push requires a storage array", span)
     return sem
 
 
@@ -378,7 +439,7 @@ def binary_type(e: ast.Binary, lt: SemType, rt: SemType) -> SemType:
             raise SolTypeError(f"{e.op} requires bool operands", e.span)
         return Bool()
     if e.op in ("==", "!=", "<", "<=", ">", ">="):
-        if not _comparable(lt, rt):
+        if not _comparable(e.op, lt, rt):
             raise SolTypeError(
                 f"cannot compare {type_to_str(lt)} with {type_to_str(rt)}",
                 e.span)

@@ -111,6 +111,24 @@ def test_parse_error_exits_two_with_position(tmp_path, capsys):
     assert "assembly" in err
 
 
+def test_ill_typed_contract_exits_two_before_any_deploy(tmp_path, capsys,
+                                                       monkeypatch):
+    bad = tmp_path / "bad.sol"
+    bad.write_text("contract Main {\n  uint a; bool b;\n"
+                   "  function main() public {\n    a = 1;\n"
+                   "    if (false) { a = b + 1; }\n  }\n}\n")
+    trace = tmp_path / "trace.ndjson"
+    deployed = []
+    monkeypatch.setattr(Executor, "deploy",
+                        lambda *args, **kw: deployed.append(args))
+    code = main(["run", str(bad), "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert (out, err) == ("", f"{bad}:5:24: arithmetic on non-numeric "
+                              f"types bool/uint256\n")
+    assert not trace.exists() and deployed == []
+
+
 def test_missing_main_exits_two(capsys):
     code = main(["run", _path("c", "coin.sol")])
     assert code == 2

@@ -10,14 +10,16 @@ from solsem.errors import (
     DivisionByZero, IndexOutOfBounds, SolTypeError,
 )
 from solsem.evaluator import apply_binop, read_value, slot_of_dyn, slot_of_map
-from solsem import executor
+from solsem import evaluator
 from solsem.executor import Executor, Tx
 from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, Msg, decode_value
 from solsem.typesys import Address, Bool, Int256, UInt
 
-from conftest import deploy, make_world, scenario_source, world_from_source
+from conftest import (
+    contract_source, deploy, make_world, scenario_source, world_from_source,
+)
 from keccak_oracle import keccak256_oracle_int
 from typing_oracle import type_of
 
@@ -217,9 +219,9 @@ def test_short_circuit_does_not_evaluate_rhs():
     world = make_world("coin.sol")
     address = deploy(world, "Coin")
     ev = _ev(world, address)
-    # rhs would raise UnknownIdentifier if evaluated
-    assert ev.eval_rvalue(parse_expression("false && nosuch")) is False
-    assert ev.eval_rvalue(parse_expression("true || nosuch")) is True
+    # rhs would raise DivisionByZero if evaluated
+    assert ev.eval_rvalue(parse_expression("false && 1 / 0 == 1")) is False
+    assert ev.eval_rvalue(parse_expression("true || 1 / 0 == 1")) is True
 
 
 def test_type_of_is_pure():
@@ -253,7 +255,8 @@ _TYPED_EXPRESSIONS = {
                "!target.call.value(1000)()"),
 }
 
-# ill-typed: the compiled expression raises the static judgement's message
+# ill-typed: registering a function that holds one raises the static
+# judgement's message
 _ILL_TYPED_EXPRESSIONS = (
     "flag + 1", "small + int(1) * int(small)", "!small", "-flag",
     "m2[flag]", "small[0]", "s.nosuch", "small.length", "flag && small",
@@ -301,34 +304,47 @@ def test_eval_typed_agrees_with_the_static_judgement():
             assert ev.type_of(e) == type_of(ev, e), text
             assert sem == type_of(ev, e).sem, text
             assert value == ev.eval_rvalue(e), text
-        if name != "Main":
-            continue
-        for text in _ILL_TYPED_EXPRESSIONS:
-            e = parse_expression(text)
-            with pytest.raises(SolTypeError) as static:
-                type_of(ev, e)
-            with pytest.raises(SolTypeError) as evaluated:
-                ev.eval_typed(e)
-            assert evaluated.value.message == static.value.message, text
 
 
-def test_each_function_is_compiled_at_most_once_per_world(monkeypatch):
-    compiled = Counter()  # (world, contract, function) -> compilations
-    compile_function = executor.compile_function
+def test_ill_typed_expressions_are_rejected_at_registration():
+    # Main's storage pointers, declared as the typed half binds them
+    pointers = ("uint128[3] pa = arr; uint256[] pd = da; "
+                "mapping(uint=>uint) pm = m2; Pair pp = s;")
+    main = contract_source("coverage.sol").rstrip()[:-1]  # Main's last }
+    ev = next(_typed_fixture_evaluators())[1]
+    for text in _ILL_TYPED_EXPRESSIONS:
+        with pytest.raises(SolTypeError) as static:
+            type_of(ev, parse_expression(text))
+        with pytest.raises(SolTypeError) as registered:
+            world_from_source(
+                f"{main} function bad() public {{ {pointers} {text}; }} }}")
+        assert registered.value.message == static.value.message, text
+        assert registered.value.span is not None, text
 
-    def counted(ev):
-        compiled[ev.world, ev.info.name, ev.fn.name] += 1
-        return compile_function(ev)
 
-    monkeypatch.setattr(executor, "compile_function", counted)
-    world = make_world("coin.sol")
+def test_each_function_is_compiled_once_at_registration(monkeypatch):
+    compiled = Counter()  # (trace, contract, function) -> compilations
+    compile_function = evaluator.compile_function
+
+    def counted(registry, trace, info, storage, fn):
+        compiled[trace, info.name, fn.name] += 1
+        return compile_function(registry, trace, info, storage, fn)
+
+    monkeypatch.setattr(evaluator, "compile_function", counted)
+    registered = []  # (world, compilations right after its registration)
+
+    def register(world):
+        registered.append((world, compiled.copy()))
+        return world
+
+    world = register(make_world("coin.sol"))
     coin = deploy(world, "Coin", sender=0xA)
     ex = Executor(world)
     for fname, sender, args in (("mint", 0xA, (0xB, 50)),
                                 ("send", 0xB, (0xC, 20))):
         assert ex.run_transaction(Tx(sender=sender, to=coin, fname=fname,
                                      args=args)).ok
-    world = make_world("dao.sol")
+    world = register(make_world("dao.sol"))
     bank = deploy(world, "Bank", value=100)
     ex = Executor(world)
     attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
@@ -338,30 +354,34 @@ def test_each_function_is_compiled_at_most_once_per_world(monkeypatch):
     assert world.instance(bank).balance == 0
     assert sum(e.rule == "E-FUN2" for e in res.events) == 51
     # an external call as an operand, on a contract-typed target
-    world = world_from_source("""
+    world = register(world_from_source("""
     contract B { function g() public returns (uint) { return 41; } }
     contract A {
       B b; uint out;
       function A(B _b) public { b = _b; }
       function f() public { out = b.g() + 1; }
-    }""")
+    }"""))
     a = deploy(world, "A", args=(deploy(world, "B"),))
     assert Executor(world).run_transaction(Tx(sender=1, to=a, fname="f")).ok
-    assert max(compiled.values()) == 1
-    # only what ran was compiled: Bank's getUserBalance never was
-    assert {(c, f) for _, c, f in compiled} == {
-        ("Coin", "Coin"), ("Coin", "mint"), ("Coin", "send"),
-        ("Bank", "deposit"), ("Bank", "withdraw"), ("Attack", "Attack"),
-        ("Attack", "addToBalance"), ("Attack", "withdrawBalance"),
-        ("Attack", ""), ("B", "g"), ("A", "A"), ("A", "f")}
-    # a scenario's assert lines compile no function
-    world = make_world("coin.sol")
+    # a scenario's deploys, transactions and asserts compile nothing
+    world = register(make_world("coin.sol"))
     outcome = run_scenario(world, parse_scenario(scenario_source("coin.scn")))
     assert outcome.assertions_ok
     assert sum(r.description.startswith("assert")
                for r in outcome.results) == 3
-    assert sorted(f for w, _, f in compiled if w is world) == \
-        ["Coin", "mint", "send"]
+    # each function exactly once, by the registration of its world (Bank's
+    # never-called getUserBalance too), and nothing after it
+    assert set(compiled.values()) == {1}
+    for world, before in registered:
+        assert {k for k in compiled if k[0] is world.trace} == \
+            {k for k in before if k[0] is world.trace}
+    assert sorted((c, f) for _, c, f in compiled) == sorted([
+        ("Coin", "Coin"), ("Coin", "mint"), ("Coin", "send"),
+        ("Bank", "deposit"), ("Bank", "withdraw"), ("Bank", "getUserBalance"),
+        ("Attack", "Attack"), ("Attack", "addToBalance"),
+        ("Attack", "withdrawBalance"), ("Attack", ""), ("B", "g"),
+        ("A", "A"), ("A", "f"),
+        ("Coin", "Coin"), ("Coin", "mint"), ("Coin", "send")])
 
 
 def _coverage_gate_traces():

@@ -197,21 +197,24 @@ def test_function_without_return_statement_yields_zero():
     assert _read(world, address, "out") == 5  # 0 + 5
 
 
+def _rejected(source: str) -> SolTypeError:
+    """The type error that registering `source` raises, which has a span."""
+    with pytest.raises(SolTypeError) as err:
+        world_from_source(source)
+    assert err.value.span is not None, err.value.message
+    return err.value
+
+
 def test_value_of_a_function_without_return_aborts_before_it_runs():
-    world = world_from_source("""
+    # rejected when the contract is registered, so g can never run
+    err = _rejected("""
     contract C {
       uint out;
       function g() internal { out = 7; }
       function f() public { uint x = g(); out = x; }
     }""")
-    address = deploy(world, "C")
-    before = world.storage_fingerprint()
-    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert not res.ok
-    assert isinstance(res.error.cause, SolTypeError)
-    assert res.error.cause.message == "function g has no return value"
-    assert all(ev.fn != "g" for ev in res.events)  # g never ran
-    assert world.storage_fingerprint() == before
+    assert err.message == "function g has no return value"
+    assert repr(err.span) == "5:38"
 
 
 def test_value_of_an_external_function_without_return_aborts_before_it_runs():
@@ -262,17 +265,20 @@ def test_a_call_is_typed_by_what_the_functions_of_its_name_return():
     # B.g and D.g disagree, so a call on a plain address has no static type:
     # it stands as a value but not as an operand. On a B-typed target the
     # call is typed by B.g, and reaching D.g instead aborts
-    world = world_from_source("""
+    source = """
     contract B { function g() public returns (uint) { return 41; } }
     contract D { function g() public returns (bool) { return true; } }
     contract A {
       address a; B b; uint out;
       function A(address x) public { a = x; b = B(x); }
       function value() public { uint y = a.g(); out = y; }
-      function operand() public { out = a.g() + 1; }
       function typed() public { out = b.g() + 1; }
       function typedValue() public { uint y = b.g(); out = y; }
-    }""")
+    %s}"""
+    err = _rejected(source % "function operand() public { out = a.g() + 1; }")
+    assert err.message == \
+        "cannot statically type an external call on a plain address"
+    world = world_from_source(source % "")
     ex = Executor(world)
     on_b = deploy(world, "A", args=(deploy(world, "B"),))
     on_d = deploy(world, "A", args=(deploy(world, "D"),))
@@ -280,14 +286,11 @@ def test_a_call_is_typed_by_what_the_functions_of_its_name_return():
     assert ex.run_transaction(Tx(sender=1, to=on_b, fname="typed")).ok
     assert _read(world, on_b, "out") == 42
     before = world.storage_fingerprint()
-    plain = "cannot statically type an external call on a plain address"
     other = "function g of D returns bool, not uint256"
-    for to, fname, message in ((on_b, "operand", plain),
-                               (on_d, "typed", other),
-                               (on_d, "typedValue", other)):
+    for to, fname in ((on_d, "typed"), (on_d, "typedValue")):
         res = ex.run_transaction(Tx(sender=1, to=to, fname=fname))
         assert not res.ok and isinstance(res.error.cause, SolTypeError)
-        assert res.error.cause.message == message, fname
+        assert res.error.cause.message == other, fname
         assert all(e.fn != "g" for e in res.events)  # g never ran
     assert world.storage_fingerprint() == before
 
@@ -308,22 +311,15 @@ def test_a_local_used_before_its_declaration_aborts():
     assert world.storage_fingerprint() == before
 
 
-def test_an_ill_typed_branch_aborts_only_when_taken():
-    world = world_from_source("""
+def test_an_ill_typed_branch_is_rejected_at_registration():
+    # no call ever takes the branch: the whole function is type-checked
+    err = _rejected("""
     contract C {
       bool flag; uint out;
       function f(bool go) public { if (go) { out = flag + 1; } out = 2; }
     }""")
-    address = deploy(world, "C")
-    ex = Executor(world)
-    assert ex.run_transaction(Tx(sender=1, to=address, fname="f",
-                                 args=(False,))).ok
-    assert _read(world, address, "out") == 2
-    res = ex.run_transaction(Tx(sender=1, to=address, fname="f",
-                                args=(True,)))
-    assert not res.ok and isinstance(res.error.cause, SolTypeError)
-    assert res.error.cause.message == \
-        "arithmetic on non-numeric types bool/uint256"
+    assert err.message == "arithmetic on non-numeric types bool/uint256"
+    assert repr(err.span) == "4:57"  # the operator
 
 
 # -- return ------------------------------------------------------------------------------
@@ -578,22 +574,12 @@ def test_insufficient_balance_for_named_value_call_aborts(dao_world):
     "bool ok = to.call.value(1).gas(false)();",
 ])
 def test_a_non_integer_call_value_or_gas_aborts(call):
-    world = world_from_source(f"""
+    # registration rejects the contract, so no wei can move
+    err = _rejected(f"""
     contract R {{ uint hits; function g() public {{ hits = 1; }}
                   function() payable {{ hits = 2; }} }}
     contract Payer {{ function pay(address to) public {{ {call} }} }}""")
-    ex = Executor(world)
-    recv = ex.deploy("R")
-    payer = ex.deploy("Payer", value=5)
-    before = world.storage_fingerprint()
-    res = ex.run_transaction(Tx(sender=1, to=payer, fname="pay",
-                                args=(recv,)))
-    assert not res.ok
-    assert isinstance(res.error.cause, SolTypeError)
-    assert res.error.cause.message.endswith("must be an unsigned integer, "
-                                            "not bool")
-    assert not any(ev.rule in ("E-FUN1", "E-FUN2") for ev in res.events)
-    assert world.storage_fingerprint() == before
+    assert err.message.endswith("must be an unsigned integer, not bool")
 
 
 # -- transactions --------------------------------------------------------------------------
@@ -649,19 +635,25 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "while condition must be boolean",
     "modifier m { if (a) _; } function f() m public { a = 5; }":
         "modifier condition must be boolean",
+    "function f() public { b = true < false; }":
+        "cannot compare bool with bool",
+    "function f() public { a = uint(true); }": "cannot cast bool to uint256",
+    "function f() public { uint[] memory m; m.push(1); }":
+        "push requires a storage array",
+    "function f() public { a = uint([1, 2]); }":
+        "cannot cast a value of no type to uint256",
+    "function f() public { a = uint(\"12\"); }":
+        "cannot cast string to uint256",
+    "function f(uint[2] p) public { a = 5; }":
+        "cannot bind a value of type uint256[2] in memory",
 }
 
 
 @pytest.mark.parametrize("fn, message", _ILL_TYPED.items())
 def test_ill_typed_operands_abort_with_a_type_error(fn, message):
-    world = world_from_source(f"contract T {{ uint a; bool b; {fn} }}")
-    address = deploy(world, "T")
-    before = world.storage_fingerprint()
-    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert not res.ok
-    assert isinstance(res.error.cause, SolTypeError)
-    assert res.error.cause.message == message
-    assert world.storage_fingerprint() == before
+    # registration aborts: the contract never deploys
+    err = _rejected(f"contract T {{ uint a; bool b; {fn} }}")
+    assert err.message == message
 
 
 def test_tx_count_increments_even_on_abort():

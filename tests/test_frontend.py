@@ -1,13 +1,19 @@
 """Lexing and parsing of the covered subset, diagnostics, and the
 pretty-print round trip."""
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
+import lexer_oracle
 from solsem import ast
 from ast_printer import to_source
 from solsem.errors import (
     DuplicateDeclaration, SolSyntaxError, UnsupportedFeature,
 )
+from solsem.lexer import tokenize
 from solsem.parser import parse, parse_expression, try_parse
 
 from conftest import FIXTURE_CONTRACTS, contract_source
@@ -216,3 +222,55 @@ def test_diagnostic_has_position():
     d = diags[0]
     assert d.span.line == 2
     assert "2:" in d.diagnostic("f.sol")
+
+
+def _lexed(tokenizer, source: str):
+    """Each token's kind, value and position, or the error and its position."""
+    try:
+        return [(t.kind, t.value, repr(t.span)) for t in tokenizer(source)]
+    except SolSyntaxError as err:
+        return ("error", err.message, repr(err.span))
+
+
+def _test_sources():
+    """Every fixture, and every triple-quoted source in the tests."""
+    yield from (contract_source(name) for name in FIXTURE_CONTRACTS)
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        yield from re.findall(r'"""(.*?)"""', path.read_text(), re.DOTALL)
+
+
+_LEXER_CASES = (
+    "", "x", "  \n\t\r", "// no newline", "/* spans\nlines */ a /**/ b",
+    "/* unterminated", "/*/", "a /* b */ c // d\n e", "0x", "0XaF19g",
+    "007 1x", "\"a\\nb\\tc\\\"d\\'e\\\\f\\qg\"", "'it''s'",
+    "\"multi\nline\" x", "\"unterminated", "'ends in \\", "\"\\",
+    "x\n  @", "a\n\n   #b", "caf\u00e9 \u0663\u0664 _x9 x_", "a\u00a0b",
+    "+=-=*=/=%===!=<=>=&&||=>++--<<>>&=|=^=", "a=>b<c>d!e&f|g^h~i?j:k",
+)
+
+
+def test_lexer_matches_the_oracle_on_every_source_and_error_case():
+    sources = [*_test_sources(), *_LEXER_CASES]
+    assert len(sources) > 100
+    for source in sources:
+        assert _lexed(tokenize, source) == \
+            _lexed(lexer_oracle.tokenize, source), source
+    errors = {_lexed(tokenize, s)[1] for s in _LEXER_CASES
+              if _lexed(tokenize, s)[0] == "error"}
+    assert errors == {"unterminated block comment",
+                      "unterminated string literal",
+                      "unexpected character '@'", "unexpected character '#'",
+                      "unexpected character '\\xa0'"}
+
+
+def test_lexer_matches_the_oracle_on_random_text():
+    # ASCII, a decimal digit and a letter beyond it; characters that are
+    # digits but not decimal ones (such as "\u00b2") lex as identifier
+    # characters, where the oracle made them numbers or errors
+    rng = random.Random(20)
+    alphabet = "ab_xZ09 \t\r\n/*\"'\\+=-<>!&|^~?:;,.(){}[]@#$0x1F\u00e9\u0663"
+    for _ in range(3000):
+        source = "".join(rng.choice(alphabet)
+                         for _ in range(rng.randint(0, 30)))
+        assert _lexed(tokenize, source) == \
+            _lexed(lexer_oracle.tokenize, source), source

@@ -1,20 +1,25 @@
 """The word store, encoding, allocation, scopes, and deployment state."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from solsem import typesys
-from solsem.errors import DuplicateDeclaration, RangeError, ScopeUnderflow
-from solsem.executor import Executor
+from solsem.errors import (
+    DuplicateDeclaration, RangeError, ScopeUnderflow, SolTypeError,
+)
+from solsem.executor import Executor, Tx
+from solsem.parser import parse
 from solsem.state import (
-    ByteStore, Config, Msg, StorageState, decode_value,
+    ByteStore, Config, Msg, StorageState, World, decode_value,
     encode_key32, encode_value, zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
-from conftest import deploy, make_world
+from conftest import contract_source, deploy, make_world
 
 U128 = UInt(128)
 U256 = UInt(256)
@@ -348,3 +353,49 @@ def test_zero_value_defaults():
     assert zero_value(U256) == 0
     assert zero_value(Bool()) is False
     assert zero_value(typesys.String()) == ""
+
+
+# -- registration ------------------------------------------------------------------
+
+@pytest.mark.parametrize("unit, error", [
+    # a duplicate of a registered contract, after a new one
+    ("contract Fresh { uint x; } contract Coin { uint y; }",
+     DuplicateDeclaration),
+    # a well-typed contract, then an ill-typed one
+    ("contract Fresh { uint x; } "
+     "contract Bad { bool b; function f() public { b = b + 1; } }",
+     SolTypeError),
+    # an ill-typed state-variable initializer
+    ("contract Fresh { bool b; uint x = b + 1; }", SolTypeError),
+])
+def test_registration_is_all_or_nothing(unit, error):
+    world = make_world("coin.sol")
+    registry, code = dict(world.registry), dict(world.code)
+    with pytest.raises(error) as err:
+        world.register(parse(unit))
+    assert err.value.span is not None
+    assert world.registry == registry and world.code == code
+    # the world goes on as if the unit had never been offered
+    world.register(parse("contract Fresh { uint x; }"))
+    assert set(world.registry) == {"Coin", "Fresh"}
+
+
+def test_a_dropped_world_is_freed_without_the_cycle_collector():
+    # the compiled closures read the World from the running call, so
+    # nothing the World holds refers back to it
+    gc.disable()
+    try:
+        world = World()
+        world.register(parse(contract_source("dao.sol")))
+        ex = Executor(world)
+        bank = ex.deploy("Bank", value=10)
+        attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+        for fname in ("addToBalance", "withdrawBalance"):
+            assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                         fname=fname)).ok
+        assert world.instance(bank).balance == 0
+        ref = weakref.ref(world)
+        del world, ex
+        assert ref() is None
+    finally:
+        gc.enable()

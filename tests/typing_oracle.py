@@ -58,7 +58,7 @@ def type_of(env, e: ast.Expr) -> Located:
     if isinstance(e, ast.Member):
         return member_type(e, type_of(env, e.base))
     if isinstance(e, ast.ArrayLength):
-        dyn_array(type_of(env, e.base).sem, ".length", e.span)
+        dyn_array(type_of(env, e.base), ".length", e.span)
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.Call):
         cast = _cast_target(env, e.name)
