@@ -147,7 +147,7 @@ def _cmd_run(args) -> int:
                 "actions": [{"description": r.description, "ok": r.ok,
                              "detail": r.detail} for r in outcome.results],
                 "findings": [f.to_json() for f in findings],
-                "events": len(world.trace.events),
+                "events": len(world.trace),
             }
             if layouts:
                 doc["layouts"] = {h: rep.to_json() for h, rep in layouts}

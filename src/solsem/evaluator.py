@@ -53,6 +53,7 @@ _CAST_TARGETS = {
 }
 # what a cast converts: integers, addresses and contracts, among themselves
 _CASTABLE = (typesys.UInt, typesys.Int256, typesys.Address, typesys.Contract)
+_KINDS = ((typesys.Bool,), _CASTABLE, (typesys.String,))
 
 # the (typing, evaluation) rules of an access by its base's kind: through a
 # plain base, then through a ref (after the ref's Size7)
@@ -196,6 +197,16 @@ def _access(base: Located, table=_ACCESS_RULES) -> tuple:
     ref base, then the node's typing and evaluation rules."""
     sem, is_ref = typesys._strip_ref(base.sem)
     return sem, ("Size7",) * is_ref + table[type(sem)][is_ref]
+
+
+def _check_store(value: Optional[Located], target: typesys.SemType, e):
+    """A bool, a number (an integer, address or contract) or a string is
+    stored only as the same kind; `value` None (no static type) passes."""
+    kind = [k for k in _KINDS if isinstance(target, k)]
+    if kind and value and not isinstance(value.sem, kind[0]):
+        raise SolTypeError(f"{typesys.type_to_str(value.sem)} is not "
+                           f"implicitly convertible to "
+                           f"{typesys.type_to_str(target)}", e.span)
 
 
 def _local(s: ast.VarDecl, structs: dict, registry) -> Located:
@@ -538,8 +549,9 @@ class _Compiler:
                           f"cannot execute {s!r}", getattr(s, "span", None))
 
     def _assign(self, s: ast.Assign):
-        rhs = self.rvalue(s.rhs)  # rhs first
+        rhs, value = self.value(s.rhs)  # rhs first
         lhs, located = self.lvalue(s.lhs)
+        _check_store(value, located.sem, s.rhs)
         write, emit = _writer(located), self.emit
 
         def run(ev):
@@ -656,7 +668,8 @@ class _Compiler:
                 emit("VD2", writes)
             return run
         zero = zero_value(sem)
-        init = self.rvalue(s.init) if s.init is not None else lambda ev: zero
+        init, value = self.value(s.init) if s.init else (lambda ev: zero, None)
+        _check_store(value, sem, s.init)
         bind = self.binder(name, sem, s)
         return lambda ev: bind(ev, init(ev))
 
@@ -745,8 +758,9 @@ def compile_contract(registry: dict, trace, info, layout) -> dict:
     code = {}
     for name, t, init in info.state_vars:
         if init is not None:
-            code[id(init)] = _Compiler(registry, trace, info, layout.storage,
-                                       {}).rvalue(init)
+            code[id(init)], value = _Compiler(registry, trace, info,
+                                              layout.storage, {}).value(init)
+            _check_store(value, t, init)
         layout.allocate_static(name, t)
     for fn in (*info.functions.values(), info.constructor, info.fallback):
         if fn is not None:

@@ -57,7 +57,7 @@ class TxResult:
     ok: bool
     value: object = None
     error: Optional[TxAborted] = None
-    events: list = field(default_factory=list)
+    events: list = field(default_factory=list)  # log entries, not rules
     steps: int = 0  # statements executed (fault-injection points)
 
 
@@ -136,7 +136,7 @@ class Executor:
         warned = len(world.warnings)
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
-        start = len(trace)
+        start = len(trace.events)  # log entries, not rules
         world.msg = Msg(tx.sender, tx.value, tx.gas)
         world.msg_stack = []
         world.stmt_steps = 0

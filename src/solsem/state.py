@@ -314,6 +314,8 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
         fields = tuple(
             (p.name, typesys.resolve_type(p.type_name, structs, contract_names))
             for p in sd.fields)
+        for p, (_, t) in zip(sd.fields, fields):
+            typesys.check_packable(t, "a struct", p.type_name.span)
         structs[sd.name] = typesys.Struct(name=sd.name, fields=fields)
     modifiers = {m.name: m for m in c.modifiers}
     state_vars = []

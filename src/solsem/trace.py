@@ -1,21 +1,22 @@
-"""Execution traces: one event per applied semantics rule.
+"""Execution traces: an entry per effectful rule, one per run of pure ones.
 
 Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
-so tests and downstream tooling can grep for them. Events carry the cell
-changes (byte writes, calls, value transfers) that the reentrancy detector
-and the replay check consume.
+so tests and downstream tooling can grep for them. A rule recorded through
+`emit` (writes, a call, a transfer, a frame edge, a warning) is one slotted
+`TraceEvent`, holding its rule's Write list uncopied or the shared `()`. A
+pure rule application (typing, sizing, E-RV, SEQ, ...) is a pending label;
+before the next emit, context change or mute, or read of `Trace.events`, the
+pending labels become one `RuleRun` entry (a Coin `send`: 47 rules, 9
+entries). A RuleRun reads as an event with no payload, so the reentrancy
+detector and the replay pass over it; `expand` yields a TraceEvent per rule
+and `len(trace)` counts rules. Entries are read-only to every consumer.
 
-Serialized form is newline-delimited JSON. `Trace.to_ndjson` writes each
-line straight out as f-strings, with no dict per event: keys in sorted
-order, hex fields as `0x..`, every string through the C escaper
-`json.dumps` uses. Each line is byte for byte what `json.dumps(event,
-sort_keys=True)` gives for the event's JSON form (tests/ndjson_oracle.py
-keeps that dict builder to check against). Nothing is encoded at `emit`
-time, so the op path pays nothing for the format.
-
-Each applied rule is one call and one slotted event built positionally. An
-event holds the list of writes its rule produced, uncopied, or the shared
-empty tuple `()`; every consumer treats events as read-only.
+Serialized form is newline-delimited JSON, one line per rule, written
+straight out as f-strings with no dict per event: keys in sorted order, hex
+fields as `0x..`, every string through the C escaper `json.dumps` uses. Each
+line is byte for byte `json.dumps(event, sort_keys=True)` of the JSON form
+of the rule's expanded event (tests/ndjson_oracle.py keeps that dict
+builder to check against). Nothing is encoded at `emit` time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Every rule label the engine can emit for an applied semantics rule.
 RULE_LABELS = frozenset({
@@ -88,23 +89,56 @@ class TraceEvent:
     note: Optional[str] = None
 
 
+class RuleRun(NamedTuple):
+    """Consecutive pure rule applications in one context: `rules[i]` has
+    seq `seq + i`. It reads as an event with no payload."""
+    seq: int
+    rules: tuple
+    addr: Optional[int]
+    fn: Optional[str]
+    frame: Optional[int]
+    rule = call = value = omega = note = None
+    writes = ()
+
+
+def expand(entries):
+    """One TraceEvent per applied rule of `entries`, a log or a slice of one."""
+    for ev in entries:
+        if ev.rule is not None:
+            yield ev
+        else:  # a RuleRun: (seq, rules, addr, fn, frame)
+            yield from (TraceEvent(i, rule, *ev[2:])
+                        for i, rule in enumerate(ev.rules, ev.seq))
+
+
 class Trace:
-    """Ordered event log plus the ambient (instance, function, frame) context."""
+    """Ordered log plus the ambient (instance, function, frame) context."""
 
     def __init__(self):
-        self.events: list = []
+        self._log: list = []  # TraceEvents and RuleRuns, in seq order
+        self._pending: list = []  # pure labels not yet in the log
+        self._seq: int = 0  # the last seq in the log
         self._ctx: list = [(None, None, None)]  # (addr, fn, frame) tuples
         self._muted: int = 0
+
+    def _flush(self) -> None:
+        """Write the pending labels, if any, to the log as one RuleRun."""
+        pending, seq = self._pending, self._seq
+        if pending:
+            self._log.append(RuleRun(seq + 1, tuple(pending), *self._ctx[-1]))
+            self._seq = seq + len(pending)
+            pending.clear()
 
     # -- context ---------------------------------------------------------------
 
     def push_context(self, addr, fn, frame=None):
+        self._flush()
         if frame is None:
             frame = self._ctx[-1][2]
         self._ctx.append((addr, fn, frame))
 
     def pop_context(self):
-        self._ctx.pop()
+        self.unwind(len(self._ctx) - 1)
 
     @property
     def depth(self) -> int:
@@ -113,6 +147,7 @@ class Trace:
     def unwind(self, depth: int) -> None:
         """Drop every context above `depth`, including any that a failing
         frame did not get to pop."""
+        self._flush()
         del self._ctx[depth:]
 
     # -- emission ----------------------------------------------------------------
@@ -126,32 +161,31 @@ class Trace:
             raise ValueError(f"unknown rule label {rule!r}")
         if self._muted:
             return None
+        self._flush()
+        self._seq = seq = self._seq + 1
         addr, fn, frame = self._ctx[-1]
-        events = self.events
-        ev = TraceEvent(len(events) + 1, rule, addr, fn, frame, writes or (),
-                        call, value, omega, note)
-        events.append(ev)
+        ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), call, value,
+                        omega, note)
+        self._log.append(ev)
         return ev
 
-    # a pure rule application (sizing, typing) is an event with no payload
-    rule = emit
+    def rule(self, label: str) -> None:
+        """A pure rule application (sizing, typing): a pending label."""
+        if label not in RULE_LABELS:
+            raise ValueError(f"unknown rule label {label!r}")
+        self.rules((label,))
 
     def rules(self, labels: tuple) -> None:
         """`rule` for each of `labels` in turn, in one call. The labels are
         not checked: the compiler passes only labels of RULE_LABELS."""
-        if self._muted:
-            return
-        addr, fn, frame = self._ctx[-1]
-        events = self.events
-        seq = len(events)
-        for rule in labels:
-            seq += 1
-            events.append(TraceEvent(seq, rule, addr, fn, frame))
+        if not self._muted:
+            self._pending += labels
 
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 
     @contextmanager
     def mute(self):
+        self._flush()
         self._muted += 1
         try:
             yield
@@ -160,19 +194,25 @@ class Trace:
 
     # -- views --------------------------------------------------------------------
 
-    def __len__(self):
-        return len(self.events)
+    @property
+    def events(self) -> list:
+        """The log, pending labels written out first: TraceEvents, RuleRuns."""
+        self._flush()
+        return self._log
+
+    def __len__(self):  # rule applications, not log entries
+        return self._seq + len(self._pending)
 
     def labels(self) -> set:
-        return {e.rule for e in self.events}
+        return {ev.rule for ev in expand(self.events)}
 
     def to_ndjson(self) -> str:
-        """One line per event, each equal to `json.dumps(event,
-        sort_keys=True)` of its JSON form, written straight out: keys in
-        sorted order, `addr`, `fn`, `rule`, `seq` and `writes` always, the
-        other fields only when they are not None (a call's `args` only when
-        non-empty). The `{"addr": .., "fn": .., "frame": .., ` head of a
-        call-less event is shared per (addr, fn, frame) within one call."""
+        """One line per rule, `json.dumps(event, sort_keys=True)` of its
+        expanded event's JSON form, written straight out: keys in sorted
+        order, `addr`, `fn`, `rule`, `seq` and `writes` always, the other
+        fields only when not None (a call's `args` only when non-empty). The
+        `{"addr": .., "fn": .., "frame": .., ` head of a call-less entry is
+        shared per (addr, fn, frame) within one call."""
         esc = _esc
         heads: dict = {}
         lines: list = []
@@ -205,6 +245,11 @@ class Trace:
                     head += f'"frame": {frame}, '
                 if call is None:
                     heads[key] = head
+            if ev.rule is None:  # a RuleRun: a line per label
+                lines += [f'{head}"rule": {esc(rule)}, "seq": {seq}, '
+                          '"writes": []}\n'
+                          for seq, rule in enumerate(ev.rules, ev.seq)]
+                continue
             line = head
             if ev.note is not None:
                 line += f'"note": {esc(ev.note)}, '

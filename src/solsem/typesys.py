@@ -172,7 +172,7 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
             return DynArray(base)
         if tn.length <= 0:
             raise SolTypeError("static array length must be positive", tn.span)
-        _check_packable(base, "a static array", tn.span)
+        check_packable(base, "a static array", tn.span)
         return StaticArray(base, tn.length)
     if isinstance(tn, ast.MappingTypeName):
         key = resolve_type(tn.key, structs, contract_names)
@@ -194,7 +194,7 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
 # sizing and alignment
 # ---------------------------------------------------------------------------
 
-def _check_packable(t: SemType, context: str, span=None):
+def check_packable(t: SemType, context: str, span=None):
     if isinstance(t, (Contract, String)):
         raise UnsizedType(f"{type_to_str(t)} cannot be packed inside {context}",
                           span)
@@ -216,7 +216,7 @@ def size_of(t: SemType, trace=None) -> int:
     if isinstance(t, String):
         return SLOT  # base slot only; content lives in a hashed region
     if isinstance(t, StaticArray):
-        _check_packable(t.elem, "a static array")
+        check_packable(t.elem, "a static array")
         inner = size_of(t.elem, trace)
         total = _ceil_to_slot(t.length * inner)
         if trace is not None:
@@ -276,13 +276,12 @@ def size_packed(start: int, fields, trace=None) -> int:
     """
     n = start
     for t in fields:
+        check_packable(t, "a struct")
         if is_primitive(t):
-            _check_packable(t, "a struct")
             n = align_up(n, t) + size_of(t)
             if trace is not None:
                 trace.rule("SR2")
         else:
-            _check_packable(t, "a struct")
             n = _ceil_to_slot(n) + size_of(t, trace)
             if trace is not None:
                 trace.rule("SR3")

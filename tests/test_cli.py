@@ -129,6 +129,18 @@ def test_ill_typed_contract_exits_two_before_any_deploy(tmp_path, capsys,
     assert not trace.exists() and deployed == []
 
 
+def test_unpackable_struct_field_exits_two_with_position(tmp_path, capsys):
+    # checked where the struct is declared, not when a layout sizes it
+    bad = tmp_path / "bad.sol"
+    bad.write_text("contract Main {\n  struct S { string n; uint x; }\n"
+                   "  S s;\n  function main() public { }\n}\n")
+    code = main(["run", str(bad)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert (out, err) == ("", f"{bad}:2:14: string cannot be packed inside "
+                              f"a struct\n")
+
+
 def test_missing_main_exits_two(capsys):
     code = main(["run", _path("c", "coin.sol")])
     assert code == 2

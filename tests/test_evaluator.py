@@ -15,6 +15,7 @@ from solsem.executor import Executor, Tx
 from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, Msg, decode_value
+from solsem.trace import expand
 from solsem.typesys import Address, Bool, Int256, UInt
 
 from conftest import (
@@ -419,7 +420,7 @@ _TYPED_BY = {
 def test_each_evaluated_node_is_typed_once():
     counts = Counter()
     for trace in _coverage_gate_traces():
-        rules = [e.rule for e in trace.events]
+        rules = [e.rule for e in expand(trace.events)]
         counts.update(rules)
         for rule, following in zip(rules, rules[1:]):
             if rule in _TYPED_BY:  # right before the node's evaluation rule

@@ -11,7 +11,7 @@ from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, decode_value
-from solsem.trace import Trace, replay_storage_writes
+from solsem.trace import Trace, expand, replay_storage_writes
 from solsem.typesys import UInt
 
 from conftest import deploy, make_world, world_from_source
@@ -66,8 +66,8 @@ def test_while_false_is_a_no_op():
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok
     assert world.storage_fingerprint() == before
-    assert any(e.rule == "WHILE1" for e in res.events)
-    assert not any(e.rule == "WHILE2" for e in res.events)
+    assert any(e.rule == "WHILE1" for e in expand(res.events))
+    assert not any(e.rule == "WHILE2" for e in expand(res.events))
 
 
 def test_declaration_in_a_loop_body_runs_again():
@@ -646,6 +646,22 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "cannot cast string to uint256",
     "function f(uint[2] p) public { a = 5; }":
         "cannot bind a value of type uint256[2] in memory",
+    "function f() public { a = b; }":
+        "bool is not implicitly convertible to uint256",
+    "function f() public { uint x = b; a = x; }":
+        "bool is not implicitly convertible to uint256",
+    "uint c = b; function f() public { a = c; }":
+        "bool is not implicitly convertible to uint256",
+    "function f() public { b = 1; }":
+        "uint256 is not implicitly convertible to bool",
+    "function f() public { bool c = a; b = c; }":
+        "uint256 is not implicitly convertible to bool",
+    "function f() public { a = \"1\"; }":
+        "string is not implicitly convertible to uint256",
+    "string s = 5; function f() public { a = 5; }":
+        "uint256 is not implicitly convertible to string",
+    "function f() public { string memory s = b; }":
+        "bool is not implicitly convertible to string",
 }
 
 
@@ -765,6 +781,33 @@ def test_a_reentrant_round_costs_twelve_python_frames(dao_world, monkeypatch):
     assert res.ok and dao_world.instance(bank).balance == 0
     assert len(depths) == 52  # the last withdraw finds the bank empty
     assert {b - a for a, b in zip(depths, depths[1:])} == {12}
+
+
+def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
+                                                         dao_world):
+    # the op path writes a RuleRun per maximal run of pure rule
+    # applications, not an event per rule
+    ex = Executor(coin_world)
+    coin = deploy(coin_world, "Coin", sender=0xA)
+    assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                 args=(0xA, 50))).ok
+    res = ex.run_transaction(Tx(sender=0xA, to=coin, fname="send",
+                                args=(0xB, 5)))
+    assert res.ok and len(res.events) == 9
+    assert len(list(expand(res.events))) == 47
+    ex = Executor(dao_world)
+    sizes = []
+    for bank_value in (10, 12):  # one reentrant round more
+        bank = ex.deploy("Bank", value=bank_value)
+        attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+        assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                     fname="addToBalance")).ok
+        res = ex.run_transaction(Tx(sender=0xB, to=attack,
+                                    fname="withdrawBalance"))
+        assert res.ok
+        sizes.append((len(res.events), len(list(expand(res.events)))))
+    assert sizes[1][0] - sizes[0][0] == 11  # entries a round adds
+    assert sizes[1][1] - sizes[0][1] == 36  # rules a round applies
 
 
 def test_call_depth_cap():

@@ -1,18 +1,27 @@
 """The NDJSON trace writer against the dict-building encoder it replaced,
-and the event contract `Trace.emit` keeps."""
+the event contract `Trace.emit` keeps, and the log of RuleRuns against
+the consumers' oracles over its expansion."""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solsem.errors import TxAborted
 from solsem.executor import Executor, Tx
-from solsem.harness import parse_scenario, run_main_contract, run_scenario
-from solsem.trace import CallInfo, Trace, TraceEvent, Write
+from solsem.harness import (
+    detect_reentrancy, eval_readonly, parse_scenario, run_main_contract,
+    run_scenario,
+)
+from solsem.parser import parse_expression
+from solsem.trace import (
+    CallInfo, RuleRun, Trace, TraceEvent, Write, expand, replay_storage_writes,
+)
 
 from conftest import CLI_RUNS, deploy, make_world, scenario_source, \
     world_from_source
 from ndjson_oracle import event_to_json
+from reentrancy_oracle import detect_reentrancy as oracle_detect_reentrancy
 
 # a transfer to a contract without a fallback (WARN with value and note)
 # and an unfunded one (WARN with a note); a bool value or gas only reaches
@@ -84,20 +93,23 @@ _events = st.builds(
     writes=st.one_of(st.just(()), st.lists(_writes, max_size=3)),
     call=st.one_of(st.none(), _calls), value=_opt_amounts, omega=_opt_ints,
     note=st.one_of(st.none(), _strings))
+_runs = st.builds(RuleRun, seq=_ints, rules=st.lists(_strings, max_size=4)
+                  .map(tuple), addr=_addrs, fn=_fns, frame=_frames)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_events, max_size=6))
-def _drawn_events_match(events):
+@given(st.lists(st.one_of(_events, _runs), max_size=6))
+def _drawn_entries_match(entries):
     trace = Trace()
-    trace.events = events
-    assert trace.to_ndjson() == _oracle_ndjson(events)
+    trace.events.extend(entries)
+    assert trace.to_ndjson() == _oracle_ndjson(expand(entries))
 
 
 def test_ndjson_matches_the_dict_oracle():
     for label, trace in _traces():
-        assert trace.to_ndjson() == _oracle_ndjson(trace.events), label
-    _drawn_events_match()
+        assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events)), \
+            label
+    _drawn_entries_match()
 
 
 def test_an_unknown_rule_label_raises_and_appends_nothing():
@@ -110,11 +122,12 @@ def test_an_unknown_rule_label_raises_and_appends_nothing():
 
 def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
     trace = Trace()
-    assert trace.rule("Type3").writes == ()
+    trace.rule("Type3")
     assert trace.emit("TX-END").writes == ()
     ws = [Write("storage", 0x20, b"\x01")]
     assert trace.emit("ASSIGN", writes=ws).writes is ws
-    assert [(ev.seq, ev.rule) for ev in trace.events] == [
+    assert trace.events[0].writes == ()  # the RuleRun of Type3
+    assert [(ev.seq, ev.rule) for ev in expand(trace.events)] == [
         (1, "Type3"), (2, "TX-END"), (3, "ASSIGN")]
 
 
@@ -127,7 +140,62 @@ def test_rules_appends_what_rule_appends_one_label_at_a_time():
     batched.rules(labels)
     for label in labels:
         single.rule(label)
-    assert batched.events == single.events
+    assert list(expand(batched.events)) == list(expand(single.events))
     with batched.mute():
         batched.rules(("SEQ",))
     assert len(batched) == 4
+
+
+# -- the log of RuleRuns against the consumers' oracles ----------------------------
+
+_USERS = (0xA, 0xB, 0xC)
+_coin_txs = st.lists(st.tuples(
+    st.sampled_from(("mint", "send")), st.sampled_from(_USERS),
+    st.sampled_from(_USERS), st.integers(0, 30),
+    st.one_of(st.none(), st.integers(1, 6)),  # the statement that faults
+    st.booleans()), max_size=10)  # a muted read after the tx
+
+
+def _check_log(world) -> None:
+    trace = world.trace
+    entries = trace.events
+    events = list(expand(entries))
+    assert [ev.seq for ev in events] == list(range(1, len(trace) + 1))
+    assert trace.to_ndjson() == _oracle_ndjson(events)
+    assert detect_reentrancy(entries) == oracle_detect_reentrancy(events)
+    replayed = replay_storage_writes(entries)
+    for address, inst in world.instances.items():
+        assert replayed.get(address, {}) == inst.config.storage.bytes
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coin_txs, st.integers(0, 30))
+def _random_logs_match_the_oracles(txs, bank_value):
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin", sender=0xA)
+    ex = Executor(world)
+    read = parse_expression("balances[0xB]")
+    for fname, sender, to, amount, fault, peek in txs:
+        def hook(w, step, fault=fault):
+            if step == fault:
+                raise TxAborted("injected fault")
+        world.options.step_hook = hook if fault else None
+        ex.run_transaction(Tx(sender=sender, to=coin, fname=fname,
+                              args=(to, amount)))
+        if peek:  # labels applied while muted never reach the log
+            n, entries = len(world.trace), len(world.trace.events)
+            eval_readonly(world, coin, read)
+            assert (len(world.trace), len(world.trace.events)) == (n, entries)
+    _check_log(world)
+    world = make_world("dao.sol")
+    ex = Executor(world)
+    bank = ex.deploy("Bank", value=bank_value)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    for fname in ("addToBalance", "withdrawBalance"):
+        assert ex.run_transaction(Tx(sender=0xB, to=attack, fname=fname)).ok
+    assert world.instance(bank).balance == bank_value % 2
+    _check_log(world)
+
+
+def test_the_log_reads_as_its_expanded_events():
+    _random_logs_match_the_oracles()
