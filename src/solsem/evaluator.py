@@ -1,13 +1,15 @@
 """The compiler: each function becomes a tree of closures, built once.
 
 `World.register` compiles every function of a unit, with its modifier
-guard, and every state-variable initializer (`compile_contract`), before
-anything deploys; `Executor.call_internal` and `Executor.deploy` run the
-closures. The compiler is the one static walk over the AST, and the type
-check: it fixes each node's kind, each identifier's binding, each typing
-step of `typesys` (`index_type`, `binary_type`, ...), the sizes, codecs and
-operators, and the rule labels each node emits (a node's typing rule just
-before its evaluation rule). The first ill-typed node raises its error,
+guard, and each contract's initializer (`compile_contract`) against the
+storage layout its declarations fixed, before anything deploys;
+`Executor.call_internal` and `Executor.deploy` run the closures. The
+compiler is the one static walk over the AST, and the type check: it fixes
+each node's kind, each identifier's binding, each typing step of `typesys`
+(`index_type`, `binary_type`, ...), the sizes, the operators, the value
+codecs (one reader and writer per type, `_reader` and `_writer`) and the
+rule labels each node emits (a node's typing rule just before its
+evaluation rule). The first ill-typed node raises its error,
 with its span, so a contract that registers is well typed. A closure does
 only the dynamic work, against an `Evaluator`, the context of one running
 call: reads, journaled writes, slot derivations, calls and emission.
@@ -29,7 +31,9 @@ against real-chain layouts.
 
 from __future__ import annotations
 
+import functools
 import operator
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from . import ast, typesys
@@ -69,8 +73,6 @@ _U256 = Located(UINT256, MEMORY)
 _BOOL = Located(typesys.Bool(), MEMORY)
 _ADDRESS = Located(typesys.Address(), MEMORY)
 _SPACE = {loc: operator.attrgetter(loc) for loc in (STORAGE, MEMORY)}
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def slot_of_dyn(p: int, i: int) -> int:
@@ -90,42 +92,67 @@ def _slot_stride(elem: typesys.SemType) -> int:
     return max(1, typesys.size_of(elem) // SLOT)
 
 
+def _unsigned(f):
+    """f at uint<w>: its result modulo 2^w."""
+    def at(t):
+        mod = 1 << t.width
+        return lambda a, b: f(a, b) % mod
+    return at
+
+
+def _signed(f):
+    """f at int256: its result wrapped into [-2^255, 2^255)."""
+    return lambda t: lambda a, b: (f(a, b) + (1 << 255)) % (1 << 256) \
+        - (1 << 255)
+
+
+def _nonzero(op: str, f):
+    """f, raising DivisionByZero for a zero rhs."""
+    def checked(a, b):
+        if b == 0:
+            raise DivisionByZero(f"{op} by zero")
+        return f(a, b)
+    return checked
+
+
+def _truncated(a, b):
+    """a / b rounded toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# (op, type of the operation, or None for any) -> t -> (lhs, rhs) -> result
+_OPERATORS = {
+    ("==", None): lambda t: operator.eq, ("!=", None): lambda t: operator.ne,
+    ("<", None): lambda t: operator.lt, ("<=", None): lambda t: operator.le,
+    (">", None): lambda t: operator.gt, (">=", None): lambda t: operator.ge,
+    ("+", typesys.UInt): _unsigned(operator.add),
+    ("-", typesys.UInt): _unsigned(operator.sub),
+    ("*", typesys.UInt): _unsigned(operator.mul),
+    ("/", typesys.UInt): _unsigned(_nonzero("/", operator.floordiv)),
+    ("%", typesys.UInt): lambda t: _nonzero("%", operator.mod),
+    ("+", typesys.Int256): _signed(operator.add),
+    ("-", typesys.Int256): _signed(operator.sub),
+    ("*", typesys.Int256): _signed(operator.mul),
+    ("/", typesys.Int256): _signed(_nonzero("/", _truncated)),
+    ("%", typesys.Int256): _signed(_nonzero(
+        "%", lambda a, b: a - _truncated(a, b) * b)),
+}
+
+
+def _operator(op: str, t: typesys.SemType):
+    """The function (lhs, rhs) -> lhs op rhs at type t: comparisons at any
+    type; unsigned arithmetic wraps modulo 2^w, signed wraps into int256."""
+    make = _OPERATORS.get((op, type(t))) or _OPERATORS.get((op, None))
+    if make is None:
+        raise SolTypeError(
+            f"operator {op} not defined at {typesys.type_to_str(t)}")
+    return make(t)
+
+
 def apply_binop(op: str, lhs, rhs, t: typesys.SemType):
     """Arithmetic and comparison at type t; unsigned ops wrap modulo 2^w."""
-    if op in ("==", "!="):
-        eq = lhs == rhs
-        return eq if op == "==" else not eq
-    if op in ("<", "<=", ">", ">="):
-        return {"<": lhs < rhs, "<=": lhs <= rhs,
-                ">": lhs > rhs, ">=": lhs >= rhs}[op]
-    if isinstance(t, typesys.UInt):
-        mod = 1 << t.width
-        if op == "+":
-            return (lhs + rhs) % mod
-        if op == "-":
-            return (lhs - rhs) % mod
-        if op == "*":
-            return (lhs * rhs) % mod
-        if op in ("/", "%"):
-            if rhs == 0:
-                raise DivisionByZero(f"{op} by zero")
-            return (lhs // rhs) % mod if op == "/" else (lhs % rhs)
-    if isinstance(t, typesys.Int256):
-        if op in ("/", "%") and rhs == 0:
-            raise DivisionByZero(f"{op} by zero")
-        if op == "+":
-            raw = lhs + rhs
-        elif op == "-":
-            raw = lhs - rhs
-        elif op == "*":
-            raw = lhs * rhs
-        elif op == "/":
-            raw = abs(lhs) // abs(rhs) * (1 if (lhs < 0) == (rhs < 0) else -1)
-        else:
-            raw = lhs - (abs(lhs) // abs(rhs) * (1 if (lhs < 0) == (rhs < 0)
-                                                 else -1)) * rhs
-        return (raw + (1 << 255)) % (1 << 256) - (1 << 255)
-    raise SolTypeError(f"operator {op} not defined at {typesys.type_to_str(t)}")
+    return _operator(op, t)(lhs, rhs)
 
 
 def _convert(v: int, t: typesys.SemType) -> int:
@@ -167,29 +194,105 @@ def _recorded(step, *args) -> tuple:
     return tuple(labels), result
 
 
+@functools.cache
 def _reader(located: Located):
-    """read(ev, addr): the value of `located` at addr (a ref's is addr)."""
+    """read(ev, addr): the value of `located` at addr (a ref's is addr). A
+    static array reads as a list, a struct as a dict by field, a dynamic
+    array as the list of its hash-derived elements, a mapping as None."""
     sem, loc = located
+    space = _SPACE[loc]
     if isinstance(sem, typesys.Ref):
         return lambda ev, addr: addr
-    if not typesys.is_primitive(sem):
-        return lambda ev, addr: read_value(ev.world, ev.config, loc, addr, sem)
-    space, size = _SPACE[loc], typesys.size_of(sem)
-    return lambda ev, addr: decode_value(space(ev).read(addr, size), sem)
+    if typesys.is_primitive(sem):
+        size = typesys.size_of(sem)
+        return lambda ev, addr: decode_value(space(ev).read(addr, size), sem)
+    if isinstance(sem, typesys.StaticArray):
+        read, stride = _reader(Located(sem.elem, loc)), typesys.size_of(sem.elem)
+        offsets = range(0, sem.length * stride, stride)
+        return lambda ev, addr: [read(ev, addr + i) for i in offsets]
+    if isinstance(sem, typesys.Struct):
+        fields = [(name, _reader(Located(t, loc)), typesys.field_offset(sem, k))
+                  for k, (name, t) in enumerate(sem.fields)]
+        return lambda ev, addr: {name: read(ev, addr + offset)
+                                 for name, read, offset in fields}
+    if isinstance(sem, typesys.Mapping):
+        return lambda ev, addr: None  # not enumerable
+    if isinstance(sem, typesys.DynArray):
+        read, stride = _reader(Located(sem.elem, loc)), _slot_stride(sem.elem)
+
+        def read_array(ev, addr):
+            length = int.from_bytes(space(ev).read(addr, SLOT), "big")
+            if not length:
+                return []
+            h = ev.world.derived_slot(slot_of_dyn, addr // SLOT, 0)
+            return [read(ev, (h + i * stride) * SLOT) for i in range(length)]
+        return read_array
+
+    def read_string(ev, addr):
+        """The length word, then the bytes after it (memory) or in the chunk
+        slots from keccak256(bytes32(p)) on (storage), in one read."""
+        store = space(ev)
+        length = int.from_bytes(store.read(addr, SLOT), "big")
+        at = addr + SLOT if loc == MEMORY else \
+            ev.world.derived_slot(slot_of_dyn, addr // SLOT, 0) * SLOT
+        return store.read(at, length).decode("utf-8", "replace")
+    return read_string
 
 
-def _writer(located: Located):
-    """write(ev, addr, v): store v at addr as `located`; its Write records."""
+def _writer(located: Located, span=None):
+    """write(ev, addr, v): store v at addr as `located`; its Write records.
+    A whole struct, dynamic array, mapping or storage pointer is not a
+    target: a SolTypeError with `span`."""
     sem, loc = located
-    if not typesys.is_primitive(sem):
-        return lambda ev, addr, v: ev.write_value(loc, addr, sem, v)
     space = _SPACE[loc]
+    if typesys.is_primitive(sem):
+        def write(ev, addr, v):
+            data = encode_value(v, sem)
+            space(ev).write(addr, data)
+            return [Write(loc, addr, data)]
+        return write
+    if isinstance(sem, typesys.StaticArray):
+        write, stride = _writer(Located(sem.elem, loc), span), \
+            typesys.size_of(sem.elem)
+        n, error = sem.length, (f"expected {sem.length} elements for "
+                                f"{typesys.type_to_str(sem)}")
 
-    def write(ev, addr, v):
-        data = encode_value(v, sem)
-        space(ev).write(addr, data)
-        return [Write(loc, addr, data)]
-    return write
+        def write_array(ev, addr, v):
+            if not isinstance(v, (list, tuple)) or len(v) != n:
+                raise SolTypeError(error)
+            writes = []
+            for i, x in enumerate(v):
+                writes += write(ev, addr + i * stride, x)
+            return writes
+        return write_array
+    if not isinstance(sem, typesys.String):
+        raise SolTypeError(f"cannot assign a whole {typesys.type_to_str(sem)}",
+                           span)
+
+    def write_string(ev, addr, v):
+        """The length word, then the bytes after it (memory) or in chunk
+        slots, each recorded as a hashed region as it is written (storage)."""
+        if not isinstance(v, str):
+            raise SolTypeError("expected a string value")
+        raw = v.encode("utf-8")
+        store = space(ev)
+        head = len(raw).to_bytes(SLOT, "big")
+        store.write(addr, head)
+        writes = [Write(loc, addr, head)]
+        if loc == MEMORY:
+            store.write(addr + SLOT, raw)
+            if raw:
+                writes.append(Write(loc, addr + SLOT, raw))
+            return writes
+        p = addr // SLOT
+        h = ev.world.derived_slot(slot_of_dyn, p, 0)
+        for j in range(0, len(raw), SLOT):
+            chunk, at = raw[j:j + SLOT].ljust(SLOT, b"\x00"), h + j // SLOT
+            store.write(at * SLOT, chunk)
+            writes.append(Write(loc, at * SLOT, chunk))
+            store.record_hashed(at, "string", p, j // SLOT)
+        return writes
+    return write_string
 
 
 def _access(base: Located, table=_ACCESS_RULES) -> tuple:
@@ -233,15 +336,16 @@ def _declarations(stmts: list):
 class _Compiler:
     """Compiles the nodes of one function, or one expression against a live
     frame, against `registry`, the contracts it may name. `locals` maps a
-    local's name to its Located; `storage` holds the contract's state
-    variables, which sit at the same addresses in every instance. A node
-    compiles to (run, located); a statement to run, which returns True when
-    it executed a `return`. An ill-typed node raises its error."""
+    local's name to its Located; `layout`, by default the contract's, maps
+    a state variable's name to its LValue, the same in every instance. A
+    node compiles to (run, located); a statement to run, which returns True
+    when it executed a `return`. An ill-typed node raises its error."""
 
-    def __init__(self, registry: dict, trace, info, storage, locals_: dict,
-                 fn=None):
-        self.registry, self.info, self.storage = registry, info, storage
-        self.locals, self.fn = locals_, fn
+    def __init__(self, registry: dict, trace, info, locals_: dict, fn=None,
+                 layout=None):
+        self.registry, self.info, self.locals, self.fn = \
+            registry, info, locals_, fn
+        self.layout = info.layout if layout is None else layout
         self.rules, self.emit = trace.rules, trace.emit
 
     def typed(self, e: ast.Expr):
@@ -295,14 +399,14 @@ class _Compiler:
                 rules(("Type3", "E-ID2"))
                 return addr
             return run, self.locals[name]
-        if name not in self.storage.names:
+        if name not in self.layout:
             raise UnknownIdentifier(f"unknown identifier {name}", span)
-        addr = self.storage.names[name]
+        addr, located = self.layout[name]
 
         def state_var(ev):
             rules(("Type3", "E-ID1"))
             return addr
-        return state_var, self.storage.types[name]
+        return state_var, located
 
     def _read(self, e):
         """An identifier, index or member as a value: a ref's pointer after
@@ -420,7 +524,8 @@ class _Compiler:
             return (lambda ev: not run(ev)), _BOOL
         if isinstance(e.operand, ast.IntLit):  # a signed literal
             return (lambda ev: -run(ev)), Located(t, MEMORY)
-        return (lambda ev: apply_binop("-", 0, run(ev), t)), Located(t, MEMORY)
+        sub = _operator("-", t)
+        return (lambda ev: sub(0, run(ev))), Located(t, MEMORY)
 
     def _binary(self, e: ast.Binary):
         op = e.op
@@ -433,11 +538,8 @@ class _Compiler:
         lhs, lt = self.typed(e.lhs)
         rhs, rt = self.typed(e.rhs)
         t = typesys.binary_type(e, lt.sem, rt.sem)
-        if op in _COMPARE:
-            f = _COMPARE[op]
-            return (lambda ev: f(lhs(ev), rhs(ev))), Located(t, MEMORY)
-        return (lambda ev: apply_binop(op, lhs(ev), rhs(ev), t)), \
-            Located(t, MEMORY)
+        f = _operator(op, t)
+        return (lambda ev: f(lhs(ev), rhs(ev))), Located(t, MEMORY)
 
     def _call(self, e: ast.Call):
         cast = None if e.name in self.info.functions \
@@ -461,7 +563,10 @@ class _Compiler:
             raise UnknownIdentifier(f"unknown function {e.name}", e.span)
         if expression and fn.ret is None:
             raise SolTypeError(f"function {e.name} has no return value", e.span)
-        args, rules = [self.rvalue(a) for a in e.args], self.rules
+        args, rules = [self.value(a) for a in e.args], self.rules
+        for a, (run, located), (_, t) in zip(e.args, args, fn.params):
+            _check_store(located, t, a)
+        args = [run for run, _ in args]
 
         def run(ev):
             value = ev.executor.call_internal(
@@ -552,7 +657,7 @@ class _Compiler:
         rhs, value = self.value(s.rhs)  # rhs first
         lhs, located = self.lvalue(s.lhs)
         _check_store(value, located.sem, s.rhs)
-        write, emit = _writer(located), self.emit
+        write, emit = _writer(located, s.lhs.span), self.emit
 
         def run(ev):
             value = rhs(ev)
@@ -574,7 +679,7 @@ class _Compiler:
         length, then bump the length in the base slot."""
         base, sem, loc = self._length(e.base, "push", e.span)
         arg, elem, emit = self.rvalue(e.arg), sem.elem, self.emit
-        stride, write = _slot_stride(elem), _writer(Located(elem, loc))
+        stride, write = _slot_stride(elem), _writer(Located(elem, loc), e.span)
         write_length = _writer(Located(UINT256, loc))
 
         def run(ev):
@@ -626,8 +731,9 @@ class _Compiler:
         if fn.ret is None:
             raise SolTypeError(
                 "return value in a function with no declared return", s.span)
-        value, rname = self.rvalue(s.expr), fn.ret[0]
-        write = _writer(Located(fn.ret[1], MEMORY))
+        value, located = self.value(s.expr)
+        _check_store(located, fn.ret[1], s.expr)
+        rname, write = fn.ret[0], _writer(Located(fn.ret[1], MEMORY))
 
         def run(ev):
             v = value(ev)
@@ -657,14 +763,16 @@ class _Compiler:
             return run
         if typesys.is_reference_kind(sem):  # a memory aggregate
             (sized, size), rules = _recorded(typesys.size_of, sem), self.rules
-            init = self.rvalue(s.init) if s.init is not None else None
+            init = write = None
+            if s.init is not None:
+                init, write = self.rvalue(s.init), _writer(located, s.span)
 
             def run(ev):
                 rules(sized)
                 addr = ev.config.fr(name, located, bytes(size), s)
                 writes = [Write(MEMORY, addr, bytes(size))]
                 if init is not None:
-                    writes += ev.write_value(MEMORY, addr, sem, init(ev))
+                    writes += write(ev, addr, init(ev))
                 emit("VD2", writes)
             return run
         zero = zero_value(sem)
@@ -723,7 +831,7 @@ _STATEMENTS = {
 }
 
 
-def compile_function(registry: dict, trace, info, storage, fn) -> tuple:
+def compile_function(registry: dict, trace, info, fn) -> tuple:
     """Compile `fn` of contract `info`, with every name it declares:
     (bind(ev, args), guard(ev) or None, body(ev), result(ev) or None), which
     `call_internal` runs in that order."""
@@ -733,7 +841,7 @@ def compile_function(registry: dict, trace, info, storage, fn) -> tuple:
         locals_.setdefault(name, Located(t, MEMORY))
     for s in _declarations(fn.body):
         locals_.setdefault(s.name, _local(s, info.structs, registry))
-    c = _Compiler(registry, trace, info, storage, locals_, fn)
+    c = _Compiler(registry, trace, info, locals_, fn)
     binders = [c.binder(name, t, span=fn.span) for name, t in fn.params + ret]
     zero = [zero_value(t) for _, t in ret]
     guard = c.condition(fn.guard, "modifier condition must be boolean",
@@ -749,23 +857,36 @@ def compile_function(registry: dict, trace, info, storage, fn) -> tuple:
     return bind, guard, c.block(fn.body), result
 
 
-def compile_contract(registry: dict, trace, info, layout) -> dict:
-    """The code of every function, modifier guard and state-variable
-    initializer of contract `info`, keyed by the id of its FunctionInfo or
-    initializer. `layout`, an empty Config, allocates the state variables
-    as deploy will: an initializer is compiled against the variables before
-    it, a function against them all."""
-    code = {}
-    for name, t, init in info.state_vars:
-        if init is not None:
-            code[id(init)], value = _Compiler(registry, trace, info,
-                                              layout.storage, {}).value(init)
-            _check_store(value, t, init)
-        layout.allocate_static(name, t)
+def compile_contract(registry: dict, trace, info) -> dict:
+    """The code of every function and modifier guard of contract `info`,
+    keyed by the id of its FunctionInfo, and its initializer, keyed by the
+    id of `info`. The initializer takes each state variable in declaration
+    order: its initial value, compiled against the variables declared
+    before it, then its Size labels, its write at its layout address, and
+    VD1. Functions are compiled against every variable."""
+    steps, visible = [], {}
+    for v in info.state_vars:
+        addr, located = info.layout[v.name]
+        init = write = None
+        if v.init is not None:
+            init, value = _Compiler(registry, trace, info, {},
+                                    layout=visible).value(v.init)
+            _check_store(value, located.sem, v.init)
+            write = _writer(located, v.span)
+        steps.append((init, _recorded(typesys.size_of, located.sem)[0],
+                      write, addr))
+        visible[v.name] = info.layout[v.name]
+    rules, emit = trace.rules, trace.emit
+
+    def initialize(ev):
+        for init, sized, write, addr in steps:
+            value = None if init is None else init(ev)
+            rules(sized)
+            emit("VD1", writes=[] if value is None else write(ev, addr, value))
+    code = {id(info): initialize}
     for fn in (*info.functions.values(), info.constructor, info.fallback):
         if fn is not None:
-            code[id(fn)] = compile_function(registry, trace, info,
-                                            layout.storage, fn)
+            code[id(fn)] = compile_function(registry, trace, info, fn)
     return code
 
 
@@ -794,7 +915,7 @@ class Evaluator:
     def _compiler(self) -> _Compiler:
         top, world = self.memory.top, self.world
         self.locals = top.names
-        return _Compiler(world.registry, world.trace, self.info, self.storage,
+        return _Compiler(world.registry, world.trace, self.info,
                          dict(top.types), self.fn)
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
@@ -813,90 +934,9 @@ class Evaluator:
         run, located = self._compiler().typed(e)
         return run(self), located.sem
 
-    # -- typed writes -------------------------------------------------------------
-
-    def write_value(self, loc: str, addr: int, sem: typesys.SemType, v) -> list:
-        """Encode and store `v` at addr; returns the Write records."""
-        if isinstance(sem, typesys.String):
-            return self._write_string(loc, addr, v)
-        if isinstance(sem, typesys.StaticArray):
-            if not isinstance(v, (list, tuple)) or len(v) != sem.length:
-                raise SolTypeError(
-                    f"expected {sem.length} elements for "
-                    f"{typesys.type_to_str(sem)}")
-            writes = []
-            stride = typesys.size_of(sem.elem)
-            for i, x in enumerate(v):
-                writes += self.write_value(loc, addr + i * stride, sem.elem, x)
-            return writes
-        if isinstance(sem, (typesys.DynArray, typesys.Mapping, typesys.Struct,
-                            typesys.Ref)):
-            raise SolTypeError(
-                f"cannot assign a whole {typesys.type_to_str(sem)}")
-        data = encode_value(v, sem)
-        self.config.write_bytes(loc, addr, data)
-        return [Write(loc, addr, data)]
-
-    def _write_string(self, loc: str, addr: int, v) -> list:
-        if not isinstance(v, str):
-            raise SolTypeError("expected a string value")
-        raw = v.encode("utf-8")
-        writes = [Write(loc, addr, len(raw).to_bytes(typesys.SLOT, "big"))]
-        self.config.write_bytes(loc, addr, writes[0].data)
-        if loc == typesys.MEMORY:
-            self.config.write_bytes(loc, addr + typesys.SLOT, raw)
-            if raw:
-                writes.append(Write(loc, addr + typesys.SLOT, raw))
-            return writes
-        p = addr // typesys.SLOT
-        h = self.world.derived_slot(slot_of_dyn, p, 0)
-        for j in range(0, len(raw), typesys.SLOT):
-            chunk = raw[j:j + typesys.SLOT].ljust(typesys.SLOT, b"\x00")
-            at = (h + j // typesys.SLOT) * typesys.SLOT
-            self.config.write_bytes(loc, at, chunk)
-            writes.append(Write(loc, at, chunk))
-            self.config.storage.record_hashed(h + j // typesys.SLOT, "string",
-                                              p, j // typesys.SLOT)
-        return writes
-
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):
     """Decode the value of type `sem` stored at addr (composites nest)."""
-    if typesys.is_primitive(sem):
-        return decode_value(config.read_bytes(loc, addr, typesys.size_of(sem)),
-                            sem)
-    if isinstance(sem, typesys.StaticArray):
-        stride = typesys.size_of(sem.elem)
-        return [read_value(world, config, loc, addr + i * stride, sem.elem)
-                for i in range(sem.length)]
-    if isinstance(sem, typesys.Struct):
-        return {name: read_value(world, config, loc,
-                                 addr + typesys.field_offset(sem, k), t)
-                for k, (name, t) in enumerate(sem.fields)}
-    if isinstance(sem, typesys.DynArray):
-        length = decode_value(config.read_bytes(loc, addr, typesys.SLOT),
-                              typesys.UINT256)
-        p = addr // typesys.SLOT
-        stride = _slot_stride(sem.elem)
-        return [read_value(world, config, loc,
-                           (world.derived_slot(slot_of_dyn, p, 0) + i * stride)
-                           * typesys.SLOT, sem.elem)
-                for i in range(length)]
-    if isinstance(sem, typesys.Mapping):
-        return None  # not enumerable
-    if isinstance(sem, typesys.String):
-        length = decode_value(config.read_bytes(loc, addr, typesys.SLOT),
-                              typesys.UINT256)
-        if loc == typesys.MEMORY:
-            raw = config.read_bytes(loc, addr + typesys.SLOT, length)
-        else:
-            h = world.derived_slot(slot_of_dyn, addr // typesys.SLOT, 0)
-            raw = b"".join(
-                config.read_bytes(loc, (h + j) * typesys.SLOT, typesys.SLOT)
-                for j in range((length + typesys.SLOT - 1) // typesys.SLOT)
-            )[:length]
-        return raw.decode("utf-8", errors="replace")
-    if isinstance(sem, typesys.Ref):
-        raise SolTypeError("a ref has no stored value; read through it instead")
-    raise SolTypeError(
-        f"cannot decode a value of type {typesys.type_to_str(sem)}")
+    ev = SimpleNamespace(world=world, storage=config.storage,
+                         memory=config.memory)  # what a reader reads off
+    return _reader(Located(sem, loc))(ev, addr)

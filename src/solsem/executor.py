@@ -17,7 +17,9 @@ compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled
 (`World.code`): `call_internal` runs a function's parameter binding, guard
-and body, and `deploy` each state-variable initializer. Registration has
+and body, and `deploy` the contract's initializer, which writes each state
+variable's initial value at the address the contract's layout fixed at
+registration; nothing is sized or allocated at deploy. Registration has
 type-checked them, so the faults left to run time are dynamic: division by
 zero, a bad index, an unknown address, a local read before its declaration
 has run, and a named call reaching a function that does not return the type
@@ -73,8 +75,9 @@ class Executor:
 
     def deploy(self, contract_name: str, args=(), sender: int = 0,
                value: int = 0, gas: int = 0) -> int:
-        """Create an instance: allocate state variables in declaration order,
-        then run the constructor under the creation Msg."""
+        """Create an instance: run its contract's compiled initializer, which
+        stores each state variable's initial value at its layout address,
+        then the constructor, under the creation Msg."""
         world = self.world
         info = world.contract_info(contract_name)
         # the address is taken inside the bracket, so an abort gives it back
@@ -83,14 +86,7 @@ class Executor:
 
         def create():
             address = world.create_instance(contract_name, value)
-            ev = self.evaluator(address)
-            for name, t, init in info.state_vars:
-                init_value = None if init is None else world.code[id(init)](ev)
-                addr = ev.config.allocate_static(name, t, world.trace)
-                writes = []
-                if init_value is not None:
-                    writes = ev.write_value(typesys.STORAGE, addr, t, init_value)
-                world.trace.emit("VD1", writes=writes)
+            world.code[id(info)](self.evaluator(address))
             if info.constructor is not None:
                 self.call_internal(address, info.constructor, tx.args,
                                    expression=False)

@@ -187,15 +187,14 @@ def _contains_call(e: ast.Expr) -> bool:
                for c in (v if isinstance(v, list) else (v,)))
 
 
-def _substitute_handles(world: World, address: int, expr: ast.Expr,
-                        handles: dict) -> ast.Expr:
+def _substitute_handles(expr: ast.Expr, handles: dict,
+                        layout: dict) -> ast.Expr:
     """Replace free identifiers that name scenario handles (and are not
-    bound in the instance) with their deployed addresses."""
-    config = world.instance(address).config
+    state variables in `layout`) with their deployed addresses."""
 
     def walk(e):
         if isinstance(e, ast.Ident):
-            if e.name in handles and not config.has_name(e.name):
+            if e.name in handles and e.name not in layout:
                 return ast.IntLit(value=handles[e.name], span=e.span)
             return e
         return replace(e, **{
@@ -211,11 +210,12 @@ def eval_readonly(world: World, address: int, expr: ast.Expr,
     state changes; calls are rejected."""
     if _contains_call(expr):
         raise ScenarioError("calls are not allowed in assert expressions")
-    if handles:
-        expr = _substitute_handles(world, address, expr, handles)
     instance = world.instance(address)
+    layout = world.contract_info(instance.contract_name).layout
+    if handles:
+        expr = _substitute_handles(expr, handles, layout)
     if isinstance(expr, ast.Ident) and expr.name == "balance" \
-            and not instance.config.has_name("balance"):
+            and "balance" not in layout:
         return instance.balance
     ex = Executor(world)
     ev = ex.evaluator(address)
@@ -445,10 +445,9 @@ def dump_layout(world: World, address: int) -> LayoutReport:
     """
     instance = world.instance(address)
     storage = instance.config.storage
+    info = world.contract_info(instance.contract_name)
     vars_out = []
-    for name, addr in storage.names.items():
-        located = storage.types[name]
-        sem = located.sem
+    for name, (addr, (sem, _)) in info.layout.items():
         size = typesys.size_of(sem)
         value = read_value(world, instance.config, typesys.STORAGE, addr, sem)
         vars_out.append(LayoutVar(
@@ -472,4 +471,4 @@ def dump_layout(world: World, address: int) -> LayoutReport:
                 region.slot * typesys.SLOT, region.value_type))
         regions.append(entry)
     return LayoutReport(contract=instance.contract_name, address=address,
-                        lam=storage.lam, vars=vars_out, hashed_regions=regions)
+                        lam=info.lam, vars=vars_out, hashed_regions=regions)

@@ -7,7 +7,9 @@ so hash-derived slots near 2^256 cost nothing. Multi-byte values are
 big-endian within their own field width, and fields pack starting at the
 low byte-offset end of a slot; a uint256 written over a slot therefore lands
 its numeric low-order byte at offset 31, which is what makes a previously
-packed uint128 at offset 0 read back as zero.
+packed uint128 at offset 0 read back as zero. An instance's storage holds
+only its words and hashed regions: where each state variable lives is its
+contract's `layout`, which `build_contract_info` computes once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     DuplicateDeclaration, ScopeUnderflow, Span, UnknownAddress,
     UnknownIdentifier,
 )
-from .evaluator import compile_contract
+from .evaluator import LValue, compile_contract
 from .trace import Trace
 # the value codecs live in typesys; they are imported from here too
 from .typesys import (  # noqa: F401
@@ -87,12 +89,6 @@ class ByteStore:
 # storage (Psi) and memory (M)
 # ---------------------------------------------------------------------------
 
-class Binding(NamedTuple):
-    addr: int
-    space: str  # which name space resolved the identifier
-    located: typesys.Located
-
-
 @dataclass
 class HashedRegion:
     """Record of a hash-derived slot, for layout reports and collision checks."""
@@ -105,9 +101,6 @@ class HashedRegion:
 
 @dataclass
 class StorageState(ByteStore):
-    lam: int = 0  # next static allocation address
-    names: dict = field(default_factory=dict)  # id -> byte address
-    types: dict = field(default_factory=dict)  # id -> Located
     hashed: dict = field(default_factory=dict)  # slot -> HashedRegion
     # undo records (fn, *args); a deployed instance shares World.journal
     journal: list = field(default_factory=list, repr=False, compare=False)
@@ -172,29 +165,6 @@ class Config:
     # are saved on World.msg_stack
     omega: list = field(default_factory=list)
 
-    # -- byte access, space selected by the expression's location class ------
-
-    def space(self, loc: str):
-        return self.storage if loc == typesys.STORAGE else self.memory
-
-    def read_bytes(self, loc: str, addr: int, size: int) -> bytes:
-        return self.space(loc).read(addr, size)
-
-    def write_bytes(self, loc: str, addr: int, data: bytes) -> None:
-        self.space(loc).write(addr, data)
-
-    # -- declaration and lookup ----------------------------------------------
-
-    def allocate_static(self, name: str, t: typesys.SemType, trace=None) -> int:
-        st = self.storage
-        if name in st.names:
-            raise DuplicateDeclaration(f"state variable {name} already declared")
-        addr = typesys.align_up(st.lam, t)
-        st.names[name] = addr
-        st.types[name] = typesys.Located(t, typesys.STORAGE)
-        st.lam = typesys.bump(st.lam, t, trace)
-        return addr
-
     def fr(self, name: str, located: typesys.Located, data: bytes,
            decl=None) -> int:
         """Bind `name` to a fresh memory address in the top frame and copy
@@ -221,19 +191,6 @@ class Config:
         top.types[name] = located
         top.decls[name] = decl
 
-    def lookup(self, name: str, span=None) -> Binding:
-        mem = self.memory
-        if name in mem.top.names:  # the top memory frame shadows storage
-            return Binding(mem.top.names[name], typesys.MEMORY,
-                           mem.top.types[name])
-        st = self.storage
-        if name in st.names:
-            return Binding(st.names[name], typesys.STORAGE, st.types[name])
-        raise UnknownIdentifier(f"unknown identifier {name}", span)
-
-    def has_name(self, name: str) -> bool:
-        return name in self.memory.top.names or name in self.storage.names
-
 
 # ---------------------------------------------------------------------------
 # contract registry (the function tables)
@@ -255,7 +212,9 @@ class FunctionInfo:
 @dataclass
 class ContractInfo:
     name: str
-    state_vars: list  # [(name, SemType, init Expr|None)]
+    state_vars: list  # the ast.StateVarDecls, in declaration order
+    layout: dict  # the same order: name -> LValue(byte address, Located)
+    lam: int  # the first address after the layout
     structs: dict
     functions: dict
     constructor: Optional[FunctionInfo]
@@ -318,13 +277,15 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
             typesys.check_packable(t, "a struct", p.type_name.span)
         structs[sd.name] = typesys.Struct(name=sd.name, fields=fields)
     modifiers = {m.name: m for m in c.modifiers}
-    state_vars = []
+    layout, lam = {}, 0  # the allocation fold of VD1
     for v in c.state_vars:
-        if any(v.name == name for name, _, _ in state_vars):
+        if v.name in layout:
             raise DuplicateDeclaration(
                 f"state variable {v.name} already declared", v.span)
         t = typesys.resolve_type(v.type_name, structs, contract_names)
-        state_vars.append((v.name, t, v.init))
+        layout[v.name] = LValue(typesys.align_up(lam, t),
+                                typesys.Located(t, typesys.STORAGE))
+        lam = typesys.bump(lam, t)
     functions = {}
     constructor = None
     fallback = None
@@ -336,9 +297,9 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
             fallback = info
         else:
             functions[f.name] = info
-    return ContractInfo(name=c.name, state_vars=state_vars, structs=structs,
-                        functions=functions, constructor=constructor,
-                        fallback=fallback)
+    return ContractInfo(name=c.name, state_vars=c.state_vars, layout=layout,
+                        lam=lam, structs=structs, functions=functions,
+                        constructor=constructor, fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +351,11 @@ class World:
     # -- registry -------------------------------------------------------------
 
     def register(self, unit: ast.SourceUnit) -> None:
-        """Add the unit's contracts, all or none. Each is built and compiled
-        against the registry with the whole unit in it: every function,
-        modifier guard and state-variable initializer, against the storage
-        layout its declarations give. The first error raises, with its span,
-        and leaves `registry` and `code` as they were."""
+        """Add the unit's contracts, all or none. Each is built, with its
+        storage layout, and compiled against the registry with the whole unit
+        in it: every function, modifier guard and its initializer. The first
+        error raises, with its span, and leaves `registry` and `code` as
+        they were."""
         registry = dict(self.registry)
         names = set(registry) | {c.name for c in unit.contracts}
         for c in unit.contracts:
@@ -405,7 +366,7 @@ class World:
         code = {}
         for c in unit.contracts:
             code.update(compile_contract(registry, self.trace,
-                                         registry[c.name], Config()))
+                                         registry[c.name]))
         self.registry.update(registry)
         self.code.update(code)
 
@@ -472,16 +433,15 @@ class World:
 
     def storage_fingerprint(self) -> dict:
         """Comparable, hashable view of all persistent state: per instance
-        its contract, balance, storage words, names, types, lam and hashed
-        regions, plus (under "next_address") the next address to deploy at."""
+        its contract, balance, storage words and hashed regions, plus (under
+        "next_address") the next address to deploy at. The layout is the
+        contract's, the same for every instance."""
         out: dict = {}
         for addr, inst in sorted(self.instances.items()):
             st = inst.config.storage
             out[addr] = (
                 inst.contract_name, inst.balance,
                 tuple(sorted(st.words.items())),
-                tuple(sorted(st.names.items())),
-                tuple(sorted(st.types.items())), st.lam,
                 tuple((slot, r.kind, r.base_slot, _frozen(r.key), r.value_type)
                       for slot, r in sorted(st.hashed.items())))
         out["next_address"] = self.next_address

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solsem import typesys
 from solsem.errors import (
@@ -16,11 +17,12 @@ from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
 from solsem.state import EngineOptions, Msg, decode_value
 from solsem.trace import expand
-from solsem.typesys import Address, Bool, Int256, UInt
+from solsem.typesys import SLOT, Address, Bool, Int256, Located, UInt
 
 from conftest import (
     contract_source, deploy, make_world, scenario_source, world_from_source,
 )
+import codec_oracle
 from keccak_oracle import keccak256_oracle_int
 from typing_oracle import type_of
 
@@ -327,9 +329,9 @@ def test_each_function_is_compiled_once_at_registration(monkeypatch):
     compiled = Counter()  # (trace, contract, function) -> compilations
     compile_function = evaluator.compile_function
 
-    def counted(registry, trace, info, storage, fn):
+    def counted(registry, trace, info, fn):
         compiled[trace, info.name, fn.name] += 1
-        return compile_function(registry, trace, info, storage, fn)
+        return compile_function(registry, trace, info, fn)
 
     monkeypatch.setattr(evaluator, "compile_function", counted)
     registered = []  # (world, compilations right after its registration)
@@ -383,6 +385,46 @@ def test_each_function_is_compiled_once_at_registration(monkeypatch):
         ("Attack", "withdrawBalance"), ("Attack", ""), ("B", "g"),
         ("A", "A"), ("A", "f"),
         ("Coin", "Coin"), ("Coin", "mint"), ("Coin", "send")])
+
+
+_SIZED = """
+contract S {
+  struct Pair { uint128 x; uint128 y; }
+  uint[3] xs = [1, 2, 3];
+  string name = "a string of more than thirty-two bytes, in two chunks";
+  uint[] ys;
+  Pair p;
+  function set(uint i, uint v) public {
+    xs[i] = v; ys.push(v); p.y = v; name = "short";
+  }
+  function get() public returns (string) { return name; }
+}"""
+
+
+def test_nothing_is_sized_after_registration(monkeypatch):
+    calls = Counter()
+    for name in ("size_of", "size_packed", "field_offset"):
+        def counted(*args, _step=getattr(typesys, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(typesys, name, counted)
+    world = world_from_source(_SIZED)
+    assert calls["size_of"] > 0  # the layout and the compiled code
+    calls.clear()
+    address = deploy(world, "S")
+    ex = Executor(world)
+    assert ex.run_transaction(Tx(sender=1, to=address, fname="set",
+                                 args=(1, 7))).ok
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="get"))
+    assert res.ok and res.value == "short"
+    assert calls == Counter()
+    # an assert expression is compiled when it is read, so it may size
+    assert _read(world, address, "xs[1] + ys[0] + p.y") == 21
+
+
+def _read(world, address, text):
+    with world.trace.mute():
+        return _ev(world, address).eval_rvalue(parse_expression(text))
 
 
 def _coverage_gate_traces():
@@ -490,11 +532,108 @@ def test_cast_semantics():
 
 
 def test_string_values_roundtrip():
-    world = make_world("coin.sol")
-    address = deploy(world, "Coin")
+    world = world_from_source("contract L { uint a; string label; }")
+    address = deploy(world, "L")
     config = world.instance(address).config
     ev = _ev(world, address)
-    addr = config.allocate_static("label", typesys.String())
-    ev.write_value(typesys.STORAGE, addr, typesys.String(), "hello world " * 4)
+    addr, located = world.contract_info("L").layout["label"]
+    evaluator._writer(located)(ev, addr, "hello world " * 4)
     got = read_value(world, config, typesys.STORAGE, addr, typesys.String())
     assert got == "hello world " * 4
+
+
+# -- the compiled codec against the run-time walk --------------------------------
+
+_NESTED = st.recursive(
+    st.sampled_from([UInt(8), U128, U256, Int256(), Bool(), Address()]),
+    lambda inner: st.one_of(
+        st.builds(typesys.StaticArray, inner, st.integers(1, 3)),
+        st.lists(inner, min_size=1, max_size=3).map(lambda ts: typesys.Struct(
+            "S", tuple((f"f{i}", t) for i, t in enumerate(ts)))),
+        st.builds(typesys.DynArray, inner | st.just(typesys.String())
+                  | st.just(typesys.StaticArray(U256, 2)))),  # 2-slot elements
+    max_leaves=6)
+_STRINGS = st.text(max_size=8) | st.text(min_size=33, max_size=70)
+
+
+def _values(t):
+    """Values of type t; a string both shorter and longer than a slot."""
+    if isinstance(t, (UInt, Address)):
+        return st.integers(0, (1 << (160 if isinstance(t, Address)
+                                     else t.width)) - 1)
+    if isinstance(t, Int256):
+        return st.integers(-(1 << 255), (1 << 255) - 1)
+    if isinstance(t, Bool):
+        return st.booleans()
+    if isinstance(t, typesys.String):
+        return _STRINGS
+    if isinstance(t, typesys.StaticArray):
+        return st.lists(_values(t.elem), min_size=t.length, max_size=t.length)
+    if isinstance(t, typesys.Struct):
+        return st.fixed_dictionaries({n: _values(f) for n, f in t.fields})
+    return st.lists(_values(t.elem), max_size=3)  # a dynamic array
+
+
+def _writable(t) -> bool:
+    """A primitive, a string, or a static array of writable elements."""
+    return typesys.is_primitive(t) or isinstance(t, typesys.String) or (
+        isinstance(t, typesys.StaticArray) and _writable(t.elem))
+
+
+def _oracle_write(ev, loc, addr, sem, v) -> list:
+    return codec_oracle.write_value(ev.world, ev.config, loc, addr, sem, v)
+
+
+def _compiled_write(ev, loc, addr, sem, v) -> list:
+    return evaluator._writer(Located(sem, loc))(ev, addr, v)
+
+
+def _store(write, ev, loc, addr, sem, v) -> list:
+    """Store `v` through `write`, which takes what is writable whole; a
+    struct field by field, and a dynamic array as its length and then its
+    elements, each recorded as push records it."""
+    if _writable(sem):
+        return write(ev, loc, addr, sem, v)
+    if isinstance(sem, typesys.StaticArray):
+        stride = typesys.size_of(sem.elem)
+        return [w for i, x in enumerate(v) for w in _store(
+            write, ev, loc, addr + i * stride, sem.elem, x)]
+    if isinstance(sem, typesys.Struct):
+        return [w for k, (name, t) in enumerate(sem.fields) for w in _store(
+            write, ev, loc, addr + typesys.field_offset(sem, k), t, v[name])]
+    writes = write(ev, loc, addr, U256, len(v))
+    p, stride = addr // SLOT, evaluator._slot_stride(sem.elem)
+    h = ev.world.derived_slot(slot_of_dyn, p, 0)
+    for i, x in enumerate(v):
+        if loc == typesys.STORAGE:
+            ev.storage.record_hashed(h + i * stride, "dynarray", p, i, sem.elem)
+        writes += _store(write, ev, loc, (h + i * stride) * SLOT, sem.elem, x)
+    return writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_compiled_codec_matches_the_run_time_walk(data):
+    sem = data.draw(st.just(typesys.String()) | _NESTED)
+    loc = data.draw(st.sampled_from([typesys.STORAGE, typesys.MEMORY]))
+    addr = typesys.align_up(data.draw(st.integers(0, 8 * SLOT)), sem)
+    v = data.draw(_values(sem))
+    runs = []
+    for write in (_oracle_write, _compiled_write):
+        world = world_from_source("contract C { uint a; }")
+        ev = _ev(world, deploy(world, "C"))
+        config = ev.config
+        mark = world.snapshot()
+        writes = _store(write, ev, loc, addr, sem, v)
+        reads = [read(world, config, loc, addr, sem)
+                 for read in (codec_oracle.read_value, read_value)]
+        assert reads[1] == reads[0]
+        stored = (world.storage_fingerprint(), dict(config.memory.words))
+        hashed = list(config.storage.hashed.items())  # in insertion order
+        world.restore(mark)
+        runs.append((writes, reads, stored, hashed,
+                     world.storage_fingerprint()))
+    oracle, compiled = runs
+    assert compiled == oracle
+    if loc == typesys.STORAGE:  # in memory a string's bytes follow its
+        assert oracle[1] == [v, v]  # length word: string[] elements overlap

@@ -662,7 +662,31 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "uint256 is not implicitly convertible to string",
     "function f() public { string memory s = b; }":
         "bool is not implicitly convertible to string",
+    "function g() internal returns (uint) { return true; } "
+    "function f() public { a = g(); }":
+        "bool is not implicitly convertible to uint256",
+    "function g(uint x) internal { a = x; } function f() public { g(true); }":
+        "bool is not implicitly convertible to uint256",
+    "function g(bool x) internal { b = x; } function f() public { g(7); }":
+        "uint256 is not implicitly convertible to bool",
+    "struct S { uint x; } S s; S t; function f() public { s = t; }":
+        "cannot assign a whole struct S",
+    "uint[] d; function f() public { uint[] storage e = d; d = e; }":
+        "cannot assign a whole uint256[]",
+    "mapping(uint => uint) m; mapping(uint => uint) n = m;":
+        "cannot assign a whole mapping(uint256=>uint256)",
+    "struct S { uint x; } S[2] s; function f() public { s[1] = s[0]; }":
+        "cannot assign a whole struct S",
 }
+
+
+def test_a_whole_composite_target_is_rejected_at_the_target():
+    err = _rejected("contract T {\n  uint[] d;\n  uint[] e = d;\n}")
+    assert (err.span.line, err.span.col) == (3, 10)  # at the name e
+    err = _rejected("contract T { struct S { uint x; } S s;\n"
+                    "  function f() public { S memory t; s = t; } }")
+    assert (err.message, err.span.line, err.span.col) == \
+        ("cannot assign a whole struct S", 2, 37)
 
 
 @pytest.mark.parametrize("fn, message", _ILL_TYPED.items())

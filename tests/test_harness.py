@@ -395,5 +395,7 @@ def test_two_instances_in_one_world_have_identical_storage():
     s1 = world.instance(a1).config.storage
     s2 = world.instance(a2).config.storage
     assert s1.bytes == s2.bytes
-    assert s1.lam == s2.lam
-    assert s1.names == s2.names
+    r1, r2 = dump_layout(world, a1), dump_layout(world, a2)
+    assert r1.lam == r2.lam
+    assert [(v.name, v.byte_addr) for v in r1.vars] == \
+        [(v.name, v.byte_addr) for v in r2.vars]

@@ -12,14 +12,14 @@ from solsem.errors import (
     DuplicateDeclaration, RangeError, ScopeUnderflow, SolTypeError,
 )
 from solsem.executor import Executor, Tx
-from solsem.parser import parse
+from solsem.parser import parse, parse_expression
 from solsem.state import (
     ByteStore, Config, Msg, StorageState, World, decode_value,
     encode_key32, encode_value, zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
-from conftest import contract_source, deploy, make_world
+from conftest import contract_source, deploy, make_world, world_from_source
 
 U128 = UInt(128)
 U256 = UInt(256)
@@ -29,28 +29,28 @@ U256 = UInt(256)
 
 def test_fresh_read_is_zero():
     c = Config()
-    assert c.read_bytes("storage", 12345, 32) == bytes(32)
-    assert c.read_bytes("memory", 0, 64) == bytes(64)
+    assert c.storage.read(12345, 32) == bytes(32)
+    assert c.memory.read(0, 64) == bytes(64)
 
 
 def test_single_byte_write_reads_back_as_big_endian_word():
     c = Config()
-    c.write_bytes("storage", 31, b"\x07")
-    assert c.read_bytes("storage", 0, 32) == (7).to_bytes(32, "big")
+    c.storage.write(31, b"\x07")
+    assert c.storage.read(0, 32) == (7).to_bytes(32, "big")
 
 
 def test_slot_one_write_decodes():
     c = Config()
-    c.write_bytes("storage", 32, encode_value(8, U256))
-    assert decode_value(c.read_bytes("storage", 32, 32), U256) == 8
+    c.storage.write(32, encode_value(8, U256))
+    assert decode_value(c.storage.read(32, 32), U256) == 8
 
 
 def test_zero_writes_keep_map_canonical():
     c = Config()
-    c.write_bytes("storage", 0, bytes(32))
+    c.storage.write(0, bytes(32))
     assert c.storage.bytes == {}
-    c.write_bytes("storage", 0, encode_value(7, U256))
-    c.write_bytes("storage", 0, bytes(32))
+    c.storage.write(0, encode_value(7, U256))
+    c.storage.write(0, bytes(32))
     assert c.storage.bytes == {}
 
 
@@ -109,8 +109,8 @@ def test_packed_uint128_reads_zero_after_word_write():
     # writing 7 as a full word puts its low byte at offset 31, so the
     # uint128 packed at offset 0 decodes to 0
     c = Config()
-    c.write_bytes("storage", 0, encode_value(7, U256))
-    assert decode_value(c.read_bytes("storage", 0, 16), U128) == 0
+    c.storage.write(0, encode_value(7, U256))
+    assert decode_value(c.storage.read(0, 16), U128) == 0
 
 
 def test_encode_range_errors():
@@ -156,36 +156,35 @@ def test_key32_padding():
 
 # -- static allocation -----------------------------------------------------------
 
+def _layout(source: str, name: str = "C"):
+    return world_from_source(source).contract_info(name)
+
+
 def test_allocate_static_sequence():
-    c = Config()
-    assert c.allocate_static("a", U128) == 0
-    assert c.storage.lam == 16
-    assert c.allocate_static("b", U256) == 32
-    assert c.storage.lam == 64
+    info = _layout("contract C { uint128 a; uint256 b; }")
+    assert info.layout["a"].addr == 0
+    assert _layout("contract C { uint128 a; }").lam == 16
+    assert info.layout["b"].addr == 32
+    assert info.lam == 64
 
 
 def test_allocate_duplicate_rejected():
-    c = Config()
-    c.allocate_static("a", U256)
     with pytest.raises(DuplicateDeclaration):
-        c.allocate_static("a", U128)
+        _layout("contract C { uint256 a; uint128 a; }")
 
 
 def test_first_allocation_is_address_zero():
-    for t in (U128, U256, typesys.Mapping(U256, U256),
-              typesys.StaticArray(U256, 3)):
-        c = Config()
-        assert c.allocate_static("x", t) == 0
+    for t in ("uint128", "uint256", "mapping(uint256 => uint256)",
+              "uint256[3]"):
+        assert _layout(f"contract C {{ {t} x; }}").layout["x"].addr == 0
 
 
 def test_lambda_recomputable_by_pure_fold():
-    world = make_world("coverage.sol")
-    address = deploy(world, "Main")
-    storage = world.instance(address).config.storage
+    info = make_world("coverage.sol").contract_info("Main")
     lam = 0
-    for name in storage.names:
-        lam = bump(lam, storage.types[name].sem)
-    assert lam == storage.lam
+    for addr, located in info.layout.values():
+        lam = bump(lam, located.sem)
+    assert lam == info.lam
 
 
 # -- fr and scopes ------------------------------------------------------------------
@@ -193,9 +192,9 @@ def test_lambda_recomputable_by_pure_fold():
 def test_fr_write_then_read():
     c = Config()
     addr = c.fr("p1", Located(U256, typesys.MEMORY), encode_value(2, U256))
-    binding = c.lookup("p1")
-    assert binding.addr == addr and binding.space == typesys.MEMORY
-    assert decode_value(c.read_bytes("memory", addr, 32), U256) == 2
+    assert c.memory.top.names["p1"] == addr
+    assert c.memory.top.types["p1"].loc == typesys.MEMORY
+    assert decode_value(c.memory.read(addr, 32), U256) == 2
 
 
 def test_fr_fresh_addresses_are_disjoint():
@@ -212,16 +211,24 @@ def test_fr_fresh_addresses_are_disjoint():
         spans.append(span)
 
 
+def _lookup(world, address, name: str):
+    """Where `name` resolves against the instance's live frame."""
+    with world.trace.mute():
+        return Executor(world).evaluator(address).eval_lvalue(
+            parse_expression(name))
+
+
 def test_lookup_shadowing_and_pop():
-    c = Config()
-    c.allocate_static("x", U256)
-    c.write_bytes("storage", 0, encode_value(1, U256))
-    assert c.lookup("x").space == typesys.STORAGE
+    world = world_from_source("contract C { uint256 x = 1; }")
+    address = deploy(world, "C")
+    c = world.instance(address).config
+    assert _lookup(world, address, "x").located.loc == typesys.STORAGE
     c.memory.push_scope()
     c.fr("x", Located(U256, typesys.MEMORY), encode_value(9, U256))
-    assert c.lookup("x").space == typesys.MEMORY  # memory shadows storage
+    # memory shadows storage
+    assert _lookup(world, address, "x").located.loc == typesys.MEMORY
     c.memory.pop_scope()
-    assert c.lookup("x").space == typesys.STORAGE
+    assert _lookup(world, address, "x").located.loc == typesys.STORAGE
 
 
 def test_scope_stack_restores_bindings():
@@ -251,8 +258,9 @@ def test_duplicate_in_same_scope():
 def test_scoped_lookup_matches_reference_oracle():
     """Random push/bind/pop sequences against a dict-of-stacks model."""
     rng = random.Random(123)
-    c = Config()
-    c.allocate_static("g", U256)
+    world = world_from_source("contract C { uint256 g; }")
+    address = deploy(world, "C")
+    c = world.instance(address).config
     model = [{"g": (0, typesys.STORAGE)}]  # base: storage globals
     c.memory.push_scope()
     model.append({})
@@ -280,10 +288,10 @@ def test_scoped_lookup_matches_reference_oracle():
             expected = model[-1].get(name) or model[0].get(name)
             if expected is None:
                 with pytest.raises(Exception):
-                    c.lookup(name)
+                    _lookup(world, address, name)
             else:
-                got = c.lookup(name)
-                assert (got.addr, got.space) == expected
+                got = _lookup(world, address, name)
+                assert (got.addr, got.located.loc) == expected
 
 
 # -- deployment --------------------------------------------------------------------
@@ -292,7 +300,7 @@ def test_deploy_coin_sets_minter():
     world = make_world("coin.sol")
     address = deploy(world, "Coin", sender=0x5EED)
     config = world.instance(address).config
-    assert decode_value(config.read_bytes("storage", 0, 20), Address()) == 0x5EED
+    assert decode_value(config.storage.read(0, 20), Address()) == 0x5EED
 
 
 def test_deploy_test2_exact_slot_bytes():
@@ -306,7 +314,7 @@ def test_deploy_test2_exact_slot_bytes():
     assert st_.read(64, 32) == u128(3) + bytes(16)  # padding after the third
     assert st_.read(96, 32) == u128(4) + u128(5)
     assert st_.read(128, 32) == u128(6) + bytes(16)
-    assert st_.lam == 160
+    assert world.contract_info("Test2").lam == 160
 
 
 def test_deployments_get_distinct_addresses():
@@ -321,7 +329,8 @@ def test_deploy_is_deterministic():
         world = make_world("coverage.sol")
         address = deploy(world, "Main", sender=0xFEED)
         inst = world.instance(address)
-        return sorted(inst.config.storage.bytes.items()), inst.config.storage.lam
+        return sorted(inst.config.storage.bytes.items()), \
+            world.contract_info(inst.contract_name).lam
     assert fingerprint() == fingerprint()
 
 
@@ -345,7 +354,7 @@ def test_constructor_runs_under_creation_msg():
     assert world.instance(bank).balance == 10
     attack = Executor(world).deploy("Attack", args=(bank,), sender=0xBB, value=2)
     config = world.instance(attack).config
-    assert decode_value(config.read_bytes("storage", 0, 20),
+    assert decode_value(config.storage.read(0, 20),
                         typesys.Contract("Bank")) == bank
 
 

@@ -9,12 +9,22 @@ ill-typed messages against it.
 """
 
 from solsem import ast
-from solsem.errors import SolTypeError
+from solsem.errors import SolTypeError, UnknownIdentifier
 from solsem.evaluator import _CAST_TARGETS
 from solsem.typesys import (
     MEMORY, UINT256, Address, Bool, Contract, Located, String, _strip_ref,
     binary_type, dyn_array, index_type, member_type, unary_type,
 )
+
+
+def _lookup(env, e: ast.Ident) -> Located:
+    """A local of the top frame shadows a state variable of the contract."""
+    top = env.memory.top
+    if e.name in top.types:
+        return top.types[e.name]
+    if e.name in env.info.layout:
+        return env.info.layout[e.name].located
+    raise UnknownIdentifier(f"unknown identifier {e.name}", e.span)
 
 
 def _function_return(env, name):
@@ -41,7 +51,7 @@ def _external_return(env, contract_name, fn):
 def type_of(env, e: ast.Expr) -> Located:
     """Static type of `e` with its location class; `env` is an Evaluator."""
     if isinstance(e, ast.Ident):
-        return env.config.lookup(e.name, e.span).located
+        return _lookup(env, e)
     if isinstance(e, ast.IntLit):
         return Located(UINT256, MEMORY)
     if isinstance(e, ast.BoolLit):
