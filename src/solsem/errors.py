@@ -72,10 +72,6 @@ class UnknownIdentifier(SolsemError):
     pass
 
 
-class ScopeUnderflow(SolsemError):
-    pass
-
-
 class IndexOutOfBounds(SolsemError):
     pass
 

@@ -7,19 +7,21 @@ storage layout its declarations fixed, before anything deploys;
 compiler is the one static walk over the AST, and the type check: it fixes
 each node's kind, each identifier's binding, each typing step of `typesys`
 (`index_type`, `binary_type`, ...), the sizes, the operators, the value
-codecs (one reader and writer per type, `_reader` and `_writer`) and the
-rule labels each node emits (a node's typing rule just before its
-evaluation rule). The first ill-typed node raises its error,
-with its span, so a contract that registers is well typed. A closure does
-only the dynamic work, against an `Evaluator`, the context of one running
-call: reads, journaled writes, slot derivations, calls and emission.
+codecs (one reader and writer per type, `_reader` and `_writer`; a uint,
+address or contract is read and written in one word) and the rule labels
+each node emits, joined where nodes always run together (a state
+variable's read is Type3, E-ID1 and E-RV in one call). The first
+ill-typed node raises its error, with its span, so a contract that
+registers is well typed. A closure does only the dynamic work, against an
+`Evaluator`, the context of one running call: reads, journaled writes,
+slot derivations, calls and emission.
 
 A name is fixed per function: a local if the function declares it
 (parameters, the return variable, any `VarDecl` in the body or an inlined
-modifier body), else a state variable, else an `UnknownIdentifier`. A
-local's address is read from the live top frame, so a local used before
-its declaration has run aborts. A local declared twice has its first
-declaration's type, and a declaration of another type is an error.
+modifier body), else a state variable, else an `UnknownIdentifier`. Each
+local has a fixed index in its function's frame, a list of addresses
+filled as declarations run, so a local used before its declaration has
+run aborts. A second declaration of a name is a registration error.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -38,14 +40,14 @@ from typing import NamedTuple, Optional
 
 from . import ast, typesys
 from .errors import (
-    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds, SolTypeError,
-    SolsemError, TxAborted, UnknownIdentifier,
+    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds, RangeError,
+    SolTypeError, SolsemError, TxAborted, UnknownIdentifier,
 )
 from .keccak import keccak256_int
 from .trace import Write
 from .typesys import (
-    MEMORY, SLOT, STORAGE, UINT256, Located, decode_value, encode_key32,
-    encode_value, zero_value,
+    MEMORY, SLOT, STORAGE, UINT256, ZERO_WORD, Located, decode_value,
+    encode_value, put_word, zero_value,
 )
 
 _CAST_TARGETS = {
@@ -73,6 +75,8 @@ _U256 = Located(UINT256, MEMORY)
 _BOOL = Located(typesys.Bool(), MEMORY)
 _ADDRESS = Located(typesys.Address(), MEMORY)
 _SPACE = {loc: operator.attrgetter(loc) for loc in (STORAGE, MEMORY)}
+# the primitives a word lookup plus int.from_bytes reads
+_INTS = (typesys.UInt, typesys.Address, typesys.Contract)
 
 
 def slot_of_dyn(p: int, i: int) -> int:
@@ -150,11 +154,6 @@ def _operator(op: str, t: typesys.SemType):
     return make(t)
 
 
-def apply_binop(op: str, lhs, rhs, t: typesys.SemType):
-    """Arithmetic and comparison at type t; unsigned ops wrap modulo 2^w."""
-    return _operator(op, t)(lhs, rhs)
-
-
 def _convert(v: int, t: typesys.SemType) -> int:
     if isinstance(t, typesys.UInt):
         return v % (1 << t.width)
@@ -164,8 +163,7 @@ def _convert(v: int, t: typesys.SemType) -> int:
 
 
 def _count_step(world) -> None:
-    """One statement or loop iteration: the step hook and the step budget."""
-    world.stmt_steps += 1
+    """The step hook and the step budget, for a step already counted."""
     options = world.options
     if options.step_hook is not None:
         options.step_hook(world, world.stmt_steps)
@@ -204,8 +202,15 @@ def _reader(located: Located):
     if isinstance(sem, typesys.Ref):
         return lambda ev, addr: addr
     if typesys.is_primitive(sem):
-        size = typesys.size_of(sem)
-        return lambda ev, addr: decode_value(space(ev).read(addr, size), sem)
+        size, ints = typesys.size_of(sem), isinstance(sem, _INTS)
+
+        def read(ev, addr):
+            slot, off = divmod(addr, SLOT)
+            data = space(ev).words.get(slot, ZERO_WORD)[off:off + size] \
+                if off + size <= SLOT else space(ev).read(addr, size)
+            return int.from_bytes(data, "big") if ints else \
+                decode_value(data, sem)
+        return read
     if isinstance(sem, typesys.StaticArray):
         read, stride = _reader(Located(sem.elem, loc)), typesys.size_of(sem.elem)
         offsets = range(0, sem.length * stride, stride)
@@ -246,9 +251,32 @@ def _writer(located: Located, span=None):
     sem, loc = located
     space = _SPACE[loc]
     if typesys.is_primitive(sem):
+        ints, size = isinstance(sem, _INTS), typesys.size_of(sem)
+        bound, journaled = 1 << 8 * size, loc == STORAGE
+        message = f" out of range for uint{sem.width}" if isinstance(
+            sem, typesys.UInt) else " is not a 160-bit address"
+
         def write(ev, addr, v):
-            data = encode_value(v, sem)
-            space(ev).write(addr, data)
+            if ints:
+                v = int(v)
+                if not 0 <= v < bound:
+                    raise RangeError(f"{v}{message}")
+                data = v.to_bytes(size, "big")
+            else:
+                data = encode_value(v, sem)
+            store = space(ev)
+            slot, off = divmod(addr, SLOT)
+            if off + size > SLOT:  # a field that straddles two slots
+                store.write(addr, data)
+                return [Write(loc, addr, data)]
+            words = store.words
+            old = words.get(slot)
+            if journaled:
+                store.journal.append((put_word, words, slot, old))
+            base = old or ZERO_WORD
+            words[slot] = word = base[:off] + data + base[off + size:]
+            if word == ZERO_WORD:  # an all-zero word is absent
+                del words[slot]
             return [Write(loc, addr, data)]
         return write
     if isinstance(sem, typesys.StaticArray):
@@ -336,10 +364,11 @@ def _declarations(stmts: list):
 class _Compiler:
     """Compiles the nodes of one function, or one expression against a live
     frame, against `registry`, the contracts it may name. `locals` maps a
-    local's name to its Located; `layout`, by default the contract's, maps
-    a state variable's name to its LValue, the same in every instance. A
-    node compiles to (run, located); a statement to run, which returns True
-    when it executed a `return`. An ill-typed node raises its error."""
+    local's name to (its index in the frame, its Located); `layout`, by
+    default the contract's, maps a state variable's name to its LValue, the
+    same in every instance. A node compiles to (run, located); a statement
+    to run, which returns True when it executed a `return`. An ill-typed
+    node raises its error."""
 
     def __init__(self, registry: dict, trace, info, locals_: dict, fn=None,
                  layout=None):
@@ -387,18 +416,23 @@ class _Compiler:
         elements = [self.rvalue(x) for x in e.elements]
         return (lambda ev: [x(ev) for x in elements]), None
 
+    def _state_var(self, e: ast.Expr):  # its LValue, if e names one
+        if isinstance(e, ast.Ident) and e.name not in self.locals:
+            return self.layout.get(e.name)
+
     def _ident(self, e: ast.Ident):
-        """Type3 and E-ID1, or E-ID2 for a local, whose address is the live
-        top frame's."""
+        """Type3 and E-ID1, or E-ID2 for a local (in its frame slot)."""
         name, span, rules = e.name, e.span, self.rules
         if name in self.locals:
+            i, located = self.locals[name]
+
             def run(ev):
-                addr = ev.locals.get(name)
+                addr = ev.locals[i]
                 if addr is None:
                     raise UnknownIdentifier(f"unknown identifier {name}", span)
                 rules(("Type3", "E-ID2"))
                 return addr
-            return run, self.locals[name]
+            return run, located
         if name not in self.layout:
             raise UnknownIdentifier(f"unknown identifier {name}", span)
         addr, located = self.layout[name]
@@ -410,11 +444,23 @@ class _Compiler:
 
     def _read(self, e):
         """An identifier, index or member as a value: a ref's pointer after
-        Size7, or E-RV and the value at its address."""
+        Size7, or E-RV and the value at its address. An integer state
+        variable's is fixed and in one slot, so one closure reads it."""
         run, located = self.lvalue(e)
         labels = ("Size7",) if isinstance(located.sem, typesys.Ref) \
             else ("E-RV",)
         read, rules = _reader(located), self.rules
+        static = self._state_var(e)
+        if static is not None and isinstance(located.sem, _INTS):
+            labels, size = ("Type3", "E-ID1") + labels, \
+                typesys.size_of(located.sem)
+            slot, off = divmod(static.addr, SLOT)
+
+            def state_var(ev):
+                rules(labels)
+                return int.from_bytes(ev.storage.words.get(
+                    slot, ZERO_WORD)[off:off + size], "big")
+            return state_var, located
 
         def value(ev):
             addr = run(ev)
@@ -429,16 +475,23 @@ class _Compiler:
         sem, labels = _access(base_t)
         rules = self.rules
         if isinstance(sem, typesys.Mapping):
-            key_t, value_t = sem.key, sem.value
+            encode, value_t = typesys.key_encoder(sem.key), sem.value
+            static = self._state_var(e.base)  # its base slot p is fixed
+            if static is not None:
+                labels, base = ("Type3", "E-ID1") + labels, static.addr // SLOT
 
-            def run(ev):
+            def run(ev):  # World.derived_slot and record_hashed, inlined
                 i = run_i(ev)
-                p = run_b(ev) // SLOT
+                p = base if static is not None else run_b(ev) // SLOT
                 rules(labels)
                 world = ev.world
-                slot = world.derived_slot(slot_of_map, p, encode_key32(i, key_t),
-                                          world.options.evm_hash_order)
-                ev.storage.record_hashed(slot, "mapping", p, i, value_t)
+                key = (p, encode(i), world.options.evm_hash_order)
+                slot = world.derived_slots.get(key)
+                if slot is None:
+                    slot = world.derived_slots[key] = slot_of_map(*key)
+                storage = ev.storage
+                if slot not in storage.hashed:
+                    storage.record_hashed(slot, "mapping", p, i, value_t)
                 return slot * SLOT
             return run, located
         ispan, span, elem = getattr(e.index, "span", None), e.span, sem.elem
@@ -563,6 +616,9 @@ class _Compiler:
             raise UnknownIdentifier(f"unknown function {e.name}", e.span)
         if expression and fn.ret is None:
             raise SolTypeError(f"function {e.name} has no return value", e.span)
+        if len(e.args) != len(fn.params):
+            raise SolTypeError(f"{e.name} expects {len(fn.params)} arguments, "
+                               f"got {len(e.args)}", e.span)
         args, rules = [self.value(a) for a in e.args], self.rules
         for a, (run, located), (_, t) in zip(e.args, args, fn.params):
             _check_store(located, t, a)
@@ -570,7 +626,8 @@ class _Compiler:
 
         def run(ev):
             value = ev.executor.call_internal(
-                ev.address, fn, tuple([a(ev) for a in args]), expression)
+                ev.address, fn, tuple([a(ev) for a in args]), expression,
+                config=ev.config)
             if expression:
                 rules(("Type5", "Size6"))
             return value
@@ -641,8 +698,12 @@ class _Compiler:
             if seq:
                 rules(seq)
             world = ev.world
+            options = world.options
             for s in runs:
-                _count_step(world)
+                world.stmt_steps += 1
+                if options.step_hook is not None \
+                        or options.max_steps is not None:
+                    _count_step(world)
                 if s(ev):
                     return True
             return False
@@ -714,6 +775,7 @@ class _Compiler:
         def run(ev):
             while cond(ev):
                 rules(("WHILE2",))
+                ev.world.stmt_steps += 1
                 _count_step(ev.world)
                 if body(ev):
                     return True
@@ -733,20 +795,18 @@ class _Compiler:
                 "return value in a function with no declared return", s.span)
         value, located = self.value(s.expr)
         _check_store(located, fn.ret[1], s.expr)
-        rname, write = fn.ret[0], _writer(Located(fn.ret[1], MEMORY))
+        i, ret = self.locals[fn.ret[0]]  # the return variable
+        write = _writer(ret)
 
         def run(ev):
             v = value(ev)
-            emit("RETURN", write(ev, ev.locals[rname], v))
+            emit("RETURN", write(ev, ev.locals[i], v))
             return True
         return run
 
     def _var_decl(self, s: ast.VarDecl):
-        located = _local(s, self.info.structs, self.registry)
+        i, located = self.locals[s.name]
         name, sem, emit = s.name, located.sem, self.emit
-        if self.locals[name] != located:  # its first declaration typed it
-            raise DuplicateDeclaration(f"{name} already declared in this scope",
-                                       s.span)
         if isinstance(sem, typesys.Ref):  # a storage pointer
             init = self.lvalue(s.init)[0] if s.init else None
             warning = f"uninitialized storage pointer {name}"
@@ -758,7 +818,7 @@ class _Compiler:
                     addr = 0  # aliases storage slot 0
                     ev.world.warnings.append(warning)
                     emit("WARN", note=f"{warning} references storage slot 0")
-                ev.config.bind_pointer(name, located, addr, s)
+                ev.locals[i] = addr
                 emit("VD2")
             return run
         if typesys.is_reference_kind(sem):  # a memory aggregate
@@ -769,7 +829,9 @@ class _Compiler:
 
             def run(ev):
                 rules(sized)
-                addr = ev.config.fr(name, located, bytes(size), s)
+                memory = ev.memory
+                ev.locals[i] = addr = memory.alloc(size)
+                memory.write(addr, bytes(size))
                 writes = [Write(MEMORY, addr, bytes(size))]
                 if init is not None:
                     writes += write(ev, addr, init(ev))
@@ -778,29 +840,32 @@ class _Compiler:
         zero = zero_value(sem)
         init, value = self.value(s.init) if s.init else (lambda ev: zero, None)
         _check_store(value, sem, s.init)
-        bind = self.binder(name, sem, s)
+        bind = self.binder(name, sem)
         return lambda ev: bind(ev, init(ev))
 
-    def binder(self, name: str, sem, decl=None, span=None):
-        """bind(ev, v), VD2: bind `name` in the top frame to a fresh memory
-        address holding v."""
-        if isinstance(sem, typesys.String):
-            def encode(v):
-                raw = str(v).encode("utf-8")
-                return len(raw).to_bytes(SLOT, "big") + raw
-        elif typesys.is_primitive(sem):
-            def encode(v):
-                return encode_value(v, sem)
-        else:
+    def binder(self, name: str, sem, span=None):
+        """bind(ev, v), VD2: put local `name` in its frame slot, at a fresh
+        memory address holding v."""
+        i, emit = self.locals[name][0], self.emit
+        if typesys.is_primitive(sem):
+            write = _writer(Located(sem, MEMORY))
+
+            def bind(ev, v):
+                ev.locals[i] = addr = ev.memory.alloc(SLOT)
+                emit("VD2", write(ev, addr, v))
+            return bind
+        if not isinstance(sem, typesys.String):
             raise SolTypeError(f"cannot bind a value of type "
                                f"{typesys.type_to_str(sem)} in memory", span)
-        located, emit = Located(sem, MEMORY), self.emit
 
-        def bind(ev, v):
-            data = encode(v)
-            addr = ev.config.fr(name, located, data, decl)
+        def bind_string(ev, v):  # its length word, then its bytes
+            raw = str(v).encode("utf-8")
+            data = len(raw).to_bytes(SLOT, "big") + raw
+            memory = ev.memory
+            ev.locals[i] = addr = memory.alloc(len(data))
+            memory.write(addr, data)
             emit("VD2", [Write(MEMORY, addr, data)])
-        return bind
+        return bind_string
 
 
 _LITERALS = {ast.IntLit: _U256, ast.BoolLit: _BOOL,
@@ -832,29 +897,33 @@ _STATEMENTS = {
 
 
 def compile_function(registry: dict, trace, info, fn) -> tuple:
-    """Compile `fn` of contract `info`, with every name it declares:
-    (bind(ev, args), guard(ev) or None, body(ev), result(ev) or None), which
-    `call_internal` runs in that order."""
+    """(size, bind(ev, args), guard(ev) or None, body(ev), result(ev) or
+    None) of `fn` of contract `info`: `call_internal` makes a frame of `size`
+    addresses, each local's index fixed here, then runs the rest in order."""
     ret = [fn.ret] if fn.ret is not None else []
-    locals_: dict = {}  # the first declaration of a name gives its type
-    for name, t in fn.params + ret:
-        locals_.setdefault(name, Located(t, MEMORY))
-    for s in _declarations(fn.body):
-        locals_.setdefault(s.name, _local(s, info.structs, registry))
+    locals_: dict = {}  # name -> (frame index, Located)
+    for name, t in fn.params + ret:  # their duplicates: _normalize_function
+        locals_[name] = (len(locals_), Located(t, MEMORY))
+    decls = {id(s): s for s in _declarations(fn.body)}  # a body inlined by
+    for s in decls.values():  # two placeholders declares its locals once
+        if s.name in locals_:  # Solidity 0.4's "Identifier already declared"
+            raise DuplicateDeclaration(
+                f"{s.name} already declared in this scope", s.span)
+        locals_[s.name] = (len(locals_), _local(s, info.structs, registry))
     c = _Compiler(registry, trace, info, locals_, fn)
-    binders = [c.binder(name, t, span=fn.span) for name, t in fn.params + ret]
+    binders = [c.binder(name, t, fn.span) for name, t in fn.params + ret]
     zero = [zero_value(t) for _, t in ret]
     guard = c.condition(fn.guard, "modifier condition must be boolean",
                         fn.guard.span) if fn.guard is not None else None
     result = None
     if ret:
-        read, rname = _reader(Located(fn.ret[1], MEMORY)), fn.ret[0]
-        result = lambda ev: read(ev, ev.locals[rname])  # noqa: E731
+        read, ri = _reader(Located(fn.ret[1], MEMORY)), locals_[fn.ret[0]][0]
+        result = lambda ev: read(ev, ev.locals[ri])  # noqa: E731
 
     def bind(ev, args):
         for b, v in zip(binders, [*args, *zero]):
             b(ev, v)
-    return bind, guard, c.block(fn.body), result
+    return len(locals_), bind, guard, c.block(fn.body), result
 
 
 def compile_contract(registry: dict, trace, info) -> dict:
@@ -891,48 +960,34 @@ def compile_contract(registry: dict, trace, info) -> dict:
 
 
 class Evaluator:
-    """The context of one running call: the instance (its config, storage
-    and memory), the function, and `locals`, the names of the top frame.
-    The compiled closures read it; it also compiles and runs one expression
-    against the live frame, for scenario asserts and tests."""
+    """The context of one running call, which the compiled closures read:
+    the instance's config, storage and memory, and `locals`, its frame. It
+    also compiles and runs one expression (scenario asserts, tests), which
+    may read `names` (name -> (index in `locals`, Located)) as locals."""
 
-    def __init__(self, executor, address: int, fn=None):
+    def __init__(self, executor, address: int, config=None):
         world = executor.world
-        instance = world.instance(address)
-        config = instance.config
-        self.executor = executor
-        self.world = world
-        self.address = address
-        self.fn = fn
-        self.config = config
-        self.storage = config.storage
-        self.memory = config.memory
-        self.locals = config.memory.top.names
-        self.info = world.contract_info(instance.contract_name)
+        if config is None:
+            config = world.instance(address).config
+        self.executor, self.world, self.address = executor, world, address
+        self.config, self.storage, self.memory = \
+            config, config.storage, config.memory
+        self.locals = config.memory.scopes[-1]
+        self.names: dict = {}
 
-    # -- one expression, compiled against the live frame, then run -------------
+    # -- one expression, compiled against the top frame, then run --------------
 
     def _compiler(self) -> _Compiler:
-        top, world = self.memory.top, self.world
-        self.locals = top.names
-        return _Compiler(world.registry, world.trace, self.info,
-                         dict(top.types), self.fn)
+        world = self.world
+        info = world.registry[world.instances[self.address].contract_name]
+        return _Compiler(world.registry, world.trace, info, self.names)
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
         """The static type of `e`; an ill-typed `e` raises its error."""
         return self._compiler().typed(e)[1]
 
-    def eval_lvalue(self, e: ast.Expr) -> LValue:
-        run, located = self._compiler().lvalue(e)
-        return LValue(run(self), located)
-
     def eval_rvalue(self, e: ast.Expr):
         return self._compiler().rvalue(e)(self)
-
-    def eval_typed(self, e: ast.Expr) -> tuple:
-        """(value, SemType) of `e`."""
-        run, located = self._compiler().typed(e)
-        return run(self), located.sem
 
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):

@@ -16,14 +16,17 @@ value is taken checks that the function it reaches returns the type the
 compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled
-(`World.code`): `call_internal` runs a function's parameter binding, guard
-and body, and `deploy` the contract's initializer, which writes each state
-variable's initial value at the address the contract's layout fixed at
-registration; nothing is sized or allocated at deploy. Registration has
-type-checked them, so the faults left to run time are dynamic: division by
-zero, a bad index, an unknown address, a local read before its declaration
-has run, and a named call reaching a function that does not return the type
-its value was given.
+(`World.code`): `call_internal` makes a frame of the size registration laid
+out and runs a function's parameter binding, guard and body, and `deploy`
+the contract's initializer, which writes each state variable's initial
+value at the address the contract's layout fixed at registration; nothing
+is sized or allocated at deploy. Registration has type-checked them and
+counted an internal call's arguments, so the faults left to run time are
+dynamic: division by zero, a bad index, an unknown address, a local read
+before its declaration has run, a named call reaching a function that does
+not return the type its value was given, and an argument count that does
+not match where the arguments come from outside (a transaction, a deploy,
+or a named call on an address).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 
 from . import typesys
 from .errors import (
-    InsufficientBalance, SolTypeError, SolsemError, TxAborted,
+    InsufficientBalance, SolTypeError, SolsemError, TxAborted, UnknownAddress,
     UnknownIdentifier,
 )
 # slot_of_dyn is not called here: the benchmark's tracer test checks that
@@ -67,9 +70,8 @@ class Executor:
     def __init__(self, world: World):
         self.world = world
 
-    def evaluator(self, address: int,
-                  fn: Optional[FunctionInfo] = None) -> Evaluator:
-        return Evaluator(self, address, fn)
+    def evaluator(self, address: int) -> Evaluator:
+        return Evaluator(self, address)
 
     # -- transactions --------------------------------------------------------------
 
@@ -88,6 +90,7 @@ class Executor:
             address = world.create_instance(contract_name, value)
             world.code[id(info)](self.evaluator(address))
             if info.constructor is not None:
+                _check_arity(info.constructor, tx.args)
                 self.call_internal(address, info.constructor, tx.args,
                                    expression=False)
             elif args:
@@ -110,9 +113,11 @@ class Executor:
             if fn is None:
                 raise UnknownIdentifier(
                     f"{callee.contract_name} has no function {tx.fname}")
+            _check_arity(fn, tx.args)
             world.credit(callee, tx.value)
             return self.call_internal(tx.to, fn, tuple(tx.args),
-                                      expression=fn.ret is not None)
+                                      expression=fn.ret is not None,
+                                      config=callee.config)
 
         return self._transact(tx, "tx", call)
 
@@ -138,7 +143,7 @@ class Executor:
         world.stmt_steps = 0
         deploying = kind == "deploy"
         trace.push_context(tx.to, None if deploying else tx.fname,
-                           world.new_frame_id())
+                           next(world.frame_ids))
         trace.emit("TX-START", call=CallInfo(kind, tx.to, tx.fname,
                                              tuple(tx.args), tx.value, tx.gas),
                    value=None if deploying else tx.value or None)
@@ -173,18 +178,15 @@ class Executor:
     # -- function calls ---------------------------------------------------------------
 
     def call_internal(self, address: int, fn: FunctionInfo, values: tuple,
-                      expression: bool, call_kind: str = "internal"):
-        """Push a fresh scope, bind parameters and the return slot, run the
+                      expression: bool, call_kind: str = "internal",
+                      config=None):
+        """Push a fresh frame, bind parameters and the return slot, run the
         body under the modifier guard, and hand back the return value."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
-        ev = Evaluator(self, address, fn)
-        if len(values) != len(fn.params):
-            raise SolTypeError(
-                f"{fn.name or 'fallback'} expects {len(fn.params)} arguments, "
-                f"got {len(values)}")
-        bind, guard, body, result = world.code[id(fn)]
+        size, bind, guard, body, result = world.code[id(fn)]
+        ev = Evaluator(self, address, config)
         world.call_depth += 1
         display = fn.name or "()"
         trace = world.trace
@@ -192,15 +194,18 @@ class Executor:
         trace.emit("E-FUN" if expression else "I-FUN", call=CallInfo(
             call_kind, address, display, tuple(values)))
         memory = ev.memory
-        memory.push_scope()
-        ev.locals = memory.top.names
+        scopes = memory.scopes
+        ev.locals = frame = [None] * size
+        scopes.append(frame)
         try:
             bind(ev, values)
             if guard is None or guard(ev):
                 body(ev)
             return result(ev) if expression and result is not None else None
         finally:
-            memory.pop_scope()
+            scopes.pop()
+            if len(scopes) == 1:  # its last live frame: memory is freed
+                memory.words.clear()
             trace.pop_context()
             world.call_depth -= 1
 
@@ -225,15 +230,19 @@ class Executor:
         world = self.world
         caller = ev.address
         named = name is not None
-        callee_inst = world.instance(target)
+        instances = world.instances
+        callee_inst = instances.get(target)
+        if callee_inst is None:
+            raise UnknownAddress(f"no contract instance at {target:#x}")
         callee_name = callee_inst.contract_name
-        callee_info = world.contract_info(callee_name)
-        caller_inst = world.instance(caller)
+        callee_info = world.registry[callee_name]
+        caller_inst = instances[caller]
         if named:
             fn = callee_info.functions.get(name)
             if fn is None:
                 raise SolTypeError(f"{callee_name} has no function {name}",
                                    span)
+            _check_arity(fn, values, span)
             if expression and fn.ret is None:
                 raise SolTypeError(f"function {name} of {callee_name} has "
                                    f"no return value", span)
@@ -267,17 +276,25 @@ class Executor:
         world.msg_stack.append(world.msg)
         world.msg = Msg(caller, m, n)
         display = fn.name or "()"
-        world.trace.push_context(target, display, world.new_frame_id())
+        world.trace.push_context(target, display, next(world.frame_ids))
         world.trace.emit("E-FUN1" if named else "E-FUN2",
                          call=CallInfo(kind, target, display, values, m, n),
                          value=m, omega=len(callee_config.omega))
         try:
             value = self.call_internal(target, fn, values,
                                        expression=named and expression,
-                                       call_kind=kind)
+                                       call_kind=kind, config=callee_config)
         finally:
             world.msg = world.msg_stack.pop()
             callee_config.omega.pop()
             world.trace.emit("SKIP2", omega=len(callee_config.omega))
             world.trace.pop_context()
         return value if named else True
+
+
+def _check_arity(fn: FunctionInfo, values, span=None) -> None:
+    """Arguments from outside (registration counts an internal call's)."""
+    if len(values) != len(fn.params):
+        raise SolTypeError(
+            f"{fn.name or 'fallback'} expects {len(fn.params)} arguments, "
+            f"got {len(values)}", span)

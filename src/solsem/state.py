@@ -14,19 +14,19 @@ contract's `layout`, which `build_contract_info` computes once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import ast, typesys
 from .errors import (
-    DuplicateDeclaration, ScopeUnderflow, Span, UnknownAddress,
-    UnknownIdentifier,
+    DuplicateDeclaration, Span, UnknownAddress, UnknownIdentifier,
 )
 from .evaluator import LValue, compile_contract
 from .trace import Trace
 # the value codecs live in typesys; they are imported from here too
 from .typesys import (  # noqa: F401
-    decode_value, encode_key32, encode_value, zero_value,
+    ZERO_WORD, decode_value, encode_value, key_encoder, put_word, zero_value,
 )
 
 
@@ -35,15 +35,6 @@ from .typesys import (  # noqa: F401
 # ---------------------------------------------------------------------------
 
 SLOT = typesys.SLOT
-ZERO_WORD = bytes(SLOT)
-
-
-def _put_word(words: dict, slot: int, word) -> None:
-    """Set a slot's word; None or an all-zero word leaves the slot absent."""
-    if word is None or word == ZERO_WORD:
-        words.pop(slot, None)
-    else:
-        words[slot] = word
 
 
 @dataclass
@@ -73,8 +64,8 @@ class ByteStore:
             old = words.get(slot)
             base = old or ZERO_WORD
             if journal is not None:
-                journal.append((_put_word, words, slot, old))
-            _put_word(words, slot,
+                journal.append((put_word, words, slot, old))
+            put_word(words, slot,
                       base[:off] + data[pos:pos + take] + base[off + take:])
             slot, off, pos = slot + 1, 0, pos + take
 
@@ -118,35 +109,23 @@ class StorageState(ByteStore):
             self.journal.append((dict.pop, hashed, slot))
 
 
-class _Frame(NamedTuple):
-    names: dict
-    types: dict
-    decls: dict  # id -> the declaration statement that bound it, or None
-
-
 @dataclass
 class MemoryState(ByteStore):
-    """Memory lives while the instance has a live frame: it is cleared when
-    the scope stack is back to its base frame. `fresh` only grows, so a
-    memory address is never reused within a run. Its writes are not
-    journaled: a transaction leaves memory empty, rolled back or not."""
+    """Memory lives while the instance has a live frame (a list of local
+    addresses): it is cleared when the scope stack is back to its base
+    frame. `fresh` only grows, so a memory address is never reused within a
+    run. Its writes are not journaled: a transaction leaves memory empty,
+    rolled back or not."""
     fresh: int = 0
-    scopes: list = field(default_factory=lambda: [_Frame({}, {}, {})])
+    scopes: list = field(default_factory=lambda: [[]])
     journal: list = field(default_factory=list, repr=False, compare=False)
 
-    @property
-    def top(self) -> _Frame:
-        return self.scopes[-1]
-
-    def push_scope(self) -> None:
-        self.scopes.append(_Frame({}, {}, {}))
-
-    def pop_scope(self) -> None:
-        if len(self.scopes) <= 1:
-            raise ScopeUnderflow("cannot pop the base scope frame")
-        self.scopes.pop()
-        if len(self.scopes) == 1:
-            self.words.clear()
+    def alloc(self, size: int) -> int:
+        """A fresh slot-aligned address with room for `size` bytes."""
+        addr = self.fresh
+        self.journal.append((setattr, self, "fresh", addr))
+        self.fresh = addr + max((size + SLOT - 1) // SLOT * SLOT, SLOT)
+        return addr
 
 
 @dataclass
@@ -164,32 +143,6 @@ class Config:
     # callers of the in-flight external calls into this instance; their Msgs
     # are saved on World.msg_stack
     omega: list = field(default_factory=list)
-
-    def fr(self, name: str, located: typesys.Located, data: bytes,
-           decl=None) -> int:
-        """Bind `name` to a fresh memory address in the top frame and copy
-        `data` there."""
-        mem = self.memory
-        addr = mem.fresh
-        self.bind_pointer(name, located, addr, decl)
-        mem.journal.append((setattr, mem, "fresh", addr))
-        mem.fresh += max((len(data) + typesys.SLOT - 1)
-                         // typesys.SLOT * typesys.SLOT, typesys.SLOT)
-        mem.write(addr, data)
-        return addr
-
-    def bind_pointer(self, name: str, located: typesys.Located, addr: int,
-                     decl=None) -> None:
-        """Bind a local name directly to an existing address (storage pointers
-        and memory aggregates); no fresh bytes are written. A local is scoped
-        to its whole function, so running its declaration `decl` again (a
-        loop body) rebinds it; any other redeclaration fails."""
-        top = self.memory.top
-        if name in top.names and (decl is None or top.decls[name] is not decl):
-            raise DuplicateDeclaration(f"{name} already declared in this scope")
-        top.names[name] = addr
-        top.types[name] = located
-        top.decls[name] = decl
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +198,12 @@ def _inline_placeholder(mod_body: list, fn_body: list) -> list:
 
 def _normalize_function(f: ast.FunctionDef, modifiers: dict, structs: dict,
                         contract_names) -> FunctionInfo:
+    seen: set = set()  # a repeated parameter or return variable name
+    for p in f.params + [f.returns] * bool(f.returns and f.returns.name):
+        if p.name in seen:
+            raise DuplicateDeclaration(f"{p.name} already declared in this "
+                                       f"scope", p.span or p.type_name.span)
+        seen.add(p.name)
     params = [(p.name, typesys.resolve_type(p.type_name, structs, contract_names))
               for p in f.params]
     ret = None
@@ -340,7 +299,7 @@ class World:
         self.warnings: list = []
         self.call_depth: int = 0
         self.stmt_steps: int = 0
-        self._next_frame_id: int = 0
+        self.frame_ids = itertools.count(1)  # of external frames, in order
         # undo records (fn, *args) of the running transaction, oldest first
         self.journal: list = []
         self.derived_slots: dict = {}  # Keccak input -> slot, see derived_slot
@@ -410,10 +369,6 @@ class World:
         if slot is None:
             slot = self.derived_slots[args] = derive(*args)
         return slot
-
-    def new_frame_id(self) -> int:
-        self._next_frame_id += 1
-        return self._next_frame_id
 
     # -- the undo journal (transaction atomicity) ------------------------------
 

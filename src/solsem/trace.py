@@ -4,12 +4,14 @@ Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
 so tests and downstream tooling can grep for them. A rule recorded through
 `emit` (writes, a call, a transfer, a frame edge, a warning) is one slotted
 `TraceEvent`, holding its rule's Write list uncopied or the shared `()`. A
-pure rule application (typing, sizing, E-RV, SEQ, ...) is a pending label;
+pure rule application (typing, sizing, E-RV, SEQ, ...) appends its label
+to a pending list, in a C call (`Trace.rules` is the list's `extend`);
 before the next emit, context change or mute, or read of `Trace.events`, the
 pending labels become one `RuleRun` entry (a Coin `send`: 47 rules, 9
-entries). A RuleRun reads as an event with no payload, so the reentrancy
-detector and the replay pass over it; `expand` yields a TraceEvent per rule
-and `len(trace)` counts rules. Entries are read-only to every consumer.
+entries), and those applied while muted are dropped. A RuleRun reads as an
+event with no payload, so the reentrancy detector and the replay pass over
+it; `expand` yields a TraceEvent per rule and `len(trace)` counts rules.
+Entries are read-only to every consumer.
 
 Serialized form is newline-delimited JSON, one line per rule, written
 straight out as f-strings with no dict per event: keys in sorted order, hex
@@ -120,25 +122,30 @@ class Trace:
         self._seq: int = 0  # the last seq in the log
         self._ctx: list = [(None, None, None)]  # (addr, fn, frame) tuples
         self._muted: int = 0
+        # a pure rule per label, in one C call; the compiler's are all known
+        self.rules = self._pending.extend
 
     def _flush(self) -> None:
-        """Write the pending labels, if any, to the log as one RuleRun."""
+        """Log the pending labels (callers test them first), or drop them."""
         pending, seq = self._pending, self._seq
-        if pending:
+        if not self._muted:
             self._log.append(RuleRun(seq + 1, tuple(pending), *self._ctx[-1]))
             self._seq = seq + len(pending)
-            pending.clear()
+        pending.clear()
 
     # -- context ---------------------------------------------------------------
 
     def push_context(self, addr, fn, frame=None):
-        self._flush()
+        if self._pending:
+            self._flush()
         if frame is None:
             frame = self._ctx[-1][2]
         self._ctx.append((addr, fn, frame))
 
     def pop_context(self):
-        self.unwind(len(self._ctx) - 1)
+        if self._pending:
+            self._flush()
+        self._ctx.pop()
 
     @property
     def depth(self) -> int:
@@ -147,7 +154,8 @@ class Trace:
     def unwind(self, depth: int) -> None:
         """Drop every context above `depth`, including any that a failing
         frame did not get to pop."""
-        self._flush()
+        if self._pending:
+            self._flush()
         del self._ctx[depth:]
 
     # -- emission ----------------------------------------------------------------
@@ -161,7 +169,8 @@ class Trace:
             raise ValueError(f"unknown rule label {rule!r}")
         if self._muted:
             return None
-        self._flush()
+        if self._pending:
+            self._flush()
         self._seq = seq = self._seq + 1
         addr, fn, frame = self._ctx[-1]
         ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), call, value,
@@ -175,33 +184,31 @@ class Trace:
             raise ValueError(f"unknown rule label {label!r}")
         self.rules((label,))
 
-    def rules(self, labels: tuple) -> None:
-        """`rule` for each of `labels` in turn, in one call. The labels are
-        not checked: the compiler passes only labels of RULE_LABELS."""
-        if not self._muted:
-            self._pending += labels
-
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 
     @contextmanager
     def mute(self):
-        self._flush()
+        """Log no rule applied inside (its pure labels are cleared)."""
+        if self._pending:
+            self._flush()
         self._muted += 1
         try:
             yield
         finally:
             self._muted -= 1
+            self._pending.clear()
 
     # -- views --------------------------------------------------------------------
 
     @property
     def events(self) -> list:
         """The log, pending labels written out first: TraceEvents, RuleRuns."""
-        self._flush()
+        if self._pending:
+            self._flush()
         return self._log
 
     def __len__(self):  # rule applications, not log entries
-        return self._seq + len(self._pending)
+        return self._seq + (0 if self._muted else len(self._pending))
 
     def labels(self) -> set:
         return {ev.rule for ev in expand(self.events)}

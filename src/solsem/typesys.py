@@ -16,6 +16,7 @@ from . import ast
 from .errors import RangeError, SolTypeError, UnsizedType
 
 SLOT = 32  # byte alignment `l`
+ZERO_WORD = bytes(SLOT)
 
 STORAGE = "storage"
 MEMORY = "memory"
@@ -179,6 +180,10 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
         if not _valid_mapping_key(key):
             raise SolTypeError(
                 f"{type_to_str(key)} cannot be a mapping key", tn.span)
+        if isinstance(key, StaticArray) \
+                and key.length * min(size_of(key.elem), SLOT) > SLOT:
+            raise SolTypeError(f"mapping key {type_to_str(key)} is wider than "
+                               f"32 bytes", tn.span)
         value = resolve_type(tn.value, structs, contract_names)
         return Mapping(key, value)
     if isinstance(tn, ast.UserTypeName):
@@ -309,6 +314,14 @@ def field_index(struct_t: Struct, name: str, span=None) -> int:
 # value encoding
 # ---------------------------------------------------------------------------
 
+def put_word(words: dict, slot: int, word) -> None:
+    """Set a slot's word; None or an all-zero word leaves the slot absent."""
+    if word is None or word == ZERO_WORD:
+        words.pop(slot, None)
+    else:
+        words[slot] = word
+
+
 def encode_value(v, t: SemType) -> bytes:
     """Fixed-width big-endian encoding of a primitive value at type t."""
     if isinstance(t, UInt):
@@ -346,16 +359,13 @@ def decode_value(data: bytes, t: SemType):
     raise SolTypeError(f"cannot decode a value of type {type_to_str(t)}")
 
 
-def encode_key32(v, t: SemType) -> bytes:
-    """A mapping key left-padded into 32 bytes (bytes32(k))."""
+def key_encoder(t: SemType):
+    """k -> bytes32(k) for a mapping key of type t (resolve_type bounds t)."""
     if isinstance(t, StaticArray):
-        parts = b"".join(encode_key32(x, t.elem)[-size_of(t.elem):]
-                         for x in v)
-        if len(parts) > 32:
-            raise SolTypeError("mapping key wider than 32 bytes")
-        return parts.rjust(32, b"\x00")
-    raw = encode_value(v, t)
-    return raw.rjust(32, b"\x00")
+        enc, size = key_encoder(t.elem), size_of(t.elem)
+        return lambda v: b"".join([enc(x)[-size:] for x in v]).rjust(
+            SLOT, b"\x00")
+    return lambda v: encode_value(v, t).rjust(SLOT, b"\x00")
 
 
 def zero_value(t: SemType):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from solsem import Executor, World, parse
+from solsem.evaluator import LValue
 
 REPO = Path(__file__).resolve().parent.parent
 CONTRACTS = REPO / "contracts"
@@ -25,6 +26,25 @@ def contract_source(name: str) -> str:
 
 def scenario_source(name: str) -> str:
     return (SCENARIOS / name).read_text()
+
+
+def bind_local(ev, name: str, located, addr: int) -> None:
+    """Bind local `name` in the evaluator's frame, so the expressions it
+    compiles read it: a slot appended to the frame, and the name."""
+    ev.names[name] = (len(ev.locals), located)
+    ev.locals.append(addr)
+
+
+def eval_lvalue(ev, e) -> LValue:
+    """The address and type of `e`, compiled against the evaluator."""
+    run, located = ev._compiler().lvalue(e)
+    return LValue(run(ev), located)
+
+
+def eval_typed(ev, e) -> tuple:
+    """(value, SemType) of `e`, compiled against the evaluator."""
+    run, located = ev._compiler().typed(e)
+    return run(ev), located.sem
 
 
 def make_world(*contract_files: str, options=None) -> World:

@@ -10,7 +10,7 @@ from solsem import typesys
 from solsem.errors import (
     DivisionByZero, IndexOutOfBounds, SolTypeError,
 )
-from solsem.evaluator import apply_binop, read_value, slot_of_dyn, slot_of_map
+from solsem.evaluator import read_value, slot_of_dyn, slot_of_map
 from solsem import evaluator
 from solsem.executor import Executor, Tx
 from solsem.harness import parse_scenario, run_main_contract, run_scenario
@@ -20,7 +20,8 @@ from solsem.trace import expand
 from solsem.typesys import SLOT, Address, Bool, Int256, Located, UInt
 
 from conftest import (
-    contract_source, deploy, make_world, scenario_source, world_from_source,
+    bind_local, contract_source, deploy, eval_lvalue, eval_typed, make_world,
+    scenario_source, world_from_source,
 )
 import codec_oracle
 from keccak_oracle import keccak256_oracle_int
@@ -28,6 +29,11 @@ from typing_oracle import type_of
 
 U128 = UInt(128)
 U256 = UInt(256)
+
+
+def apply_binop(op: str, lhs, rhs, t):
+    """lhs op rhs at type t, by the operator the compiler picks for it."""
+    return evaluator._operator(op, t)(lhs, rhs)
 
 
 def _ev(world, address):
@@ -41,9 +47,9 @@ def test_static_array_lvalues_in_test2():
     address = deploy(world, "Test2")
     ev = _ev(world, address)
     # b at byte 32; rows are 64 bytes, elements 16
-    assert ev.eval_lvalue(parse_expression("b[1]")).addr == 96
-    assert ev.eval_lvalue(parse_expression("b[0][1]")).addr == 48
-    assert ev.eval_lvalue(parse_expression("b[1][2]")).addr == 128
+    assert eval_lvalue(ev, parse_expression("b[1]")).addr == 96
+    assert eval_lvalue(ev, parse_expression("b[0][1]")).addr == 48
+    assert eval_lvalue(ev, parse_expression("b[1][2]")).addr == 128
 
 
 def test_static_bounds_checked():
@@ -51,9 +57,9 @@ def test_static_bounds_checked():
     address = deploy(world, "Test2")
     ev = _ev(world, address)
     with pytest.raises(IndexOutOfBounds):
-        ev.eval_lvalue(parse_expression("b[2]"))
+        eval_lvalue(ev, parse_expression("b[2]"))
     with pytest.raises(IndexOutOfBounds):
-        ev.eval_lvalue(parse_expression("b[0][3]"))
+        eval_lvalue(ev, parse_expression("b[0][3]"))
 
 
 def test_dyn_array_element_lands_on_hashed_slot():
@@ -63,10 +69,10 @@ def test_dyn_array_element_lands_on_hashed_slot():
     ex.run_transaction(Tx(sender=1, to=address, fname="foo3"))
     ev = _ev(world, address)
     h = keccak256_oracle_int(bytes(32))
-    assert ev.eval_lvalue(parse_expression("a[0]")).addr == h * 32
-    assert ev.eval_lvalue(parse_expression("a[1]")).addr == (h + 1) * 32
+    assert eval_lvalue(ev, parse_expression("a[0]")).addr == h * 32
+    assert eval_lvalue(ev, parse_expression("a[1]")).addr == (h + 1) * 32
     with pytest.raises(IndexOutOfBounds):
-        ev.eval_lvalue(parse_expression("a[2]"))  # length is 2
+        eval_lvalue(ev, parse_expression("a[2]"))  # length is 2
 
 
 def test_mapping_lvalue_uses_concatenation_order():
@@ -75,7 +81,7 @@ def test_mapping_lvalue_uses_concatenation_order():
     ev = _ev(world, address)
     expected = keccak256_oracle_int(
         (0).to_bytes(32, "big") + (100).to_bytes(32, "big"))
-    assert ev.eval_lvalue(parse_expression("m[100]")).addr == expected * 32
+    assert eval_lvalue(ev, parse_expression("m[100]")).addr == expected * 32
 
 
 def test_evm_hash_order_flag_flips_concatenation():
@@ -84,7 +90,7 @@ def test_evm_hash_order_flag_flips_concatenation():
     ev = _ev(world, address)
     expected = keccak256_oracle_int(
         (100).to_bytes(32, "big") + (0).to_bytes(32, "big"))
-    assert ev.eval_lvalue(parse_expression("m[100]")).addr == expected * 32
+    assert eval_lvalue(ev, parse_expression("m[100]")).addr == expected * 32
 
 
 # -- slot derivation ---------------------------------------------------------------
@@ -199,9 +205,9 @@ def test_a_literal_takes_its_unsigned_partners_width():
     address = deploy(world, "Narrow")
     ev = _ev(world, address)
     with world.trace.mute():
-        assert ev.eval_typed(parse_expression("x + 1")) == (0, UInt(8))
-        assert ev.eval_typed(parse_expression("1 + x")) == (0, UInt(8))
-        assert ev.eval_typed(parse_expression("x + 256")) == (511, U256)
+        assert eval_typed(ev, parse_expression("x + 1")) == (0, UInt(8))
+        assert eval_typed(ev, parse_expression("1 + x")) == (0, UInt(8))
+        assert eval_typed(ev, parse_expression("x + 256")) == (511, U256)
     res = Executor(world).run_transaction(Tx(sender=1, to=address,
                                              fname="bump"))
     assert res.ok, res.error
@@ -273,11 +279,10 @@ def _typed_fixture_evaluators():
     main = run_main_contract(world).handles["main"]
     world.msg = Msg(sender=0xAB, value=3)
     ev = _ev(world, main)
-    config = world.instance(main).config
     for name, target in (("pa", "arr"), ("pd", "da"), ("pm", "m2"),
                          ("pp", "s")):
-        lv = ev.eval_lvalue(parse_expression(target))
-        config.bind_pointer(name, typesys.Located(
+        lv = eval_lvalue(ev, parse_expression(target))
+        bind_local(ev, name, typesys.Located(
             typesys.make_ref(lv.located.sem), typesys.STORAGE), lv.addr)
     yield "Main", ev
     for fixture, fname in (("test2.sol", "foo2"), ("test3.sol", "foo3"),
@@ -303,7 +308,7 @@ def test_eval_typed_agrees_with_the_static_judgement():
     for name, ev in _typed_fixture_evaluators():
         for text in _TYPED_EXPRESSIONS[name]:
             e = parse_expression(text)
-            value, sem = ev.eval_typed(e)
+            value, sem = eval_typed(ev, e)
             assert ev.type_of(e) == type_of(ev, e), text
             assert sem == type_of(ev, e).sem, text
             assert value == ev.eval_rvalue(e), text
@@ -394,8 +399,11 @@ contract S {
   string name = "a string of more than thirty-two bytes, in two chunks";
   uint[] ys;
   Pair p;
+  uint128[2] key;
+  mapping(uint128[2] => uint) byKey;
   function set(uint i, uint v) public {
     xs[i] = v; ys.push(v); p.y = v; name = "short";
+    key[1] = uint128(v); byKey[key] = v; byKey[key] = byKey[key] + 1;
   }
   function get() public returns (string) { return name; }
 }"""
@@ -420,6 +428,7 @@ def test_nothing_is_sized_after_registration(monkeypatch):
     assert calls == Counter()
     # an assert expression is compiled when it is read, so it may size
     assert _read(world, address, "xs[1] + ys[0] + p.y") == 21
+    assert _read(world, address, "byKey[key]") == 8
 
 
 def _read(world, address, text):
@@ -493,7 +502,7 @@ def test_lvalue_then_read_equals_rvalue():
     config = world.instance(address).config
     for text in ("a", "b[0][0]", "b[0][1]", "b[1][2]", "b[1]"):
         e = parse_expression(text)
-        lv = ev.eval_lvalue(e)
+        lv = eval_lvalue(ev, e)
         direct = read_value(world, config, lv.located.loc, lv.addr,
                             lv.located.sem)
         assert ev.eval_rvalue(e) == direct

@@ -1,12 +1,15 @@
 """Statement execution, calls, transactions, and their invariants."""
 
+import gc
 import random
 import sys
 
 import pytest
 
 from solsem import typesys
-from solsem.errors import SolsemError, SolTypeError, TxAborted
+from solsem.errors import (
+    DuplicateDeclaration, SolsemError, SolTypeError, TxAborted,
+)
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
 from solsem.parser import parse_expression
@@ -72,21 +75,21 @@ def test_while_false_is_a_no_op():
 
 def test_declaration_in_a_loop_body_runs_again():
     # pre-0.5 locals are scoped to the whole function: a declaration run again
-    # rebinds its local; a second declaration of the name still fails
+    # rebinds its local; a second declaration of the name does not register
     world = world_from_source("""
     contract W { uint s;
       function f() public {
         uint i = 0;
         while (i < 3) { uint x = i; uint[2] m; uint[2] storage p; i = i + 1; }
-        s = i; }
-      function g() public { uint x = 1; uint x = 2; } }""")
+        s = i; } }""")
     address = deploy(world, "W")
     ex = Executor(world)
     res = ex.run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok
     assert _read(world, address, "s") == 3
-    res = ex.run_transaction(Tx(sender=1, to=address, fname="g"))
-    assert not res.ok and "x already declared" in str(res.error)
+    with pytest.raises(DuplicateDeclaration, match="x already declared"):
+        world_from_source("""
+        contract V { function g() public { uint x = 1; uint x = 2; } }""")
 
 
 # -- push --------------------------------------------------------------------------
@@ -203,6 +206,59 @@ def _rejected(source: str) -> SolTypeError:
         world_from_source(source)
     assert err.value.span is not None, err.value.message
     return err.value
+
+
+def test_an_internal_call_with_the_wrong_argument_count_does_not_register():
+    # every internal call site is compiled at registration, so its argument
+    # count is checked there, at the call, and never at run time
+    err = _rejected("""
+    contract C {
+      uint out;
+      function g(uint x) { out = x; }
+      function f() public { g(1, 2); }
+    }""")
+    assert err.message == "g expects 1 arguments, got 2"
+    assert (err.span.line, err.span.col) == (5, 29)  # the call
+
+
+def test_arguments_from_outside_are_counted_at_run_time(dao_world):
+    # a transaction, a deploy and a named call on a plain address carry
+    # arguments that no registration saw
+    ex = Executor(dao_world)
+    bank = deploy(dao_world, "Bank", value=10)
+    before = dao_world.storage_fingerprint()
+    res = ex.run_transaction(Tx(sender=1, to=bank, fname="withdraw",
+                                args=(1, 2)))
+    assert not res.ok
+    assert res.error.reason == "withdraw expects 1 arguments, got 2"
+    with pytest.raises(TxAborted, match="Attack expects 1 arguments, got 0"):
+        ex.deploy("Attack", sender=0xB)
+    assert dao_world.storage_fingerprint() == before
+    world = world_from_source("""
+    contract R { uint hits; function g(uint x) public { hits = x; } }
+    contract P { function pay(address to) public { to.g(1, 2); } }""")
+    r, p = deploy(world, "R"), deploy(world, "P")
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=p, fname="pay",
+                                             args=(r,)))
+    assert not res.ok
+    assert res.error.reason == "g expects 1 arguments, got 2"
+    assert repr(res.error.cause.span) == "3:54"  # the call's
+    assert world.storage_fingerprint() == before
+
+
+def test_a_mapping_key_wider_than_a_word_does_not_register():
+    # bytes32(k) must hold the key: rejected where the mapping is declared
+    err = _rejected("contract M {\n  mapping(uint[2] => uint) m;\n}")
+    assert err.message == "mapping key uint256[2] is wider than 32 bytes"
+    assert (err.span.line, err.span.col) == (2, 3)
+    err = _rejected("contract M { struct S { mapping(address[2] => uint) m; }"
+                    "\n  function f() public {\n"
+                    "    mapping(uint8[33] => bool) storage p; } }")
+    assert (err.span.line, err.span.col) == (1, 25)
+    assert world_from_source(  # two addresses take 40 bytes, 32 uint128s 512
+        "contract M { mapping(uint128[2] => uint) a;"
+        " mapping(uint8[32] => uint) b; }").registry["M"]
 
 
 def test_value_of_a_function_without_return_aborts_before_it_runs():
@@ -832,6 +888,55 @@ def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
         sizes.append((len(res.events), len(list(expand(res.events)))))
     assert sizes[1][0] - sizes[0][0] == 11  # entries a round adds
     assert sizes[1][1] - sizes[0][1] == 36  # rules a round applies
+
+
+def _python_calls(run) -> int:
+    """The Python `call` events that sys.setprofile reports during run(),
+    with the cycle collector off, so no finalizer runs in between."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="call counts are pinned for CPython 3.11")
+def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
+                                                           dao_world):
+    # the op path's dispatch cost, pinned exactly: a change that adds or
+    # fuses closures on it moves these counts, and says so in CHANGES.md
+    ex = Executor(coin_world)
+    coin = deploy(coin_world, "Coin", sender=0xA)
+    for to in (0xA, 0xB):  # both balances' slots are derived and recorded
+        assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                     args=(to, 50))).ok
+    tx = Tx(sender=0xA, to=coin, fname="send", args=(0xB, 5))
+    assert _python_calls(lambda: ex.run_transaction(tx)) == COIN_SEND_CALLS
+    ex = Executor(dao_world)
+    calls = []
+    for bank_value in (10, 12):  # one reentrant round more
+        bank = ex.deploy("Bank", value=bank_value)
+        attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+        assert ex.run_transaction(Tx(sender=0xB, to=attack,
+                                     fname="addToBalance")).ok
+        tx = Tx(sender=0xB, to=attack, fname="withdrawBalance")
+        calls.append(_python_calls(lambda: ex.run_transaction(tx)))
+    assert calls[1] - calls[0] == REENTRANT_ROUND_CALLS
+
+
+COIN_SEND_CALLS = 102
+REENTRANT_ROUND_CALLS = 97
 
 
 def test_call_depth_cap():

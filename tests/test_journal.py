@@ -10,7 +10,7 @@ from solsem.errors import SolsemError, TxAborted
 from solsem.executor import Executor, Tx
 from solsem.keccak import keccak256_int
 from solsem.parser import parse_expression
-from solsem.state import World, encode_key32
+from solsem.state import World, key_encoder
 from solsem.typesys import Address
 
 from conftest import make_world
@@ -240,7 +240,7 @@ def test_flipping_hash_order_derives_the_other_slot():
     ex = Executor(world)
     coin = ex.deploy("Coin", sender=MINTER)
     base32 = (1).to_bytes(32, "big")  # balances is declared at slot 1
-    key32 = encode_key32(0xB, Address())
+    key32 = key_encoder(Address())(0xB)
     expected = [keccak256_oracle_int(base32 + key32),
                 keccak256_oracle_int(key32 + base32)]
     hashed = world.instance(coin).config.storage.hashed

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solsem import typesys
-from solsem.errors import (
-    DuplicateDeclaration, RangeError, ScopeUnderflow, SolTypeError,
-)
+from solsem.errors import DuplicateDeclaration, RangeError, SolTypeError
 from solsem.executor import Executor, Tx
 from solsem.parser import parse, parse_expression
 from solsem.state import (
     ByteStore, Config, Msg, StorageState, World, decode_value,
-    encode_key32, encode_value, zero_value,
+    encode_value, key_encoder, zero_value,
 )
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
-from conftest import contract_source, deploy, make_world, world_from_source
+from conftest import (
+    bind_local, contract_source, deploy, eval_lvalue, make_world,
+    world_from_source,
+)
 
 U128 = UInt(128)
 U256 = UInt(256)
@@ -147,10 +148,10 @@ def test_roundtrip_uint256(v):
 
 
 def test_key32_padding():
-    assert encode_key32(100, U256) == (100).to_bytes(32, "big")
-    assert encode_key32(0xAB, Address()) == (0xAB).to_bytes(32, "big")
+    assert key_encoder(U256)(100) == (100).to_bytes(32, "big")
+    assert key_encoder(Address())(0xAB) == (0xAB).to_bytes(32, "big")
     arr_key = typesys.StaticArray(U128, 2)
-    assert encode_key32([1, 2], arr_key) == \
+    assert key_encoder(arr_key)([1, 2]) == \
         (1).to_bytes(16, "big") + (2).to_bytes(16, "big")
 
 
@@ -187,111 +188,96 @@ def test_lambda_recomputable_by_pure_fold():
     assert lam == info.lam
 
 
-# -- fr and scopes ------------------------------------------------------------------
+# -- frames ------------------------------------------------------------------------
 
-def test_fr_write_then_read():
+def test_alloc_write_then_read():
     c = Config()
-    addr = c.fr("p1", Located(U256, typesys.MEMORY), encode_value(2, U256))
-    assert c.memory.top.names["p1"] == addr
-    assert c.memory.top.types["p1"].loc == typesys.MEMORY
+    addr = c.memory.alloc(32)
+    c.memory.write(addr, encode_value(2, U256))
     assert decode_value(c.memory.read(addr, 32), U256) == 2
+    assert c.memory.fresh == addr + 32
 
 
-def test_fr_fresh_addresses_are_disjoint():
+def test_alloc_fresh_addresses_are_disjoint():
     rng = random.Random(5)
     c = Config()
     spans = []
     for i in range(100):
-        width = rng.choice([1, 16, 20, 32])
-        data = bytes(width)
-        addr = c.fr(f"v{i}", Located(U256, typesys.MEMORY), data)
+        width = rng.choice([1, 16, 20, 32, 33, 64, 65])
+        addr = c.memory.alloc(width)
+        assert addr % 32 == 0
         span = (addr, addr + max(width, 32))
         for lo, hi in spans:
             assert span[1] <= lo or span[0] >= hi
         spans.append(span)
 
 
-def _lookup(world, address, name: str):
-    """Where `name` resolves against the instance's live frame."""
-    with world.trace.mute():
-        return Executor(world).evaluator(address).eval_lvalue(
-            parse_expression(name))
+def _lookup(ev, name: str):
+    """Where `name` resolves against the evaluator's bound locals."""
+    with ev.world.trace.mute():
+        return eval_lvalue(ev, parse_expression(name))
 
 
 def test_lookup_shadowing_and_pop():
     world = world_from_source("contract C { uint256 x = 1; }")
     address = deploy(world, "C")
-    c = world.instance(address).config
-    assert _lookup(world, address, "x").located.loc == typesys.STORAGE
-    c.memory.push_scope()
-    c.fr("x", Located(U256, typesys.MEMORY), encode_value(9, U256))
+    ex = Executor(world)
+    assert _lookup(ex.evaluator(address), "x").located.loc == typesys.STORAGE
+    ev = ex.evaluator(address)
+    bind_local(ev, "x", Located(U256, typesys.MEMORY), 64)
     # memory shadows storage
-    assert _lookup(world, address, "x").located.loc == typesys.MEMORY
-    c.memory.pop_scope()
-    assert _lookup(world, address, "x").located.loc == typesys.STORAGE
+    assert _lookup(ev, "x") == (64, Located(U256, typesys.MEMORY))
+    assert _lookup(ex.evaluator(address), "x").located.loc == typesys.STORAGE
+
+
+def test_a_local_shadows_a_state_variable_of_its_name():
+    world = world_from_source("""
+    contract C { uint x = 1;
+      function f() public returns (uint) { uint x = 9; return x; } }""")
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok and res.value == 9
+    assert _lookup(Executor(world).evaluator(address), "x").addr == 0
 
 
 def test_scope_stack_restores_bindings():
-    c = Config()
-    c.memory.push_scope()
-    c.fr("a", Located(U256, typesys.MEMORY), bytes(32))
-    before = dict(c.memory.top.names)
-    c.memory.push_scope()
-    c.fr("b", Located(U256, typesys.MEMORY), bytes(32))
-    c.memory.pop_scope()
-    assert dict(c.memory.top.names) == before
-
-
-def test_scope_underflow():
-    c = Config()
-    with pytest.raises(ScopeUnderflow):
-        c.memory.pop_scope()
-
-
-def test_duplicate_in_same_scope():
-    c = Config()
-    c.fr("a", Located(U256, typesys.MEMORY), bytes(32))
-    with pytest.raises(DuplicateDeclaration):
-        c.fr("a", Located(U256, typesys.MEMORY), bytes(32))
-
-
-def test_scoped_lookup_matches_reference_oracle():
-    """Random push/bind/pop sequences against a dict-of-stacks model."""
-    rng = random.Random(123)
-    world = world_from_source("contract C { uint256 g; }")
+    # each call runs in its own frame: a callee's local of the same name
+    # neither sees nor overwrites the caller's
+    world = world_from_source("""
+    contract C { uint seen;
+      function f() public returns (uint) { uint a = 5; g(); return a; }
+      function g() { uint a; seen = a; a = 7; } }""")
     address = deploy(world, "C")
-    c = world.instance(address).config
-    model = [{"g": (0, typesys.STORAGE)}]  # base: storage globals
-    c.memory.push_scope()
-    model.append({})
-    names = ["a", "b", "cc", "g"]
-    for _ in range(300):
-        op = rng.choice(["bind", "push", "pop", "lookup"])
-        if op == "bind":
-            name = rng.choice(names)
-            if name in c.memory.top.names:
-                continue
-            addr = c.fr(name, Located(U256, typesys.MEMORY), bytes(32))
-            model[-1][name] = (addr, typesys.MEMORY)
-        elif op == "push":
-            if len(model) > 8:
-                continue
-            c.memory.push_scope()
-            model.append({})
-        elif op == "pop":
-            if len(model) <= 2:
-                continue
-            c.memory.pop_scope()
-            model.pop()
-        else:
-            name = rng.choice(names)
-            expected = model[-1].get(name) or model[0].get(name)
-            if expected is None:
-                with pytest.raises(Exception):
-                    _lookup(world, address, name)
-            else:
-                got = _lookup(world, address, name)
-                assert (got.addr, got.located.loc) == expected
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok and res.value == 5
+    with world.trace.mute():
+        assert Executor(world).evaluator(address).eval_rvalue(
+            parse_expression("seen")) == 0
+    assert world.instance(address).config.memory.scopes == [[]]
+
+
+@pytest.mark.parametrize("source, name, line", [
+    ("contract C {\n function f(uint a, uint a) public { } }", "a", 2),
+    ("contract C {\n function f(uint a) public returns (uint a) { } }", "a",
+     2),
+    ("contract C { function f(uint a) public {\n uint a = 3; } }", "a", 2),
+    ("contract C { function f() public { uint a;\n"
+     " if (true) { uint a = 1; } } }", "a", 2),
+    ("contract C { function f() public { uint b;\n"
+     " while (b < 2) { uint a; b = b + 1; }\n uint a; } }", "a", 3),
+    ("contract C { function f() public returns (uint r) {\n uint r; } }", "r",
+     2),
+], ids=["two-parameters", "return-variable", "local-repeats-parameter",
+        "in-a-nested-block", "after-a-loop", "local-repeats-return-variable"])
+def test_duplicate_in_same_scope(source, name, line):
+    # Solidity 0.4's "Identifier already declared": the second declaration
+    # of a name in a function is a registration error at its own span
+    world = World()
+    with pytest.raises(DuplicateDeclaration) as err:
+        world.register(parse(source))
+    assert err.value.span.line == line
+    assert f"{name} already declared" in str(err.value)
+    assert world.registry == {} and world.code == {}
 
 
 # -- deployment --------------------------------------------------------------------

@@ -7,7 +7,6 @@ from solsem import typesys
 from solsem.errors import SolTypeError, UnsizedType
 from solsem.executor import Executor
 from solsem.parser import parse_expression
-from solsem.state import Config
 from solsem.typesys import (
     Address, Bool, Contract, DynArray, Int256, Located, Mapping, Ref,
     StaticArray, String, Struct, UInt, align_up, bump, field_offset,
@@ -16,7 +15,7 @@ from solsem.typesys import (
 
 from solsem.trace import Trace, expand
 
-from conftest import contract_source, deploy, make_world
+from conftest import bind_local, contract_source, deploy, make_world
 from packing_oracle import PRIMITIVE_POOL, all_field_lists, place_fields
 from typing_oracle import type_of
 
@@ -218,10 +217,9 @@ def test_type_of_mapping_value():
 def test_type_of_storage_pointer():
     world = make_world("test.sol")
     address = deploy(world, "Test")
-    config = world.instance(address).config
     ptr_t = Located(Ref(StaticArray(U256, 2)), typesys.STORAGE)
-    config.bind_pointer("d", ptr_t, 0)
     env = _typing_env(world, address)
+    bind_local(env, "d", ptr_t, 0)
     assert type_of(env, parse_expression("d")) == ptr_t
     # indexing through the ref lands on the element type, still storage
     assert type_of(env, parse_expression("d[0]")) == \
@@ -232,16 +230,14 @@ def test_type_of_storage_pointer():
 def test_storage_class_state_vs_param():
     world = make_world("coin.sol")
     address = deploy(world, "Coin", sender=0xAA)
-    config = world.instance(address).config
     env = _typing_env(world, address)
     assert type_of(env, parse_expression("minter")).loc == \
         typesys.STORAGE
     # a parameter binds in memory (the I-FUN binding discipline)
-    config.memory.push_scope()
-    config.fr("amount", Located(U256, typesys.MEMORY), (5).to_bytes(32, "big"))
+    amount = world.instance(address).config.memory.alloc(32)
+    bind_local(env, "amount", Located(U256, typesys.MEMORY), amount)
     assert type_of(env, parse_expression("amount")).loc == \
         typesys.MEMORY
-    config.memory.pop_scope()
 
 
 def test_type_errors():

@@ -3,7 +3,8 @@
 This is the `typesys.type_of` the compiler replaced: it types an
 expression's children, then applies the node's typing step in `typesys`
 (`index_type`, `member_type`, `dyn_array`, `binary_type`, `unary_type`),
-and resolves names against the live frame of an `Evaluator`. It emits no
+and resolves names against an `Evaluator`'s bound locals, then its
+contract's state variables. It emits no
 trace events. test_evaluator.py checks the compiled expressions' types and
 ill-typed messages against it.
 """
@@ -17,23 +18,28 @@ from solsem.typesys import (
 )
 
 
+def _info(env):
+    """The ContractInfo of the evaluator's instance."""
+    world = env.world
+    return world.registry[world.instances[env.address].contract_name]
+
+
 def _lookup(env, e: ast.Ident) -> Located:
-    """A local of the top frame shadows a state variable of the contract."""
-    top = env.memory.top
-    if e.name in top.types:
-        return top.types[e.name]
-    if e.name in env.info.layout:
-        return env.info.layout[e.name].located
+    """A bound local shadows a state variable of the contract."""
+    if e.name in env.names:
+        return env.names[e.name][1]
+    if e.name in _info(env).layout:
+        return _info(env).layout[e.name].located
     raise UnknownIdentifier(f"unknown identifier {e.name}", e.span)
 
 
 def _function_return(env, name):
-    fn = env.info.functions.get(name)
+    fn = _info(env).functions.get(name)
     return None if fn is None or fn.ret is None else fn.ret[1]
 
 
 def _cast_target(env, name):
-    if name in env.info.functions:
+    if name in _info(env).functions:
         return None  # a local function wins over a cast
     if name in _CAST_TARGETS:
         return _CAST_TARGETS[name]
