@@ -7,14 +7,14 @@ storage layout its declarations fixed, before anything deploys;
 compiler is the one static walk over the AST, and the type check: it fixes
 each node's kind, each identifier's binding, each typing step of `typesys`
 (`index_type`, `binary_type`, ...), the sizes, the operators, the value
-codecs (one reader and writer per type, `_reader` and `_writer`; a uint,
-address or contract is read and written in one word) and the rule labels
-each node emits, joined where nodes always run together (a state
-variable's read is Type3, E-ID1 and E-RV in one call). The first
-ill-typed node raises its error, with its span, so a contract that
-registers is well typed. A closure does only the dynamic work, against an
-`Evaluator`, the context of one running call: reads, journaled writes,
-slot derivations, calls and emission.
+codecs (`_reader` and `_writer` per type; a primitive's are state.py's
+one-word field_reader and field_writer) and the rule labels each node
+emits, joined where nodes always run together (a state variable's read is
+Type3, E-ID1 and E-RV in one call). The first ill-typed node raises its
+error, with its span, so a contract that registers is well typed. A
+closure does only the dynamic work, against an `Evaluator`, the context of
+one running call: reads, journaled writes, slot derivations, calls and
+emission.
 
 A name is fixed per function: a local if the function declares it
 (parameters, the return variable, any `VarDecl` in the body or an inlined
@@ -40,14 +40,14 @@ from typing import NamedTuple, Optional
 
 from . import ast, typesys
 from .errors import (
-    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds, RangeError,
+    DivisionByZero, DuplicateDeclaration, IndexOutOfBounds,
     SolTypeError, SolsemError, TxAborted, UnknownIdentifier,
 )
 from .keccak import keccak256_int
+from .state import field_reader, field_writer
 from .trace import Write
 from .typesys import (
-    MEMORY, SLOT, STORAGE, UINT256, ZERO_WORD, Located, decode_value,
-    encode_value, put_word, zero_value,
+    MEMORY, SLOT, STORAGE, UINT256, Located, zero_value,
 )
 
 _CAST_TARGETS = {
@@ -75,8 +75,6 @@ _U256 = Located(UINT256, MEMORY)
 _BOOL = Located(typesys.Bool(), MEMORY)
 _ADDRESS = Located(typesys.Address(), MEMORY)
 _SPACE = {loc: operator.attrgetter(loc) for loc in (STORAGE, MEMORY)}
-# the primitives a word lookup plus int.from_bytes reads
-_INTS = (typesys.UInt, typesys.Address, typesys.Contract)
 
 
 def slot_of_dyn(p: int, i: int) -> int:
@@ -202,15 +200,7 @@ def _reader(located: Located):
     if isinstance(sem, typesys.Ref):
         return lambda ev, addr: addr
     if typesys.is_primitive(sem):
-        size, ints = typesys.size_of(sem), isinstance(sem, _INTS)
-
-        def read(ev, addr):
-            slot, off = divmod(addr, SLOT)
-            data = space(ev).words.get(slot, ZERO_WORD)[off:off + size] \
-                if off + size <= SLOT else space(ev).read(addr, size)
-            return int.from_bytes(data, "big") if ints else \
-                decode_value(data, sem)
-        return read
+        return field_reader(loc, sem)
     if isinstance(sem, typesys.StaticArray):
         read, stride = _reader(Located(sem.elem, loc)), typesys.size_of(sem.elem)
         offsets = range(0, sem.length * stride, stride)
@@ -251,34 +241,7 @@ def _writer(located: Located, span=None):
     sem, loc = located
     space = _SPACE[loc]
     if typesys.is_primitive(sem):
-        ints, size = isinstance(sem, _INTS), typesys.size_of(sem)
-        bound, journaled = 1 << 8 * size, loc == STORAGE
-        message = f" out of range for uint{sem.width}" if isinstance(
-            sem, typesys.UInt) else " is not a 160-bit address"
-
-        def write(ev, addr, v):
-            if ints:
-                v = int(v)
-                if not 0 <= v < bound:
-                    raise RangeError(f"{v}{message}")
-                data = v.to_bytes(size, "big")
-            else:
-                data = encode_value(v, sem)
-            store = space(ev)
-            slot, off = divmod(addr, SLOT)
-            if off + size > SLOT:  # a field that straddles two slots
-                store.write(addr, data)
-                return [Write(loc, addr, data)]
-            words = store.words
-            old = words.get(slot)
-            if journaled:
-                store.journal.append((put_word, words, slot, old))
-            base = old or ZERO_WORD
-            words[slot] = word = base[:off] + data + base[off + size:]
-            if word == ZERO_WORD:  # an all-zero word is absent
-                del words[slot]
-            return [Write(loc, addr, data)]
-        return write
+        return field_writer(loc, sem)
     if isinstance(sem, typesys.StaticArray):
         write, stride = _writer(Located(sem.elem, loc), span), \
             typesys.size_of(sem.elem)
@@ -444,22 +407,19 @@ class _Compiler:
 
     def _read(self, e):
         """An identifier, index or member as a value: a ref's pointer after
-        Size7, or E-RV and the value at its address. An integer state
-        variable's is fixed and in one slot, so one closure reads it."""
+        Size7, or E-RV and the value at its address. A state variable's
+        address is fixed, so its labels and read join in one closure."""
         run, located = self.lvalue(e)
         labels = ("Size7",) if isinstance(located.sem, typesys.Ref) \
             else ("E-RV",)
         read, rules = _reader(located), self.rules
         static = self._state_var(e)
-        if static is not None and isinstance(located.sem, _INTS):
-            labels, size = ("Type3", "E-ID1") + labels, \
-                typesys.size_of(located.sem)
-            slot, off = divmod(static.addr, SLOT)
+        if static is not None:
+            labels, addr = ("Type3", "E-ID1") + labels, static.addr
 
             def state_var(ev):
                 rules(labels)
-                return int.from_bytes(ev.storage.words.get(
-                    slot, ZERO_WORD)[off:off + size], "big")
+                return read(ev, addr)
             return state_var, located
 
         def value(ev):
@@ -962,8 +922,8 @@ def compile_contract(registry: dict, trace, info) -> dict:
 class Evaluator:
     """The context of one running call, which the compiled closures read:
     the instance's config, storage and memory, and `locals`, its frame. It
-    also compiles and runs one expression (scenario asserts, tests), which
-    may read `names` (name -> (index in `locals`, Located)) as locals."""
+    also compiles and runs one expression (scenario asserts, tests) against
+    its contract's state variables."""
 
     def __init__(self, executor, address: int, config=None):
         world = executor.world
@@ -973,14 +933,13 @@ class Evaluator:
         self.config, self.storage, self.memory = \
             config, config.storage, config.memory
         self.locals = config.memory.scopes[-1]
-        self.names: dict = {}
 
     # -- one expression, compiled against the top frame, then run --------------
 
     def _compiler(self) -> _Compiler:
         world = self.world
         info = world.registry[world.instances[self.address].contract_name]
-        return _Compiler(world.registry, world.trace, info, self.names)
+        return _Compiler(world.registry, world.trace, info, {})
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
         """The static type of `e`; an ill-typed `e` raises its error."""

@@ -17,16 +17,14 @@ compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled
 (`World.code`): `call_internal` makes a frame of the size registration laid
-out and runs a function's parameter binding, guard and body, and `deploy`
-the contract's initializer, which writes each state variable's initial
-value at the address the contract's layout fixed at registration; nothing
-is sized or allocated at deploy. Registration has type-checked them and
-counted an internal call's arguments, so the faults left to run time are
-dynamic: division by zero, a bad index, an unknown address, a local read
-before its declaration has run, a named call reaching a function that does
-not return the type its value was given, and an argument count that does
-not match where the arguments come from outside (a transaction, a deploy,
-or a named call on an address).
+out and runs a function's parameter binding, guard and body; `deploy` runs
+the contract's initializer, which writes each state variable at its layout
+address (nothing is sized or allocated at deploy). Registration has
+type-checked them and counted each internal call's arguments, so the faults
+left to run time are dynamic: division by zero, a bad index, an unknown
+address, a local read before its declaration has run, a named call reaching
+a function that does not return the type its value was given, and a wrong
+argument count from outside (a transaction, a deploy, a named call).
 """
 
 from __future__ import annotations

@@ -15,18 +15,18 @@ contract's `layout`, which `build_contract_info` computes once.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import ast, typesys
+from . import ast, evaluator, typesys
 from .errors import (
     DuplicateDeclaration, Span, UnknownAddress, UnknownIdentifier,
 )
-from .evaluator import LValue, compile_contract
-from .trace import Trace
+from .trace import Trace, Write
 # the value codecs live in typesys; they are imported from here too
 from .typesys import (  # noqa: F401
-    ZERO_WORD, decode_value, encode_value, key_encoder, put_word, zero_value,
+    decode_value, encode_value, key_encoder, zero_value,
 )
 
 
@@ -35,21 +35,28 @@ from .typesys import (  # noqa: F401
 # ---------------------------------------------------------------------------
 
 SLOT = typesys.SLOT
+ZERO_WORD = bytes(SLOT)
+_INTS = (typesys.UInt, typesys.Address, typesys.Contract)  # int.from_bytes
+
+
+def _put_word(words: dict, slot: int, word) -> None:
+    """Set a slot's word; None or an all-zero word leaves the slot absent."""
+    if word is None or word == ZERO_WORD:
+        words.pop(slot, None)
+    else:
+        words[slot] = word
 
 
 @dataclass
 class ByteStore:
-    """Bytes at arbitrary addresses, stored by 32-byte word. A read or write
-    inside one slot is one lookup and a slice; a longer one loops over the
-    slots it spans. Equal contents have equal `words`."""
+    """Bytes at arbitrary addresses, stored by 32-byte word: a read or write
+    loops over the slots it spans (field_reader and field_writer take one
+    lookup for a primitive inside one slot). Equal contents have equal words."""
     words: dict = field(default_factory=dict)  # slot -> non-zero word
 
     def read(self, addr: int, size: int) -> bytes:
         slot, off = divmod(addr, SLOT)
-        end = off + size
-        if end <= SLOT:
-            return self.words.get(slot, ZERO_WORD)[off:end]
-        get = self.words.get
+        end, get = off + size, self.words.get
         return b"".join([get(s, ZERO_WORD) for s in
                          range(slot, slot + (end + SLOT - 1) // SLOT)])[off:end]
 
@@ -64,9 +71,9 @@ class ByteStore:
             old = words.get(slot)
             base = old or ZERO_WORD
             if journal is not None:
-                journal.append((put_word, words, slot, old))
-            put_word(words, slot,
-                      base[:off] + data[pos:pos + take] + base[off + take:])
+                journal.append((_put_word, words, slot, old))
+            _put_word(words, slot,
+                       base[:off] + data[pos:pos + take] + base[off + take:])
             slot, off, pos = slot + 1, 0, pos + take
 
     @property
@@ -74,6 +81,48 @@ class ByteStore:
         """Read-only {byte address: byte} view of the non-zero bytes."""
         return {slot * SLOT + i: b for slot, word in self.words.items()
                 for i, b in enumerate(word) if b}
+
+
+def field_reader(loc: str, t: typesys.SemType):
+    """read(ev, addr): the primitive t at addr in ev's `loc` store, one word
+    lookup and a slice unless the field straddles two slots."""
+    space, size, ints = operator.attrgetter(loc), typesys.size_of(t), \
+        isinstance(t, _INTS)
+
+    def read(ev, addr):
+        slot, off = divmod(addr, SLOT)
+        data = space(ev).words.get(slot, ZERO_WORD)[off:off + size] \
+            if off + size <= SLOT else space(ev).read(addr, size)
+        return int.from_bytes(data, "big") if ints else decode_value(data, t)
+    return read
+
+
+def field_writer(loc: str, t: typesys.SemType):
+    """write(ev, addr, v) -> its Writes: v as the primitive t at addr in ev's
+    `loc` store. An integer in range is encoded inline, else by encode_value
+    (its RangeError); a field inside one slot is one spliced word."""
+    space, size = operator.attrgetter(loc), typesys.size_of(t)
+    bound, journaled = 1 << 8 * size if isinstance(t, _INTS) else 0, \
+        loc == typesys.STORAGE
+
+    def write(ev, addr, v):
+        data = v.to_bytes(size, "big") if type(v) is int and 0 <= v < bound \
+            else encode_value(v, t)
+        store = space(ev)
+        slot, off = divmod(addr, SLOT)
+        if off + size > SLOT:  # a field that straddles two slots
+            store.write(addr, data)
+            return [Write(loc, addr, data)]
+        words = store.words
+        old = words.get(slot)
+        if journaled:  # the undo record ByteStore.write appends
+            store.journal.append((_put_word, words, slot, old))
+        base = old or ZERO_WORD
+        words[slot] = word = base[:off] + data + base[off + size:]
+        if word == ZERO_WORD:  # as _put_word: an all-zero word is absent
+            del words[slot]
+        return [Write(loc, addr, data)]
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +291,8 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
             raise DuplicateDeclaration(
                 f"state variable {v.name} already declared", v.span)
         t = typesys.resolve_type(v.type_name, structs, contract_names)
-        layout[v.name] = LValue(typesys.align_up(lam, t),
-                                typesys.Located(t, typesys.STORAGE))
+        layout[v.name] = evaluator.LValue(typesys.align_up(lam, t),
+                                          typesys.Located(t, typesys.STORAGE))
         lam = typesys.bump(lam, t)
     functions = {}
     constructor = None
@@ -324,8 +373,8 @@ class World:
             registry[c.name] = build_contract_info(c, names)
         code = {}
         for c in unit.contracts:
-            code.update(compile_contract(registry, self.trace,
-                                         registry[c.name]))
+            code.update(evaluator.compile_contract(registry, self.trace,
+                                                   registry[c.name]))
         self.registry.update(registry)
         self.code.update(code)
 

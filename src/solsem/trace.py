@@ -122,7 +122,10 @@ class Trace:
         self._seq: int = 0  # the last seq in the log
         self._ctx: list = [(None, None, None)]  # (addr, fn, frame) tuples
         self._muted: int = 0
-        # a pure rule per label, in one C call; the compiler's are all known
+        self.rules = self._pending.extend  # pure rules' labels, one C call
+
+    def __setstate__(self, state) -> None:  # a copy extends its own list
+        self.__dict__.update(state)
         self.rules = self._pending.extend
 
     def _flush(self) -> None:

@@ -16,7 +16,6 @@ from . import ast
 from .errors import RangeError, SolTypeError, UnsizedType
 
 SLOT = 32  # byte alignment `l`
-ZERO_WORD = bytes(SLOT)
 
 STORAGE = "storage"
 MEMORY = "memory"
@@ -181,7 +180,7 @@ def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
             raise SolTypeError(
                 f"{type_to_str(key)} cannot be a mapping key", tn.span)
         if isinstance(key, StaticArray) \
-                and key.length * min(size_of(key.elem), SLOT) > SLOT:
+                and key.length * size_of(key.elem) > SLOT:
             raise SolTypeError(f"mapping key {type_to_str(key)} is wider than "
                                f"32 bytes", tn.span)
         value = resolve_type(tn.value, structs, contract_names)
@@ -313,14 +312,6 @@ def field_index(struct_t: Struct, name: str, span=None) -> int:
 # ---------------------------------------------------------------------------
 # value encoding
 # ---------------------------------------------------------------------------
-
-def put_word(words: dict, slot: int, word) -> None:
-    """Set a slot's word; None or an all-zero word leaves the slot absent."""
-    if word is None or word == ZERO_WORD:
-        words.pop(slot, None)
-    else:
-        words[slot] = word
-
 
 def encode_value(v, t: SemType) -> bytes:
     """Fixed-width big-endian encoding of a primitive value at type t."""

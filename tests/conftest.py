@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from solsem import Executor, World, parse
-from solsem.evaluator import LValue
+from solsem.evaluator import Evaluator, LValue, _Compiler
 
 REPO = Path(__file__).resolve().parent.parent
 CONTRACTS = REPO / "contracts"
@@ -28,11 +28,28 @@ def scenario_source(name: str) -> str:
     return (SCENARIOS / name).read_text()
 
 
-def bind_local(ev, name: str, located, addr: int) -> None:
-    """Bind local `name` in the evaluator's frame, so the expressions it
-    compiles read it: a slot appended to the frame, and the name."""
+class BoundEvaluator(Evaluator):
+    """An Evaluator whose expressions also read the locals a test binds, in
+    a frame of its own: the instance's base frame is left untouched."""
+
+    def __init__(self, ev):
+        super().__init__(ev.executor, ev.address, ev.config)
+        self.locals, self.names = [], {}  # name -> (index, Located)
+
+    def _compiler(self):
+        world = self.world
+        info = world.registry[world.instances[self.address].contract_name]
+        return _Compiler(world.registry, world.trace, info, self.names)
+
+
+def bind_local(ev, name: str, located, addr: int) -> BoundEvaluator:
+    """`ev` (as a BoundEvaluator) with local `name` bound at addr: a slot
+    appended to its frame, and the name."""
+    if not isinstance(ev, BoundEvaluator):
+        ev = BoundEvaluator(ev)
     ev.names[name] = (len(ev.locals), located)
     ev.locals.append(addr)
+    return ev
 
 
 def eval_lvalue(ev, e) -> LValue:

@@ -282,7 +282,7 @@ def _typed_fixture_evaluators():
     for name, target in (("pa", "arr"), ("pd", "da"), ("pm", "m2"),
                          ("pp", "s")):
         lv = eval_lvalue(ev, parse_expression(target))
-        bind_local(ev, name, typesys.Located(
+        ev = bind_local(ev, name, typesys.Located(
             typesys.make_ref(lv.located.sem), typesys.STORAGE), lv.addr)
     yield "Main", ev
     for fixture, fname in (("test2.sol", "foo2"), ("test3.sol", "foo3"),

@@ -256,9 +256,13 @@ def test_a_mapping_key_wider_than_a_word_does_not_register():
                     "\n  function f() public {\n"
                     "    mapping(uint8[33] => bool) storage p; } }")
     assert (err.span.line, err.span.col) == (1, 25)
+    for key in ("uint[2][1]", "uint8[33][1]", "uint8[2][2]"):  # nested arrays
+        err = _rejected(f"contract M {{ mapping({key} => uint) m; }}")
+        assert err.message.startswith("mapping key "), key
     assert world_from_source(  # two addresses take 40 bytes, 32 uint128s 512
         "contract M { mapping(uint128[2] => uint) a;"
-        " mapping(uint8[32] => uint) b; }").registry["M"]
+        " mapping(uint8[32] => uint) b; mapping(uint8[2][1] => uint) c; }"
+    ).registry["M"]
 
 
 def test_value_of_a_function_without_return_aborts_before_it_runs():
@@ -936,7 +940,7 @@ def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
 
 
 COIN_SEND_CALLS = 102
-REENTRANT_ROUND_CALLS = 97
+REENTRANT_ROUND_CALLS = 98
 
 
 def test_call_depth_cap():

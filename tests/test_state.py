@@ -224,10 +224,11 @@ def test_lookup_shadowing_and_pop():
     ex = Executor(world)
     assert _lookup(ex.evaluator(address), "x").located.loc == typesys.STORAGE
     ev = ex.evaluator(address)
-    bind_local(ev, "x", Located(U256, typesys.MEMORY), 64)
+    ev = bind_local(ev, "x", Located(U256, typesys.MEMORY), 64)
     # memory shadows storage
     assert _lookup(ev, "x") == (64, Located(U256, typesys.MEMORY))
     assert _lookup(ex.evaluator(address), "x").located.loc == typesys.STORAGE
+    assert world.instance(address).config.memory.scopes == [[]]  # untouched
 
 
 def test_a_local_shadows_a_state_variable_of_its_name():

@@ -2,6 +2,7 @@
 the event contract `Trace.emit` keeps, and the log of RuleRuns against
 the consumers' oracles over its expansion."""
 
+import copy
 import json
 
 import pytest
@@ -144,6 +145,14 @@ def test_rules_appends_what_rule_appends_one_label_at_a_time():
     with batched.mute():
         batched.rules(("SEQ",))
     assert len(batched) == 4
+
+
+def test_a_copied_trace_applies_rules_to_its_own_pending_labels():
+    trace = Trace()
+    trace.rules(("Type3",))
+    copied = copy.deepcopy(trace)
+    copied.rules(("SEQ",))
+    assert (trace._pending, copied._pending) == (["Type3"], ["Type3", "SEQ"])
 
 
 # -- the log of RuleRuns against the consumers' oracles ----------------------------

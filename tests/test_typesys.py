@@ -219,7 +219,7 @@ def test_type_of_storage_pointer():
     address = deploy(world, "Test")
     ptr_t = Located(Ref(StaticArray(U256, 2)), typesys.STORAGE)
     env = _typing_env(world, address)
-    bind_local(env, "d", ptr_t, 0)
+    env = bind_local(env, "d", ptr_t, 0)
     assert type_of(env, parse_expression("d")) == ptr_t
     # indexing through the ref lands on the element type, still storage
     assert type_of(env, parse_expression("d[0]")) == \
@@ -235,7 +235,7 @@ def test_storage_class_state_vs_param():
         typesys.STORAGE
     # a parameter binds in memory (the I-FUN binding discipline)
     amount = world.instance(address).config.memory.alloc(32)
-    bind_local(env, "amount", Located(U256, typesys.MEMORY), amount)
+    env = bind_local(env, "amount", Located(U256, typesys.MEMORY), amount)
     assert type_of(env, parse_expression("amount")).loc == \
         typesys.MEMORY
 

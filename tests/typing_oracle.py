@@ -3,10 +3,10 @@
 This is the `typesys.type_of` the compiler replaced: it types an
 expression's children, then applies the node's typing step in `typesys`
 (`index_type`, `member_type`, `dyn_array`, `binary_type`, `unary_type`),
-and resolves names against an `Evaluator`'s bound locals, then its
-contract's state variables. It emits no
-trace events. test_evaluator.py checks the compiled expressions' types and
-ill-typed messages against it.
+and resolves names against the locals a test bound (conftest.bind_local),
+then its contract's state variables. It emits no trace events.
+test_evaluator.py checks the compiled expressions' types and ill-typed
+messages against it.
 """
 
 from solsem import ast
@@ -26,8 +26,9 @@ def _info(env):
 
 def _lookup(env, e: ast.Ident) -> Located:
     """A bound local shadows a state variable of the contract."""
-    if e.name in env.names:
-        return env.names[e.name][1]
+    names = getattr(env, "names", {})  # a conftest.BoundEvaluator's
+    if e.name in names:
+        return names[e.name][1]
     if e.name in _info(env).layout:
         return _info(env).layout[e.name].located
     raise UnknownIdentifier(f"unknown identifier {e.name}", e.span)
