@@ -37,11 +37,7 @@ class SolsemError(Exception):
 
 
 class SolSyntaxError(SolsemError):
-    """Malformed input; `expected` lists what the parser would have accepted."""
-
-    def __init__(self, message: str, span: Span | None = None, expected: tuple = ()):
-        super().__init__(message, span)
-        self.expected = expected
+    """Malformed input."""
 
 
 class UnsupportedFeature(SolsemError):

@@ -6,15 +6,16 @@ storage layout its declarations fixed, before anything deploys;
 `Executor.call_internal` and `Executor.deploy` run the closures. The
 compiler is the one static walk over the AST, and the type check: it fixes
 each node's kind, each identifier's binding, each typing step of `typesys`
-(`index_type`, `binary_type`, ...), the sizes, the operators, the value
-codecs (`_reader` and `_writer` per type; a primitive's are state.py's
-one-word field_reader and field_writer) and the rule labels each node
-emits, joined where nodes always run together (a state variable's read is
-Type3, E-ID1 and E-RV in one call). The first ill-typed node raises its
-error, with its span, so a contract that registers is well typed. A
-closure does only the dynamic work, against an `Evaluator`, the context of
-one running call: reads, journaled writes, slot derivations, calls and
-emission.
+(`index_type`, `binary_type`, ...), the sizes with their Size/SR labels
+(`typesys.sized`, cached per type, and `typesys.packed`), the operators,
+the value codecs (`_reader` and `_writer` per type; a primitive's are
+state.py's one-word field_reader and field_writer) and the rule labels
+each node emits, joined where nodes always run together (a state
+variable's read is Type3, E-ID1 and E-RV in one call). The first
+ill-typed node raises its error, with its span, so a contract that
+registers is well typed. A closure does only the dynamic work, against an
+`Evaluator`, the context of one running call: reads, journaled writes,
+slot derivations, calls and emission.
 
 A name is fixed per function: a local if the function declares it
 (parameters, the return variable, any `VarDecl` in the body or an inlined
@@ -177,18 +178,6 @@ class LValue(NamedTuple):
 # ---------------------------------------------------------------------------
 # the compiler
 # ---------------------------------------------------------------------------
-
-class _Labels(list):
-    """Stands in for the trace to record the rule labels of a sizing step."""
-    rule = list.append
-
-
-def _recorded(step, *args) -> tuple:
-    """(labels, result) of the typesys sizing step `step(*args, trace)`."""
-    labels = _Labels()
-    result = step(*args, labels)
-    return tuple(labels), result
-
 
 @functools.cache
 def _reader(located: Located):
@@ -457,7 +446,7 @@ class _Compiler:
         ispan, span, elem = getattr(e.index, "span", None), e.span, sem.elem
         if isinstance(sem, typesys.StaticArray):
             n, what = sem.length, typesys.type_to_str(sem)
-            sized, stride = _recorded(typesys.size_of, elem)
+            stride, sized = typesys.sized(elem)
         else:
             n, stride = None, _slot_stride(elem)
             read_length = _reader(Located(UINT256, base_t.loc))
@@ -489,9 +478,9 @@ class _Compiler:
         run, base_t = self.lvalue(e.base)
         located = typesys.member_type(e, base_t)
         sem, labels = _access(base_t)
-        sized, offset = _recorded(typesys.field_offset, sem,
-                                  typesys.field_index(sem, e.name))
-        labels, rules = labels + sized, self.rules
+        k = typesys.field_index(sem, e.name)
+        labels += typesys.packed(0, sem.field_types()[:k])[1]
+        offset, rules = typesys.field_offset(sem, k), self.rules
 
         def member(ev):
             addr = run(ev)
@@ -782,7 +771,7 @@ class _Compiler:
                 emit("VD2")
             return run
         if typesys.is_reference_kind(sem):  # a memory aggregate
-            (sized, size), rules = _recorded(typesys.size_of, sem), self.rules
+            (size, sized), rules = typesys.sized(sem), self.rules
             init = write = None
             if s.init is not None:
                 init, write = self.rvalue(s.init), _writer(located, s.span)
@@ -902,8 +891,7 @@ def compile_contract(registry: dict, trace, info) -> dict:
                                     layout=visible).value(v.init)
             _check_store(value, located.sem, v.init)
             write = _writer(located, v.span)
-        steps.append((init, _recorded(typesys.size_of, located.sem)[0],
-                      write, addr))
+        steps.append((init, typesys.sized(located.sem)[1], write, addr))
         visible[v.name] = info.layout[v.name]
     rules, emit = trace.rules, trace.emit
 

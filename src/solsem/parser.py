@@ -65,11 +65,9 @@ def _elementary_name(word: str):
 
 
 class Parser:
-    def __init__(self, tokens: list, allow_post_050: bool = False,
-                 allow_hex: bool = False):
+    def __init__(self, tokens: list, allow_hex: bool = False):
         self.tokens = tokens
         self.pos = 0
-        self.allow_post_050 = allow_post_050
         self.allow_hex = allow_hex  # scenario expressions accept hex literals
         self.in_modifier = False
 
@@ -99,16 +97,14 @@ class Parser:
         if t.kind != kind or (value is not None and t.value != value):
             want = value if value is not None else kind
             raise SolSyntaxError(
-                f"expected {want!r}, found {t.value or t.kind!r}", t.span,
-                expected=(want,))
+                f"expected {want!r}, found {t.value or t.kind!r}", t.span)
         return self.advance()
 
     def _reject_unsupported(self):
         t = self.peek()
         if t.kind == "keyword" and t.value in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[t.value], t.span)
-        if t.kind == "keyword" and t.value in ("constructor", "fallback") \
-                and not self.allow_post_050:
+        if t.kind == "keyword" and t.value in ("constructor", "fallback"):
             raise UnsupportedFeature(
                 f"{t.value} keyword (post-0.5 dialect; this parser accepts the "
                 f"pre-0.5 form)", t.span)
@@ -138,8 +134,7 @@ class Parser:
                 continue
             t = self.peek()
             raise SolSyntaxError(
-                f"expected contract definition, found {t.value!r}", t.span,
-                expected=("contract",))
+                f"expected contract definition, found {t.value!r}", t.span)
         return ast.SourceUnit(contracts=contracts)
 
     def parse_contract(self) -> ast.ContractDef:
@@ -155,9 +150,7 @@ class Parser:
                 contract.structs.append(self.parse_struct())
             elif self.at_kw("modifier"):
                 contract.modifiers.append(self.parse_modifier())
-            elif self.at_kw("function") or (
-                    self.allow_post_050
-                    and (self.at_kw("constructor") or self.at_kw("fallback"))):
+            elif self.at_kw("function"):
                 f = self.parse_function(contract_name=name)
                 key = f.name or "()"
                 if key in fn_names:
@@ -216,18 +209,9 @@ class Parser:
                                 specifiers=tuple(specifiers), span=name_tok.span)
 
     def parse_function(self, contract_name: str) -> ast.FunctionDef:
-        # post-0.5 dialect spellings, only behind the flag
-        forced = None
-        if self.allow_post_050 and (self.at_kw("constructor")
-                                    or self.at_kw("fallback")):
-            forced = self.advance().value
-            kw = self.tokens[self.pos - 1]
-        else:
-            kw = self.expect("keyword", "function")
+        kw = self.expect("keyword", "function")
         name = ""
-        if forced == "constructor":
-            name = contract_name
-        elif forced is None and self.at("ident"):
+        if self.at("ident"):
             name = self.advance().value
         self.expect("punct", "(")
         params = []
@@ -307,8 +291,8 @@ class Parser:
             else:
                 base = ast.UserTypeName(name=t.value, span=t.span)
         else:
-            raise SolSyntaxError(f"expected type, found {t.value or t.kind!r}", t.span,
-                                 expected=("type",))
+            raise SolSyntaxError(f"expected type, found {t.value or t.kind!r}",
+                                 t.span)
         while self.at_punct("["):
             self.advance()
             length = None
@@ -653,21 +637,18 @@ class Parser:
                 args = self.parse_call_args()
                 return ast.Call(name=t.value, args=args, span=t.span)
             return ast.Ident(name=t.value, span=t.span)
-        raise SolSyntaxError(f"unexpected token {t.value or t.kind!r}", t.span,
-                             expected=("expression",))
+        raise SolSyntaxError(f"unexpected token {t.value or t.kind!r}", t.span)
 
 
-def parse(source: str, filename: str = "<input>",
-          allow_post_050: bool = False) -> ast.SourceUnit:
+def parse(source: str, filename: str = "<input>") -> ast.SourceUnit:
     """Parse source text; raises a SolsemError diagnostic on the first problem."""
-    tokens = tokenize(source)
-    return Parser(tokens, allow_post_050=allow_post_050).parse_unit()
+    return Parser(tokenize(source)).parse_unit()
 
 
-def try_parse(source: str, filename: str = "<input>", allow_post_050: bool = False):
+def try_parse(source: str, filename: str = "<input>"):
     """(unit, diagnostics) — unit is None when diagnostics are non-empty."""
     try:
-        return parse(source, filename, allow_post_050), []
+        return parse(source, filename), []
     except SolsemError as e:
         return None, [e]
 

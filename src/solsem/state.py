@@ -14,6 +14,7 @@ contract's `layout`, which `build_contract_info` computes once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field, replace
@@ -83,6 +84,7 @@ class ByteStore:
                 for i, b in enumerate(word) if b}
 
 
+@functools.cache
 def field_reader(loc: str, t: typesys.SemType):
     """read(ev, addr): the primitive t at addr in ev's `loc` store, one word
     lookup and a slice unless the field straddles two slots."""
@@ -97,6 +99,7 @@ def field_reader(loc: str, t: typesys.SemType):
     return read
 
 
+@functools.cache
 def field_writer(loc: str, t: typesys.SemType):
     """write(ev, addr, v) -> its Writes: v as the primitive t at addr in ev's
     `loc` store. An integer in range is encoded inline, else by encode_value

@@ -3,14 +3,17 @@
 Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
 so tests and downstream tooling can grep for them. A rule recorded through
 `emit` (writes, a call, a transfer, a frame edge, a warning) is one slotted
-`TraceEvent`, holding its rule's Write list uncopied or the shared `()`. A
-pure rule application (typing, sizing, E-RV, SEQ, ...) appends its label
-to a pending list, in a C call (`Trace.rules` is the list's `extend`);
-before the next emit, context change or mute, or read of `Trace.events`, the
-pending labels become one `RuleRun` entry (a Coin `send`: 47 rules, 9
-entries), and those applied while muted are dropped. A RuleRun reads as an
-event with no payload, so the reentrancy detector and the replay pass over
-it; `expand` yields a TraceEvent per rule and `len(trace)` counts rules.
+`TraceEvent`, holding its rule's Write list uncopied or the shared `()`;
+`emit` checks its label against RULE_LABELS. A pure rule application
+(typing, sizing, E-RV, SEQ, ...) appends its label to a pending list, in a
+C call (`Trace.rules` is the list's `extend`, the only way a pure label
+reaches the trace: the compiler fixes each label, none is checked per
+call); before the next emit, context change or mute, or read of
+`Trace.events`, the pending labels become one `RuleRun` entry (a Coin
+`send`: 47 rules, 9 entries), and those applied while muted are dropped.
+A RuleRun reads as an event with no payload, so the reentrancy detector
+and the replay pass over it; `expand` yields a TraceEvent per rule and
+`len(trace)` counts rules.
 Entries are read-only to every consumer.
 
 Serialized form is newline-delimited JSON, one line per rule, written
@@ -180,12 +183,6 @@ class Trace:
                         omega, note)
         self._log.append(ev)
         return ev
-
-    def rule(self, label: str) -> None:
-        """A pure rule application (sizing, typing): a pending label."""
-        if label not in RULE_LABELS:
-            raise ValueError(f"unknown rule label {label!r}")
-        self.rules((label,))
 
     # -- muting (read-only evaluations such as scenario asserts) -----------------
 

@@ -9,6 +9,7 @@ always start slot-aligned and occupy a multiple of 32 bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,46 +205,38 @@ def check_packable(t: SemType, context: str, span=None):
                           span)
 
 
-def size_of(t: SemType, trace=None) -> int:
-    """Byte extent of a type, including padding for complex types."""
+# a type whose size does not depend on its parts: (size, Size rule labels)
+_FIXED_SIZES = {
+    Int256: (32, ()), Bool: (1, ()),
+    # contract-typed variables hold a 20-byte reference, like an address
+    Address: (20, ()), Contract: (20, ()),
+    String: (SLOT, ()),  # base slot only; content lives in a hashed region
+    DynArray: (SLOT, ("Size4",)), Mapping: (SLOT, ("Size5",)),
+    Ref: (SLOT, ("Size7",)),
+}
+
+
+@functools.cache
+def sized(t: SemType) -> tuple:
+    """(byte extent of t, including padding for complex types; the Size and
+    SR rule labels that compute it, in the order they apply)."""
     if isinstance(t, UInt):
-        if trace is not None:
-            trace.rule("Size1")
-        return t.width // 8
-    if isinstance(t, Int256):
-        return 32
-    if isinstance(t, Bool):
-        return 1
-    if isinstance(t, (Address, Contract)):
-        # contract-typed variables hold a 20-byte reference, like an address
-        return 20
-    if isinstance(t, String):
-        return SLOT  # base slot only; content lives in a hashed region
+        return t.width // 8, ("Size1",)
     if isinstance(t, StaticArray):
         check_packable(t.elem, "a static array")
-        inner = size_of(t.elem, trace)
-        total = _ceil_to_slot(t.length * inner)
-        if trace is not None:
-            trace.rule("Size2")
-        return total
+        inner, labels = sized(t.elem)
+        return _ceil_to_slot(t.length * inner), labels + ("Size2",)
     if isinstance(t, Struct):
-        extent = size_packed(0, t.field_types(), trace)
-        if trace is not None:
-            trace.rule("Size3")
-        return _ceil_to_slot(extent)
-    if isinstance(t, DynArray):
-        if trace is not None:
-            trace.rule("Size4")
-        return SLOT
-    if isinstance(t, Mapping):
-        if trace is not None:
-            trace.rule("Size5")
-        return SLOT
-    if isinstance(t, Ref):
-        if trace is not None:
-            trace.rule("Size7")
-        return SLOT
-    raise UnsizedType(f"type {t!r} has no size")
+        extent, labels = packed(0, t.field_types())
+        return _ceil_to_slot(extent), labels + ("Size3",)
+    if type(t) not in _FIXED_SIZES:
+        raise UnsizedType(f"type {t!r} has no size")
+    return _FIXED_SIZES[type(t)]
+
+
+def size_of(t: SemType) -> int:
+    """Byte extent of a type, including padding for complex types."""
+    return sized(t)[0]
 
 
 def _ceil_to_slot(n: int) -> int:
@@ -267,39 +260,41 @@ def align_up(addr: int, t: SemType) -> int:
     return _ceil_to_slot(addr)
 
 
-def bump(addr: int, t: SemType, trace=None) -> int:
+def bump(addr: int, t: SemType) -> int:
     """align_up then advance by the type's size (the allocation step)."""
-    return align_up(addr, t) + size_of(t, trace)
+    return align_up(addr, t) + size_of(t)
 
 
-def size_packed(start: int, fields, trace=None) -> int:
+def packed(start: int, fields) -> tuple:
     """Fold packing over a field list starting at byte offset `start`.
 
-    Returns the byte extent after placing every field: primitives pack,
-    complex fields first align to the slot boundary.
+    Returns (the byte extent after placing every field, the fold's rule
+    labels): a primitive packs (SR2; its Size1 is not applied), a complex
+    field first aligns to the slot boundary (its Size labels, then SR3),
+    and SR1 ends the fold.
     """
-    n = start
+    n, labels = start, ()
     for t in fields:
         check_packable(t, "a struct")
         if is_primitive(t):
-            n = align_up(n, t) + size_of(t)
-            if trace is not None:
-                trace.rule("SR2")
+            n, labels = align_up(n, t) + size_of(t), labels + ("SR2",)
         else:
-            n = _ceil_to_slot(n) + size_of(t, trace)
-            if trace is not None:
-                trace.rule("SR3")
-    if trace is not None:
-        trace.rule("SR1")
-    return n
+            size, inner = sized(t)
+            n, labels = _ceil_to_slot(n) + size, labels + inner + ("SR3",)
+    return n, labels + ("SR1",)
 
 
-def field_offset(struct_t: Struct, k: int, trace=None) -> int:
+def size_packed(start: int, fields) -> int:
+    """The byte extent after packing `fields` from byte offset `start`."""
+    return packed(start, fields)[0]
+
+
+def field_offset(struct_t: Struct, k: int) -> int:
     """Packed byte offset of field k within its struct."""
     types = struct_t.field_types()
     if k >= len(types):
         raise SolTypeError(f"struct {struct_t.name} has no field index {k}")
-    return align_up(size_packed(0, types[:k], trace), types[k])
+    return align_up(size_packed(0, types[:k]), types[k])
 
 
 def field_index(struct_t: Struct, name: str, span=None) -> int:
@@ -350,6 +345,7 @@ def decode_value(data: bytes, t: SemType):
     raise SolTypeError(f"cannot decode a value of type {type_to_str(t)}")
 
 
+@functools.cache
 def key_encoder(t: SemType):
     """k -> bytes32(k) for a mapping key of type t (resolve_type bounds t)."""
     if isinstance(t, StaticArray):

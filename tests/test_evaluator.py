@@ -411,7 +411,7 @@ contract S {
 
 def test_nothing_is_sized_after_registration(monkeypatch):
     calls = Counter()
-    for name in ("size_of", "size_packed", "field_offset"):
+    for name in ("sized", "packed", "size_of", "size_packed", "field_offset"):
         def counted(*args, _step=getattr(typesys, name), _name=name):
             calls[_name] += 1
             return _step(*args)

@@ -64,14 +64,11 @@ def test_unsupported_constructs_are_named(source, needle):
     assert needle in diags[0].message
 
 
-def test_post_050_keywords_need_the_flag():
-    src = "contract X { constructor() public { } }"
-    _, diags = try_parse(src)
-    assert diags and "constructor" in diags[0].message
-    # with the flag the token is no longer rejected outright
-    _, diags = try_parse(src, allow_post_050=True)
-    assert not isinstance(diags[0] if diags else None, UnsupportedFeature) or \
-        "constructor" not in getattr(diags[0], "message", "")
+def test_post_050_keywords_are_rejected():
+    for kw in ("constructor", "fallback"):
+        _, diags = try_parse(f"contract X {{ {kw}() public {{ }} }}")
+        assert isinstance(diags[0], UnsupportedFeature)
+        assert f"{kw} keyword (post-0.5 dialect" in diags[0].message
 
 
 def test_all_fixtures_parse_clean():

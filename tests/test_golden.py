@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 from solsem.cli import main
+from solsem.trace import RULE_LABELS
 
 REPO = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "golden_runs.json"
@@ -41,9 +42,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_all() -> dict:
-    """The table row of every run, made from the repo root."""
-    rows = {}
+def _each_run():
+    """(key, exit code, stdout, stderr, NDJSON trace or None) of every run,
+    made from the repo root."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(REPO)
@@ -55,16 +56,18 @@ def run_all() -> dict:
                         contextlib.redirect_stderr(err):
                     code = main(["run", *argv, "--detect-reentrancy", "--json",
                                  "--trace", str(trace)])
-                rows[key] = {
-                    "exit": code,
-                    "stdout": _sha(out.getvalue().encode()),
-                    "stderr": _sha(err.getvalue().encode()),
-                    "trace": _sha(trace.read_bytes()) if trace.exists()
-                    else None,
-                }
+                yield key, code, out.getvalue(), err.getvalue(), \
+                    trace.read_bytes() if trace.exists() else None
         finally:
             os.chdir(cwd)
-    return rows
+
+
+def run_all() -> dict:
+    """The table row of every run."""
+    return {key: {"exit": code, "stdout": _sha(out.encode()),
+                  "stderr": _sha(err.encode()),
+                  "trace": None if trace is None else _sha(trace)}
+            for key, code, out, err, trace in _each_run()}
 
 
 def test_every_fixture_run_matches_its_pinned_digests():
@@ -73,6 +76,15 @@ def test_every_fixture_run_matches_its_pinned_digests():
     assert len(got) == 50
     assert sorted(got) == sorted(want)
     assert {k: v for k, v in got.items() if v != want[k]} == {}
+
+
+def test_every_rule_label_in_the_fixture_traces_is_known():
+    # `emit` checks its label; pure labels reach the trace through
+    # `Trace.rules`, which checks none
+    labels = {json.loads(line)["rule"] for *_, trace in _each_run()
+              if trace is not None for line in trace.splitlines()}
+    assert {"Size1", "SR1", "Type3", "E-RV", "VD1"} <= labels
+    assert labels - RULE_LABELS == set()
 
 
 if __name__ == "__main__":

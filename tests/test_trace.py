@@ -115,36 +115,20 @@ def test_ndjson_matches_the_dict_oracle():
 
 def test_an_unknown_rule_label_raises_and_appends_nothing():
     trace = Trace()
-    for emit in (trace.emit, trace.rule):
-        with pytest.raises(ValueError, match="NOPE"):
-            emit("NOPE")
+    with pytest.raises(ValueError, match="NOPE"):
+        trace.emit("NOPE")
     assert trace.events == []
 
 
 def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
     trace = Trace()
-    trace.rule("Type3")
+    trace.rules(("Type3",))
     assert trace.emit("TX-END").writes == ()
     ws = [Write("storage", 0x20, b"\x01")]
     assert trace.emit("ASSIGN", writes=ws).writes is ws
     assert trace.events[0].writes == ()  # the RuleRun of Type3
     assert [(ev.seq, ev.rule) for ev in expand(trace.events)] == [
         (1, "Type3"), (2, "TX-END"), (3, "ASSIGN")]
-
-
-def test_rules_appends_what_rule_appends_one_label_at_a_time():
-    batched, single = Trace(), Trace()
-    labels = ("Type3", "E-ID1", "E-RV")
-    for trace in (batched, single):
-        trace.push_context(0x10, "f", 3)
-        trace.emit("TX-START")
-    batched.rules(labels)
-    for label in labels:
-        single.rule(label)
-    assert list(expand(batched.events)) == list(expand(single.events))
-    with batched.mute():
-        batched.rules(("SEQ",))
-    assert len(batched) == 4
 
 
 def test_a_copied_trace_applies_rules_to_its_own_pending_labels():

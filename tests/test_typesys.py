@@ -9,11 +9,9 @@ from solsem.executor import Executor
 from solsem.parser import parse_expression
 from solsem.typesys import (
     Address, Bool, Contract, DynArray, Int256, Located, Mapping, Ref,
-    StaticArray, String, Struct, UInt, align_up, bump, field_offset,
-    size_of, size_packed,
+    StaticArray, String, Struct, UInt, align_up, bump, field_offset, packed,
+    size_of, size_packed, sized,
 )
-
-from solsem.trace import Trace, expand
 
 from conftest import bind_local, contract_source, deploy, make_world
 from packing_oracle import PRIMITIVE_POOL, all_field_lists, place_fields
@@ -55,13 +53,48 @@ def test_size_of_structs():
     assert size_of(Struct("R", (("a", U128), ("b", U128), ("c", U256)))) == 64
 
 
-def test_sizing_rules_reach_an_empty_trace():
-    # the compiler records a node's Size* labels into an empty recorder
-    trace = Trace()
-    size_of(StaticArray(UInt(8), 2), trace)
-    field_offset(Struct("P", (("x", U128), ("y", U128))), 1, trace)
-    assert [e.rule for e in expand(trace.events)] == [
-        "Size1", "Size2", "SR2", "SR1"]
+P = Struct("P", (("x", U128), ("y", U128)))
+Q = Struct("Q", (("a", U128), ("b", StaticArray(UInt(8), 2)),
+                 ("c", Mapping(U256, U256)), ("d", Bool()), ("p", P)))
+
+# (type, size, the Size/SR labels the compiler applies for it), in order
+_SIZED = [
+    (UInt(8), 1, ("Size1",)),
+    (U256, 32, ("Size1",)),
+    (Int256(), 32, ()),
+    (Bool(), 1, ()),
+    (Address(), 20, ()),
+    (Contract("X"), 20, ()),
+    (String(), 32, ()),
+    (StaticArray(UInt(8), 2), 32, ("Size1", "Size2")),
+    (ARR_128_3_2, 128, ("Size1", "Size2", "Size2")),
+    (DynArray(U256), 32, ("Size4",)),
+    (Mapping(U256, U256), 32, ("Size5",)),
+    (Ref(StaticArray(U256, 2)), 32, ("Size7",)),
+    # a primitive field packs (SR2) without its Size1
+    (P, 32, ("SR2", "SR2", "SR1", "Size3")),
+    (StaticArray(P, 2), 64, ("SR2", "SR2", "SR1", "Size3", "Size2")),
+    (Q, 160, ("SR2", "Size1", "Size2", "SR3", "Size5", "SR3", "SR2",
+              "SR2", "SR2", "SR1", "Size3", "SR3", "SR1", "Size3")),
+]
+
+
+@pytest.mark.parametrize("t, size, labels", _SIZED)
+def test_sized_gives_the_size_and_its_rule_labels(t, size, labels):
+    assert sized(t) == (size, labels)
+    assert size_of(t) == size
+
+
+def test_a_field_offset_has_the_labels_of_packing_the_fields_before_it():
+    # (struct, k, offset of field k, labels of packing fields 0..k-1)
+    for s, k, offset, labels in [
+            (P, 0, 0, ("SR1",)), (P, 1, 16, ("SR2", "SR1")),
+            (Q, 1, 32, ("SR2", "SR1")),
+            (Q, 2, 64, ("SR2", "Size1", "Size2", "SR3", "SR1")),
+            (Q, 4, 128, ("SR2", "Size1", "Size2", "SR3", "Size5", "SR3",
+                         "SR2", "SR1"))]:
+        assert field_offset(s, k) == offset
+        assert packed(0, s.field_types()[:k])[1] == labels
 
 
 def test_unsized_in_packing_contexts():
