@@ -264,20 +264,6 @@ class ContractDef:
     functions: list = field(default_factory=list)  # constructor & fallback included
     span: Optional[Span] = _span_field()
 
-    @property
-    def constructor(self) -> Optional[FunctionDef]:
-        for f in self.functions:
-            if f.is_constructor:
-                return f
-        return None
-
-    @property
-    def fallback(self) -> Optional[FunctionDef]:
-        for f in self.functions:
-            if f.is_fallback:
-                return f
-        return None
-
 
 @dataclass(eq=True)
 class SourceUnit:

@@ -1,8 +1,9 @@
 """The compiler: each function becomes a tree of closures, built once.
 
-`World.register` compiles every function of a unit, with its modifier
-guard, and each contract's initializer (`compile_contract`) against the
-storage layout its declarations fixed, before anything deploys;
+`World.register` compiles every function of a unit, with its modifiers,
+and each contract's initializer (`compile_contract`) against the storage
+layout and signatures its declarations fixed, before anything deploys,
+and keeps the code on the contract's FunctionInfos and ContractInfo;
 `Executor.call_internal` and `Executor.deploy` run the closures. The
 compiler is the one static walk over the AST, and the type check: it fixes
 each node's kind, each identifier's binding, each typing step of `typesys`
@@ -22,7 +23,8 @@ A name is fixed per function: a local if the function declares it
 modifier body), else a state variable, else an `UnknownIdentifier`. Each
 local has a fixed index in its function's frame, a list of addresses
 filled as declarations run, so a local used before its declaration has
-run aborts. A second declaration of a name is a registration error.
+run aborts. A second declaration of a name is a registration error, as is
+an unknown modifier.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -659,9 +662,7 @@ class _Compiler:
         return run
 
     def _unknown(self, s):
-        raise SolsemError("placeholder statement outside a modifier"
-                          if isinstance(s, ast.Placeholder) else
-                          f"cannot execute {s!r}", getattr(s, "span", None))
+        raise SolsemError(f"cannot execute {s!r}", getattr(s, "span", None))
 
     def _assign(self, s: ast.Assign):
         rhs, value = self.value(s.rhs)  # rhs first
@@ -845,25 +846,65 @@ _STATEMENTS = {
 }
 
 
-def compile_function(registry: dict, trace, info, fn) -> tuple:
+def _guard_condition(body: list):
+    """The condition of a guard modifier, `if (cond) _;` with no else."""
+    if len(body) == 1 and isinstance(body[0], ast.If) \
+            and body[0].otherwise is None and len(body[0].then) == 1 \
+            and isinstance(body[0].then[0], ast.Placeholder):
+        return body[0].cond
+    return None
+
+
+def _inline_placeholder(mod_body: list, fn_body: list) -> list:
+    out = []
+    for s in mod_body:
+        if isinstance(s, ast.Placeholder):
+            out.extend(fn_body)
+        else:  # a statement's list-valued children are its nested blocks
+            out.append(replace(s, **{
+                name: _inline_placeholder(block, fn_body)
+                for name, block in ast.children(s) if isinstance(block, list)}))
+    return out
+
+
+def compile_function(registry: dict, trace, info, fn, f: ast.FunctionDef,
+                     modifiers: dict) -> tuple:
     """(size, bind(ev, args), guard(ev) or None, body(ev), result(ev) or
-    None) of `fn` of contract `info`: `call_internal` makes a frame of `size`
-    addresses, each local's index fixed here, then runs the rest in order."""
+    None) of `f`, with signature `fn`, of contract `info`: `call_internal`
+    makes a frame of `size` addresses, each local's index fixed here, then
+    runs the rest in order. A modifier `if (cond) _;` is a guard: the guards
+    run in order, and the first false one skips the body. Any other modifier
+    is inlined at its `_;`."""
+    body, conds = f.body, []
+    for name in reversed(f.modifiers):
+        if name not in modifiers:
+            raise UnknownIdentifier(f"unknown modifier {name}", f.span)
+        cond = _guard_condition(modifiers[name].body)
+        if cond is not None:
+            conds.insert(0, cond)
+        else:
+            body = _inline_placeholder(modifiers[name].body, body)
     ret = [fn.ret] if fn.ret is not None else []
+    # the parameters, the return variable and the locals (a body inlined at
+    # two `_;`s declares its locals once), each with its node
+    declared = [(name, p, Located(t, MEMORY)) for (name, t), p in
+                zip(fn.params + ret, f.params + [f.returns])]
+    declared += [(s.name, s, None) for s in
+                 {id(s): s for s in _declarations(body)}.values()]
     locals_: dict = {}  # name -> (frame index, Located)
-    for name, t in fn.params + ret:  # their duplicates: _normalize_function
-        locals_[name] = (len(locals_), Located(t, MEMORY))
-    decls = {id(s): s for s in _declarations(fn.body)}  # a body inlined by
-    for s in decls.values():  # two placeholders declares its locals once
-        if s.name in locals_:  # Solidity 0.4's "Identifier already declared"
-            raise DuplicateDeclaration(
-                f"{s.name} already declared in this scope", s.span)
-        locals_[s.name] = (len(locals_), _local(s, info.structs, registry))
+    for name, node, located in declared:
+        if name in locals_:  # Solidity 0.4's "Identifier already declared"
+            raise DuplicateDeclaration(f"{name} already declared in this "
+                                       f"scope", node.span or node.type_name.span)
+        locals_[name] = (len(locals_),
+                         located or _local(node, info.structs, registry))
     c = _Compiler(registry, trace, info, locals_, fn)
-    binders = [c.binder(name, t, fn.span) for name, t in fn.params + ret]
+    binders = [c.binder(name, t, f.span) for name, t in fn.params + ret]
     zero = [zero_value(t) for _, t in ret]
-    guard = c.condition(fn.guard, "modifier condition must be boolean",
-                        fn.guard.span) if fn.guard is not None else None
+    guards = [c.condition(cond, "modifier condition must be boolean",
+                          cond.span) for cond in conds]
+    guard = guards[0] if len(guards) == 1 else \
+        (lambda ev: all(g(ev) for g in guards)) if guards else None
     result = None
     if ret:
         read, ri = _reader(Located(fn.ret[1], MEMORY)), locals_[fn.ret[0]][0]
@@ -872,18 +913,19 @@ def compile_function(registry: dict, trace, info, fn) -> tuple:
     def bind(ev, args):
         for b, v in zip(binders, [*args, *zero]):
             b(ev, v)
-    return len(locals_), bind, guard, c.block(fn.body), result
+    return len(locals_), bind, guard, c.block(body), result
 
 
-def compile_contract(registry: dict, trace, info) -> dict:
-    """The code of every function and modifier guard of contract `info`,
-    keyed by the id of its FunctionInfo, and its initializer, keyed by the
-    id of `info`. The initializer takes each state variable in declaration
+def compile_contract(registry: dict, trace, c: ast.ContractDef) -> None:
+    """Compile contract `c`, whose ContractInfo is `registry[c.name]`: each
+    function's code goes on its FunctionInfo, the initializer on the
+    ContractInfo. The initializer takes each state variable in declaration
     order: its initial value, compiled against the variables declared
     before it, then its Size labels, its write at its layout address, and
     VD1. Functions are compiled against every variable."""
+    info = registry[c.name]
     steps, visible = [], {}
-    for v in info.state_vars:
+    for v in c.state_vars:
         addr, located = info.layout[v.name]
         init = write = None
         if v.init is not None:
@@ -900,11 +942,12 @@ def compile_contract(registry: dict, trace, info) -> dict:
             value = None if init is None else init(ev)
             rules(sized)
             emit("VD1", writes=[] if value is None else write(ev, addr, value))
-    code = {id(info): initialize}
-    for fn in (*info.functions.values(), info.constructor, info.fallback):
-        if fn is not None:
-            code[id(fn)] = compile_function(registry, trace, info, fn)
-    return code
+    info.init = initialize
+    modifiers = {m.name: m for m in c.modifiers}
+    for f in c.functions:
+        fn = info.constructor if f.is_constructor else \
+            info.fallback if f.is_fallback else info.functions[f.name]
+        fn.code = compile_function(registry, trace, info, fn, f, modifiers)
 
 
 class Evaluator:

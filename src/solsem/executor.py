@@ -15,11 +15,12 @@ statements completing with an empty omega emit SKIP1. A named call whose
 value is taken checks that the function it reaches returns the type the
 compiler gave the call.
 
-Statements and expressions run as the closures `World.register` compiled
-(`World.code`): `call_internal` makes a frame of the size registration laid
-out and runs a function's parameter binding, guard and body; `deploy` runs
-the contract's initializer, which writes each state variable at its layout
-address (nothing is sized or allocated at deploy). Registration has
+Statements and expressions run as the closures `World.register` compiled:
+`call_internal` makes a frame of the size registration laid out and runs
+the parameter binding, guard and body on the function's `FunctionInfo`
+(`fn.code`); `deploy` runs the initializer on the `ContractInfo`
+(`info.init`), which writes each state variable at its layout address
+(nothing is sized or allocated at deploy). Registration has
 type-checked them and counted each internal call's arguments, so the faults
 left to run time are dynamic: division by zero, a bad index, an unknown
 address, a local read before its declaration has run, a named call reaching
@@ -86,7 +87,7 @@ class Executor:
 
         def create():
             address = world.create_instance(contract_name, value)
-            world.code[id(info)](self.evaluator(address))
+            info.init(self.evaluator(address))
             if info.constructor is not None:
                 _check_arity(info.constructor, tx.args)
                 self.call_internal(address, info.constructor, tx.args,
@@ -179,11 +180,11 @@ class Executor:
                       expression: bool, call_kind: str = "internal",
                       config=None):
         """Push a fresh frame, bind parameters and the return slot, run the
-        body under the modifier guard, and hand back the return value."""
+        body under the modifier guards, and hand back the return value."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
-        size, bind, guard, body, result = world.code[id(fn)]
+        size, bind, guard, body, result = fn.code
         ev = Evaluator(self, address, config)
         world.call_depth += 1
         display = fn.name or "()"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from . import ast
-from .errors import DuplicateDeclaration, SolSyntaxError, SolsemError, UnsupportedFeature
+from .errors import SolSyntaxError, SolsemError, UnsupportedFeature
 from .lexer import Token, tokenize
 
 _ELEMENTARY = {"address", "bool", "string"}
@@ -115,7 +115,6 @@ class Parser:
 
     def parse_unit(self) -> ast.SourceUnit:
         contracts = []
-        names = set()
         while not self.at("eof"):
             if self.at_kw("pragma"):
                 # version pragmas carry no semantics here; skip the directive
@@ -125,12 +124,7 @@ class Parser:
                 continue
             self._reject_unsupported()
             if self.at_kw("contract"):
-                c = self.parse_contract()
-                if c.name in names:
-                    raise DuplicateDeclaration(
-                        f"contract {c.name} declared twice", c.span)
-                names.add(c.name)
-                contracts.append(c)
+                contracts.append(self.parse_contract())
                 continue
             t = self.peek()
             raise SolSyntaxError(
@@ -143,7 +137,6 @@ class Parser:
         self._reject_unsupported()  # `is` inheritance clauses
         self.expect("punct", "{")
         contract = ast.ContractDef(name=name, span=kw.span)
-        fn_names = set()
         while not self.at_punct("}"):
             self._reject_unsupported()
             if self.at_kw("struct"):
@@ -151,15 +144,7 @@ class Parser:
             elif self.at_kw("modifier"):
                 contract.modifiers.append(self.parse_modifier())
             elif self.at_kw("function"):
-                f = self.parse_function(contract_name=name)
-                key = f.name or "()"
-                if key in fn_names:
-                    raise DuplicateDeclaration(
-                        f"function {key} declared twice in {name}"
-                        if f.name else f"contract {name} has more than one fallback",
-                        f.span)
-                fn_names.add(key)
-                contract.functions.append(f)
+                contract.functions.append(self.parse_function(contract_name=name))
             else:
                 contract.state_vars.append(self.parse_state_var())
         self.expect("punct", "}")

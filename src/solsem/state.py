@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ast, evaluator, typesys
 from .errors import (
-    DuplicateDeclaration, Span, UnknownAddress, UnknownIdentifier,
+    DuplicateDeclaration, UnknownAddress, UnknownIdentifier,
 )
 from .trace import Trace, Write
 # the value codecs live in typesys; they are imported from here too
@@ -198,7 +198,7 @@ class Config:
 
 
 # ---------------------------------------------------------------------------
-# contract registry (the function tables)
+# contract registry (signatures, layouts and compiled code)
 # ---------------------------------------------------------------------------
 
 RETURN_SLOT_NAME = "%ret"  # synthesized binding for anonymous return values
@@ -209,76 +209,26 @@ class FunctionInfo:
     name: str
     params: list  # [(name, SemType)]
     ret: Optional[tuple]  # (name, SemType) or None
-    guard: Optional[ast.Expr]  # normalized modifier condition; None = true
-    body: list
-    span: Optional[Span] = field(default=None, compare=False, repr=False)
+    # (size, bind, guard, body, result), set by evaluator.compile_contract
+    code: Optional[tuple] = field(default=None, repr=False)
 
 
 @dataclass
 class ContractInfo:
     name: str
-    state_vars: list  # the ast.StateVarDecls, in declaration order
-    layout: dict  # the same order: name -> LValue(byte address, Located)
+    layout: dict  # in declaration order: name -> LValue(byte address, Located)
     lam: int  # the first address after the layout
     structs: dict
     functions: dict
     constructor: Optional[FunctionInfo]
     fallback: Optional[FunctionInfo]
-
-
-def _is_guard_modifier(body: list):
-    """`if (cond) _;` (no else) contributes a pure guard condition."""
-    if len(body) == 1 and isinstance(body[0], ast.If) \
-            and body[0].otherwise is None \
-            and len(body[0].then) == 1 \
-            and isinstance(body[0].then[0], ast.Placeholder):
-        return body[0].cond
-    return None
-
-
-def _inline_placeholder(mod_body: list, fn_body: list) -> list:
-    out = []
-    for s in mod_body:
-        if isinstance(s, ast.Placeholder):
-            out.extend(fn_body)
-        else:  # a statement's list-valued children are its nested blocks
-            out.append(replace(s, **{
-                name: _inline_placeholder(block, fn_body)
-                for name, block in ast.children(s) if isinstance(block, list)}))
-    return out
-
-
-def _normalize_function(f: ast.FunctionDef, modifiers: dict, structs: dict,
-                        contract_names) -> FunctionInfo:
-    seen: set = set()  # a repeated parameter or return variable name
-    for p in f.params + [f.returns] * bool(f.returns and f.returns.name):
-        if p.name in seen:
-            raise DuplicateDeclaration(f"{p.name} already declared in this "
-                                       f"scope", p.span or p.type_name.span)
-        seen.add(p.name)
-    params = [(p.name, typesys.resolve_type(p.type_name, structs, contract_names))
-              for p in f.params]
-    ret = None
-    if f.returns is not None:
-        ret = (f.returns.name or RETURN_SLOT_NAME,
-               typesys.resolve_type(f.returns.type_name, structs, contract_names))
-    guard = None
-    body = f.body
-    for mname in reversed(f.modifiers):
-        if mname not in modifiers:
-            raise UnknownIdentifier(f"unknown modifier {mname}", f.span)
-        mbody = modifiers[mname].body
-        cond = _is_guard_modifier(mbody)
-        if cond is not None:
-            guard = cond if guard is None else ast.Binary(
-                op="&&", lhs=cond, rhs=guard, span=cond.span)
-        else:
-            body = _inline_placeholder(mbody, body)
-    return FunctionInfo(name=f.name, params=params, ret=ret, guard=guard,
-                        body=body, span=f.span)
+    init: object = field(default=None, repr=False)  # the compiled initializer
 
 
 def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
+    """What another contract needs to type a call into `c`: its structs,
+    storage layout and function signatures. A state variable or function
+    declared twice is a DuplicateDeclaration at the second one."""
     structs: dict = {}
     for sd in c.structs:
         fields = tuple(
@@ -287,7 +237,6 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
         for p, (_, t) in zip(sd.fields, fields):
             typesys.check_packable(t, "a struct", p.type_name.span)
         structs[sd.name] = typesys.Struct(name=sd.name, fields=fields)
-    modifiers = {m.name: m for m in c.modifiers}
     layout, lam = {}, 0  # the allocation fold of VD1
     for v in c.state_vars:
         if v.name in layout:
@@ -297,20 +246,21 @@ def build_contract_info(c: ast.ContractDef, contract_names) -> ContractInfo:
         layout[v.name] = evaluator.LValue(typesys.align_up(lam, t),
                                           typesys.Located(t, typesys.STORAGE))
         lam = typesys.bump(lam, t)
-    functions = {}
-    constructor = None
-    fallback = None
+    functions = {}  # by name: the constructor's is c.name, the fallback's ""
     for f in c.functions:
-        info = _normalize_function(f, modifiers, structs, contract_names)
-        if f.is_constructor:
-            constructor = info
-        elif f.is_fallback:
-            fallback = info
-        else:
-            functions[f.name] = info
-    return ContractInfo(name=c.name, state_vars=c.state_vars, layout=layout,
-                        lam=lam, structs=structs, functions=functions,
-                        constructor=constructor, fallback=fallback)
+        if f.name in functions:
+            raise DuplicateDeclaration(
+                f"function {f.name} declared twice in {c.name}" if f.name
+                else f"contract {c.name} has more than one fallback", f.span)
+        ret = f.returns and (
+            f.returns.name or RETURN_SLOT_NAME,
+            typesys.resolve_type(f.returns.type_name, structs, contract_names))
+        functions[f.name] = FunctionInfo(name=f.name, ret=ret, params=[
+            (p.name, typesys.resolve_type(p.type_name, structs, contract_names))
+            for p in f.params])
+    return ContractInfo(name=c.name, layout=layout, lam=lam, structs=structs,
+                        constructor=functions.pop(c.name, None),
+                        fallback=functions.pop("", None), functions=functions)
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +305,27 @@ class World:
         # undo records (fn, *args) of the running transaction, oldest first
         self.journal: list = []
         self.derived_slots: dict = {}  # Keccak input -> slot, see derived_slot
-        # id(FunctionInfo or state-variable initializer) -> its closures,
-        # compiled when its contract is registered
-        self.code: dict = {}
 
     # -- registry -------------------------------------------------------------
 
     def register(self, unit: ast.SourceUnit) -> None:
         """Add the unit's contracts, all or none. Each is built, with its
-        storage layout, and compiled against the registry with the whole unit
-        in it: every function, modifier guard and its initializer. The first
-        error raises, with its span, and leaves `registry` and `code` as
-        they were."""
+        storage layout and signatures, and then compiled against the registry
+        with the whole unit in it: every function, with its modifiers, and
+        its initializer. The first error, a contract declared twice included,
+        raises with its span and leaves `registry` as it was."""
         registry = dict(self.registry)
         names = set(registry) | {c.name for c in unit.contracts}
         for c in unit.contracts:
             if c.name in registry:
                 raise DuplicateDeclaration(
-                    f"contract {c.name} already registered", c.span)
+                    f"contract {c.name} already registered"
+                    if c.name in self.registry
+                    else f"contract {c.name} declared twice", c.span)
             registry[c.name] = build_contract_info(c, names)
-        code = {}
         for c in unit.contracts:
-            code.update(evaluator.compile_contract(registry, self.trace,
-                                                   registry[c.name]))
+            evaluator.compile_contract(registry, self.trace, c)
         self.registry.update(registry)
-        self.code.update(code)
 
     def contract_info(self, name: str) -> ContractInfo:
         if name not in self.registry:

@@ -334,9 +334,9 @@ def test_each_function_is_compiled_once_at_registration(monkeypatch):
     compiled = Counter()  # (trace, contract, function) -> compilations
     compile_function = evaluator.compile_function
 
-    def counted(registry, trace, info, fn):
+    def counted(registry, trace, info, fn, *rest):
         compiled[trace, info.name, fn.name] += 1
-        return compile_function(registry, trace, info, fn)
+        return compile_function(registry, trace, info, fn, *rest)
 
     monkeypatch.setattr(evaluator, "compile_function", counted)
     registered = []  # (world, compilations right after its registration)

@@ -695,6 +695,10 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "while condition must be boolean",
     "modifier m { if (a) _; } function f() m public { a = 5; }":
         "modifier condition must be boolean",
+    "modifier m { if (a) _; } modifier n { if (true) _; } "
+    "function f() m n public { a = 5; }": "modifier condition must be boolean",
+    "modifier m { if (a) _; } modifier n { if (true) _; } "
+    "function f() n m public { a = 5; }": "modifier condition must be boolean",
     "function f() public { b = true < false; }":
         "cannot compare bool with bool",
     "function f() public { a = uint(true); }": "cannot cast bool to uint256",
@@ -738,6 +742,16 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
     "struct S { uint x; } S[2] s; function f() public { s[1] = s[0]; }":
         "cannot assign a whole struct S",
 }
+
+
+def test_each_guard_condition_is_checked_at_its_own_span():
+    # two guards run as two conditions, not as one `&&` no one wrote
+    for mods in ("m n", "n m"):
+        err = _rejected(f"contract T {{ uint a;\n  modifier m {{ if (a) _; }}\n"
+                        f"  modifier n {{ if (true) _; }}\n"
+                        f"  function f() {mods} public {{ a = 5; }} }}")
+        assert (err.message, err.span.line, err.span.col) == \
+            ("modifier condition must be boolean", 2, 20), mods
 
 
 def test_a_whole_composite_target_is_rejected_at_the_target():
@@ -1018,6 +1032,22 @@ def test_memory_array_local_does_not_touch_storage():
     ex.run_transaction(Tx(sender=1, to=address, fname="f"))
     assert _read(world, address, "out") == 8
     assert _read(world, address, "keep") == 0  # slot 0 untouched
+
+
+def test_a_memory_aggregate_declared_with_an_initializer():
+    # VD2 writes the zeroed aggregate, then the initializer's elements
+    world = world_from_source("""
+    contract M {
+      uint y;
+      function f() public { uint[2] memory a = [1, 2]; y = a[1]; } }""")
+    address = deploy(world, "M")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok and _read(world, address, "y") == 2
+    [vd2] = [e for e in res.events if e.rule == "VD2"]
+    at = vd2.writes[0].at
+    assert [(w.space, w.at, w.data) for w in vd2.writes] == [
+        ("memory", at, bytes(64)), ("memory", at, (1).to_bytes(32, "big")),
+        ("memory", at + 32, (2).to_bytes(32, "big"))]
 
 
 def test_string_state_roundtrip_and_equality():

@@ -10,9 +10,7 @@ import pytest
 import lexer_oracle
 from solsem import ast
 from ast_printer import to_source
-from solsem.errors import (
-    DuplicateDeclaration, SolSyntaxError, UnsupportedFeature,
-)
+from solsem.errors import SolSyntaxError, UnsupportedFeature
 from solsem.lexer import tokenize
 from solsem.parser import parse, parse_expression, try_parse
 
@@ -24,7 +22,7 @@ def test_coin_shape():
     coin = unit.contract("Coin")
     assert len(coin.state_vars) == 2
     assert [v.name for v in coin.state_vars] == ["minter", "balances"]
-    assert coin.constructor is not None
+    assert [f.name for f in coin.functions if f.is_constructor] == ["Coin"]
     assert {f.name for f in coin.functions} == {"Coin", "mint", "send"}
 
 
@@ -159,15 +157,6 @@ def test_placeholder_only_in_modifiers():
       function f() public onlyOwner { owner = 1; }
     }""")
     assert unit.contract("X").modifiers[0].name == "onlyOwner"
-
-
-def test_duplicate_declarations_rejected():
-    with pytest.raises(DuplicateDeclaration):
-        parse("contract A { } contract A { }")
-    with pytest.raises(DuplicateDeclaration):
-        parse("contract A { function f() public { } function f() public { } }")
-    with pytest.raises(DuplicateDeclaration):
-        parse("contract A { function() payable { } function() payable { } }")
 
 
 def test_fallback_shape_enforced():

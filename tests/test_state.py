@@ -1,5 +1,6 @@
 """The word store, encoding, allocation, scopes, and deployment state."""
 
+import copy
 import gc
 import random
 import weakref
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solsem import typesys
-from solsem.errors import DuplicateDeclaration, RangeError, SolTypeError
+from solsem.errors import (
+    DuplicateDeclaration, RangeError, SolTypeError, UnknownIdentifier,
+)
 from solsem.executor import Executor, Tx
 from solsem.parser import parse, parse_expression
 from solsem.state import (
@@ -169,11 +172,6 @@ def test_allocate_static_sequence():
     assert info.lam == 64
 
 
-def test_allocate_duplicate_rejected():
-    with pytest.raises(DuplicateDeclaration):
-        _layout("contract C { uint256 a; uint128 a; }")
-
-
 def test_first_allocation_is_address_zero():
     for t in ("uint128", "uint256", "mapping(uint256 => uint256)",
               "uint256[3]"):
@@ -257,6 +255,30 @@ def test_scope_stack_restores_bindings():
     assert world.instance(address).config.memory.scopes == [[]]
 
 
+@pytest.mark.parametrize("unit, message, line", [
+    ("contract A { }\ncontract A { }", "contract A declared twice", 2),
+    ("contract A { }\ncontract Coin { }", "contract Coin already registered",
+     2),
+    ("contract A {\n function f() public { }\n function f() public { } }",
+     "function f declared twice in A", 3),
+    ("contract A {\n function A() { }\n function A() { } }",
+     "function A declared twice in A", 3),
+    ("contract A {\n function() payable { }\n function() payable { } }",
+     "contract A has more than one fallback", 3),
+    ("contract A {\n uint256 a;\n uint128 a; }",
+     "state variable a already declared", 3),
+], ids=["contract-in-a-unit", "contract-across-units", "function",
+        "constructor", "fallback", "state-variable"])
+def test_a_declaration_made_twice_does_not_register(unit, message, line):
+    # the unit parses; registration rejects it at the second declaration
+    world, unit = make_world("coin.sol"), parse(unit)
+    registry = dict(world.registry)
+    with pytest.raises(DuplicateDeclaration) as err:
+        world.register(unit)
+    assert (err.value.message, err.value.span.line) == (message, line)
+    assert world.registry == registry
+
+
 @pytest.mark.parametrize("source, name, line", [
     ("contract C {\n function f(uint a, uint a) public { } }", "a", 2),
     ("contract C {\n function f(uint a) public returns (uint a) { } }", "a",
@@ -278,7 +300,7 @@ def test_duplicate_in_same_scope(source, name, line):
         world.register(parse(source))
     assert err.value.span.line == line
     assert f"{name} already declared" in str(err.value)
-    assert world.registry == {} and world.code == {}
+    assert world.registry == {}
 
 
 # -- deployment --------------------------------------------------------------------
@@ -353,24 +375,29 @@ def test_zero_value_defaults():
 
 # -- registration ------------------------------------------------------------------
 
-@pytest.mark.parametrize("unit, error", [
+@pytest.mark.parametrize("unit, error, message", [
     # a duplicate of a registered contract, after a new one
     ("contract Fresh { uint x; } contract Coin { uint y; }",
-     DuplicateDeclaration),
+     DuplicateDeclaration, "contract Coin already registered"),
     # a well-typed contract, then an ill-typed one
     ("contract Fresh { uint x; } "
      "contract Bad { bool b; function f() public { b = b + 1; } }",
-     SolTypeError),
+     SolTypeError, "arithmetic on non-numeric types bool/uint256"),
     # an ill-typed state-variable initializer
-    ("contract Fresh { bool b; uint x = b + 1; }", SolTypeError),
+    ("contract Fresh { bool b; uint x = b + 1; }", SolTypeError,
+     "arithmetic on non-numeric types bool/uint256"),
+    ("contract Fresh { function f() nope public { } }", UnknownIdentifier,
+     "unknown modifier nope"),
 ])
-def test_registration_is_all_or_nothing(unit, error):
+def test_registration_is_all_or_nothing(unit, error, message):
     world = make_world("coin.sol")
-    registry, code = dict(world.registry), dict(world.code)
+    registry = dict(world.registry)
+    infos = copy.deepcopy(registry)  # the compiled code compares by identity
     with pytest.raises(error) as err:
         world.register(parse(unit))
-    assert err.value.span is not None
-    assert world.registry == registry and world.code == code
+    assert err.value.message == message and err.value.span is not None
+    # no contract is added, and no registered one changes
+    assert world.registry == registry == infos
     # the world goes on as if the unit had never been offered
     world.register(parse("contract Fresh { uint x; }"))
     assert set(world.registry) == {"Coin", "Fresh"}

@@ -139,6 +139,23 @@ def test_a_copied_trace_applies_rules_to_its_own_pending_labels():
     assert (trace._pending, copied._pending) == (["Type3"], ["Type3", "SEQ"])
 
 
+def test_pure_labels_a_callee_applies_last_are_logged_in_its_context():
+    # g's last rule is the COND2 of an if with no else: it is still pending
+    # when g returns, and is logged as g's, before f's next event
+    world = world_from_source("""
+    contract C {
+      uint x; uint y;
+      function g() internal { if (y == 1) { x = 2; } }
+      function f() public { g(); x = 3; } }""")
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok
+    events = list(expand(res.events))
+    [cond] = [ev for ev in events if ev.rule == "COND2"]
+    [assign] = [ev for ev in events if ev.rule == "ASSIGN"]
+    assert (cond.fn, assign.fn) == ("g", "f") and cond.seq < assign.seq
+
+
 # -- the log of RuleRuns against the consumers' oracles ----------------------------
 
 _USERS = (0xA, 0xB, 0xC)
