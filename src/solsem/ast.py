@@ -249,7 +249,7 @@ class FunctionDef:
     returns: Optional[Param] = None  # at most one return value
     body: list = field(default_factory=list)
     specifiers: tuple = ()  # public/payable/constant/... (inert)
-    modifiers: tuple = ()  # names of invoked modifiers
+    modifiers: tuple = ()  # the invoked modifiers, as Idents
     is_constructor: bool = False
     is_fallback: bool = False
     span: Optional[Span] = _span_field()

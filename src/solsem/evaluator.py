@@ -18,13 +18,13 @@ registers is well typed. A closure does only the dynamic work, against an
 `Evaluator`, the context of one running call: reads, journaled writes,
 slot derivations, calls and emission.
 
-A name is fixed per function: a local if the function declares it
-(parameters, the return variable, any `VarDecl` in the body or an inlined
-modifier body), else a state variable, else an `UnknownIdentifier`. Each
-local has a fixed index in its function's frame, a list of addresses
-filled as declarations run, so a local used before its declaration has
-run aborts. A second declaration of a name is a registration error, as is
-an unknown modifier.
+A name is fixed per scope: a local if the scope declares it (a function's
+parameters, return variable and body `VarDecl`s; or one modifier
+application's own `VarDecl`s), else a state variable, else an
+`UnknownIdentifier`. Each local has a fixed index in the function's frame,
+a list of addresses filled as declarations run, so a local used before its
+declaration has run aborts. A second declaration of a name in one scope is
+a registration error, as are an unknown modifier and `return e;` in one.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -317,18 +316,19 @@ def _declarations(stmts: list):
 
 
 class _Compiler:
-    """Compiles the nodes of one function, or one expression against a live
-    frame, against `registry`, the contracts it may name. `locals` maps a
-    local's name to (its index in the frame, its Located); `layout`, by
-    default the contract's, maps a state variable's name to its LValue, the
-    same in every instance. A node compiles to (run, located); a statement
-    to run, which returns True when it executed a `return`. An ill-typed
-    node raises its error."""
+    """Compiles the nodes of one scope (a function's, or one modifier
+    application's, with `inner` the code its `_;` runs), or one expression
+    against a live frame, against `registry`, the contracts it may name.
+    `locals` maps a local's name to (its index in the frame, its Located);
+    `layout`, by default the contract's, maps a state variable's name to its
+    LValue, the same in every instance. A node compiles to (run, located); a
+    statement to run, which returns True when it executed a `return`. An
+    ill-typed node raises its error."""
 
     def __init__(self, registry: dict, trace, info, locals_: dict, fn=None,
-                 layout=None):
-        self.registry, self.info, self.locals, self.fn = \
-            registry, info, locals_, fn
+                 layout=None, inner=None):
+        self.registry, self.info, self.locals, self.fn, self.inner = \
+            registry, info, locals_, fn, inner
         self.layout = info.layout if layout is None else layout
         self.rules, self.emit = trace.rules, trace.emit
 
@@ -641,8 +641,7 @@ class _Compiler:
     # -- statements ---------------------------------------------------------------
 
     def block(self, stmts: list):
-        runs = [_STATEMENTS.get(type(s), _Compiler._unknown)(self, s)
-                for s in stmts]
+        runs = [_STATEMENTS[type(s)](self, s) for s in stmts]
         rules = self.rules
         seq = ("SEQ",) * (len(stmts) > 1)
 
@@ -660,9 +659,6 @@ class _Compiler:
                     return True
             return False
         return run
-
-    def _unknown(self, s):
-        raise SolsemError(f"cannot execute {s!r}", getattr(s, "span", None))
 
     def _assign(self, s: ast.Assign):
         rhs, value = self.value(s.rhs)  # rhs first
@@ -740,9 +736,10 @@ class _Compiler:
                 emit("RETURN")
                 return True
             return run
-        if fn.ret is None:
-            raise SolTypeError(
-                "return value in a function with no declared return", s.span)
+        if fn is None or fn.ret is None:
+            raise SolTypeError("return value in a modifier" if fn is None else
+                               "return value in a function with no declared "
+                               "return", s.span)
         value, located = self.value(s.expr)
         _check_store(located, fn.ret[1], s.expr)
         i, ret = self.locals[fn.ret[0]]  # the return variable
@@ -753,6 +750,24 @@ class _Compiler:
             emit("RETURN", write(ev, ev.locals[i], v))
             return True
         return run
+
+    def _placeholder(self, s: ast.Placeholder):
+        """`_;` runs the code it wraps, and goes on: a `return` in there
+        leaves only that."""
+        inner = self.inner
+        return lambda ev: inner(ev) and False
+
+    def modifier(self, body: list):
+        """A modifier application around `inner`, where it is listed: a guard
+        `if (cond) _;` runs it only if cond holds; any other body is a
+        block, whose `_;` runs it."""
+        s, inner = body[0] if len(body) == 1 else None, self.inner
+        if not (isinstance(s, ast.If) and s.otherwise is None
+                and [type(t) for t in s.then] == [ast.Placeholder]):
+            return self.block(body)
+        test = self.condition(s.cond, "modifier condition must be boolean",
+                              s.cond.span)
+        return lambda ev: test(ev) and inner(ev)
 
     def _var_decl(self, s: ast.VarDecl):
         i, located = self.locals[s.name]
@@ -842,69 +857,47 @@ _EFFECTS = {  # expression statements that are not evaluated as a value
 _STATEMENTS = {
     ast.VarDecl: _C._var_decl, ast.Assign: _C._assign,
     ast.ExprStmt: _C._expr_stmt, ast.If: _C._if, ast.While: _C._while,
-    ast.Return: _C._return,
+    ast.Return: _C._return, ast.Placeholder: _C._placeholder,
 }
 
 
-def _guard_condition(body: list):
-    """The condition of a guard modifier, `if (cond) _;` with no else."""
-    if len(body) == 1 and isinstance(body[0], ast.If) \
-            and body[0].otherwise is None and len(body[0].then) == 1 \
-            and isinstance(body[0].then[0], ast.Placeholder):
-        return body[0].cond
-    return None
-
-
-def _inline_placeholder(mod_body: list, fn_body: list) -> list:
-    out = []
-    for s in mod_body:
-        if isinstance(s, ast.Placeholder):
-            out.extend(fn_body)
-        else:  # a statement's list-valued children are its nested blocks
-            out.append(replace(s, **{
-                name: _inline_placeholder(block, fn_body)
-                for name, block in ast.children(s) if isinstance(block, list)}))
-    return out
+def _scope(body: list, info, registry, declared=(), start=0) -> dict:
+    """name -> (frame index, Located) of one scope: the (name, node, Located)
+    `declared`, then each VarDecl of `body`, indexed from `start`."""
+    scope: dict = {}
+    for name, node, located in [*declared, *((s.name, s, None)
+                                              for s in _declarations(body))]:
+        if name in scope:  # Solidity 0.4's "Identifier already declared"
+            raise DuplicateDeclaration(f"{name} already declared in this "
+                                       f"scope", node.span or node.type_name.span)
+        scope[name] = (start + len(scope),
+                       located or _local(node, info.structs, registry))
+    return scope
 
 
 def compile_function(registry: dict, trace, info, fn, f: ast.FunctionDef,
                      modifiers: dict) -> tuple:
-    """(size, bind(ev, args), guard(ev) or None, body(ev), result(ev) or
-    None) of `f`, with signature `fn`, of contract `info`: `call_internal`
-    makes a frame of `size` addresses, each local's index fixed here, then
-    runs the rest in order. A modifier `if (cond) _;` is a guard: the guards
-    run in order, and the first false one skips the body. Any other modifier
-    is inlined at its `_;`."""
-    body, conds = f.body, []
-    for name in reversed(f.modifiers):
-        if name not in modifiers:
-            raise UnknownIdentifier(f"unknown modifier {name}", f.span)
-        cond = _guard_condition(modifiers[name].body)
-        if cond is not None:
-            conds.insert(0, cond)
-        else:
-            body = _inline_placeholder(modifiers[name].body, body)
+    """(size, bind(ev, args), body(ev), result(ev) or None) of `f`, with
+    signature `fn`, of contract `info`: `call_internal` makes a frame of
+    `size` addresses, each local's index fixed here, then runs the rest in
+    order. `body` runs the modifiers in the order listed, each around the
+    next and the last around the function's block."""
+    for m in f.modifiers:
+        if m.name not in modifiers:
+            raise UnknownIdentifier(f"unknown modifier {m.name}", m.span)
     ret = [fn.ret] if fn.ret is not None else []
-    # the parameters, the return variable and the locals (a body inlined at
-    # two `_;`s declares its locals once), each with its node
     declared = [(name, p, Located(t, MEMORY)) for (name, t), p in
                 zip(fn.params + ret, f.params + [f.returns])]
-    declared += [(s.name, s, None) for s in
-                 {id(s): s for s in _declarations(body)}.values()]
-    locals_: dict = {}  # name -> (frame index, Located)
-    for name, node, located in declared:
-        if name in locals_:  # Solidity 0.4's "Identifier already declared"
-            raise DuplicateDeclaration(f"{name} already declared in this "
-                                       f"scope", node.span or node.type_name.span)
-        locals_[name] = (len(locals_),
-                         located or _local(node, info.structs, registry))
+    locals_ = _scope(f.body, info, registry, declared)
     c = _Compiler(registry, trace, info, locals_, fn)
     binders = [c.binder(name, t, f.span) for name, t in fn.params + ret]
     zero = [zero_value(t) for _, t in ret]
-    guards = [c.condition(cond, "modifier condition must be boolean",
-                          cond.span) for cond in conds]
-    guard = guards[0] if len(guards) == 1 else \
-        (lambda ev: all(g(ev) for g in guards)) if guards else None
+    body, size = c.block(f.body), len(locals_)
+    for m in reversed(f.modifiers):
+        mod = modifiers[m.name].body
+        scope = _scope(mod, info, registry, start=size)
+        size += len(scope)
+        body = _Compiler(registry, trace, info, scope, inner=body).modifier(mod)
     result = None
     if ret:
         read, ri = _reader(Located(fn.ret[1], MEMORY)), locals_[fn.ret[0]][0]
@@ -913,7 +906,7 @@ def compile_function(registry: dict, trace, info, fn, f: ast.FunctionDef,
     def bind(ev, args):
         for b, v in zip(binders, [*args, *zero]):
             b(ev, v)
-    return len(locals_), bind, guard, c.block(body), result
+    return size, bind, body, result
 
 
 def compile_contract(registry: dict, trace, c: ast.ContractDef) -> None:

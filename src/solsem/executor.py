@@ -17,10 +17,10 @@ compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled:
 `call_internal` makes a frame of the size registration laid out and runs
-the parameter binding, guard and body on the function's `FunctionInfo`
-(`fn.code`); `deploy` runs the initializer on the `ContractInfo`
-(`info.init`), which writes each state variable at its layout address
-(nothing is sized or allocated at deploy). Registration has
+the parameter binding and the body, inside its modifiers, on the
+function's `FunctionInfo` (`fn.code`); `deploy` runs the initializer on
+the `ContractInfo` (`info.init`), which writes each state variable at its
+layout address (nothing is sized or allocated at deploy). Registration has
 type-checked them and counted each internal call's arguments, so the faults
 left to run time are dynamic: division by zero, a bad index, an unknown
 address, a local read before its declaration has run, a named call reaching
@@ -180,11 +180,11 @@ class Executor:
                       expression: bool, call_kind: str = "internal",
                       config=None):
         """Push a fresh frame, bind parameters and the return slot, run the
-        body under the modifier guards, and hand back the return value."""
+        body inside its modifiers, and hand back the return value."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
-        size, bind, guard, body, result = fn.code
+        size, bind, body, result = fn.code
         ev = Evaluator(self, address, config)
         world.call_depth += 1
         display = fn.name or "()"
@@ -198,8 +198,7 @@ class Executor:
         scopes.append(frame)
         try:
             bind(ev, values)
-            if guard is None or guard(ev):
-                body(ev)
+            body(ev)
             return result(ev) if expression and result is not None else None
         finally:
             scopes.pop()

@@ -231,7 +231,8 @@ class Parser:
                 returns = ast.Param(type_name=rtype, name=rname)
             elif t.kind == "ident":
                 # modifier invocation; only parameterless modifiers are covered
-                modifiers.append(self.advance().value)
+                self.advance()
+                modifiers.append(ast.Ident(name=t.value, span=t.span))
                 if self.at_punct("("):
                     self.advance()
                     if not self.at_punct(")"):
@@ -615,8 +616,7 @@ class Parser:
                 elems.append(self.parse_expression())
             self.expect("punct", "]")
             return ast.ArrayLit(elements=elems, span=t.span)
-        if t.kind == "ident" or (t.kind == "keyword"
-                                 and _elementary_name(t.value) is not None):
+        if t.kind == "ident":
             self.advance()
             if self.at_punct("("):
                 args = self.parse_call_args()

@@ -209,7 +209,7 @@ class FunctionInfo:
     name: str
     params: list  # [(name, SemType)]
     ret: Optional[tuple]  # (name, SemType) or None
-    # (size, bind, guard, body, result), set by evaluator.compile_contract
+    # (size, bind, body, result), set by evaluator.compile_contract
     code: Optional[tuple] = field(default=None, repr=False)
 
 

@@ -146,8 +146,8 @@ def to_source(unit: SourceUnit) -> str:
             head = f"   function {f.name}({params})"
             for w in f.specifiers:
                 head += f" {w}"
-            for w in f.modifiers:
-                head += f" {w}"
+            for m in f.modifiers:
+                head += f" {m.name}"
             if f.returns is not None:
                 rn = f" {f.returns.name}" if f.returns.name else ""
                 head += f" returns({type_name_to_source(f.returns.type_name)}{rn})"

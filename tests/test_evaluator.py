@@ -11,7 +11,7 @@ from solsem.errors import (
     DivisionByZero, IndexOutOfBounds, SolTypeError,
 )
 from solsem.evaluator import read_value, slot_of_dyn, slot_of_map
-from solsem import evaluator
+from solsem import ast, evaluator
 from solsem.executor import Executor, Tx
 from solsem.harness import parse_scenario, run_main_contract, run_scenario
 from solsem.parser import parse_expression
@@ -328,6 +328,13 @@ def test_ill_typed_expressions_are_rejected_at_registration():
                 f"{main} function bad() public {{ {pointers} {text}; }} }}")
         assert registered.value.message == static.value.message, text
         assert registered.value.span is not None, text
+
+
+def test_every_ast_node_kind_has_a_compiler():
+    # a kind with no compiler would escape registration as a KeyError
+    assert set(evaluator._STATEMENTS) == set(ast.Stmt.__subclasses__())
+    compiled = {*evaluator._TYPED, *evaluator._RVALUES, *evaluator._EFFECTS}
+    assert set(ast.Expr.__subclasses__()) <= compiled
 
 
 def test_each_function_is_compiled_once_at_registration(monkeypatch):

@@ -162,7 +162,7 @@ def test_guard_style_modifier_skips_body():
     assert _read(world, address, "x") == 9
 
 
-def test_general_modifier_is_inlined_at_placeholder():
+def test_general_modifier_runs_the_body_at_its_placeholder():
     world = world_from_source("""
     contract M {
       uint log;
@@ -174,6 +174,57 @@ def test_general_modifier_is_inlined_at_placeholder():
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="bump2"))
     assert _read(world, address, "x") == 1
     assert _read(world, address, "log") == 101
+
+
+# each modifier application is a scope of its own, and runs where it is
+# listed; its `_;` runs what it wraps (the function's block, or the next
+# modifier inward) as one statement, and goes on after it
+_MODIFIED = [  # (modifiers and f, in `contract C { uint y; ... }`) ->
+    # (y after f, f's value, statements run, SEQs), or (registration error,
+    # the text its span starts at)
+    ("modifier m { uint x = 1; _; } function f() m public { y = x; }",
+     ("unknown identifier x", "x; }")),
+    ("modifier m { uint x = 1; _; } "
+     "function f() m public { uint x = 2; y = x; }", (2, None, 4, 2)),
+    ("modifier m { uint x = y + 1; y = x; _; y = y * 10 + x; } "
+     "function f() m m public { }", (221, None, 8, 2)),
+    ("modifier m { y = v; _; } function f(uint v) m public { }",
+     ("unknown identifier v", "v; _")),
+    ("modifier g { if (v == 1) _; } function f(uint v) g public { }",
+     ("unknown identifier v", "v ==")),
+    ("modifier m { _; y = y + 100; } "
+     "function f() m public returns (uint) { y = 1; return 7; }",
+     (101, 7, 4, 2)),
+    ("modifier n { y = 5; _; y = y + 100; } modifier g { if (y == 5) _; } "
+     "function f() n g public { y = y + 1; }", (106, None, 4, 1)),
+    ("modifier n { _; y = y + 100; } modifier g { if (y == 5) _; } "
+     "function f() n g public { y = 1; }", (100, None, 2, 1)),
+    ("modifier n { y = 1; _; y = y + 100; } "
+     "modifier m { y = y + 10; return; _; } "
+     "function f() n m public { y = y + 1000; }", (111, None, 5, 2)),
+    ("modifier m { return 5; _; } "
+     "function f() m public returns (uint) { y = 1; }",
+     ("return value in a modifier", "return 5")),
+]
+
+
+@pytest.mark.parametrize("decls, expected", _MODIFIED)
+def test_a_modifier_is_a_scope_that_runs_where_it_is_listed(decls, expected):
+    source = f"contract C {{ uint y; {decls} }}"
+    if isinstance(expected[0], str):
+        with pytest.raises(SolsemError) as err:
+            world_from_source(source)
+        message, at = expected
+        assert (err.value.message, err.value.span.line, err.value.span.col) \
+            == (message, 1, source.index(at) + 1)
+        return
+    world = world_from_source(source)
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok, res.error
+    seqs = sum(e.rule == "SEQ" for e in expand(res.events))
+    assert (_read(world, address, "y"), res.value, res.steps, seqs) == \
+        expected
 
 
 def test_internal_expression_call_returns_value():

@@ -388,6 +388,10 @@ def test_zero_value_defaults():
      "arithmetic on non-numeric types bool/uint256"),
     ("contract Fresh { function f() nope public { } }", UnknownIdentifier,
      "unknown modifier nope"),
+    # a modifier has no return variable
+    ("contract Fresh { uint y; modifier m { return 5; _; } "
+     "function f() m public returns (uint) { y = 1; } }", SolTypeError,
+     "return value in a modifier"),
 ])
 def test_registration_is_all_or_nothing(unit, error, message):
     world = make_world("coin.sol")
@@ -396,6 +400,8 @@ def test_registration_is_all_or_nothing(unit, error, message):
     with pytest.raises(error) as err:
         world.register(parse(unit))
     assert err.value.message == message and err.value.span is not None
+    if error is UnknownIdentifier:  # at the modifier's name
+        assert err.value.span.col == unit.index("nope") + 1 == 31
     # no contract is added, and no registered one changes
     assert world.registry == registry == infos
     # the world goes on as if the unit had never been offered
