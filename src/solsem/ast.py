@@ -1,8 +1,9 @@
 """AST for the covered Solidity subset.
 
 Node kinds correspond one-to-one with the constructs the semantics consumes:
-`for`/`do-while` never appear here (the parser lowers them to `while`), and
-`push`/`.length` are first-class nodes rather than method calls.
+`for` never appears here (the parser lowers it to `while`), and
+`push`/`.length` are first-class nodes rather than method calls. A unit is
+a tree: no node object is in two places, and none is a copy of another.
 
 Spans never participate in equality so that a pretty-print/re-parse round
 trip compares structurally equal.
@@ -178,6 +179,7 @@ class VarDecl(Stmt):
 class Assign(Stmt):
     lhs: Expr = None
     rhs: Expr = None
+    op: Optional[str] = None  # '+' for `+=`, ...; None for a plain `=`
 
 
 @dataclass(eq=True)
@@ -196,6 +198,7 @@ class If(Stmt):
 class While(Stmt):
     cond: Expr = None
     body: list = field(default_factory=list)
+    do: bool = False  # `do body while (cond);`: the body runs before the test
 
 
 @dataclass(eq=True)

@@ -12,8 +12,9 @@ each node's kind, each identifier's binding, each typing step of `typesys`
 the value codecs (`_reader` and `_writer` per type; a primitive's are
 state.py's one-word field_reader and field_writer) and the rule labels
 each node emits, joined where nodes always run together (a state
-variable's read is Type3, E-ID1 and E-RV in one call). The first
-ill-typed node raises its error, with its span, so a contract that
+variable's read is Type3, E-ID1 and E-RV in one call). Each node is
+compiled once, by its kind's rule: a guard `if (c) _;` is an `if`. The
+first ill-typed node raises its error, with its span, so a contract that
 registers is well typed. A closure does only the dynamic work, against an
 `Evaluator`, the context of one running call: reads, journaled writes,
 slot derivations, calls and emission.
@@ -350,8 +351,8 @@ class _Compiler:
         return self.value(e)[0]
 
     def condition(self, e: ast.Expr, error: str, span):
-        """run of a branch, loop, modifier or `&&`/`||` operand: it must type
-        as bool, or it raises a SolTypeError with `error`."""
+        """run of a branch, loop or `&&`/`||` operand: it must type as bool,
+        or it raises a SolTypeError with `error`."""
         run, located = self.typed(e)
         if not isinstance(located.sem, typesys.Bool):
             raise SolTypeError(error, span)
@@ -661,6 +662,8 @@ class _Compiler:
         return run
 
     def _assign(self, s: ast.Assign):
+        if s.op is not None:
+            return self._compound(s)
         rhs, value = self.value(s.rhs)  # rhs first
         lhs, located = self.lvalue(s.lhs)
         _check_store(value, located.sem, s.rhs)
@@ -669,6 +672,22 @@ class _Compiler:
         def run(ev):
             value = rhs(ev)
             emit("ASSIGN", write(ev, lhs(ev), value))
+        return run
+
+    def _compound(self, s: ast.Assign):
+        """`lhs op= rhs` in solc's order: the rhs, then the target's address,
+        once, E-RV and the read there, the operator and one ASSIGN."""
+        rhs, rt = self.typed(s.rhs)
+        lhs, located = self.lvalue(s.lhs)
+        f = _operator(s.op, typesys.binary_type(s, located.sem, rt.sem))
+        read, write = _reader(located), _writer(located, s.lhs.span)
+        rules, emit = self.rules, self.emit
+
+        def run(ev):
+            value = rhs(ev)
+            addr = lhs(ev)
+            rules(("E-RV",))
+            emit("ASSIGN", write(ev, addr, f(read(ev, addr), value)))
         return run
 
     def _expr_stmt(self, s: ast.ExprStmt):
@@ -716,9 +735,11 @@ class _Compiler:
     def _while(self, s: ast.While):
         cond = self.condition(s.cond, "while condition must be boolean",
                               s.span)
-        body, rules = self.block(s.body), self.rules
+        body, rules, do = self.block(s.body), self.rules, s.do
 
         def run(ev):
+            if do and body(ev):  # a `do` loop's first pass, before any test
+                return True
             while cond(ev):
                 rules(("WHILE2",))
                 ev.world.stmt_steps += 1
@@ -756,18 +777,6 @@ class _Compiler:
         leaves only that."""
         inner = self.inner
         return lambda ev: inner(ev) and False
-
-    def modifier(self, body: list):
-        """A modifier application around `inner`, where it is listed: a guard
-        `if (cond) _;` runs it only if cond holds; any other body is a
-        block, whose `_;` runs it."""
-        s, inner = body[0] if len(body) == 1 else None, self.inner
-        if not (isinstance(s, ast.If) and s.otherwise is None
-                and [type(t) for t in s.then] == [ast.Placeholder]):
-            return self.block(body)
-        test = self.condition(s.cond, "modifier condition must be boolean",
-                              s.cond.span)
-        return lambda ev: test(ev) and inner(ev)
 
     def _var_decl(self, s: ast.VarDecl):
         i, located = self.locals[s.name]
@@ -897,7 +906,7 @@ def compile_function(registry: dict, trace, info, fn, f: ast.FunctionDef,
         mod = modifiers[m.name].body
         scope = _scope(mod, info, registry, start=size)
         size += len(scope)
-        body = _Compiler(registry, trace, info, scope, inner=body).modifier(mod)
+        body = _Compiler(registry, trace, info, scope, inner=body).block(mod)
     result = None
     if ret:
         read, ri = _reader(Located(fn.ret[1], MEMORY)), locals_[fn.ret[0]][0]

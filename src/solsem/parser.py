@@ -3,9 +3,8 @@
 Accepts the pre-0.5 dialect the fixtures use (constructors named after the
 contract, `function() payable` fallbacks). Constructs outside the subset are
 rejected with an `UnsupportedFeature` diagnostic naming the construct rather
-than a generic syntax error. `for` and `do-while` are lowered to `while`
-during parsing, so the AST only carries the statement forms the semantics
-rules consume.
+than a generic syntax error. `for` is lowered to `while` during parsing;
+any other construct is one node of its own kind, and no node is shared.
 """
 
 from __future__ import annotations
@@ -334,19 +333,17 @@ class Parser:
         return self.parse_statement()
 
     def parse_statement(self) -> list:
-        """One source statement; a list because loop lowering can yield two."""
+        """One source statement; a list because a `for` lowers to two."""
         t = self.peek()
         if t.kind == "keyword":
             if t.value in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[t.value], t.span)
             if t.value == "if":
                 return [self.parse_if()]
-            if t.value == "while":
+            if t.value in ("while", "do"):
                 return [self.parse_while()]
             if t.value == "for":
                 return self.parse_for()
-            if t.value == "do":
-                return self.parse_do_while()
             if t.value == "return":
                 self.advance()
                 expr = None
@@ -391,9 +388,8 @@ class Parser:
             if not isinstance(lhs, (ast.Ident, ast.Index, ast.Member)):
                 raise SolSyntaxError("left side of assignment is not assignable",
                                      span)
-            if t.value != "=":
-                rhs = ast.Binary(op=t.value[0], lhs=lhs, rhs=rhs, span=t.span)
-            return ast.Assign(lhs=lhs, rhs=rhs, span=span)
+            op = None if t.value == "=" else t.value[0]
+            return ast.Assign(lhs=lhs, rhs=rhs, op=op, span=span)
         return ast.ExprStmt(expr=lhs, span=span)
 
     def parse_expr_statement(self) -> ast.Stmt:
@@ -416,12 +412,20 @@ class Parser:
         return ast.If(cond=cond, then=then, otherwise=otherwise, span=kw.span)
 
     def parse_while(self) -> ast.While:
-        kw = self.expect("keyword", "while")
+        """`while (cond) body`, or `do body while (cond);` (`do` set)."""
+        kw = self.advance()  # `while` or `do`
+        do = kw.value == "do"
+        if do:
+            body = self._body()
+            self.expect("keyword", "while")
         self.expect("punct", "(")
         cond = self.parse_expression()
         self.expect("punct", ")")
-        body = self._body()
-        return ast.While(cond=cond, body=body, span=kw.span)
+        if do:
+            self.expect("punct", ";")
+        else:
+            body = self._body()
+        return ast.While(cond=cond, body=body, do=do, span=kw.span)
 
     def parse_for(self) -> list:
         """`for (init; cond; post) body` lowers to `init; while (cond) {body; post}`."""
@@ -452,17 +456,6 @@ class Parser:
             body = body + [post]
         out.append(ast.While(cond=cond, body=body, span=kw.span))
         return out
-
-    def parse_do_while(self) -> list:
-        """`do body while (cond);` lowers to `body; while (cond) body`."""
-        kw = self.expect("keyword", "do")
-        body = self._body()
-        self.expect("keyword", "while")
-        self.expect("punct", "(")
-        cond = self.parse_expression()
-        self.expect("punct", ")")
-        self.expect("punct", ";")
-        return list(body) + [ast.While(cond=cond, body=body, span=kw.span)]
 
     # -- expressions --------------------------------------------------------
 
@@ -499,22 +492,27 @@ class Parser:
             raise UnsupportedFeature(f"{t.value} operator", t.span)
         return self.parse_postfix()
 
-    def parse_call_args(self) -> list:
-        self.expect("punct", "(")
+    def parse_call_args(self, open_: str = "(", close: str = ")") -> list:
+        """The comma-separated expressions between `open_` and `close`: a
+        call's arguments, or an array literal's elements."""
+        self.expect("punct", open_)
         args = []
-        while not self.at_punct(")"):
+        while not self.at_punct(close):
             if args:
                 self.expect("punct", ",")
             args.append(self.parse_expression())
-        self.expect("punct", ")")
+        self.expect("punct", close)
         return args
 
+    def _at_value_gas(self) -> bool:
+        """At a `.value(` or `.gas(` call option."""
+        return self.at_punct(".") and self.peek(1).kind == "ident" \
+            and self.peek(1).value in ("value", "gas") \
+            and self.peek(2).kind == "punct" and self.peek(2).value == "("
+
     def _parse_value_gas_suffix(self):
-        value = None
-        gas = None
-        while self.at_punct(".") and self.peek(1).kind == "ident" \
-                and self.peek(1).value in ("value", "gas") \
-                and self.peek(2).kind == "punct" and self.peek(2).value == "(":
+        value = gas = None
+        while self._at_value_gas():
             self.advance()
             which = self.advance().value
             self.expect("punct", "(")
@@ -564,11 +562,7 @@ class Parser:
                                                  gas=gas, span=t.span)
                 else:
                     self.advance(); self.advance()
-                    if self.at_punct("(") or (
-                            self.at_punct(".") and self.peek(1).kind == "ident"
-                            and self.peek(1).value in ("value", "gas")
-                            and self.peek(2).kind == "punct"
-                            and self.peek(2).value == "("):
+                    if self.at_punct("(") or self._at_value_gas():
                         value, gas = self._parse_value_gas_suffix()
                         args = self.parse_call_args()
                         expr = ast.ExternalCall(target=expr, name=name, args=args,
@@ -608,14 +602,8 @@ class Parser:
             self.expect("punct", ")")
             return expr
         if self.at_punct("["):
-            self.advance()
-            elems = []
-            while not self.at_punct("]"):
-                if elems:
-                    self.expect("punct", ",")
-                elems.append(self.parse_expression())
-            self.expect("punct", "]")
-            return ast.ArrayLit(elements=elems, span=t.span)
+            return ast.ArrayLit(elements=self.parse_call_args("[", "]"),
+                                span=t.span)
         if t.kind == "ident":
             self.advance()
             if self.at_punct("("):

@@ -10,7 +10,7 @@ C call (`Trace.rules` is the list's `extend`, the only way a pure label
 reaches the trace: the compiler fixes each label, none is checked per
 call); before the next emit, context change or mute, or read of
 `Trace.events`, the pending labels become one `RuleRun` entry (a Coin
-`send`: 47 rules, 9 entries), and those applied while muted are dropped.
+`send`: 36 rules, 9 entries), and those applied while muted are dropped.
 A RuleRun reads as an event with no payload, so the reentrancy detector
 and the replay pass over it; `expand` yields a TraceEvent per rule and
 `len(trace)` counts rules.

@@ -427,13 +427,10 @@ def dyn_array(base: Located, what: str, span) -> DynArray:
     return sem
 
 
-def binary_type(e: ast.Binary, lt: SemType, rt: SemType) -> SemType:
-    """Result type of `e` given its operands' types: bool for the logical
-    operators and comparisons, the unified operand type for arithmetic."""
-    if e.op in ("&&", "||"):
-        if not (isinstance(lt, Bool) and isinstance(rt, Bool)):
-            raise SolTypeError(f"{e.op} requires bool operands", e.span)
-        return Bool()
+def binary_type(e, lt: SemType, rt: SemType) -> SemType:
+    """Result type of `e`, a comparison or arithmetic `ast.Binary` or a
+    compound `ast.Assign`, given its operands' types: bool for a comparison,
+    the unified operand type for arithmetic."""
     if e.op in ("==", "!=", "<", "<=", ">", ">="):
         if not _comparable(e.op, lt, rt):
             raise SolTypeError(

@@ -90,7 +90,8 @@ def _stmt_lines(s: Stmt, indent: str) -> list:
         init = f" = {expr_to_source(s.init)}" if s.init is not None else ""
         return [f"{indent}{type_name_to_source(s.type_name)}{loc} {s.name}{init};"]
     if isinstance(s, Assign):
-        return [f"{indent}{expr_to_source(s.lhs)} = {expr_to_source(s.rhs)};"]
+        op = s.op or ""
+        return [f"{indent}{expr_to_source(s.lhs)} {op}= {expr_to_source(s.rhs)};"]
     if isinstance(s, ExprStmt):
         return [f"{indent}{expr_to_source(s.expr)};"]
     if isinstance(s, If):
@@ -102,9 +103,10 @@ def _stmt_lines(s: Stmt, indent: str) -> list:
         lines.append(f"{indent}}}")
         return lines
     if isinstance(s, While):
-        lines = [f"{indent}while ({expr_to_source(s.cond)}) {{"]
+        test = f"while ({expr_to_source(s.cond)})"
+        lines = [f"{indent}{'do' if s.do else test} {{"]
         lines += _block_lines(s.body, indent + "   ")
-        lines.append(f"{indent}}}")
+        lines.append(f"{indent}}} {test};" if s.do else f"{indent}}}")
         return lines
     if isinstance(s, Return):
         if s.expr is None:

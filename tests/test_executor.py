@@ -196,9 +196,9 @@ _MODIFIED = [  # (modifiers and f, in `contract C { uint y; ... }`) ->
      "function f() m public returns (uint) { y = 1; return 7; }",
      (101, 7, 4, 2)),
     ("modifier n { y = 5; _; y = y + 100; } modifier g { if (y == 5) _; } "
-     "function f() n g public { y = y + 1; }", (106, None, 4, 1)),
+     "function f() n g public { y = y + 1; }", (106, None, 6, 1)),
     ("modifier n { _; y = y + 100; } modifier g { if (y == 5) _; } "
-     "function f() n g public { y = 1; }", (100, None, 2, 1)),
+     "function f() n g public { y = 1; }", (100, None, 3, 1)),
     ("modifier n { y = 1; _; y = y + 100; } "
      "modifier m { y = y + 10; return; _; } "
      "function f() n m public { y = y + 1000; }", (111, None, 5, 2)),
@@ -225,6 +225,46 @@ def test_a_modifier_is_a_scope_that_runs_where_it_is_listed(decls, expected):
     seqs = sum(e.rule == "SEQ" for e in expand(res.events))
     assert (_read(world, address, "y"), res.value, res.steps, seqs) == \
         expected
+
+
+# one source node, one rule: a compound assignment runs its rhs, then its
+# target's address once (solc's order); a `do` loop's body is one block, run
+# once before the first test
+_ONE_RULE_PER_NODE = [  # (declarations in `contract C { uint y; ... }`) ->
+    # y after f
+    ("uint[3] a; uint calls; "
+     "function g() internal returns (uint) { calls = calls + 1; return 1; } "
+     "function f() public { a[g()] += 5; y = a[1] * 10 + calls; }", 51),
+    ("function g() internal returns (uint) { y = 10; return 1; } "
+     "function f() public { y += g(); }", 11),
+    ("function f() public { do { uint k = 1; y = y + k; } while (y < 3); }",
+     3),
+    ("function f() public { y = 7; do { y = y + 1; } while (y < 3); }", 8),
+]
+
+
+@pytest.mark.parametrize("decls, y", _ONE_RULE_PER_NODE)
+def test_each_source_node_runs_once_by_its_own_rule(decls, y):
+    world = world_from_source(f"contract C {{ uint y; {decls} }}")
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok, res.error
+    assert _read(world, address, "y") == y
+
+
+def test_a_guard_is_the_if_it_is():
+    # `if (y == 0) _;` applies COND1 or COND2 and counts its statements, as
+    # the same `if` does anywhere else
+    world = world_from_source("contract C { uint y; "
+                              "modifier g { if (y == 0) _; } "
+                              "function f() g public { y = 1; } }")
+    address = deploy(world, "C")
+    ex = Executor(world)
+    for rule, steps in (("COND1", 3), ("COND2", 1)):  # y == 0, then y == 1
+        res = ex.run_transaction(Tx(sender=1, to=address, fname="f"))
+        assert res.ok, res.error
+        rules = {e.rule for e in expand(res.events)}
+        assert (rules & {"COND1", "COND2"}, res.steps) == ({rule}, steps)
 
 
 def test_internal_expression_call_returns_value():
@@ -740,16 +780,20 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "cannot compare bool with uint256",
     "function f() public { a = 5; a = b + 1; }":
         "arithmetic on non-numeric types bool/uint256",
+    "function f() public { b += 1; }":
+        "arithmetic on non-numeric types bool/uint256",
+    "uint[] d; function f() public { d[0] += [1]; }":
+        "expression has no type: ArrayLit(elements=[IntLit(value=1)])",
     "function f() public { a = 5; if (a) { a = 6; } }":
         "if condition must be boolean",
     "function f() public { a = 5; while (a) { a = 0; } }":
         "while condition must be boolean",
     "modifier m { if (a) _; } function f() m public { a = 5; }":
-        "modifier condition must be boolean",
+        "if condition must be boolean",
     "modifier m { if (a) _; } modifier n { if (true) _; } "
-    "function f() m n public { a = 5; }": "modifier condition must be boolean",
+    "function f() m n public { a = 5; }": "if condition must be boolean",
     "modifier m { if (a) _; } modifier n { if (true) _; } "
-    "function f() n m public { a = 5; }": "modifier condition must be boolean",
+    "function f() n m public { a = 5; }": "if condition must be boolean",
     "function f() public { b = true < false; }":
         "cannot compare bool with bool",
     "function f() public { a = uint(true); }": "cannot cast bool to uint256",
@@ -802,7 +846,7 @@ def test_each_guard_condition_is_checked_at_its_own_span():
                         f"  modifier n {{ if (true) _; }}\n"
                         f"  function f() {mods} public {{ a = 5; }} }}")
         assert (err.message, err.span.line, err.span.col) == \
-            ("modifier condition must be boolean", 2, 20), mods
+            ("if condition must be boolean", 2, 16), mods
 
 
 def test_a_whole_composite_target_is_rejected_at_the_target():
@@ -943,7 +987,7 @@ def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
     res = ex.run_transaction(Tx(sender=0xA, to=coin, fname="send",
                                 args=(0xB, 5)))
     assert res.ok and len(res.events) == 9
-    assert len(list(expand(res.events))) == 47
+    assert len(list(expand(res.events))) == 36
     ex = Executor(dao_world)
     sizes = []
     for bank_value in (10, 12):  # one reentrant round more
@@ -956,7 +1000,7 @@ def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
         assert res.ok
         sizes.append((len(res.events), len(list(expand(res.events)))))
     assert sizes[1][0] - sizes[0][0] == 11  # entries a round adds
-    assert sizes[1][1] - sizes[0][1] == 36  # rules a round applies
+    assert sizes[1][1] - sizes[0][1] == 32  # rules a round applies
 
 
 def _python_calls(run) -> int:
@@ -1004,8 +1048,8 @@ def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
     assert calls[1] - calls[0] == REENTRANT_ROUND_CALLS
 
 
-COIN_SEND_CALLS = 102
-REENTRANT_ROUND_CALLS = 98
+COIN_SEND_CALLS = 88
+REENTRANT_ROUND_CALLS = 92
 
 
 def test_call_depth_cap():

@@ -136,15 +136,42 @@ def test_for_lowers_to_while():
     assert isinstance(body[1].body[-1], ast.Assign)
 
 
-def test_do_while_lowers_to_body_then_while():
+def test_do_while_is_one_while_with_do_set():
     unit = parse("""
     contract L { uint t;
       function f() public {
         do { t += 1; } while (t < 3);
       } }""")
     body = unit.contract("L").functions[0].body
-    assert isinstance(body[0], ast.Assign)
-    assert isinstance(body[1], ast.While)
+    assert len(body) == 1 and isinstance(body[0], ast.While)
+    assert body[0].do and isinstance(body[0].body[0], ast.Assign)
+    assert not parse("contract L { function f() public { while (true) { } } }"
+                     ).contracts[0].functions[0].body[0].do
+
+
+def _nodes(node):
+    """`node` and every node under it, by `ast.children`."""
+    yield node
+    for _, child in ast.children(node):
+        for c in child if isinstance(child, list) else [child]:
+            yield from _nodes(c)
+
+
+def test_every_parsed_unit_is_a_tree():
+    # each node is compiled once, by the rule of its kind, only if no node
+    # object is reached twice: a compound assignment shares no target, and
+    # a `do` loop copies no body
+    sources = [contract_source(name) for name in FIXTURE_CONTRACTS] + ["""
+    contract T { uint[] a; uint x;
+      function f() public {
+        a[x] += 5;
+        do { uint k = 1; x = x + k; } while (x < 3);
+      } }"""]
+    for source in sources:
+        seen = set()
+        for node in _nodes(parse(source)):
+            assert id(node) not in seen, node
+            seen.add(id(node))
 
 
 def test_placeholder_only_in_modifiers():
@@ -191,11 +218,12 @@ def test_precedence():
     assert cmp.lhs.op == "+" and cmp.lhs.rhs.op == "*"
 
 
-def test_compound_assignment_desugars():
-    unit = parse("contract C { uint a; function f() public { a += 2; } }")
-    stmt = unit.contract("C").functions[0].body[0]
-    assert isinstance(stmt, ast.Assign)
-    assert isinstance(stmt.rhs, ast.Binary) and stmt.rhs.op == "+"
+def test_compound_assignment_is_one_assign_with_its_op():
+    unit = parse("contract C { uint a; function f() public { a += 2; a = 3; } }")
+    compound, plain = unit.contract("C").functions[0].body
+    assert isinstance(compound, ast.Assign) and compound.op == "+"
+    assert compound.rhs == ast.IntLit(value=2)
+    assert plain.op is None
 
 
 def test_pragma_is_ignored():

@@ -2,9 +2,10 @@
 
 This is the `typesys.type_of` the compiler replaced: it types an
 expression's children, then applies the node's typing step in `typesys`
-(`index_type`, `member_type`, `dyn_array`, `binary_type`, `unary_type`),
-and resolves names against the locals a test bound (conftest.bind_local),
-then its contract's state variables. It emits no trace events.
+(`index_type`, `member_type`, `dyn_array`, `binary_type`, `unary_type`;
+`&&` and `||` it checks itself, as the compiler does), and resolves names
+against the locals a test bound (conftest.bind_local), then its contract's
+state variables. It emits no trace events.
 test_evaluator.py checks the compiled expressions' types and ill-typed
 messages against it.
 """
@@ -101,6 +102,11 @@ def type_of(env, e: ast.Expr) -> Located:
             e.span)
     if isinstance(e, ast.LowLevelCallValue):
         return Located(Bool(), MEMORY)  # whether the call succeeded
+    if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
+        if not all(isinstance(type_of(env, x).sem, Bool)
+                   for x in (e.lhs, e.rhs)):
+            raise SolTypeError(f"{e.op} requires bool operands", e.span)
+        return Located(Bool(), MEMORY)
     if isinstance(e, ast.Binary):
         lt = type_of(env, e.lhs).sem
         return Located(binary_type(e, lt, type_of(env, e.rhs).sem), MEMORY)
