@@ -492,7 +492,7 @@ class Parser:
             raise UnsupportedFeature(f"{t.value} operator", t.span)
         return self.parse_postfix()
 
-    def parse_call_args(self, open_: str = "(", close: str = ")") -> list:
+    def parse_expr_list(self, open_: str = "(", close: str = ")") -> list:
         """The comma-separated expressions between `open_` and `close`: a
         call's arguments, or an array literal's elements."""
         self.expect("punct", open_)
@@ -545,7 +545,7 @@ class Parser:
                     expr = ast.ArrayLength(base=expr, span=t.span)
                 elif name == "push":
                     self.advance(); self.advance()
-                    args = self.parse_call_args()
+                    args = self.parse_expr_list()
                     if len(args) != 1:
                         raise SolSyntaxError("push takes exactly one argument",
                                              t.span)
@@ -564,7 +564,7 @@ class Parser:
                     self.advance(); self.advance()
                     if self.at_punct("(") or self._at_value_gas():
                         value, gas = self._parse_value_gas_suffix()
-                        args = self.parse_call_args()
+                        args = self.parse_expr_list()
                         expr = ast.ExternalCall(target=expr, name=name, args=args,
                                                 value=value, gas=gas, span=t.span)
                     else:
@@ -602,12 +602,12 @@ class Parser:
             self.expect("punct", ")")
             return expr
         if self.at_punct("["):
-            return ast.ArrayLit(elements=self.parse_call_args("[", "]"),
+            return ast.ArrayLit(elements=self.parse_expr_list("[", "]"),
                                 span=t.span)
         if t.kind == "ident":
             self.advance()
             if self.at_punct("("):
-                args = self.parse_call_args()
+                args = self.parse_expr_list()
                 return ast.Call(name=t.value, args=args, span=t.span)
             return ast.Ident(name=t.value, span=t.span)
         raise SolSyntaxError(f"unexpected token {t.value or t.kind!r}", t.span)
