@@ -49,7 +49,7 @@ from .errors import (
 )
 from .keccak import keccak256_int
 from .state import field_reader, field_writer
-from .trace import Write
+from .trace import Trace, Write
 from .typesys import (
     MEMORY, SLOT, STORAGE, UINT256, Located, zero_value,
 )
@@ -319,7 +319,7 @@ def _declarations(stmts: list):
 class _Compiler:
     """Compiles the nodes of one scope (a function's, or one modifier
     application's, with `inner` the code its `_;` runs), or one expression
-    against a live frame, against `registry`, the contracts it may name.
+    (`compile_expression`), against `registry`, the contracts it may name.
     `locals` maps a local's name to (its index in the frame, its Located);
     `layout`, by default the contract's, maps a state variable's name to its
     LValue, the same in every instance. A node compiles to (run, located); a
@@ -361,8 +361,7 @@ class _Compiler:
     # -- expressions ------------------------------------------------------------
 
     def _untyped(self, e):
-        raise SolTypeError(f"expression has no type: {e!r}",
-                           getattr(e, "span", None))
+        raise SolTypeError(f"{_UNTYPED[type(e)]} has no type here", e.span)
 
     def _unaddressable(self, e):
         raise SolTypeError("expression is not addressable",
@@ -842,6 +841,7 @@ class _Compiler:
         return bind_string
 
 
+_UNTYPED = {ast.ArrayLit: "an array literal", ast.Push: "a push"}
 _LITERALS = {ast.IntLit: _U256, ast.BoolLit: _BOOL,
              ast.StringLit: Located(typesys.String(), MEMORY)}
 _C = _Compiler
@@ -954,32 +954,36 @@ def compile_contract(registry: dict, trace, c: ast.ContractDef) -> None:
 
 class Evaluator:
     """The context of one running call, which the compiled closures read:
-    the instance's config, storage and memory, and `locals`, its frame. It
-    also compiles and runs one expression (scenario asserts, tests) against
-    its contract's state variables."""
+    its executor and world, the instance's address, config, storage and
+    memory, and `locals`, the call's frame. `Executor.call_internal` makes
+    one per call."""
 
-    def __init__(self, executor, address: int, config=None):
-        world = executor.world
-        if config is None:
-            config = world.instance(address).config
-        self.executor, self.world, self.address = executor, world, address
+    __slots__ = ("executor", "world", "address", "config", "storage",
+                 "memory", "locals")
+
+    def __init__(self, executor, address: int, config, frame: list):
+        self.executor, self.world, self.address = \
+            executor, executor.world, address
         self.config, self.storage, self.memory = \
             config, config.storage, config.memory
-        self.locals = config.memory.scopes[-1]
-
-    # -- one expression, compiled against the top frame, then run --------------
-
-    def _compiler(self) -> _Compiler:
-        world = self.world
-        info = world.registry[world.instances[self.address].contract_name]
-        return _Compiler(world.registry, world.trace, info, {})
+        self.locals = frame
 
     def type_of(self, e: ast.Expr) -> typesys.Located:
-        """The static type of `e`; an ill-typed `e` raises its error."""
-        return self._compiler().typed(e)[1]
+        """The static type of `e` against the instance's contract; an
+        ill-typed `e` raises its error."""
+        return compile_expression(self.world, self.address, e)[1]
 
-    def eval_rvalue(self, e: ast.Expr):
-        return self._compiler().rvalue(e)(self)
+
+def compile_expression(world, address: int, e: ast.Expr, names=None,
+                       lvalue: bool = False):
+    """(run, located) of `e` compiled against the contract of the instance
+    at `address` and the locals `names` (name -> (frame index, Located)):
+    run(ev) returns its value, or with `lvalue` its address. The compiler
+    records into a `Trace()` of its own, so running the code touches
+    nothing of `world.trace`."""
+    info = world.registry[world.instance(address).contract_name]
+    c = _Compiler(world.registry, Trace(), info, names or {})
+    return c.lvalue(e) if lvalue else c.typed(e)
 
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):

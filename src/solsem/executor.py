@@ -70,7 +70,9 @@ class Executor:
         self.world = world
 
     def evaluator(self, address: int) -> Evaluator:
-        return Evaluator(self, address)
+        """An Evaluator over the instance's base frame (deploy, tests)."""
+        config = self.world.instance(address).config
+        return Evaluator(self, address, config, config.memory.scopes[-1])
 
     # -- transactions --------------------------------------------------------------
 
@@ -185,16 +187,18 @@ class Executor:
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
         size, bind, body, result = fn.code
-        ev = Evaluator(self, address, config)
+        if config is None:
+            config = world.instance(address).config
+        frame = [None] * size
+        ev = Evaluator(self, address, config, frame)
         world.call_depth += 1
         display = fn.name or "()"
         trace = world.trace
         trace.push_context(address, display)
         trace.emit("E-FUN" if expression else "I-FUN", call=CallInfo(
             call_kind, address, display, tuple(values)))
-        memory = ev.memory
+        memory = config.memory
         scopes = memory.scopes
-        ev.locals = frame = [None] * size
         scopes.append(frame)
         try:
             bind(ev, values)

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import ast, typesys
 from .errors import SolsemError, TxAborted, UnknownIdentifier
-from .evaluator import read_value
+from .evaluator import compile_expression, read_value
 from .executor import Executor, Tx
 from .parser import parse_expression
 from .state import World
@@ -206,8 +206,11 @@ def _substitute_handles(expr: ast.Expr, handles: dict,
 
 def eval_readonly(world: World, address: int, expr: ast.Expr,
                   handles: Optional[dict] = None):
-    """Evaluate a state expression against one instance without tracing or
-    state changes; calls are rejected."""
+    """The value of a state expression of one instance, compiled against a
+    trace of its own and run under a snapshot, so neither the world's state
+    nor its trace changes. A handle not shadowed by a state variable stands
+    for its address as an integer literal; calls, casts among them, are
+    rejected."""
     if _contains_call(expr):
         raise ScenarioError("calls are not allowed in assert expressions")
     instance = world.instance(address)
@@ -217,12 +220,10 @@ def eval_readonly(world: World, address: int, expr: ast.Expr,
     if isinstance(expr, ast.Ident) and expr.name == "balance" \
             and "balance" not in layout:
         return instance.balance
-    ex = Executor(world)
-    ev = ex.evaluator(address)
+    run = compile_expression(world, address, expr)[0]
     mark = world.snapshot()  # a read of an unseen key records its region
     try:
-        with world.trace.mute():
-            return ev.eval_rvalue(expr)
+        return run(Executor(world).evaluator(address))
     finally:
         world.restore(mark)
 

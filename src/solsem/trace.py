@@ -1,20 +1,20 @@
 """Execution traces: an entry per effectful rule, one per run of pure ones.
 
 Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
-so tests and downstream tooling can grep for them. A rule recorded through
+so tests and downstream tooling can grep for them. Every label is a
+literal in the engine's source, and a test checks each against
+RULE_LABELS, so nothing checks a label per call. A rule recorded through
 `emit` (writes, a call, a transfer, a frame edge, a warning) is one slotted
-`TraceEvent`, holding its rule's Write list uncopied or the shared `()`;
-`emit` checks its label against RULE_LABELS. A pure rule application
-(typing, sizing, E-RV, SEQ, ...) appends its label to a pending list, in a
-C call (`Trace.rules` is the list's `extend`, the only way a pure label
-reaches the trace: the compiler fixes each label, none is checked per
-call); before the next emit, context change or mute, or read of
-`Trace.events`, the pending labels become one `RuleRun` entry (a Coin
-`send`: 36 rules, 9 entries), and those applied while muted are dropped.
-A RuleRun reads as an event with no payload, so the reentrancy detector
-and the replay pass over it; `expand` yields a TraceEvent per rule and
-`len(trace)` counts rules.
-Entries are read-only to every consumer.
+`TraceEvent`, holding its rule's Write list uncopied or the shared `()`. A
+pure rule application (typing, sizing, E-RV, SEQ, ...) appends its label to
+a pending list, in a C call (`Trace.rules` is the list's `extend`, the only
+way a pure label reaches the trace); before the next emit, context change,
+or read of `Trace.events`, the pending labels become one `RuleRun` entry (a
+Coin `send`: 36 rules, 9 entries). A RuleRun reads as an event with no
+payload, so the reentrancy detector and the replay pass over it; `expand`
+yields a TraceEvent per rule and `len(trace)` counts rules.
+Entries are read-only to every consumer. Code that must leave a world's
+trace alone (a scenario assert) is compiled against a `Trace()` of its own.
 
 Serialized form is newline-delimited JSON, one line per rule, written
 straight out as f-strings with no dict per event: keys in sorted order, hex
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-# Every rule label the engine can emit for an applied semantics rule.
+# Every rule label the engine can emit for an applied semantics rule
+# (tests/test_golden.py checks each label literal of the source against it).
 RULE_LABELS = frozenset({
     "VD1", "VD2",
     "ASSIGN", "SEQ", "COND1", "COND2", "WHILE1", "WHILE2",
@@ -124,7 +124,6 @@ class Trace:
         self._pending: list = []  # pure labels not yet in the log
         self._seq: int = 0  # the last seq in the log
         self._ctx: list = [(None, None, None)]  # (addr, fn, frame) tuples
-        self._muted: int = 0
         self.rules = self._pending.extend  # pure rules' labels, one C call
 
     def __setstate__(self, state) -> None:  # a copy extends its own list
@@ -132,11 +131,10 @@ class Trace:
         self.rules = self._pending.extend
 
     def _flush(self) -> None:
-        """Log the pending labels (callers test them first), or drop them."""
+        """Log the pending labels (callers test them first)."""
         pending, seq = self._pending, self._seq
-        if not self._muted:
-            self._log.append(RuleRun(seq + 1, tuple(pending), *self._ctx[-1]))
-            self._seq = seq + len(pending)
+        self._log.append(RuleRun(seq + 1, tuple(pending), *self._ctx[-1]))
+        self._seq = seq + len(pending)
         pending.clear()
 
     # -- context ---------------------------------------------------------------
@@ -167,14 +165,10 @@ class Trace:
     # -- emission ----------------------------------------------------------------
 
     def emit(self, rule: str, writes=(), call=None, value=None, omega=None,
-             note=None) -> Optional[TraceEvent]:
-        """Append and return the event of `rule` in the current context (None
-        while muted). It keeps `writes` uncopied: the caller must not change
-        that list afterwards."""
-        if rule not in RULE_LABELS:
-            raise ValueError(f"unknown rule label {rule!r}")
-        if self._muted:
-            return None
+             note=None) -> TraceEvent:
+        """Append and return the event of `rule` in the current context. It
+        keeps `writes` uncopied: the caller must not change that list
+        afterwards."""
         if self._pending:
             self._flush()
         self._seq = seq = self._seq + 1
@@ -183,20 +177,6 @@ class Trace:
                         omega, note)
         self._log.append(ev)
         return ev
-
-    # -- muting (read-only evaluations such as scenario asserts) -----------------
-
-    @contextmanager
-    def mute(self):
-        """Log no rule applied inside (its pure labels are cleared)."""
-        if self._pending:
-            self._flush()
-        self._muted += 1
-        try:
-            yield
-        finally:
-            self._muted -= 1
-            self._pending.clear()
 
     # -- views --------------------------------------------------------------------
 
@@ -208,7 +188,7 @@ class Trace:
         return self._log
 
     def __len__(self):  # rule applications, not log entries
-        return self._seq + (0 if self._muted else len(self._pending))
+        return self._seq + len(self._pending)
 
     def labels(self) -> set:
         return {ev.rule for ev in expand(self.events)}

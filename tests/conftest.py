@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from solsem import Executor, World, parse
-from solsem.evaluator import Evaluator, LValue, _Compiler
+from solsem.evaluator import Evaluator, LValue, compile_expression
+from solsem.harness import eval_readonly
+from solsem.parser import parse_expression
 
 REPO = Path(__file__).resolve().parent.parent
 CONTRACTS = REPO / "contracts"
@@ -33,13 +35,11 @@ class BoundEvaluator(Evaluator):
     a frame of its own: the instance's base frame is left untouched."""
 
     def __init__(self, ev):
-        super().__init__(ev.executor, ev.address, ev.config)
-        self.locals, self.names = [], {}  # name -> (index, Located)
+        super().__init__(ev.executor, ev.address, ev.config, [])
+        self.names = {}  # name -> (index, Located)
 
-    def _compiler(self):
-        world = self.world
-        info = world.registry[world.instances[self.address].contract_name]
-        return _Compiler(world.registry, world.trace, info, self.names)
+    def type_of(self, e):
+        return _compile(self, e)[1]
 
 
 def bind_local(ev, name: str, located, addr: int) -> BoundEvaluator:
@@ -52,16 +52,29 @@ def bind_local(ev, name: str, located, addr: int) -> BoundEvaluator:
     return ev
 
 
+def _compile(ev, e, lvalue=False):
+    """`e` compiled against the evaluator's instance and bound locals."""
+    return compile_expression(ev.world, ev.address, e,
+                              getattr(ev, "names", None), lvalue)
+
+
 def eval_lvalue(ev, e) -> LValue:
     """The address and type of `e`, compiled against the evaluator."""
-    run, located = ev._compiler().lvalue(e)
+    run, located = _compile(ev, e, lvalue=True)
     return LValue(run(ev), located)
 
 
 def eval_typed(ev, e) -> tuple:
     """(value, SemType) of `e`, compiled against the evaluator."""
-    run, located = ev._compiler().typed(e)
+    run, located = _compile(ev, e)
     return run(ev), located.sem
+
+
+def read(world: World, address: int, text: str):
+    """The value of expression `text` of the instance at `address`, read as
+    a scenario assert reads it: the world's state and trace stay as they
+    are."""
+    return eval_readonly(world, address, parse_expression(text))
 
 
 def make_world(*contract_files: str, options=None) -> World:

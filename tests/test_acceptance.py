@@ -14,8 +14,8 @@ from solsem import typesys
 from solsem.errors import SolsemError
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
-from solsem.harness import detect_reentrancy, dump_layout, parse_scenario, \
-    run_scenario, run_main_contract
+from solsem.harness import detect_reentrancy, dump_layout, eval_readonly, \
+    parse_scenario, run_scenario, run_main_contract
 from solsem.parser import parse_expression
 from solsem.state import decode_value, encode_value
 from solsem.typesys import Address, Bool, Int256, UInt
@@ -43,9 +43,7 @@ def _timed(budget_s):
 
 
 def _read(world, address, text):
-    ev = Executor(world).evaluator(address)
-    with world.trace.mute():
-        return ev.eval_rvalue(parse_expression(text))
+    return eval_readonly(world, address, parse_expression(text))
 
 
 def test_criterion_1_layout_and_aliasing():

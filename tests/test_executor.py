@@ -12,20 +12,13 @@ from solsem.errors import (
 )
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
-from solsem.parser import parse_expression
 from solsem.state import EngineOptions, decode_value
 from solsem.trace import Trace, expand, replay_storage_writes
 from solsem.typesys import UInt
 
-from conftest import deploy, make_world, world_from_source
+from conftest import deploy, make_world, read, world_from_source
 
 U256 = UInt(256)
-
-
-def _read(world, address, text):
-    ev = Executor(world).evaluator(address)
-    with world.trace.mute():
-        return ev.eval_rvalue(parse_expression(text))
 
 
 # -- the aliasing examples -----------------------------------------------------
@@ -38,8 +31,8 @@ def test_foo_overwrites_slots_zero_and_one():
     st = world.instance(address).config.storage
     assert st.read(0, 32) == (7).to_bytes(32, "big")
     assert st.read(32, 32) == (8).to_bytes(32, "big")
-    assert _read(world, address, "a") == 0
-    assert _read(world, address, "b") == 8
+    assert read(world, address, "a") == 0
+    assert read(world, address, "b") == 8
 
 
 def test_foo2_changes_first_row_only():
@@ -86,7 +79,7 @@ def test_declaration_in_a_loop_body_runs_again():
     ex = Executor(world)
     res = ex.run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok
-    assert _read(world, address, "s") == 3
+    assert read(world, address, "s") == 3
     with pytest.raises(DuplicateDeclaration, match="x already declared"):
         world_from_source("""
         contract V { function g() public { uint x = 1; uint x = 2; } }""")
@@ -98,9 +91,9 @@ def test_push_pair_and_length():
     world = make_world("test3.sol")
     address = deploy(world, "Test3")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="foo3"))
-    assert _read(world, address, "a.length") == 2
-    assert _read(world, address, "a[0]") == 10
-    assert _read(world, address, "a[1]") == 11
+    assert read(world, address, "a.length") == 2
+    assert read(world, address, "a[0]") == 10
+    assert read(world, address, "a[1]") == 11
 
 
 def test_push_onto_empty_stores_at_index_zero():
@@ -109,8 +102,8 @@ def test_push_onto_empty_stores_at_index_zero():
       function once() public { xs.push(77); } }""")
     address = deploy(world, "P")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="once"))
-    assert _read(world, address, "xs.length") == 1
-    assert _read(world, address, "xs[0]") == 77
+    assert read(world, address, "xs.length") == 1
+    assert read(world, address, "xs[0]") == 77
 
 
 def test_random_pushes_match_list_oracle():
@@ -126,9 +119,9 @@ def test_random_pushes_match_list_oracle():
         assert ex.run_transaction(Tx(sender=1, to=address, fname="add",
                                      args=(v,))).ok
         model.append(v)
-    assert _read(world, address, "xs.length") == len(model)
+    assert read(world, address, "xs.length") == len(model)
     for i, v in enumerate(model):
-        assert _read(world, address, f"xs[{i}]") == v
+        assert read(world, address, f"xs[{i}]") == v
 
 
 # -- internal calls and guards ---------------------------------------------------------
@@ -139,10 +132,10 @@ def test_mint_guard_blocks_non_minter(coin_world):
     res = ex.run_transaction(Tx(sender=0xBAD, to=address, fname="mint",
                                 args=(0xB0B, 5)))
     assert res.ok  # the guarded early return is not an error
-    assert _read(coin_world, address, "balances[0xB0B]") == 0
+    assert read(coin_world, address, "balances[0xB0B]") == 0
     ex.run_transaction(Tx(sender=0x5EED, to=address, fname="mint",
                           args=(0xB0B, 5)))
-    assert _read(coin_world, address, "balances[0xB0B]") == 5
+    assert read(coin_world, address, "balances[0xB0B]") == 5
 
 
 def test_guard_style_modifier_skips_body():
@@ -157,9 +150,9 @@ def test_guard_style_modifier_skips_body():
     address = deploy(world, "M", sender=0xAA)
     ex = Executor(world)
     ex.run_transaction(Tx(sender=0xBB, to=address, fname="setX", args=(9,)))
-    assert _read(world, address, "x") == 0  # condition false: body skipped
+    assert read(world, address, "x") == 0  # condition false: body skipped
     ex.run_transaction(Tx(sender=0xAA, to=address, fname="setX", args=(9,)))
-    assert _read(world, address, "x") == 9
+    assert read(world, address, "x") == 9
 
 
 def test_general_modifier_runs_the_body_at_its_placeholder():
@@ -172,8 +165,8 @@ def test_general_modifier_runs_the_body_at_its_placeholder():
     }""")
     address = deploy(world, "M")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="bump2"))
-    assert _read(world, address, "x") == 1
-    assert _read(world, address, "log") == 101
+    assert read(world, address, "x") == 1
+    assert read(world, address, "log") == 101
 
 
 # each modifier application is a scope of its own, and runs where it is
@@ -223,7 +216,7 @@ def test_a_modifier_is_a_scope_that_runs_where_it_is_listed(decls, expected):
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok, res.error
     seqs = sum(e.rule == "SEQ" for e in expand(res.events))
-    assert (_read(world, address, "y"), res.value, res.steps, seqs) == \
+    assert (read(world, address, "y"), res.value, res.steps, seqs) == \
         expected
 
 
@@ -249,7 +242,7 @@ def test_each_source_node_runs_once_by_its_own_rule(decls, y):
     address = deploy(world, "C")
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok, res.error
-    assert _read(world, address, "y") == y
+    assert read(world, address, "y") == y
 
 
 def test_a_guard_is_the_if_it_is():
@@ -276,7 +269,7 @@ def test_internal_expression_call_returns_value():
     }""")
     address = deploy(world, "C")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert _read(world, address, "out") == 42
+    assert read(world, address, "out") == 42
 
 
 def test_function_without_return_statement_yields_zero():
@@ -288,7 +281,7 @@ def test_function_without_return_statement_yields_zero():
     }""")
     address = deploy(world, "C")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert _read(world, address, "out") == 5  # 0 + 5
+    assert read(world, address, "out") == 5  # 0 + 5
 
 
 def _rejected(source: str) -> SolTypeError:
@@ -409,7 +402,7 @@ def test_an_external_call_is_typed_by_the_function_it_reaches():
     for fname in ("operand", "value", "condition"):
         res = ex.run_transaction(Tx(sender=1, to=a, fname=fname))
         assert res.ok, (fname, res.error)
-    assert (_read(world, a, "out"), _read(world, a, "kept")) == (42, 42)
+    assert (read(world, a, "out"), read(world, a, "kept")) == (42, 42)
 
 
 def test_a_call_is_typed_by_what_the_functions_of_its_name_return():
@@ -435,7 +428,7 @@ def test_a_call_is_typed_by_what_the_functions_of_its_name_return():
     on_d = deploy(world, "A", args=(deploy(world, "D"),))
     assert ex.run_transaction(Tx(sender=1, to=on_b, fname="value")).ok
     assert ex.run_transaction(Tx(sender=1, to=on_b, fname="typed")).ok
-    assert _read(world, on_b, "out") == 42
+    assert read(world, on_b, "out") == 42
     before = world.storage_fingerprint()
     other = "function g of D returns bool, not uint256"
     for to, fname in ((on_d, "typed"), (on_d, "typedValue")):
@@ -491,7 +484,7 @@ def test_bare_return_unwinds():
     address = deploy(world, "C")
     assert Executor(world).run_transaction(Tx(sender=1, to=address,
                                               fname="f")).ok
-    assert _read(world, address, "x") == 1
+    assert read(world, address, "x") == 1
 
 
 # reference mini-interpreter (explicit return propagation) for loop/return
@@ -592,7 +585,7 @@ def test_return_in_loops_matches_mini_interpreter(case):
     expected = _mini_exec(mini, env)
     assert res.ok
     assert ("ret", res.value) == expected
-    assert _read(world, address, "marker") == env["marker"]
+    assert read(world, address, "marker") == env["marker"]
 
 
 # -- external calls ----------------------------------------------------------------------
@@ -606,7 +599,7 @@ def test_add_to_balance_moves_value_and_credit(dao_world):
     assert res.ok
     assert dao_world.instance(bank).balance == 12
     assert dao_world.instance(attack).balance == 0
-    assert _read(dao_world, bank, f"credit[{attack}]") == 2
+    assert read(dao_world, bank, f"credit[{attack}]") == 2
 
 
 def test_external_call_to_unknown_address_aborts():
@@ -675,7 +668,7 @@ def test_value_zero_fallback_call_runs_body():
     res = ex.run_transaction(Tx(sender=1, to=pinger, fname="ping",
                                 args=(recv,)))
     assert res.ok
-    assert _read(world, recv, "hits") == 1
+    assert read(world, recv, "hits") == 1
     assert world.instance(recv).balance == 0
 
 
@@ -695,12 +688,12 @@ def test_low_level_call_value_is_its_success():
     res = ex.run_transaction(Tx(sender=1, to=payer, fname="pay",
                                 args=(recv,)))
     assert res.ok, res.error
-    assert (_read(world, payer, "funded"), _read(world, payer, "unfunded")) \
+    assert (read(world, payer, "funded"), read(world, payer, "unfunded")) \
         == (True, False)
     # the unfunded call moved nothing and ran no code
     assert (world.instance(recv).balance, world.instance(payer).balance) \
         == (1, 2)
-    assert _read(world, recv, "hits") == 1
+    assert read(world, recv, "hits") == 1
     warns = [e.note for e in res.events if e.rule == "WARN"]
     assert len(warns) == 1 and "low-level call failed" in warns[0]
 
@@ -740,7 +733,7 @@ def test_sequential_transactions_observe_commits(coin_world):
     ex = Executor(coin_world)
     ex.run_transaction(Tx(sender=0xA, to=address, fname="mint", args=(0xB, 5)))
     ex.run_transaction(Tx(sender=0xA, to=address, fname="mint", args=(0xB, 5)))
-    assert _read(coin_world, address, "balances[0xB]") == 10
+    assert read(coin_world, address, "balances[0xB]") == 10
 
 
 def test_abort_restores_bytes_for_runtime_faults():
@@ -783,7 +776,9 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
     "function f() public { b += 1; }":
         "arithmetic on non-numeric types bool/uint256",
     "uint[] d; function f() public { d[0] += [1]; }":
-        "expression has no type: ArrayLit(elements=[IntLit(value=1)])",
+        "an array literal has no type here",
+    "uint[] d; function f() public { a = d.push(1); }":
+        "a push has no type here",
     "function f() public { a = 5; if (a) { a = 6; } }":
         "if condition must be boolean",
     "function f() public { a = 5; while (a) { a = 0; } }":
@@ -1108,7 +1103,7 @@ def test_int256_signed_literals_and_division():
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok, res.error
     # -5 / 2 truncates toward zero: -2; then -3; then 12
-    assert _read(world, address, "z") == 12
+    assert read(world, address, "z") == 12
 
 
 def test_memory_array_local_does_not_touch_storage():
@@ -1125,8 +1120,8 @@ def test_memory_array_local_does_not_touch_storage():
     address = deploy(world, "M")
     ex = Executor(world)
     ex.run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert _read(world, address, "out") == 8
-    assert _read(world, address, "keep") == 0  # slot 0 untouched
+    assert read(world, address, "out") == 8
+    assert read(world, address, "keep") == 0  # slot 0 untouched
 
 
 def test_a_memory_aggregate_declared_with_an_initializer():
@@ -1137,7 +1132,7 @@ def test_a_memory_aggregate_declared_with_an_initializer():
       function f() public { uint[2] memory a = [1, 2]; y = a[1]; } }""")
     address = deploy(world, "M")
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert res.ok and _read(world, address, "y") == 2
+    assert res.ok and read(world, address, "y") == 2
     [vd2] = [e for e in res.events if e.rule == "VD2"]
     at = vd2.writes[0].at
     assert [(w.space, w.at, w.data) for w in vd2.writes] == [
@@ -1157,8 +1152,8 @@ def test_string_state_roundtrip_and_equality():
       } }""")
     address = deploy(world, "S")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert _read(world, address, "matched") == 1
-    assert _read(world, address, "greeting") == \
+    assert read(world, address, "matched") == 1
+    assert read(world, address, "greeting") == \
         "longer than thirty two bytes, definitely"
 
 
@@ -1171,7 +1166,7 @@ def test_string_parameter_binds_in_memory():
     res = Executor(world).run_transaction(
         Tx(sender=1, to=address, fname="set", args=("salut",)))
     assert res.ok, res.error
-    assert _read(world, address, "kept") == "salut"
+    assert read(world, address, "kept") == "salut"
 
 
 def test_nested_mapping_addresses_compose():
@@ -1181,8 +1176,8 @@ def test_nested_mapping_addresses_compose():
       function f() public { grid[3][4] = 7; } }""")
     address = deploy(world, "N")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert _read(world, address, "grid[3][4]") == 7
-    assert _read(world, address, "grid[3][5]") == 0
+    assert read(world, address, "grid[3][4]") == 7
+    assert read(world, address, "grid[3][5]") == 0
     from keccak_oracle import keccak256_oracle_int
     outer = keccak256_oracle_int((0).to_bytes(32, "big") +
                                  (3).to_bytes(32, "big"))
@@ -1204,4 +1199,4 @@ def test_dyn_array_of_sub_slot_elements_uses_one_slot_each():
     storage = world.instance(address).config.storage
     assert decode_value(storage.read(h * 32, 16), typesys.UInt(128)) == 5
     assert decode_value(storage.read((h + 1) * 32, 16), typesys.UInt(128)) == 6
-    assert _read(world, address, "xs[1]") == 6
+    assert read(world, address, "xs[1]") == 6

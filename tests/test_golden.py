@@ -10,7 +10,9 @@ purpose regenerates the table and says why:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import ast as pyast
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -19,6 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from solsem import evaluator, typesys
 from solsem.cli import main
 from solsem.trace import RULE_LABELS
 
@@ -78,13 +81,77 @@ def test_every_fixture_run_matches_its_pinned_digests():
     assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
+@functools.cache
+def _fixture_labels() -> frozenset:
+    """Every rule label in the fixture runs' traces."""
+    return frozenset(json.loads(line)["rule"] for *_, trace in _each_run()
+                     if trace is not None for line in trace.splitlines())
+
+
 def test_every_rule_label_in_the_fixture_traces_is_known():
-    # `emit` checks its label; pure labels reach the trace through
-    # `Trace.rules`, which checks none
-    labels = {json.loads(line)["rule"] for *_, trace in _each_run()
-              if trace is not None for line in trace.splitlines()}
+    labels = _fixture_labels()
     assert {"Size1", "SR1", "Type3", "E-RV", "VD1"} <= labels
     assert labels - RULE_LABELS == set()
+
+
+def _strings(node) -> set:
+    return {n.value for n in pyast.walk(node)
+            if isinstance(n, pyast.Constant) and isinstance(n.value, str)}
+
+
+def _names(nodes) -> set:
+    return {n.id for node in nodes for n in pyast.walk(node)
+            if isinstance(n, pyast.Name)}
+
+
+def _targets(node) -> list:
+    """What an assignment assigns to; nothing for any other node."""
+    if isinstance(node, pyast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, pyast.AugAssign) else []
+
+
+def _source_labels() -> set:
+    """The string constants of `src/solsem` that can reach a trace as rule
+    labels: in the first argument of each `emit(...)` or `rules(...)` call
+    (both branches of a conditional label too), in what a function assigns
+    to a name it passes there, and in the label tuples `_access`,
+    `typesys.sized` and `typesys.packed` build."""
+    labels: set = set()
+    for path in sorted((REPO / "src" / "solsem").glob("*.py")):
+        for fn in pyast.walk(pyast.parse(path.read_text())):
+            if not isinstance(fn, pyast.FunctionDef):
+                continue
+            nodes = list(pyast.walk(fn))
+            firsts = [n.args[0] for n in nodes
+                      if isinstance(n, pyast.Call) and n.args
+                      and getattr(n.func, "attr", getattr(n.func, "id", None))
+                      in ("emit", "rules")]
+            sinks = _names(firsts)
+            for node in firsts:
+                labels |= _strings(node)
+            for node in nodes:
+                if sinks & _names(_targets(node)):
+                    labels |= _strings(node.value)
+                elif fn.name in ("_access", "sized", "packed") \
+                        and isinstance(node, pyast.Tuple):
+                    labels |= _strings(node)
+    return labels
+
+
+def _flat(x) -> set:
+    """The strings of a string or of nested tuples of them."""
+    return {x} if isinstance(x, str) else {s for y in x for s in _flat(y)}
+
+
+def test_every_rule_label_in_the_source_is_known():
+    # nothing checks a label as it is recorded, so each literal is checked here
+    labels = _source_labels() | _flat([
+        *evaluator._ACCESS_RULES.values(), *evaluator._LENGTH_RULES.values(),
+        *(labels for _, labels in typesys._FIXED_SIZES.values())])
+    assert labels - RULE_LABELS == set()
+    # the scan finds every label a fixture run records
+    assert _fixture_labels() <= labels
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from solsem.parser import parse_expression
 from solsem.state import World
 
 from conftest import (
-    contract_source, deploy, make_world, scenario_source, world_from_source,
+    contract_source, deploy, make_world, read, scenario_source,
+    world_from_source,
 )
 from reentrancy_oracle import detect_reentrancy as oracle_detect_reentrancy
 
@@ -50,11 +51,8 @@ def test_coin_scenario_matches_hand_simulation():
     world, outcome = _run("coin.sol", "coin.scn")
     assert outcome.assertions_ok
     coin = outcome.handles["coin"]
-    ev = Executor(world).evaluator(coin)
-    from solsem.parser import parse_expression
-    with world.trace.mute():
-        assert ev.eval_rvalue(parse_expression("balances[0xB0B]")) == 2
-        assert ev.eval_rvalue(parse_expression("balances[0xCA7]")) == 3
+    assert read(world, coin, "balances[0xB0B]") == 2
+    assert read(world, coin, "balances[0xCA7]") == 3
 
 
 def test_scenario_halts_on_hard_error():
@@ -99,20 +97,17 @@ def test_main_contract_mode():
     assert outcome.assertions_ok
     assert not outcome.halted
     main = outcome.handles["main"]
-    ev = Executor(world).evaluator(main)
-    from solsem.parser import parse_expression
-    with world.trace.mute():
-        assert ev.eval_rvalue(parse_expression("m2[7]")) == 4
-        assert ev.eval_rvalue(parse_expression("m2[8]")) == 5
-        assert ev.eval_rvalue(parse_expression("arr[1]")) == 5
-        assert ev.eval_rvalue(parse_expression("arr[2]")) == 6
-        assert ev.eval_rvalue(parse_expression("da[0]")) == 41
-        assert ev.eval_rvalue(parse_expression("da[1]")) == 42
-        assert ev.eval_rvalue(parse_expression("s.x")) == 3
-        assert ev.eval_rvalue(parse_expression("s.y")) == 4
-        assert ev.eval_rvalue(parse_expression("blob.big")) == 9
-        assert ev.eval_rvalue(parse_expression("blob.lanes[2]")) == 11
-        assert ev.eval_rvalue(parse_expression("flag")) is True
+    assert read(world, main, "m2[7]") == 4
+    assert read(world, main, "m2[8]") == 5
+    assert read(world, main, "arr[1]") == 5
+    assert read(world, main, "arr[2]") == 6
+    assert read(world, main, "da[0]") == 41
+    assert read(world, main, "da[1]") == 42
+    assert read(world, main, "s.x") == 3
+    assert read(world, main, "s.y") == 4
+    assert read(world, main, "blob.big") == 9
+    assert read(world, main, "blob.lanes[2]") == 11
+    assert read(world, main, "flag") is True
 
 
 def test_scenario_parse_errors_are_located():
@@ -345,6 +340,24 @@ def test_assert_read_of_an_unseen_key_changes_no_state():
     assert eval_readonly(world, coin, parse_expression("balances[0xB]")) == 0
     assert world.storage_fingerprint() == before
     assert world.journal == []
+
+
+def test_an_assert_leaves_the_trace_alone_with_labels_pending():
+    # the assert compiles against a trace of its own: the world's log, its
+    # pending labels and its storage are as they were
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin")
+    trace = world.trace
+    trace.rules(("SEQ",))
+
+    def state():
+        return (len(trace), len(trace._log), list(trace._pending),
+                world.storage_fingerprint())
+    before = state()
+    assert before[2] == ["SEQ"]
+    assert eval_readonly(world, coin, parse_expression("balances[0xB] + 1")) \
+        == 1
+    assert state() == before
 
 
 # -- determinism ----------------------------------------------------------------------

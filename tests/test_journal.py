@@ -9,22 +9,15 @@ import solsem.keccak
 from solsem.errors import SolsemError, TxAborted
 from solsem.executor import Executor, Tx
 from solsem.keccak import keccak256_int
-from solsem.parser import parse_expression
 from solsem.state import World, key_encoder
 from solsem.typesys import Address
 
-from conftest import make_world
+from conftest import make_world, read
 from keccak_oracle import keccak256_oracle_int
 
 
 class InjectedFault(SolsemError):
     pass
-
-
-def _read(world, address, text):
-    ev = Executor(world).evaluator(address)
-    with world.trace.mute():
-        return ev.eval_rvalue(parse_expression(text))
 
 
 def _fault(spec):
@@ -225,7 +218,7 @@ def test_each_slot_is_hashed_once_per_world(monkeypatch):
 
     world, coin = world_with_balance()
     for _ in range(3):
-        assert _read(world, coin, "balances[0xB]") == 5
+        assert read(world, coin, "balances[0xB]") == 5
     assert len(calls) == 1
     world_with_balance()
     assert len(calls) == 2
@@ -249,4 +242,4 @@ def test_flipping_hash_order_derives_the_other_slot():
         assert ex.run_transaction(Tx(sender=MINTER, to=coin, fname="mint",
                                      args=(0xB, 5))).ok
         assert set(hashed) == set(expected[:n])
-        assert _read(world, coin, "balances[0xB]") == 5
+        assert read(world, coin, "balances[0xB]") == 5

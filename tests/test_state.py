@@ -21,7 +21,7 @@ from solsem.state import (
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
 from conftest import (
-    bind_local, contract_source, deploy, eval_lvalue, make_world,
+    bind_local, contract_source, deploy, eval_lvalue, make_world, read,
     world_from_source,
 )
 
@@ -212,8 +212,7 @@ def test_alloc_fresh_addresses_are_disjoint():
 
 def _lookup(ev, name: str):
     """Where `name` resolves against the evaluator's bound locals."""
-    with ev.world.trace.mute():
-        return eval_lvalue(ev, parse_expression(name))
+    return eval_lvalue(ev, parse_expression(name))
 
 
 def test_lookup_shadowing_and_pop():
@@ -249,9 +248,7 @@ def test_scope_stack_restores_bindings():
     address = deploy(world, "C")
     res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
     assert res.ok and res.value == 5
-    with world.trace.mute():
-        assert Executor(world).evaluator(address).eval_rvalue(
-            parse_expression("seen")) == 0
+    assert read(world, address, "seen") == 0
     assert world.instance(address).config.memory.scopes == [[]]
 
 

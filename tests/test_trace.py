@@ -5,7 +5,6 @@ the consumers' oracles over its expansion."""
 import copy
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from solsem.errors import TxAborted
@@ -113,13 +112,6 @@ def test_ndjson_matches_the_dict_oracle():
     _drawn_entries_match()
 
 
-def test_an_unknown_rule_label_raises_and_appends_nothing():
-    trace = Trace()
-    with pytest.raises(ValueError, match="NOPE"):
-        trace.emit("NOPE")
-    assert trace.events == []
-
-
 def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
     trace = Trace()
     trace.rules(("Type3",))
@@ -163,7 +155,7 @@ _coin_txs = st.lists(st.tuples(
     st.sampled_from(("mint", "send")), st.sampled_from(_USERS),
     st.sampled_from(_USERS), st.integers(0, 30),
     st.one_of(st.none(), st.integers(1, 6)),  # the statement that faults
-    st.booleans()), max_size=10)  # a muted read after the tx
+    st.booleans()), max_size=10)  # an assert's read after the tx
 
 
 def _check_log(world) -> None:
@@ -192,7 +184,7 @@ def _random_logs_match_the_oracles(txs, bank_value):
         world.options.step_hook = hook if fault else None
         ex.run_transaction(Tx(sender=sender, to=coin, fname=fname,
                               args=(to, amount)))
-        if peek:  # labels applied while muted never reach the log
+        if peek:  # an assert's labels go to a trace of its own
             n, entries = len(world.trace), len(world.trace.events)
             eval_readonly(world, coin, read)
             assert (len(world.trace), len(world.trace.events)) == (n, entries)
