@@ -8,12 +8,13 @@ slice for observability, marked TX-ABORT). Either way the journal is emptied
 when the transaction ends, so it never holds more than one transaction.
 
 A named external call (E-FUN1) and a low-level call that runs the fallback
-(E-FUN2) share one routine, `Executor.external_call`. It threads the ambient
-Msg through a save/restore stack and pushes the caller context onto the
-callee's omega stack; the pop on return emits SKIP2, and expression
-statements completing with an empty omega emit SKIP1. A named call whose
-value is taken checks that the function it reaches returns the type the
-compiler gave the call.
+(E-FUN2) share one routine, `Executor.external_call`. It moves the wei in one
+`World.transfer`, threads the ambient Msg through a save/restore stack and
+pushes the caller onto the callee's omega stack; the pop on return is SKIP2.
+Each frame edge (TX-START, I-FUN/E-FUN, E-FUN1/E-FUN2, SKIP2) is one call,
+`Trace.enter` or `Trace.leave`. Expression statements completing with an
+empty omega emit SKIP1. A named call whose value is taken checks that the
+function it reaches returns the type the compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled:
 `call_internal` makes a frame of the size registration laid out and runs
@@ -43,7 +44,7 @@ from .errors import (
 # the wrapper it installs reaches every module that names it
 from .evaluator import Evaluator, slot_of_dyn  # noqa: F401
 from .state import FunctionInfo, Msg, World
-from .trace import CallInfo
+from .trace import CallInfo, _new
 
 
 @dataclass
@@ -139,15 +140,15 @@ class Executor:
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
         start = len(trace.events)  # log entries, not rules
-        world.msg = Msg(tx.sender, tx.value, tx.gas)
+        world.msg = _new(Msg, (tx.sender, tx.value, tx.gas))
         world.msg_stack = []
         world.stmt_steps = 0
         deploying = kind == "deploy"
-        trace.push_context(tx.to, None if deploying else tx.fname,
-                           next(world.frame_ids))
-        trace.emit("TX-START", call=CallInfo(kind, tx.to, tx.fname,
-                                             tuple(tx.args), tx.value, tx.gas),
-                   value=None if deploying else tx.value or None)
+        trace.enter("TX-START", tx.to, None if deploying else tx.fname,
+                    next(world.frame_ids),
+                    _new(CallInfo, (kind, tx.to, tx.fname, tuple(tx.args),
+                                    tx.value, tx.gas)),
+                    None if deploying else tx.value or None)
         try:
             value = body()
             trace.emit("TX-END")
@@ -194,9 +195,9 @@ class Executor:
         world.call_depth += 1
         display = fn.name or "()"
         trace = world.trace
-        trace.push_context(address, display)
-        trace.emit("E-FUN" if expression else "I-FUN", call=CallInfo(
-            call_kind, address, display, tuple(values)))
+        trace.enter("E-FUN" if expression else "I-FUN", address, display, None,
+                    _new(CallInfo, (call_kind, address, display,
+                                    tuple(values), None, None)))
         memory = config.memory
         scopes = memory.scopes
         scopes.append(frame)
@@ -208,7 +209,7 @@ class Executor:
             scopes.pop()
             if len(scopes) == 1:  # its last live frame: memory is freed
                 memory.words.clear()
-            trace.pop_context()
+            trace.leave()
             world.call_depth -= 1
 
     def external_call(self, ev: Evaluator, target: int, name: Optional[str],
@@ -262,8 +263,7 @@ class Executor:
                 f"{caller_inst.balance} wei, needs {m}"))
             world.warnings.append("low-level call failed: insufficient balance")
             return False
-        world.credit(caller_inst, -m)
-        world.credit(callee_inst, m)
+        world.transfer(caller_inst, callee_inst, m)
         if not named:
             fn = callee_info.fallback
             if fn is None:
@@ -276,12 +276,12 @@ class Executor:
         callee_config = callee_inst.config
         callee_config.omega.append(caller)
         world.msg_stack.append(world.msg)
-        world.msg = Msg(caller, m, n)
+        world.msg = _new(Msg, (caller, m, n))
         display = fn.name or "()"
-        world.trace.push_context(target, display, next(world.frame_ids))
-        world.trace.emit("E-FUN1" if named else "E-FUN2",
-                         call=CallInfo(kind, target, display, values, m, n),
-                         value=m, omega=len(callee_config.omega))
+        world.trace.enter("E-FUN1" if named else "E-FUN2", target, display,
+                          next(world.frame_ids),
+                          _new(CallInfo, (kind, target, display, values, m, n)),
+                          m, len(callee_config.omega))
         try:
             value = self.call_internal(target, fn, values,
                                        expression=named and expression,
@@ -289,8 +289,7 @@ class Executor:
         finally:
             world.msg = world.msg_stack.pop()
             callee_config.omega.pop()
-            world.trace.emit("SKIP2", omega=len(callee_config.omega))
-            world.trace.pop_context()
+            world.trace.leave("SKIP2", omega=len(callee_config.omega))
         return value if named else True
 
 

@@ -18,7 +18,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast, evaluator, typesys
 from .errors import (
@@ -180,8 +180,7 @@ class MemoryState(ByteStore):
         return addr
 
 
-@dataclass
-class Msg:
+class Msg(NamedTuple):  # the executor builds it through tuple.__new__
     sender: int
     value: int = 0
     gas: int = 0
@@ -358,6 +357,13 @@ class World:
         """Add `amount` wei (negative for a debit) to an instance's balance."""
         self.journal.append((setattr, instance, "balance", instance.balance))
         instance.balance += amount
+
+    def transfer(self, src: Instance, dst: Instance, m: int) -> None:
+        """Move m wei from src to dst; the caller has checked src's balance."""
+        self.journal.extend(((setattr, src, "balance", src.balance),
+                             (setattr, dst, "balance", dst.balance)))
+        src.balance -= m
+        dst.balance += m
 
     def derived_slot(self, derive, *args) -> int:
         """`derive(*args)` for a pure slot function, computed once per World.

@@ -4,17 +4,20 @@ Rule labels follow the source rule names (VD1, ASSIGN, E-FUN1, SKIP2, ...)
 so tests and downstream tooling can grep for them. Every label is a
 literal in the engine's source, and a test checks each against
 RULE_LABELS, so nothing checks a label per call. A rule recorded through
-`emit` (writes, a call, a transfer, a frame edge, a warning) is one slotted
-`TraceEvent`, holding its rule's Write list uncopied or the shared `()`. A
-pure rule application (typing, sizing, E-RV, SEQ, ...) appends its label to
-a pending list, in a C call (`Trace.rules` is the list's `extend`, the only
-way a pure label reaches the trace); before the next emit, context change,
-or read of `Trace.events`, the pending labels become one `RuleRun` entry (a
-Coin `send`: 36 rules, 9 entries). A RuleRun reads as an event with no
-payload, so the reentrancy detector and the replay pass over it; `expand`
-yields a TraceEvent per rule and `len(trace)` counts rules.
-Entries are read-only to every consumer. Code that must leave a world's
-trace alone (a scenario assert) is compiled against a `Trace()` of its own.
+`emit` (writes, a transfer, a warning) is one slotted `TraceEvent`, holding
+its rule's Write list uncopied or the shared `()`. A frame edge is one call:
+`enter` pushes a context and logs the event that opens it (TX-START, I-FUN,
+E-FUN, E-FUN1, E-FUN2), `leave` logs the one that closes it (SKIP2), if
+any, and pops. A pure rule application (typing, sizing, E-RV, SEQ, ...)
+appends its label to a pending list, in a C call (`Trace.rules` is the
+list's `extend`, the only way a pure label reaches the trace); before the
+next event, frame edge or read of `Trace.events`, the pending labels become
+one `RuleRun` entry (a Coin `send`: 36 rules, 9 entries), a NamedTuple built
+in C. It reads as an event with no payload, so the reentrancy detector and
+the replay pass over it; `expand` yields a TraceEvent per rule and
+`len(trace)` counts rules. Entries are read-only to every consumer. Code
+that must leave a world's trace alone (a scenario assert) is compiled
+against a `Trace()` of its own.
 
 Serialized form is newline-delimited JSON, one line per rule, written
 straight out as f-strings with no dict per event: keys in sorted order, hex
@@ -51,6 +54,7 @@ RULE_LABELS = frozenset({
 
 # the C string escaper json.dumps uses (ensure_ascii)
 _esc = json.encoder.encode_basestring_ascii
+_new = tuple.__new__  # a NamedTuple from all its fields, no Python call
 
 
 def _int(x) -> str:
@@ -69,8 +73,8 @@ class Write:
                 "bytes": "0x" + self.data.hex()}
 
 
-@dataclass(slots=True)
-class CallInfo:
+# built and read positionally (`_new`, `to_ndjson`): keep this field order
+class CallInfo(NamedTuple):
     kind: str  # 'tx' | 'internal' | 'external' | 'fallback'
     to: Optional[int] = None
     fn: Optional[str] = None
@@ -79,7 +83,8 @@ class CallInfo:
     gas: Optional[int] = None
 
 
-# `Trace.emit` builds events positionally: it depends on this field order
+# built positionally: keep this field order. Slotted, not a NamedTuple: the
+# report reads each field, and a slot reads faster than a tuple's field
 @dataclass(slots=True)
 class TraceEvent:
     seq: int
@@ -133,22 +138,36 @@ class Trace:
     def _flush(self) -> None:
         """Log the pending labels (callers test them first)."""
         pending, seq = self._pending, self._seq
-        self._log.append(RuleRun(seq + 1, tuple(pending), *self._ctx[-1]))
+        self._log.append(_new(RuleRun, (seq + 1, tuple(pending),
+                                        *self._ctx[-1])))
         self._seq = seq + len(pending)
         pending.clear()
 
-    # -- context ---------------------------------------------------------------
+    # -- frame edges -------------------------------------------------------------
 
-    def push_context(self, addr, fn, frame=None):
+    def enter(self, rule: str, addr, fn, frame, call, value=None,
+              omega=None) -> None:
+        """Log the pending labels, push (addr, fn, frame), a None frame
+        inheriting the enclosing one, and log `rule`'s event in it."""
         if self._pending:
             self._flush()
         if frame is None:
             frame = self._ctx[-1][2]
         self._ctx.append((addr, fn, frame))
+        self._seq = seq = self._seq + 1
+        self._log.append(TraceEvent(seq, rule, addr, fn, frame, (), call,
+                                    value, omega, None))
 
-    def pop_context(self):
+    def leave(self, rule: Optional[str] = None, omega=None) -> None:
+        """Close the innermost frame: log its pending labels and then
+        `rule`'s event, if one is given, in its own context, then pop it."""
         if self._pending:
             self._flush()
+        if rule is not None:
+            self._seq = seq = self._seq + 1
+            addr, fn, frame = self._ctx[-1]
+            self._log.append(TraceEvent(seq, rule, addr, fn, frame, (), None,
+                                        None, omega, None))
         self._ctx.pop()
 
     @property
@@ -164,8 +183,7 @@ class Trace:
 
     # -- emission ----------------------------------------------------------------
 
-    def emit(self, rule: str, writes=(), call=None, value=None, omega=None,
-             note=None) -> TraceEvent:
+    def emit(self, rule: str, writes=(), value=None, note=None) -> TraceEvent:
         """Append and return the event of `rule` in the current context. It
         keeps `writes` uncopied: the caller must not change that list
         afterwards."""
@@ -173,8 +191,8 @@ class Trace:
             self._flush()
         self._seq = seq = self._seq + 1
         addr, fn, frame = self._ctx[-1]
-        ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), call, value,
-                        omega, note)
+        ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), None, value,
+                        None, note)
         self._log.append(ev)
         return ev
 
@@ -212,20 +230,21 @@ class Trace:
                 head = "{\"addr\": " + ("null" if addr is None
                                         else f'"{addr:#x}"') + ", "
                 if call is not None:
+                    kind, to, cfn, args, cvalue, gas = call
                     c = []
-                    if call.args:
+                    if args:
                         c.append('"args": ['
-                                 + ", ".join([esc(str(a)) for a in call.args])
+                                 + ", ".join([esc(str(a)) for a in args])
                                  + "]")
-                    if call.fn is not None:
-                        c.append(f'"fn": {esc(call.fn)}')
-                    if call.gas is not None:
-                        c.append(f'"gas": {_int(call.gas)}')
-                    c.append(f'"kind": {esc(call.kind)}')
-                    if call.to is not None:
-                        c.append(f'"to": "{call.to:#x}"')
-                    if call.value is not None:
-                        c.append(f'"value": {_int(call.value)}')
+                    if cfn is not None:
+                        c.append(f'"fn": {esc(cfn)}')
+                    if gas is not None:
+                        c.append(f'"gas": {_int(gas)}')
+                    c.append(f'"kind": {esc(kind)}')
+                    if to is not None:
+                        c.append(f'"to": "{to:#x}"')
+                    if cvalue is not None:
+                        c.append(f'"value": {_int(cvalue)}')
                     head += '"call": {' + ", ".join(c) + "}, "
                 head += '"fn": ' + ("null" if fn is None else esc(fn)) + ", "
                 if frame is not None:

@@ -352,6 +352,11 @@ def key_encoder(t: SemType):
         enc, size = key_encoder(t.elem), size_of(t.elem)
         return lambda v: b"".join([enc(x)[-size:] for x in v]).rjust(
             SLOT, b"\x00")
+    if isinstance(t, (UInt, Address, Contract)):
+        bound = 1 << (t.width if isinstance(t, UInt) else 160)
+        # encode_value's range test, inlined: it is called only to raise
+        return lambda v: v.to_bytes(SLOT, "big") if 0 <= v < bound \
+            else encode_value(v, t)
     return lambda v: encode_value(v, t).rjust(SLOT, b"\x00")
 
 

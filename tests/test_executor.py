@@ -8,7 +8,7 @@ import pytest
 
 from solsem import typesys
 from solsem.errors import (
-    DuplicateDeclaration, SolsemError, SolTypeError, TxAborted,
+    DuplicateDeclaration, RangeError, SolsemError, SolTypeError, TxAborted,
 )
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
@@ -949,21 +949,22 @@ def _stack_depth() -> int:
 def test_a_reentrant_round_costs_twelve_python_frames(dao_world, monkeypatch):
     # reentrant nesting is bounded by the Python stack (ROADMAP item 1), so
     # a frame more per round lowers the deepest drain that completes; the
-    # depth between successive E-FUN1 events does not depend on the runner
+    # depth between successive E-FUN1 frame edges does not depend on the
+    # runner
     depths = []
-    emit = Trace.emit
+    enter = Trace.enter
 
     def recording(trace, rule, *args, **kwargs):
         if rule == "E-FUN1":
             depths.append(_stack_depth())
-        return emit(trace, rule, *args, **kwargs)
+        return enter(trace, rule, *args, **kwargs)
 
     ex = Executor(dao_world)
     bank = ex.deploy("Bank", value=100)
     attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
     assert ex.run_transaction(Tx(sender=0xB, to=attack,
                                  fname="addToBalance")).ok
-    monkeypatch.setattr(Trace, "emit", recording)
+    monkeypatch.setattr(Trace, "enter", recording)
     res = ex.run_transaction(Tx(sender=0xB, to=attack,
                                 fname="withdrawBalance"))
     assert res.ok and dao_world.instance(bank).balance == 0
@@ -1043,8 +1044,8 @@ def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
     assert calls[1] - calls[0] == REENTRANT_ROUND_CALLS
 
 
-COIN_SEND_CALLS = 88
-REENTRANT_ROUND_CALLS = 92
+COIN_SEND_CALLS = 78
+REENTRANT_ROUND_CALLS = 73
 
 
 def test_call_depth_cap():
@@ -1185,6 +1186,33 @@ def test_nested_mapping_addresses_compose():
                                  (4).to_bytes(32, "big"))
     storage = world.instance(address).config.storage
     assert decode_value(storage.read(inner * 32, 32), U256) == 7
+
+
+@pytest.mark.parametrize("key_t, top", [
+    (UInt(8), 255), (U256, (1 << 256) - 1),
+    (typesys.Address(), (1 << 160) - 1),
+    (typesys.Contract("Coin"), (1 << 160) - 1)])
+def test_a_key_encoder_gives_the_bytes32_of_encode_value(key_t, top):
+    # a uint, address or contract key skips encode_value when it is in range
+    for key in (0, top):
+        assert typesys.key_encoder(key_t)(key) == \
+            typesys.encode_value(key, key_t).rjust(32, b"\x00")
+
+
+def test_a_mapping_key_out_of_range_aborts_and_rolls_back():
+    world = world_from_source("""
+    contract K {
+      mapping(uint8 => uint) m; uint y;
+      function f(uint x) public { y = 1; m[x] = 2; } }""")
+    address = deploy(world, "K")
+    ex, before = Executor(world), world.storage_fingerprint()
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="f", args=(256,)))
+    assert not res.ok and isinstance(res.error.cause, RangeError)
+    assert str(res.error.cause) == "256 out of range for uint8"
+    assert world.storage_fingerprint() == before
+    assert ex.run_transaction(Tx(sender=1, to=address, fname="f",
+                                 args=(255,))).ok
+    assert read(world, address, "m[255]") == 2
 
 
 def test_dyn_array_of_sub_slot_elements_uses_one_slot_each():

@@ -113,10 +113,10 @@ def _targets(node) -> list:
 
 def _source_labels() -> set:
     """The string constants of `src/solsem` that can reach a trace as rule
-    labels: in the first argument of each `emit(...)` or `rules(...)` call
-    (both branches of a conditional label too), in what a function assigns
-    to a name it passes there, and in the label tuples `_access`,
-    `typesys.sized` and `typesys.packed` build."""
+    labels: in the first argument of each `emit(...)`, `rules(...)`,
+    `enter(...)` or `leave(...)` call (both branches of a conditional label
+    too), in what a function assigns to a name it passes there, and in the
+    label tuples `_access`, `typesys.sized` and `typesys.packed` build."""
     labels: set = set()
     for path in sorted((REPO / "src" / "solsem").glob("*.py")):
         for fn in pyast.walk(pyast.parse(path.read_text())):
@@ -126,7 +126,7 @@ def _source_labels() -> set:
             firsts = [n.args[0] for n in nodes
                       if isinstance(n, pyast.Call) and n.args
                       and getattr(n.func, "attr", getattr(n.func, "id", None))
-                      in ("emit", "rules")]
+                      in ("emit", "rules", "enter", "leave")]
             sinks = _names(firsts)
             for node in firsts:
                 labels |= _strings(node)

@@ -5,7 +5,10 @@ the consumers' oracles over its expansion."""
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import solsem.trace
 
 from solsem.errors import TxAborted
 from solsem.executor import Executor, Tx
@@ -146,6 +149,54 @@ def test_pure_labels_a_callee_applies_last_are_logged_in_its_context():
     [cond] = [ev for ev in events if ev.rule == "COND2"]
     [assign] = [ev for ev in events if ev.rule == "ASSIGN"]
     assert (cond.fn, assign.fn) == ("g", "f") and cond.seq < assign.seq
+
+
+def _context(trace) -> tuple:
+    """The innermost (addr, fn, frame), read off an event logged in it."""
+    ev = trace.emit("WARN")
+    return ev.addr, ev.fn, ev.frame
+
+
+def test_frame_edges_log_as_a_push_and_emit_and_an_emit_and_pop():
+    trace = Trace()
+    trace.rules(("SEQ", "E-RV"))
+    tx = CallInfo("tx", 0x10, "f", (1,), 3, 0)
+    trace.enter("TX-START", 0x10, "f", 7, tx, 3)
+    # the pending labels are one RuleRun in the caller's context, then the
+    # opening event is logged in the new one
+    assert trace.events == [RuleRun(1, ("SEQ", "E-RV"), None, None, None),
+                            TraceEvent(3, "TX-START", 0x10, "f", 7, (), tx, 3)]
+    assert trace.depth == 2
+    internal = CallInfo("internal", 0x10, "g", (), None, None)
+    trace.enter("I-FUN", 0x10, "g", None, internal)  # inherits frame 7
+    assert trace.events[-1] == TraceEvent(4, "I-FUN", 0x10, "g", 7, (),
+                                          internal)
+    trace.rules(("COND2",))
+    trace.leave()  # g's pending label is logged as g's; no event
+    assert trace.events[-1] == RuleRun(5, ("COND2",), 0x10, "g", 7)
+    assert (trace.depth, _context(trace)) == (2, (0x10, "f", 7))
+    external = CallInfo("external", 0x20, "h", (), 0, 0)
+    trace.enter("E-FUN1", 0x20, "h", 8, external, 0, 1)
+    trace.rules(("SEQ",))
+    trace.leave("SKIP2", omega=0)  # logged in the callee's context
+    assert trace.events[-2:] == [
+        RuleRun(8, ("SEQ",), 0x20, "h", 8),
+        TraceEvent(9, "SKIP2", 0x20, "h", 8, omega=0)]
+    assert (trace.depth, _context(trace)) == (2, (0x10, "f", 7))
+
+
+def test_unwind_after_a_failed_enter_restores_the_depth(monkeypatch):
+    trace = Trace()
+    depth = trace.depth
+
+    def failing(*args):
+        raise RuntimeError("no event")
+    monkeypatch.setattr(solsem.trace, "TraceEvent", failing)
+    with pytest.raises(RuntimeError):
+        trace.enter("E-FUN1", 0x20, "h", 8, None)
+    monkeypatch.undo()
+    trace.unwind(depth)
+    assert (trace.depth, _context(trace)) == (depth, (None, None, None))
 
 
 # -- the log of RuleRuns against the consumers' oracles ----------------------------
