@@ -29,6 +29,7 @@ from .harness import (
 from .executor import Executor
 from .parser import parse
 from .state import EngineOptions, World
+from .trace import committed
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -157,8 +158,9 @@ def _cmd_run(args) -> int:
                 mark = "ok" if r.ok else "FAIL"
                 detail = f"  ({r.detail})" if r.detail else ""
                 print(f"[{mark}] {r.description}{detail}")
-            for warning in world.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+            for ev in committed(world.trace.events):
+                if ev.rule == "WARN":
+                    print(f"warning: {ev.note}", file=sys.stderr)
             for f in findings:
                 path = " -> ".join(f"{a:#x}.{fn}" for a, fn in f.path)
                 print(f"REENTRANCY {f.victim:#x}.{f.fn}: reentered at event "

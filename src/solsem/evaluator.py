@@ -782,15 +782,15 @@ class _Compiler:
         name, sem, emit = s.name, located.sem, self.emit
         if isinstance(sem, typesys.Ref):  # a storage pointer
             init = self.lvalue(s.init)[0] if s.init else None
-            warning = f"uninitialized storage pointer {name}"
+            note = (f"uninitialized storage pointer {name} references "
+                    f"storage slot 0")
 
             def run(ev):
                 if init is not None:
                     addr = init(ev)
                 else:
                     addr = 0  # aliases storage slot 0
-                    ev.world.warnings.append(warning)
-                    emit("WARN", note=f"{warning} references storage slot 0")
+                    emit("WARN", note=note)
                 ev.locals[i] = addr
                 emit("VD2")
             return run

@@ -3,9 +3,11 @@
 Transactions are atomic: every change to persistent state appends an undo
 record to the world's journal, and on any exception the bracket replays the
 transaction's records backwards, so an aborted transaction leaves no trace in
-storage, balances, instances or warnings (the event log keeps the aborted
-slice for observability, marked TX-ABORT). Either way the journal is emptied
-when the transaction ends, so it never holds more than one transaction.
+storage, balances or instances. The event log keeps the aborted slice for
+observability, marked TX-ABORT; a warning is its slice's WARN event, so
+`trace.committed` leaves it out with the slice. Either way the journal is
+emptied when the transaction ends, so it never holds more than one
+transaction.
 
 A named external call (E-FUN1) and a low-level call that runs the fallback
 (E-FUN2) share one routine, `Executor.external_call`. It moves the wei in one
@@ -127,7 +129,7 @@ class Executor:
         """The transaction bracket: run `body` under a fresh Msg and frame.
 
         On any exception the world is rolled back to its pre-state through
-        the journal, its warnings are truncated, and the trace gets TX-ABORT.
+        the journal, and the trace gets TX-ABORT.
         A SolsemError, or the interpreter running out of stack, comes back as
         a failed TxResult; any other exception is re-raised after the
         rollback. Either way the journal is emptied and the ambient context
@@ -136,7 +138,6 @@ class Executor:
         world, trace = self.world, self.world.trace
         world.tx_count += 1
         mark = world.snapshot()
-        warned = len(world.warnings)
         saved = (world.msg, world.msg_stack, world.call_depth)
         depth = trace.depth
         start = len(trace.events)  # log entries, not rules
@@ -157,7 +158,6 @@ class Executor:
                             steps=world.stmt_steps)
         except BaseException as exc:
             world.restore(mark)
-            del world.warnings[warned:]
             if isinstance(exc, RecursionError):
                 exc = TxAborted(
                     f"Python stack limit reached (recursion limit "
@@ -261,7 +261,6 @@ class Executor:
             world.trace.emit("WARN", note=(
                 f"low-level call failed: {caller:#x} holds "
                 f"{caller_inst.balance} wei, needs {m}"))
-            world.warnings.append("low-level call failed: insufficient balance")
             return False
         world.transfer(caller_inst, callee_inst, m)
         if not named:
@@ -270,7 +269,6 @@ class Executor:
                 world.trace.emit("WARN", value=m, note=(
                     f"{callee_name} has no fallback; "
                     f"value transferred, no code ran"))
-                world.warnings.append(f"{callee_name} has no fallback function")
                 return True
         kind = "external" if named else "fallback"
         callee_config = callee_inst.config

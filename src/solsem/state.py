@@ -297,7 +297,6 @@ class World:
         self.msg: Optional[Msg] = None
         self.msg_stack: list = []
         self.options = options or EngineOptions()
-        self.warnings: list = []
         self.call_depth: int = 0
         self.stmt_steps: int = 0
         self.frame_ids = itertools.count(1)  # of external frames, in order

@@ -17,7 +17,9 @@ in C. It reads as an event with no payload, so the reentrancy detector and
 the replay pass over it; `expand` yields a TraceEvent per rule and
 `len(trace)` counts rules. Entries are read-only to every consumer. Code
 that must leave a world's trace alone (a scenario assert) is compiled
-against a `Trace()` of its own.
+against a `Trace()` of its own. `committed` picks out the slices of the
+transactions that committed; the storage replay and the CLI's warnings (a
+warning is its WARN event) read the log through it.
 
 Serialized form is newline-delimited JSON, one line per rule, written
 straight out as f-strings with no dict per event: keys in sorted order, hex
@@ -276,37 +278,28 @@ class Trace:
         return "".join(lines)
 
 
+def committed(entries: list):
+    """The entries of each transaction that committed, in log order: each
+    slice from TX-START through TX-END. A slice that aborts (TX-ABORT) and
+    one still open are left out. Transactions never nest."""
+    start = 0
+    for i, ev in enumerate(entries):
+        if ev.rule == "TX-START":
+            start = i
+        elif ev.rule == "TX-END":
+            yield from entries[start:i + 1]
+
+
 def replay_storage_writes(events: list) -> dict:
     """Reapply committed storage writes to a fresh word store per instance;
     returns {address: {byte: value}}, the stores' byte views.
 
-    Slices belonging to aborted transactions are skipped, so the result
-    matches each instance's `storage.bytes` (the rule-label fidelity check).
+    Only the slices `committed` yields are replayed, so the result matches
+    each instance's `storage.bytes` (the rule-label fidelity check).
     """
     from .state import ByteStore  # state imports this module
     stores = defaultdict(ByteStore)
-    committed: list = []
-    pending: list = []
-    depth = 0
-    for ev in events:
-        if ev.rule == "TX-START":
-            if depth == 0:
-                pending = []
-            depth += 1
-        if depth > 0:
-            pending.append(ev)
-        else:
-            committed.append(ev)
-        if ev.rule == "TX-END":
-            depth -= 1
-            if depth == 0:
-                committed.extend(pending)
-                pending = []
-        elif ev.rule == "TX-ABORT":
-            depth -= 1
-            if depth == 0:
-                pending = []
-    for ev in committed:
+    for ev in committed(events):
         for w in ev.writes:
             if w.space == "storage":
                 stores[ev.addr].write(w.at, w.data)

@@ -98,6 +98,41 @@ def test_fixed_dao_run_exits_zero(capsys):
     assert "REENTRANCY" not in capsys.readouterr().out
 
 
+def test_a_committed_warning_prints_its_note_and_keeps_exit_zero(tmp_path,
+                                                                  capsys):
+    scn = tmp_path / "foo2.scn"
+    scn.write_text("deploy t Test2 () from 0xA\ntx t.foo2() from 0xA\n")
+    code = main(["run", _path("c", "test2.sol"), "--scenario", str(scn)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: uninitialized storage pointer d references storage slot 0"]
+
+
+def test_an_unfunded_low_level_call_prints_the_trace_note(capsys):
+    code = main(["run", _path("c", "dao.sol"),
+                 "--scenario", _path("s", "dao.scn")])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: low-level call failed: 0x1000 holds 0 wei, needs 2"]
+
+
+def test_a_warning_of_an_aborted_transaction_is_not_printed(tmp_path, capsys):
+    sol = tmp_path / "w.sol"
+    sol.write_text("contract W { uint a;\n"
+                   "  function f(uint d) public { uint[2] p; a = 1 / d; } }\n")
+    scn = tmp_path / "w.scn"
+    scn.write_text("deploy w W () from 0xA\ntx w.f(0) from 0xA\n")
+    trace = tmp_path / "w.ndjson"
+    code = main(["run", str(sol), "--scenario", str(scn),
+                 "--trace", str(trace)])
+    rules = [json.loads(line)["rule"] for line in trace.read_text()
+             .splitlines()]
+    assert rules.count("WARN") == 1 and rules[-1] == "TX-ABORT"
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tx w.f: ")
+
+
 def test_empty_scenario_exits_zero(capsys):
     code = main(["run", _path("c", "coin.sol"),
                  "--scenario", _path("s", "empty.scn")])

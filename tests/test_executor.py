@@ -13,12 +13,17 @@ from solsem.errors import (
 from solsem.evaluator import read_value
 from solsem.executor import Executor, Tx
 from solsem.state import EngineOptions, decode_value
-from solsem.trace import Trace, expand, replay_storage_writes
+from solsem.trace import Trace, committed, expand, replay_storage_writes
 from solsem.typesys import UInt
 
 from conftest import deploy, make_world, read, world_from_source
 
 U256 = UInt(256)
+
+
+def _warnings(world) -> list:
+    """The notes of the world's committed WARN events, in log order."""
+    return [e.note for e in committed(world.trace.events) if e.rule == "WARN"]
 
 
 # -- the aliasing examples -----------------------------------------------------
@@ -49,8 +54,8 @@ def test_uninitialized_pointer_warns():
     world = make_world("test.sol")
     address = deploy(world, "Test")
     Executor(world).run_transaction(Tx(sender=1, to=address, fname="foo"))
-    assert any("uninitialized storage pointer" in w for w in world.warnings)
-    assert any(e.rule == "WARN" for e in world.trace.events)
+    assert any("uninitialized storage pointer" in note
+               for note in _warnings(world))
 
 
 def test_while_false_is_a_no_op():
@@ -654,7 +659,7 @@ def test_fallbackless_recipient_still_receives_value():
     assert res.ok
     assert world.instance(quiet).balance == 1
     assert world.instance(payer).balance == 2
-    assert any("no fallback" in w for w in world.warnings)
+    assert any("no fallback" in note for note in _warnings(world))
 
 
 def test_value_zero_fallback_call_runs_body():
@@ -752,10 +757,13 @@ def test_abort_restores_bytes_for_runtime_faults():
     assert not res.ok and world.storage_fingerprint() == before
     res = ex.run_transaction(Tx(sender=1, to=address, fname="oob", args=(5,)))
     assert not res.ok and world.storage_fingerprint() == before
-    # the aborted transaction's warning goes with it
+    # the aborted transaction's warning stays in its TX-ABORT slice of the
+    # log, and goes with the slice out of the committed entries
     res = ex.run_transaction(Tx(sender=1, to=address, fname="warn", args=(0,)))
     assert not res.ok and world.storage_fingerprint() == before
-    assert world.warnings == []
+    assert [e.rule for e in res.events if e.rule in ("WARN", "TX-ABORT")] \
+        == ["WARN", "TX-ABORT"]
+    assert _warnings(world) == []
     # committed sanity: the same functions succeed with benign arguments
     assert ex.run_transaction(Tx(sender=1, to=address, fname="div0",
                                  args=(1,))).ok

@@ -111,6 +111,19 @@ def _targets(node) -> list:
     return [node.target] if isinstance(node, pyast.AugAssign) else []
 
 
+def _functions():
+    """(function, its nodes, its `emit(...)`, `rules(...)`, `enter(...)` and
+    `leave(...)` calls) of each function in `src/solsem`."""
+    for path in sorted((REPO / "src" / "solsem").glob("*.py")):
+        for fn in pyast.walk(pyast.parse(path.read_text())):
+            if isinstance(fn, pyast.FunctionDef):
+                nodes = list(pyast.walk(fn))
+                yield fn, nodes, [
+                    n for n in nodes if isinstance(n, pyast.Call) and n.args
+                    and getattr(n.func, "attr", getattr(n.func, "id", None))
+                    in ("emit", "rules", "enter", "leave")]
+
+
 def _source_labels() -> set:
     """The string constants of `src/solsem` that can reach a trace as rule
     labels: in the first argument of each `emit(...)`, `rules(...)`,
@@ -118,24 +131,17 @@ def _source_labels() -> set:
     too), in what a function assigns to a name it passes there, and in the
     label tuples `_access`, `typesys.sized` and `typesys.packed` build."""
     labels: set = set()
-    for path in sorted((REPO / "src" / "solsem").glob("*.py")):
-        for fn in pyast.walk(pyast.parse(path.read_text())):
-            if not isinstance(fn, pyast.FunctionDef):
-                continue
-            nodes = list(pyast.walk(fn))
-            firsts = [n.args[0] for n in nodes
-                      if isinstance(n, pyast.Call) and n.args
-                      and getattr(n.func, "attr", getattr(n.func, "id", None))
-                      in ("emit", "rules", "enter", "leave")]
-            sinks = _names(firsts)
-            for node in firsts:
+    for fn, nodes, calls in _functions():
+        firsts = [call.args[0] for call in calls]
+        sinks = _names(firsts)
+        for node in firsts:
+            labels |= _strings(node)
+        for node in nodes:
+            if sinks & _names(_targets(node)):
+                labels |= _strings(node.value)
+            elif fn.name in ("_access", "sized", "packed") \
+                    and isinstance(node, pyast.Tuple):
                 labels |= _strings(node)
-            for node in nodes:
-                if sinks & _names(_targets(node)):
-                    labels |= _strings(node.value)
-                elif fn.name in ("_access", "sized", "packed") \
-                        and isinstance(node, pyast.Tuple):
-                    labels |= _strings(node)
     return labels
 
 
@@ -152,6 +158,15 @@ def test_every_rule_label_in_the_source_is_known():
     assert labels - RULE_LABELS == set()
     # the scan finds every label a fixture run records
     assert _fixture_labels() <= labels
+
+
+def test_every_warn_in_the_source_passes_a_note():
+    # text mode prints a committed WARN as `warning: <note>`; a set, as a
+    # call in a nested function is a node of its enclosing one too
+    warns = {call for *_, calls in _functions() for call in calls
+             if _strings(call.args[0]) == {"WARN"}}
+    assert len(warns) == 3  # the three hazard sites
+    assert all("note" in {k.arg for k in call.keywords} for call in warns)
 
 
 if __name__ == "__main__":

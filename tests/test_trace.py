@@ -18,7 +18,8 @@ from solsem.harness import (
 )
 from solsem.parser import parse_expression
 from solsem.trace import (
-    CallInfo, RuleRun, Trace, TraceEvent, Write, expand, replay_storage_writes,
+    CallInfo, RuleRun, Trace, TraceEvent, Write, committed, expand,
+    replay_storage_writes,
 )
 
 from conftest import CLI_RUNS, deploy, make_world, scenario_source, \
@@ -209,9 +210,13 @@ _coin_txs = st.lists(st.tuples(
     st.booleans()), max_size=10)  # an assert's read after the tx
 
 
-def _check_log(world) -> None:
+def _check_log(world, deployed, results) -> None:
+    """`deployed` is the log as the deploys left it; `results` holds the
+    TxResult of every transaction after them."""
     trace = world.trace
     entries = trace.events
+    assert list(committed(entries)) == deployed + [
+        ev for res in results if res.ok for ev in res.events]
     events = list(expand(entries))
     assert [ev.seq for ev in events] == list(range(1, len(trace) + 1))
     assert trace.to_ndjson() == _oracle_ndjson(events)
@@ -226,6 +231,7 @@ def _check_log(world) -> None:
 def _random_logs_match_the_oracles(txs, bank_value):
     world = make_world("coin.sol")
     coin = deploy(world, "Coin", sender=0xA)
+    deployed, results = list(world.trace.events), []
     ex = Executor(world)
     read = parse_expression("balances[0xB]")
     for fname, sender, to, amount, fault, peek in txs:
@@ -233,22 +239,51 @@ def _random_logs_match_the_oracles(txs, bank_value):
             if step == fault:
                 raise TxAborted("injected fault")
         world.options.step_hook = hook if fault else None
-        ex.run_transaction(Tx(sender=sender, to=coin, fname=fname,
-                              args=(to, amount)))
+        results.append(ex.run_transaction(Tx(sender=sender, to=coin,
+                                             fname=fname, args=(to, amount))))
         if peek:  # an assert's labels go to a trace of its own
             n, entries = len(world.trace), len(world.trace.events)
             eval_readonly(world, coin, read)
             assert (len(world.trace), len(world.trace.events)) == (n, entries)
-    _check_log(world)
+    _check_log(world, deployed, results)
     world = make_world("dao.sol")
     ex = Executor(world)
     bank = ex.deploy("Bank", value=bank_value)
     attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
-    for fname in ("addToBalance", "withdrawBalance"):
-        assert ex.run_transaction(Tx(sender=0xB, to=attack, fname=fname)).ok
+    deployed = list(world.trace.events)
+    results = [ex.run_transaction(Tx(sender=0xB, to=attack, fname=fname))
+               for fname in ("addToBalance", "withdrawBalance")]
+    assert all(res.ok for res in results)
     assert world.instance(bank).balance == bank_value % 2
-    _check_log(world)
+    _check_log(world, deployed, results)
 
 
 def test_the_log_reads_as_its_expanded_events():
     _random_logs_match_the_oracles()
+
+
+def test_a_transaction_still_running_is_not_committed():
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin", sender=0xA)
+    ex = Executor(world)
+    first = ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                  args=(0xB, 5)))
+    committed_before = list(world.trace.events)
+    seen = []
+
+    def hook(w, step):  # before the send's last statement: one write made
+        if step == 3:
+            entries = w.trace.events
+            seen.append((list(committed(entries)),
+                         entries[len(committed_before)].rule,
+                         replay_storage_writes(entries),
+                         dict(w.instance(coin).config.storage.bytes)))
+    world.options.step_hook = hook
+    assert ex.run_transaction(Tx(sender=0xB, to=coin, fname="send",
+                                 args=(0xC, 2))).ok
+    [(entries, opened, replayed, storage)] = seen
+    # the open slice is in the log, from its TX-START on, but not committed
+    assert first.ok and entries == committed_before and opened == "TX-START"
+    # the replay leaves out the open slice's write to balances[0xB]
+    assert replayed[coin] == replay_storage_writes(committed_before)[coin] \
+        != storage
