@@ -32,7 +32,8 @@ class TypeName:
 
 @dataclass(eq=True)
 class ElementaryTypeName(TypeName):
-    # one of: uintN, int256, bool, address, string  (normalized: uint -> uint256)
+    # a canonical name of typesys.ELEMENTARY: uintN, int256, bool, address or
+    # string (the parser normalizes uint -> uint256, int -> int256)
     name: str = ""
 
 

@@ -54,14 +54,8 @@ from .typesys import (
     MEMORY, SLOT, STORAGE, UINT256, Located, zero_value,
 )
 
-_CAST_TARGETS = {
-    "uint": typesys.UInt(256), "uint8": typesys.UInt(8),
-    "uint16": typesys.UInt(16), "uint32": typesys.UInt(32),
-    "uint64": typesys.UInt(64), "uint128": typesys.UInt(128),
-    "uint256": typesys.UInt(256), "int": typesys.Int256(),
-    "int256": typesys.Int256(), "address": typesys.Address(),
-}
-# what a cast converts: integers, addresses and contracts, among themselves
+# what a cast converts, among themselves, and the elementary types a cast
+# names: integers, addresses and contracts
 _CASTABLE = (typesys.UInt, typesys.Int256, typesys.Address, typesys.Contract)
 _KINDS = ((typesys.Bool,), _CASTABLE, (typesys.String,))
 
@@ -76,8 +70,8 @@ _ACCESS_RULES = {
 _LENGTH_RULES = {typesys.DynArray: (("E-ARRAY-LEN",), ("E-ARRAY-LEN-ref",))}
 
 _U256 = Located(UINT256, MEMORY)
-_BOOL = Located(typesys.Bool(), MEMORY)
-_ADDRESS = Located(typesys.Address(), MEMORY)
+_BOOL = Located(typesys.BOOL, MEMORY)
+_ADDRESS = Located(typesys.ELEMENTARY["address"], MEMORY)
 _SPACE = {loc: operator.attrgetter(loc) for loc in (STORAGE, MEMORY)}
 
 
@@ -547,11 +541,10 @@ class _Compiler:
         return (lambda ev: f(lhs(ev), rhs(ev))), Located(t, MEMORY)
 
     def _call(self, e: ast.Call):
-        cast = None if e.name in self.info.functions \
-            else _CAST_TARGETS.get(e.name) or (  # a function wins over a cast
-                typesys.Contract(e.name) if e.name in self.registry else None)
-        if cast is None:
-            return self._internal(e)
+        cast = typesys.ELEMENTARY.get(e.name) or (
+            typesys.Contract(e.name) if e.name in self.registry else None)
+        if e.name in self.info.functions or not isinstance(cast, _CASTABLE):
+            return self._internal(e)  # a function wins over a cast
         if len(e.args) != 1:
             raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
         arg, t = self.value(e.args[0])
@@ -843,7 +836,7 @@ class _Compiler:
 
 _UNTYPED = {ast.ArrayLit: "an array literal", ast.Push: "a push"}
 _LITERALS = {ast.IntLit: _U256, ast.BoolLit: _BOOL,
-             ast.StringLit: Located(typesys.String(), MEMORY)}
+             ast.StringLit: Located(typesys.ELEMENTARY["string"], MEMORY)}
 _C = _Compiler
 _LVALUES = {ast.Ident: _C._ident, ast.Index: _C._index, ast.Member: _C._member}
 _TYPED = {

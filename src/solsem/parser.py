@@ -3,7 +3,9 @@
 Accepts the pre-0.5 dialect the fixtures use (constructors named after the
 contract, `function() payable` fallbacks). Constructs outside the subset are
 rejected with an `UnsupportedFeature` diagnostic naming the construct rather
-than a generic syntax error. `for` is lowered to `while` during parsing;
+than a generic syntax error. A type name is elementary when
+`typesys.ELEMENTARY` has it, and is kept under its canonical name; any
+other integer, byte or fixed-point spelling is unsupported. `for` is lowered to `while` during parsing;
 any other construct is one node of its own kind, and no node is shared.
 """
 
@@ -11,15 +13,13 @@ from __future__ import annotations
 
 import re
 
-from . import ast
+from . import ast, typesys
 from .errors import SolSyntaxError, SolsemError, UnsupportedFeature
 from .lexer import Token, tokenize
 
-_ELEMENTARY = {"address", "bool", "string"}
-_UINT_RE = re.compile(r"^uint(\d+)?$")
-_INT_RE = re.compile(r"^int(\d+)?$")
-_REJECT_TYPE_RE = re.compile(r"^(bytes\d*|byte|fixed\d*x?\d*|ufixed\d*x?\d*)$")
-_VALID_UINT_WIDTHS = {8, 16, 32, 64, 128, 256}
+# a type family of Solidity that the subset leaves out, `uint24` or a
+# zero-padded `uint008` included (a name in typesys.ELEMENTARY is tested first)
+_REJECT_TYPE_RE = re.compile(r"^(u?int\d*|bytes\d*|byte|u?fixed\d*x?\d*)$")
 
 _UNSUPPORTED_KEYWORDS = {
     "assembly": "assembly",
@@ -39,25 +39,13 @@ _UNSUPPORTED_KEYWORDS = {
 
 
 def _elementary_name(word: str):
-    """Normalized elementary type name, or None if `word` is not one.
+    """Normalized elementary type name (`uint` is `uint256`, `int` is
+    `int256`), or None if `word` is not one.
 
-    Raises UnsupportedFeature for integer widths outside the covered set and
-    for byte/fixed type families.
+    Raises UnsupportedFeature for the other integer, byte and fixed spellings.
     """
-    if word in _ELEMENTARY:
-        return word
-    m = _UINT_RE.match(word)
-    if m:
-        width = int(m.group(1)) if m.group(1) else 256
-        if width not in _VALID_UINT_WIDTHS:
-            raise UnsupportedFeature(word)
-        return f"uint{width}"
-    m = _INT_RE.match(word)
-    if m:
-        width = int(m.group(1)) if m.group(1) else 256
-        if width != 256:
-            raise UnsupportedFeature(word)
-        return "int256"
+    if word in typesys.ELEMENTARY:
+        return typesys.type_to_str(typesys.ELEMENTARY[word])
     if _REJECT_TYPE_RE.match(word):
         raise UnsupportedFeature(word)
     return None

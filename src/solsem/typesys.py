@@ -1,6 +1,11 @@
 """Semantic types, byte sizing, slot alignment, value encoding, and the
 per-node typing steps.
 
+`ELEMENTARY` is the one table of elementary type names: the parser
+recognizes and normalizes a name by it, `resolve_type` returns its shared
+instances, casts are its integer and address entries, and `type_to_str`
+names an elementary type by it.
+
 The slot width is fixed at 32 bytes for the whole engine. Primitives pack
 into the current slot when they fit before the next 32-byte boundary;
 complex types (arrays, structs, mappings, dynamic arrays, refs, strings)
@@ -92,7 +97,14 @@ class Ref(SemType):
     inner: SemType
 
 
-UINT256 = UInt(256)
+# every elementary type name of the subset, its canonical name first and
+# the `uint`/`int` aliases last, each bound to one shared instance
+ELEMENTARY = {f"uint{w}": UInt(w) for w in (8, 16, 32, 64, 128, 256)}
+ELEMENTARY.update(int256=Int256(), bool=Bool(), address=Address(),
+                  string=String())
+ELEMENTARY.update(uint=ELEMENTARY["uint256"], int=ELEMENTARY["int256"])
+_NAMES = {t: name for name, t in reversed(ELEMENTARY.items())}
+UINT256, BOOL = ELEMENTARY["uint256"], ELEMENTARY["bool"]
 
 
 def make_ref(t: SemType) -> Ref:
@@ -119,16 +131,8 @@ def is_reference_kind(t: SemType) -> bool:
 
 
 def type_to_str(t: SemType) -> str:
-    if isinstance(t, UInt):
-        return f"uint{t.width}"
-    if isinstance(t, Int256):
-        return "int256"
-    if isinstance(t, Bool):
-        return "bool"
-    if isinstance(t, Address):
-        return "address"
-    if isinstance(t, String):
-        return "string"
+    if t in _NAMES:
+        return _NAMES[t]
     if isinstance(t, StaticArray):
         return f"{type_to_str(t.elem)}[{t.length}]"
     if isinstance(t, DynArray):
@@ -155,18 +159,9 @@ def _valid_mapping_key(t: SemType) -> bool:
 def resolve_type(tn: ast.TypeName, structs: dict, contract_names) -> SemType:
     """Resolve a syntactic type name against the enclosing unit's declarations."""
     if isinstance(tn, ast.ElementaryTypeName):
-        name = tn.name
-        if name.startswith("uint"):
-            return UInt(int(name[4:]))
-        if name == "int256":
-            return Int256()
-        if name == "bool":
-            return Bool()
-        if name == "address":
-            return Address()
-        if name == "string":
-            return String()
-        raise SolTypeError(f"unknown elementary type {name}", tn.span)
+        if tn.name not in ELEMENTARY:
+            raise SolTypeError(f"unknown elementary type {tn.name}", tn.span)
+        return ELEMENTARY[tn.name]
     if isinstance(tn, ast.ArrayTypeName):
         base = resolve_type(tn.base, structs, contract_names)
         if tn.length is None:
@@ -441,7 +436,7 @@ def binary_type(e, lt: SemType, rt: SemType) -> SemType:
             raise SolTypeError(
                 f"cannot compare {type_to_str(lt)} with {type_to_str(rt)}",
                 e.span)
-        return Bool()
+        return BOOL
     # arithmetic: the operands unify; an integer literal adapts to a signed
     # operand, and to an unsigned one that can hold it
     if isinstance(lt, UInt) and isinstance(rt, UInt):
@@ -467,7 +462,7 @@ def unary_type(e: ast.Unary, it: SemType) -> SemType:
     if e.op == "!":
         if not isinstance(it, Bool):
             raise SolTypeError("! requires a bool operand", e.span)
-        return Bool()
+        return BOOL
     if not isinstance(it, (UInt, Int256)):
         raise SolTypeError("unary - requires a numeric operand", e.span)
     return it

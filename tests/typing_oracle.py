@@ -12,11 +12,15 @@ messages against it.
 
 from solsem import ast
 from solsem.errors import SolTypeError, UnknownIdentifier
-from solsem.evaluator import _CAST_TARGETS
 from solsem.typesys import (
-    MEMORY, UINT256, Address, Bool, Contract, Located, String, _strip_ref,
-    binary_type, dyn_array, index_type, member_type, unary_type,
+    MEMORY, UINT256, Address, Bool, Contract, Int256, Located, String, UInt,
+    _strip_ref, binary_type, dyn_array, index_type, member_type, unary_type,
 )
+
+# the names a cast may use, written out apart from typesys.ELEMENTARY
+_CASTS = {"uint": UInt(256), "int": Int256(), "int256": Int256(),
+          "address": Address(),
+          **{f"uint{w}": UInt(w) for w in (8, 16, 32, 64, 128, 256)}}
 
 
 def _info(env):
@@ -43,8 +47,8 @@ def _function_return(env, name):
 def _cast_target(env, name):
     if name in _info(env).functions:
         return None  # a local function wins over a cast
-    if name in _CAST_TARGETS:
-        return _CAST_TARGETS[name]
+    if name in _CASTS:
+        return _CASTS[name]
     if name in env.world.registry:
         return Contract(name)
     return None
