@@ -659,6 +659,15 @@ class _Compiler:
         rhs, value = self.value(s.rhs)  # rhs first
         lhs, located = self.lvalue(s.lhs)
         _check_store(value, located.sem, s.rhs)
+        if isinstance(located.sem, typesys.String) and located.loc == MEMORY \
+                and isinstance(s.lhs, ast.Ident):  # a local memory string
+            bind = self.string_binder(self.locals[s.lhs.name][0], "ASSIGN")
+
+            def rebind(ev):
+                value = rhs(ev)
+                lhs(ev)  # its labels; a local not yet declared aborts
+                bind(ev, value)
+            return rebind
         write, emit = _writer(located, s.lhs.span), self.emit
 
         def run(ev):
@@ -756,6 +765,9 @@ class _Compiler:
         value, located = self.value(s.expr)
         _check_store(located, fn.ret[1], s.expr)
         i, ret = self.locals[fn.ret[0]]  # the return variable
+        if isinstance(ret.sem, typesys.String):
+            bind = self.string_binder(i, "RETURN")
+            return lambda ev: bind(ev, value(ev)) or True
         write = _writer(ret)
 
         def run(ev):
@@ -823,15 +835,23 @@ class _Compiler:
         if not isinstance(sem, typesys.String):
             raise SolTypeError(f"cannot bind a value of type "
                                f"{typesys.type_to_str(sem)} in memory", span)
+        return self.string_binder(i, "VD2")
 
-        def bind_string(ev, v):  # its length word, then its bytes
+    def string_binder(self, i: int, rule: str):
+        """bind(ev, v), `rule`: point frame slot i at fresh memory holding
+        string v, its length word then its bytes. A memory string is bound
+        anew on each assignment, never written in place, so a longer value
+        overruns nothing allocated after it."""
+        emit = self.emit
+
+        def bind(ev, v):
             raw = str(v).encode("utf-8")
             data = len(raw).to_bytes(SLOT, "big") + raw
             memory = ev.memory
             ev.locals[i] = addr = memory.alloc(len(data))
             memory.write(addr, data)
-            emit("VD2", [Write(MEMORY, addr, data)])
-        return bind_string
+            emit(rule, [Write(MEMORY, addr, data)])
+        return bind
 
 
 _UNTYPED = {ast.ArrayLit: "an array literal", ast.Push: "a push"}

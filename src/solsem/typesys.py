@@ -387,7 +387,8 @@ def _comparable(op: str, a: SemType, b: SemType) -> bool:
 def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:
     """Type of `e` given its base's and its index's types: an array element
     (Type1/Type7; the index must be an integer) or a mapping value
-    (Type4/Type6; the key must fit the declared key type)."""
+    (Type4/Type6; the key must fit the declared key type, and the mapping
+    must be in storage, not a field of a memory struct)."""
     sem, _ = _strip_ref(base.sem)
     if isinstance(sem, (StaticArray, DynArray)):
         if not isinstance(index_t, (UInt, Int256)):
@@ -395,6 +396,8 @@ def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:
                                getattr(e.index, "span", None))
         return Located(sem.elem, base.loc)
     if isinstance(sem, Mapping):
+        if base.loc != STORAGE:
+            raise SolTypeError("mappings live in storage only", e.span)
         # an integer literal may stand for an address key
         if not (_mapping_key_compatible(sem.key, index_t) or isinstance(
                 sem.key, Address) and isinstance(e.index, ast.IntLit)):

@@ -17,6 +17,7 @@ from solsem.trace import Trace, committed, expand, replay_storage_writes
 from solsem.typesys import UInt
 
 from conftest import deploy, make_world, read, world_from_source
+from solsem import parse
 
 U256 = UInt(256)
 
@@ -839,6 +840,9 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "cannot assign a whole mapping(uint256=>uint256)",
     "struct S { uint x; } S[2] s; function f() public { s[1] = s[0]; }":
         "cannot assign a whole struct S",
+    "struct S { uint x; mapping(uint => uint) m; } "
+    "function f() public { S memory s; s.m[1] = 5; }":
+        "mappings live in storage only",
 }
 
 
@@ -859,6 +863,52 @@ def test_a_whole_composite_target_is_rejected_at_the_target():
                     "  function f() public { S memory t; s = t; } }")
     assert (err.message, err.span.line, err.span.col) == \
         ("cannot assign a whole struct S", 2, 37)
+
+
+def test_a_mapping_in_a_memory_struct_is_rejected_at_its_index():
+    # solc rejects the access too: the mapping has no storage slot, so it
+    # must not hash one into the instance's storage
+    world = make_world("coin.sol")
+    registry = dict(world.registry)
+    with pytest.raises(SolTypeError) as err:
+        world.register(parse(
+            "contract T { struct S { uint a; mapping(uint => uint) m; }\n"
+            "  function f() public { S memory s; s.m[1] = 5; } }"))
+    assert (err.value.message, err.value.span.line, err.value.span.col) == \
+        ("mappings live in storage only", 2, 40)  # at the `[`
+    assert world.registry == registry
+
+
+_LONG = "x" * 40  # longer than the one word a fresh string is allocated
+
+
+@pytest.mark.parametrize("body", [
+    f'function f() public {{ string memory s = "a"; uint x = 7; '
+    f's = "{_LONG}"; out = x; }}',
+    f'modifier m() {{ uint x = 7; _; out = x; }} '
+    f'function f() m public returns (string) {{ return "{_LONG}"; }}',
+], ids=["assignment", "return"])
+def test_a_longer_memory_string_overwrites_no_local_after_it(body):
+    # the string is bound anew, in memory sized for it: the local allocated
+    # after the old string keeps its value
+    world = world_from_source(f"contract C {{ uint out; {body} }}")
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert res.ok, res.error
+    assert read(world, address, "out") == 7
+
+
+def test_a_reassigned_memory_string_reads_its_new_value():
+    world = world_from_source(f"""
+    contract C {{
+      string kept;
+      function f() public returns (string r) {{
+        string memory s = "a"; s = "{_LONG}"; r = s; r = "bc"; kept = s; }}
+    }}""")
+    address = deploy(world, "C")
+    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
+    assert (res.ok, res.value) == (True, "bc")
+    assert read(world, address, "kept") == _LONG
 
 
 @pytest.mark.parametrize("fn, message", _ILL_TYPED.items())

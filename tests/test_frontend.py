@@ -43,6 +43,9 @@ def test_assembly_is_named_unsupported():
     ("contract X { uint24 a; }", "uint24"),
     ("contract X { int128 a; }", "int128"),
     ("contract X { bytes32 a; }", "bytes32"),
+    # solc reads a zero-padded width as an identifier, not as uint8/int256
+    ("contract X { uint008 a; }", "uint008"),
+    ("contract X { function f() public { int0256 a; } }", "int0256"),
     ("contract X { event E(); }", "event"),
     ("contract X { using L for uint; }", "using"),
     ("contract X { function f() public { uint a = 0x10; } }", "hex literal"),

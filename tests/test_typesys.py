@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from solsem import typesys
-from solsem.errors import SolTypeError, UnsizedType
+from solsem.errors import SolTypeError, UnknownIdentifier, UnsizedType
 from solsem.executor import Executor
 from solsem.parser import parse_expression
 from solsem.typesys import (
@@ -214,6 +214,32 @@ def parse_type(text: str):
     from solsem.lexer import tokenize
     from solsem.parser import Parser
     return Parser(tokenize(text)).parse_type()
+
+
+# -- the elementary type table ---------------------------------------------------
+
+@pytest.mark.parametrize("name", list(typesys.ELEMENTARY))
+def test_every_elementary_name_parses_to_the_tables_own_instance(name):
+    tn = parse_type(name)
+    assert tn.name == {"uint": "uint256", "int": "int256"}.get(name, name)
+    assert typesys.resolve_type(tn, {}, set()) is typesys.ELEMENTARY[name]
+    assert typesys.type_to_str(typesys.ELEMENTARY[name]) == tn.name
+
+
+def test_exactly_the_integer_and_address_names_cast():
+    world = make_world("coin.sol")
+    env = _typing_env(world, deploy(world, "Coin"))
+    cast = set()
+    for name in typesys.ELEMENTARY:
+        try:
+            located = env.type_of(parse_expression(f"{name}(minter)"))
+        except UnknownIdentifier as err:  # not a cast: an unknown function
+            assert err.message == f"unknown function {name}"
+            continue
+        assert located == Located(typesys.ELEMENTARY[name], typesys.MEMORY)
+        cast.add(name)
+    assert cast == {"uint", "uint8", "uint16", "uint32", "uint64", "uint128",
+                    "uint256", "int", "int256", "address"}
 
 
 def test_ref_never_wraps_ref():
