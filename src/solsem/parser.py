@@ -3,10 +3,10 @@
 Accepts the pre-0.5 dialect the fixtures use (constructors named after the
 contract, `function() payable` fallbacks). Constructs outside the subset are
 rejected with an `UnsupportedFeature` diagnostic naming the construct rather
-than a generic syntax error. A type name is elementary when
-`typesys.ELEMENTARY` has it, and is kept under its canonical name; any
-other integer, byte or fixed-point spelling is unsupported. `for` is lowered to `while` during parsing;
-any other construct is one node of its own kind, and no node is shared.
+than a generic syntax error, as is an integer, byte or fixed-point type name
+that `typesys.ELEMENTARY` does not hold. `for` is lowered to `while` during
+parsing; any other construct is one node of its own kind, and no node is
+shared.
 """
 
 from __future__ import annotations

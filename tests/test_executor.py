@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from solsem import typesys
+from solsem import parse, typesys
 from solsem.errors import (
     DuplicateDeclaration, RangeError, SolsemError, SolTypeError, TxAborted,
 )
@@ -17,7 +17,6 @@ from solsem.trace import Trace, committed, expand, replay_storage_writes
 from solsem.typesys import UInt
 
 from conftest import deploy, make_world, read, world_from_source
-from solsem import parse
 
 U256 = UInt(256)
 
@@ -879,7 +878,7 @@ def test_a_mapping_in_a_memory_struct_is_rejected_at_its_index():
     assert world.registry == registry
 
 
-_LONG = "x" * 40  # longer than the one word a fresh string is allocated
+_LONG = "x" * 40  # more bytes than the string it replaces was given
 
 
 @pytest.mark.parametrize("body", [
