@@ -4,7 +4,10 @@ Accepts the pre-0.5 dialect the fixtures use (constructors named after the
 contract, `function() payable` fallbacks). Constructs outside the subset are
 rejected with an `UnsupportedFeature` diagnostic naming the construct rather
 than a generic syntax error, as is an integer, byte or fixed-point type name
-that `typesys.ELEMENTARY` does not hold. `for` is lowered to `while` during
+that `typesys.ELEMENTARY` does not hold. A type name is read one way,
+by `parse_type`: a statement is a declaration when it reads a type and then
+a name or a data location, so a statement may begin with a cast
+(`address(x).call.value(n)();`). `for` is lowered to `while` during
 parsing; any other construct is one node of its own kind, and no node is
 shared.
 """
@@ -36,19 +39,6 @@ _UNSUPPORTED_KEYWORDS = {
     "import": "import",
     "var": "var type inference",
 }
-
-
-def _elementary_name(word: str):
-    """Normalized elementary type name (`uint` is `uint256`, `int` is
-    `int256`), or None if `word` is not one.
-
-    Raises UnsupportedFeature for the other integer, byte and fixed spellings.
-    """
-    if word in typesys.ELEMENTARY:
-        return typesys.type_to_str(typesys.ELEMENTARY[word])
-    if _REJECT_TYPE_RE.match(word):
-        raise UnsupportedFeature(word)
-    return None
 
 
 class Parser:
@@ -258,9 +248,11 @@ class Parser:
             raise UnsupportedFeature("function type", t.span)
         elif t.kind == "ident":
             self.advance()
-            elem = _elementary_name(t.value)
-            if elem is not None:
-                base = ast.ElementaryTypeName(name=elem, span=t.span)
+            if t.value in typesys.ELEMENTARY:  # `uint` is named `uint256`
+                name = typesys.type_to_str(typesys.ELEMENTARY[t.value])
+                base = ast.ElementaryTypeName(name=name, span=t.span)
+            elif _REJECT_TYPE_RE.match(t.value):
+                raise UnsupportedFeature(t.value, t.span)
             else:
                 base = ast.UserTypeName(name=t.value, span=t.span)
         else:
@@ -279,31 +271,25 @@ class Parser:
         return base
 
     def _looks_like_declaration(self) -> bool:
-        """Statement-level lookahead: `<Type> <name>` vs an expression."""
-        t = self.peek()
-        if t.kind == "keyword" and t.value == "mapping":
+        """Statement-level lookahead: `mapping`, or a type that `parse_type`
+        reads followed by a name or a data location, starts a declaration;
+        anything else starts an expression (`uint(b)`, `a[i] = 1`). The
+        position is left where it was; an unsupported type name still
+        raises its diagnostic."""
+        if self.at_kw("mapping"):
             return True
-        if t.kind != "ident":
+        if not self.at("ident"):
             return False
+        start = self.pos
         try:
-            if _elementary_name(t.value) is not None:
-                return True
-        except UnsupportedFeature:
-            return True  # let parse_type raise the named diagnostic
-        # user type: ident ([num])* ident
-        i = self.pos + 1
-        while self.tokens[i].kind == "punct" and self.tokens[i].value == "[":
-            depth = 1
-            i += 1
-            while depth and self.tokens[i].kind != "eof":
-                if self.tokens[i].value == "[":
-                    depth += 1
-                elif self.tokens[i].value == "]":
-                    depth -= 1
-                i += 1
-        tok = self.tokens[i]
-        return tok.kind == "ident" or (tok.kind == "keyword"
-                                       and tok.value in ("memory", "storage"))
+            self.parse_type()
+            t = self.peek()
+            return t.kind == "ident" or (t.kind == "keyword"
+                                         and t.value in ("memory", "storage"))
+        except SolSyntaxError:
+            return False
+        finally:
+            self.pos = start
 
     # -- statements ---------------------------------------------------------
 
@@ -323,9 +309,8 @@ class Parser:
     def parse_statement(self) -> list:
         """One source statement; a list because a `for` lowers to two."""
         t = self.peek()
+        self._reject_unsupported()
         if t.kind == "keyword":
-            if t.value in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[t.value], t.span)
             if t.value == "if":
                 return [self.parse_if()]
             if t.value in ("while", "do"):
@@ -339,8 +324,6 @@ class Parser:
                     expr = self.parse_expression()
                 self.expect("punct", ";")
                 return [ast.Return(expr=expr, span=t.span)]
-            if t.value == "mapping":
-                return [self.parse_var_decl()]
         if t.kind == "ident" and t.value == "_" \
                 and self.peek(1).kind == "punct" and self.peek(1).value == ";":
             if not self.in_modifier:
@@ -425,10 +408,7 @@ class Parser:
         elif self._looks_like_declaration():
             out.append(self.parse_var_decl())
         else:
-            t = self.peek()
-            lhs = self.parse_expression()
-            out.append(self._finish_assignment(lhs, t.span))
-            self.expect("punct", ";")
+            out.append(self.parse_expr_statement())
         cond = ast.BoolLit(value=True, span=kw.span)
         if not self.at_punct(";"):
             cond = self.parse_expression()
