@@ -540,11 +540,13 @@ class _Compiler:
         f = _operator(op, t)
         return (lambda ev: f(lhs(ev), rhs(ev))), Located(t, MEMORY)
 
-    def _call(self, e: ast.Call):
+    def _call(self, e: ast.Call, expression: bool = True):
+        """A cast, or an internal call (a function wins over a cast); as a
+        statement (not `expression`), a cast is evaluated for no effect."""
         cast = typesys.ELEMENTARY.get(e.name) or (
             typesys.Contract(e.name) if e.name in self.registry else None)
         if e.name in self.info.functions or not isinstance(cast, _CASTABLE):
-            return self._internal(e)  # a function wins over a cast
+            return self._internal(e, expression)
         if len(e.args) != 1:
             raise SolTypeError(f"cast to {e.name} takes one argument", e.span)
         arg, t = self.value(e.args[0])
@@ -872,7 +874,7 @@ _RVALUES = {ast.ArrayLit: _C._array, ast.ExternalCall: _C._external,
             ast.LowLevelCallValue: _C._external}
 _EFFECTS = {  # expression statements that are not evaluated as a value
     ast.ArrayLit: _C._array, ast.Push: _C._push,
-    ast.Call: lambda c, e: c._internal(e, expression=False),
+    ast.Call: lambda c, e: c._call(e, expression=False),
     ast.ExternalCall: lambda c, e: c._external(e, expression=False),
     ast.LowLevelCallValue: lambda c, e: c._external(e, expression=False),
 }
@@ -987,16 +989,13 @@ class Evaluator:
         return compile_expression(self.world, self.address, e)[1]
 
 
-def compile_expression(world, address: int, e: ast.Expr, names=None,
-                       lvalue: bool = False):
+def compile_expression(world, address: int, e: ast.Expr):
     """(run, located) of `e` compiled against the contract of the instance
-    at `address` and the locals `names` (name -> (frame index, Located)):
-    run(ev) returns its value, or with `lvalue` its address. The compiler
+    at `address`, with no locals: run(ev) returns its value. The compiler
     records into a `Trace()` of its own, so running the code touches
     nothing of `world.trace`."""
     info = world.registry[world.instance(address).contract_name]
-    c = _Compiler(world.registry, Trace(), info, names or {})
-    return c.lvalue(e) if lvalue else c.typed(e)
+    return _Compiler(world.registry, Trace(), info, {}).typed(e)
 
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from solsem import Executor, World, parse
-from solsem.evaluator import Evaluator, LValue, compile_expression
+from solsem.evaluator import Evaluator, LValue, _Compiler
 from solsem.harness import eval_readonly
 from solsem.parser import parse_expression
+from solsem.trace import Trace
 
 REPO = Path(__file__).resolve().parent.parent
 CONTRACTS = REPO / "contracts"
@@ -53,9 +54,13 @@ def bind_local(ev, name: str, located, addr: int) -> BoundEvaluator:
 
 
 def _compile(ev, e, lvalue=False):
-    """`e` compiled against the evaluator's instance and bound locals."""
-    return compile_expression(ev.world, ev.address, e,
-                              getattr(ev, "names", None), lvalue)
+    """`e` compiled against the evaluator's instance and bound locals, as
+    `compile_expression` compiles it with none: run(ev) returns its value,
+    or with `lvalue` its address."""
+    world = ev.world
+    info = world.registry[world.instance(ev.address).contract_name]
+    c = _Compiler(world.registry, Trace(), info, getattr(ev, "names", {}))
+    return c.lvalue(e) if lvalue else c.typed(e)
 
 
 def eval_lvalue(ev, e) -> LValue:

@@ -148,14 +148,18 @@ def test_assert_failure_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_parse_error_exits_two_with_position(tmp_path, capsys):
+@pytest.mark.parametrize("body,message", [
+    ("  function f() public { assembly { } }", "2:25: unsupported feature: "
+                                                "assembly"),
+    ("  uint24 a;", "2:3: unsupported feature: uint24"),
+])
+def test_parse_error_exits_two_with_position(tmp_path, capsys, body, message):
     bad = tmp_path / "bad.sol"
-    bad.write_text("contract X {\n  function f() public { assembly { } }\n}\n")
+    bad.write_text(f"contract X {{\n{body}\n}}\n")
     code = main(["run", str(bad)])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"{bad}:2:" in err
-    assert "assembly" in err
+    assert err == f"{bad}:{message}\n"
 
 
 def test_ill_typed_contract_exits_two_before_any_deploy(tmp_path, capsys,

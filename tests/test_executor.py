@@ -703,6 +703,34 @@ def test_low_level_call_value_is_its_success():
     assert len(warns) == 1 and "low-level call failed" in warns[0]
 
 
+@pytest.mark.parametrize("stmt,funds,rule,moved", [
+    ("address(b).call.value(0)();", 0, "E-FUN2", 0),
+    ("address(b).call.value(1)();", 3, "E-FUN2", 1),
+    ("address(b).call.value(1)();", 0, "WARN", 0),  # fails softly
+    ("uint(b);", 0, None, 0),
+    ("address(b);", 0, None, 0),
+    ("Bank(b);", 0, None, 0),
+])
+def test_a_statement_may_begin_with_a_cast(stmt, funds, rule, moved):
+    # an expression statement, not a declaration; a cast alone has no effect
+    world = world_from_source("""
+    contract Recv { uint hits; function() payable { hits = hits + 1; } }
+    contract Bank { function f(address b) public { %s } }""" % stmt)
+    ex = Executor(world)
+    recv, bank = ex.deploy("Recv"), ex.deploy("Bank", value=funds)
+    before = world.storage_fingerprint()
+    res = ex.run_transaction(Tx(sender=1, to=bank, fname="f", args=(recv,)))
+    assert res.ok, res.error
+    rules = [e.rule for e in expand(res.events)]
+    assert [r for r in rules if r in ("E-FUN2", "WARN")] == [rule] * bool(rule)
+    assert rules[-2:] == ["SKIP1", "TX-END"]
+    assert (world.instance(recv).balance, world.instance(bank).balance) \
+        == (moved, funds - moved)
+    assert read(world, recv, "hits") == (rule == "E-FUN2")
+    if rule is None:
+        assert world.storage_fingerprint() == before
+
+
 def test_insufficient_balance_for_named_value_call_aborts(dao_world):
     bank = deploy(dao_world, "Bank", value=10)
     ex = Executor(dao_world)

@@ -38,31 +38,35 @@ def test_assembly_is_named_unsupported():
     assert diags[0].feature == "assembly"
 
 
-@pytest.mark.parametrize("source,needle", [
-    ("contract X is Y { }", "inheritance"),
-    ("contract X { uint24 a; }", "uint24"),
-    ("contract X { int128 a; }", "int128"),
-    ("contract X { bytes32 a; }", "bytes32"),
+@pytest.mark.parametrize("source,needle,span", [
+    ("contract X is Y { }", "inheritance", None),
+    # a type name is reported at its own token
+    ("contract X { uint24 a; }", "uint24", "1:14"),
+    ("contract X { int128 a; }", "int128", "1:14"),
+    ("contract X { bytes32 a; }", "bytes32", "1:14"),
     # solc reads a zero-padded width as an identifier, not as uint8/int256
-    ("contract X { uint008 a; }", "uint008"),
-    ("contract X { function f() public { int0256 a; } }", "int0256"),
-    ("contract X { event E(); }", "event"),
-    ("contract X { using L for uint; }", "using"),
-    ("contract X { function f() public { uint a = 0x10; } }", "hex literal"),
-    ("contract X { function f() public { uint a = 1 & 2; } }", "bitwise"),
-    ("contract X { function f() public { throw; } }", "throw"),
-    ("contract X { function f() public { var a = 1; } }", "var"),
-    ("contract X { function f() public { continue; } }", "continue"),
+    ("contract X { uint008 a; }", "uint008", "1:14"),
+    ("contract X { function f() public { int0256 a; } }", "int0256", "1:36"),
+    ("contract X { event E(); }", "event", None),
+    ("contract X { using L for uint; }", "using", None),
+    ("contract X { function f() public { uint a = 0x10; } }", "hex literal",
+     None),
+    ("contract X { function f() public { uint a = 1 & 2; } }", "bitwise", None),
+    ("contract X { function f() public { throw; } }", "throw", None),
+    ("contract X { function f() public { var a = 1; } }", "var", None),
+    ("contract X { function f() public { continue; } }", "continue", None),
     ("contract X { function f(uint a, uint b) public returns (uint, uint) { } }",
-     "multiple return"),
-    ("contract X { function f() public { X y = new X(); } }", "new"),
-    ("import 'other.sol';", "import"),
+     "multiple return", None),
+    ("contract X { function f() public { X y = new X(); } }", "new", None),
+    ("import 'other.sol';", "import", None),
 ])
-def test_unsupported_constructs_are_named(source, needle):
+def test_unsupported_constructs_are_named(source, needle, span):
     _, diags = try_parse(source)
     assert diags, source
     assert isinstance(diags[0], UnsupportedFeature)
     assert needle in diags[0].message
+    if span is not None:
+        assert repr(diags[0].span) == span
 
 
 def test_post_050_keywords_are_rejected():
@@ -79,9 +83,23 @@ def test_all_fixtures_parse_clean():
         assert unit.contracts
 
 
+# statements that begin with a cast are expression statements
+_CAST_LED = """
+contract Bank {
+  function f(address b) public {
+    address(b).call.value(0)();
+    uint(b);
+    address(b);
+    Bank(b);
+    uint[2] memory a;
+    a[uint(b) % 2] = 1;
+  } }"""
+
+
 def test_round_trip_all_fixtures():
-    for name in FIXTURE_CONTRACTS:
-        unit = parse(contract_source(name))
+    for name, source in [*((n, contract_source(n)) for n in FIXTURE_CONTRACTS),
+                         ("cast-led", _CAST_LED)]:
+        unit = parse(source)
         again = parse(to_source(unit))
         assert again == unit, name
 
@@ -126,14 +144,16 @@ def test_every_expression_carries_a_span():
                             assert node.span is not None, node
 
 
-def test_for_lowers_to_while():
+@pytest.mark.parametrize("init,kind", [("uint i = 0", ast.VarDecl),
+                                       ("i = 0", ast.Assign)])
+def test_for_lowers_to_while(init, kind):
     unit = parse("""
-    contract L { uint t;
+    contract L { uint t; uint i;
       function f() public {
-        for (uint i = 0; i < 3; i += 1) { t += i; }
-      } }""")
+        for (%s; i < 3; i += 1) { t += i; }
+      } }""" % init)
     body = unit.contract("L").functions[0].body
-    assert isinstance(body[0], ast.VarDecl)
+    assert isinstance(body[0], kind)
     assert isinstance(body[1], ast.While)
     # the increment is appended to the loop body
     assert isinstance(body[1].body[-1], ast.Assign)
