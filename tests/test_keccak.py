@@ -1,11 +1,19 @@
-"""Keccak-256: published vectors and differential checks against the
-independently structured oracle."""
+"""Keccak-256: published vectors and differential checks of the digest, the
+permutation and the slot derivations against the independently structured
+oracle."""
 
+import gc
 import random
+import sys
 
+import pytest
+
+from solsem.evaluator import slot_of_dyn, slot_of_map
 from solsem.keccak import _keccak_f, keccak256, keccak256_int
 
-from keccak_oracle import keccak256_oracle
+from keccak_oracle import _permute, keccak256_oracle, keccak256_oracle_int
+
+M64 = (1 << 64) - 1
 
 # published Keccak-256 digests (pre-NIST padding, as used on-chain)
 VECTORS = {
@@ -53,3 +61,69 @@ def test_permutation_of_the_zero_state():
 
 def test_int_form_is_big_endian():
     assert keccak256_int(bytes(32)) == int(VECTORS[bytes(32)], 16)
+
+
+def _oracle_permutation(lanes):
+    """The oracle's Keccak-f of 25 lanes (lane x + 5*y is (x, y))."""
+    grid = [[lanes[x + 5 * y] for y in range(5)] for x in range(5)]
+    _permute(grid)
+    return [grid[i % 5][i // 5] for i in range(25)]
+
+
+def test_permutation_of_full_states_against_oracle():
+    # a padded message leaves 8 lanes zero; these states fill all 25, and set
+    # the top and bottom bit of every lane, which a rotation carries across
+    rng = random.Random(0xF1600)
+    states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(60)]
+    states += [[M64] * 25, [1 << 63] * 25, [1] * 25,
+               [(1 << 63) | 1] * 25, [M64 if i % 2 else 0 for i in range(25)]]
+    for state in states:
+        lanes = list(state)
+        _keccak_f(lanes)
+        assert lanes == _oracle_permutation(state)
+        assert all(0 <= lane < 1 << 64 for lane in lanes)
+
+
+def test_two_permutations_in_a_row_against_oracle():
+    rng = random.Random(0x2F)
+    for state in ([rng.getrandbits(64) for _ in range(25)], [M64] * 25):
+        lanes = list(state)
+        _keccak_f(lanes)
+        _keccak_f(lanes)
+        assert lanes == _oracle_permutation(_oracle_permutation(state))
+
+
+def test_slot_derivation_against_oracle():
+    rng = random.Random(0x5107)
+    bases = [0, 1, 2 ** 256 - 1] + [rng.getrandbits(256) for _ in range(20)]
+    for p in bases:
+        p32 = p.to_bytes(32, "big")
+        for key in (0, 2 ** 256 - 1, rng.getrandbits(256), rng.getrandbits(160)):
+            k32 = key.to_bytes(32, "big")
+            assert slot_of_map(p, k32) == keccak256_oracle_int(p32 + k32)
+            assert slot_of_map(p, k32, True) == keccak256_oracle_int(k32 + p32)
+        for i in (0, 1, rng.randrange(1 << 64)):
+            assert slot_of_dyn(p, i) == keccak256_oracle_int(p32) + i
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="call counts are pinned for CPython 3.11")
+def test_one_digest_makes_three_python_calls():
+    # a comprehension or a helper inside the permutation would be one more
+    # Python call per group or round
+    names = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+    data = bytes(range(64))
+    gc.collect()
+    gc.disable()
+    sys.setprofile(record)
+    try:
+        keccak256_int(data)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert names == ["keccak256_int", "keccak256", "_keccak_f"]
