@@ -270,26 +270,27 @@ class Parser:
             base = ast.ArrayTypeName(base=base, length=length, span=t.span)
         return base
 
-    def _looks_like_declaration(self) -> bool:
+    def _declared_type(self) -> ast.TypeName | None:
         """Statement-level lookahead: `mapping`, or a type that `parse_type`
-        reads followed by a name or a data location, starts a declaration;
-        anything else starts an expression (`uint(b)`, `a[i] = 1`). The
-        position is left where it was; an unsupported type name still
-        raises its diagnostic."""
+        reads followed by a name or a data location, starts a declaration,
+        whose type is read and returned. Anything else starts an expression
+        (`uint(b)`, `a[i] = 1`): None is returned, the position restored.
+        An unsupported type name still raises its diagnostic."""
         if self.at_kw("mapping"):
-            return True
+            return self.parse_type()
         if not self.at("ident"):
-            return False
+            return None
         start = self.pos
         try:
-            self.parse_type()
+            tname = self.parse_type()
             t = self.peek()
-            return t.kind == "ident" or (t.kind == "keyword"
-                                         and t.value in ("memory", "storage"))
+            if t.kind == "ident" or (t.kind == "keyword"
+                                     and t.value in ("memory", "storage")):
+                return tname
         except SolSyntaxError:
-            return False
-        finally:
-            self.pos = start
+            pass
+        self.pos = start
+        return None
 
     # -- statements ---------------------------------------------------------
 
@@ -332,13 +333,12 @@ class Parser:
             self.advance()
             self.expect("punct", ";")
             return [ast.Placeholder(span=t.span)]
-        if self._looks_like_declaration():
-            return [self.parse_var_decl()]
+        if (tname := self._declared_type()) is not None:
+            return [self.parse_var_decl(tname)]
         return [self.parse_expr_statement()]
 
-    def parse_var_decl(self) -> ast.VarDecl:
-        t = self.peek()
-        tname = self.parse_type()
+    def parse_var_decl(self, tname: ast.TypeName) -> ast.VarDecl:
+        """The rest of a declaration whose type `_declared_type` read."""
         location = None
         if self.at_kw("memory") or self.at_kw("storage"):
             location = self.advance().value
@@ -349,7 +349,7 @@ class Parser:
             init = self.parse_expression()
         self.expect("punct", ";")
         return ast.VarDecl(type_name=tname, name=name, init=init,
-                           location=location, span=t.span)
+                           location=location, span=tname.span)
 
     def _finish_assignment(self, lhs: ast.Expr, span) -> ast.Stmt:
         t = self.peek()
@@ -405,8 +405,8 @@ class Parser:
         out = []
         if self.at_punct(";"):
             self.advance()
-        elif self._looks_like_declaration():
-            out.append(self.parse_var_decl())
+        elif (tname := self._declared_type()) is not None:
+            out.append(self.parse_var_decl(tname))
         else:
             out.append(self.parse_expr_statement())
         cond = ast.BoolLit(value=True, span=kw.span)
