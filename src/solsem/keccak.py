@@ -13,11 +13,12 @@ a rotation left by n is the one shift `>> (64 - n)`, and xor and and keep
 the form, with no mask inside a round. Each round spends exactly 64 valid
 bits from the top, since theta's `c << 1` spoils bit 0 and every rho shift
 then drops it (lane (0, 0) by `>> 64`). So _GROUP + 1 copies carry _GROUP
-rounds, after which the lanes are masked and replicated again; 5 copies
-(320 bits) per 4 rounds timed faster than groups of 3, 6, 8 or 12 rounds,
-as a wider int costs more per operation and a shorter group replicates
-more often. The tests check the permutation and the digest against
-published vectors and an independently structured implementation.
+rounds, after which the lanes are masked and replicated again; on
+CPython 3.11, 5 copies (320 bits) per 4 rounds timed faster than groups of
+3, 6, 8 or 12 rounds, as a wider int costs more per operation and a
+shorter group replicates more often. The tests check the permutation and
+the digest against published vectors and an independently structured
+implementation.
 """
 
 from __future__ import annotations
