@@ -274,12 +274,21 @@ class Parser:
         """Statement-level lookahead: `mapping`, or a type that `parse_type`
         reads followed by a name or a data location, starts a declaration,
         whose type is read and returned. Anything else starts an expression
-        (`uint(b)`, `a[i] = 1`): None is returned, the position restored.
-        An unsupported type name still raises its diagnostic."""
+        (`uint(b)`, `a[i] = 1`): None is returned, the position restored, and
+        no type is parsed if the next token cannot go on with one (a name, a
+        location, `[` before `]` or a number). An unsupported type name
+        still raises its diagnostic."""
         if self.at_kw("mapping"):
             return self.parse_type()
-        if not self.at("ident"):
+        t, nxt, after = self.peek(), self.peek(1), self.peek(2)
+        if t.kind != "ident":
             return None
+        if t.value not in typesys.ELEMENTARY and _REJECT_TYPE_RE.match(t.value):
+            raise UnsupportedFeature(t.value, t.span)
+        if not (nxt.kind == "ident" or nxt.value in ("memory", "storage") or
+                nxt.value == "[" and (after.value == "]" or after.kind
+                                      in ("number", "hexnumber"))):
+            return None  # `a = 1;`, `b[i] -= 1;`, `a.f();`
         start = self.pos
         try:
             tname = self.parse_type()

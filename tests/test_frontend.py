@@ -47,6 +47,13 @@ def test_assembly_is_named_unsupported():
     # solc reads a zero-padded width as an identifier, not as uint8/int256
     ("contract X { uint008 a; }", "uint008", "1:14"),
     ("contract X { function f() public { int0256 a; } }", "int0256", "1:36"),
+    # also where no declaration follows: a cast-led statement, a `for` init
+    ("contract X { function f(uint b) public { uint24(b); } }", "uint24",
+     "1:42"),
+    ("contract X { function f() public { for (int0256(b); ; ) {} } }",
+     "int0256", "1:41"),
+    ("contract X { function f() public { uint[0x10] x; } }", "hex literal",
+     "1:41"),
     ("contract X { event E(); }", "event", None),
     ("contract X { using L for uint; }", "using", None),
     ("contract X { function f() public { uint a = 0x10; } }", "hex literal",
