@@ -348,6 +348,8 @@ def detect_reentrancy(events) -> list:
     findings: list = []
     for ev in events:
         rule = ev.rule
+        if rule is None:  # a RuleRun: no frame edge, no writes
+            continue
         if rule in _FRAME_OPEN and ev.call is not None:
             path.append((ev.addr, ev.fn))
             same = by_addr.setdefault(ev.addr, [])

@@ -26,7 +26,12 @@ straight out as f-strings with no dict per event: keys in sorted order, hex
 fields as `0x..`, every string through the C escaper `json.dumps` uses. Each
 line is byte for byte `json.dumps(event, sort_keys=True)` of the JSON form
 of the rule's expanded event (tests/ndjson_oracle.py keeps that dict
-builder to check against). Nothing is encoded at `emit` time.
+builder to check against). Nothing is encoded at `emit` time, and each
+distinct address, function name, rule label, RuleRun and CallInfo is
+encoded once per `to_ndjson` call: a 51-level drain repeats the same four
+calls at every level. The dicts that hold them die with the call. A
+CallInfo holding anything but ints, strings and None is encoded afresh,
+because equality takes `True` and `1.0` for `1` while they print apart.
 """
 
 from __future__ import annotations
@@ -57,6 +62,22 @@ RULE_LABELS = frozenset({
 # the C string escaper json.dumps uses (ensure_ascii)
 _esc = json.encoder.encode_basestring_ascii
 _new = tuple.__new__  # a NamedTuple from all its fields, no Python call
+
+
+# the types whose values are equal only when they print alike (`True == 1`
+# and `1.0 == 1` print apart, and a list is unhashable): a CallInfo is a key
+# of `to_ndjson`'s call fragments only if its value, gas and args are these
+_PLAIN = frozenset({int, str, type(None)})
+
+
+class _Labels(dict):
+    """A rule label -> the `"rule": "<label>", "seq": ` that starts its
+    line's tail, each made the first time it is read."""
+    __slots__ = ()
+
+    def __missing__(self, rule: str) -> str:
+        frag = self[rule] = f'"rule": {_esc(rule)}, "seq": '
+        return frag
 
 
 def _int(x) -> str:
@@ -217,53 +238,89 @@ class Trace:
         """One line per rule, `json.dumps(event, sort_keys=True)` of its
         expanded event's JSON form, written straight out: keys in sorted
         order, `addr`, `fn`, `rule`, `seq` and `writes` always, the other
-        fields only when not None (a call's `args` only when non-empty). The
-        `{"addr": .., "fn": .., "frame": .., ` head of a call-less entry is
-        shared per (addr, fn, frame) within one call."""
+        fields only when not None (a call's `args` only when non-empty).
+
+        Each distinct value is encoded once per call, in dicts that die
+        with it: an address's `"0x.."`, a function name's escaped form, a
+        rule's `"rule": "..", "seq": ` (and their list per tuple of RuleRun
+        labels), the `{"addr": .., "fn": .., "frame": .., ` head of a call-less
+        entry, and a CallInfo's `"call": {..}, ` (only a `_PLAIN` one: see
+        there). A TX-START and its I-FUN share one `args` tuple, as do an
+        E-FUN1 and its callee's, so the last `args` encoded is kept by
+        identity. A RuleRun is one string: its lines joined on their
+        shared head, so `lines` holds one piece per entry."""
         esc = _esc
-        heads: dict = {}
+        addrs = {None: "null"}
+        names = {None: "null"}
+        labels = _Labels()
+        runs: dict = {}  # RuleRun labels -> their `labels` fragments
+        calls: dict = {}
+        heads: dict = {}  # (addr, fn, frame) -> head of a call-less entry
+        last_args = last_frag = None
+        tail = ', "writes": []}\n'
         lines: list = []
         for ev in self.events:
             call = ev.call
             key = (ev.addr, ev.fn, ev.frame)
-            head = heads.get(key) if call is None else None
+            if call is None:
+                head = heads.get(key)
+                c = ""
+            else:
+                head = None
+                kind, to, cfn, args, cvalue, gas = call
+                plain = (type(cvalue) in _PLAIN and type(gas) in _PLAIN
+                         and _PLAIN.issuperset(map(type, args)))
+                c = calls.get(call) if plain else None
+                if c is None:
+                    c = '"call": {'
+                    if args:
+                        if args is not last_args:
+                            last_args = args
+                            last_frag = '"args": [' + ", ".join(
+                                map(esc, map(str, args))) + "], "
+                        c += last_frag
+                    if cfn is not None:
+                        if (f := names.get(cfn)) is None:
+                            f = names[cfn] = esc(cfn)
+                        c += f'"fn": {f}, '
+                    if gas is not None:
+                        c += f'"gas": {_int(gas)}, '
+                    c += f'"kind": {esc(kind)}'
+                    if to is not None:
+                        if (a := addrs.get(to)) is None:
+                            a = addrs[to] = f'"{to:#x}"'
+                        c += f', "to": {a}'
+                    if cvalue is not None:
+                        c += f', "value": {_int(cvalue)}'
+                    c += "}, "
+                    if plain:
+                        calls[call] = c
             if head is None:
                 addr, fn, frame = key
-                head = "{\"addr\": " + ("null" if addr is None
-                                        else f'"{addr:#x}"') + ", "
-                if call is not None:
-                    kind, to, cfn, args, cvalue, gas = call
-                    c = []
-                    if args:
-                        c.append('"args": ['
-                                 + ", ".join([esc(str(a)) for a in args])
-                                 + "]")
-                    if cfn is not None:
-                        c.append(f'"fn": {esc(cfn)}')
-                    if gas is not None:
-                        c.append(f'"gas": {_int(gas)}')
-                    c.append(f'"kind": {esc(kind)}')
-                    if to is not None:
-                        c.append(f'"to": "{to:#x}"')
-                    if cvalue is not None:
-                        c.append(f'"value": {_int(cvalue)}')
-                    head += '"call": {' + ", ".join(c) + "}, "
-                head += '"fn": ' + ("null" if fn is None else esc(fn)) + ", "
+                if (a := addrs.get(addr)) is None:
+                    a = addrs[addr] = f'"{addr:#x}"'
+                if (f := names.get(fn)) is None:
+                    f = names[fn] = esc(fn)
+                head = f'{{"addr": {a}, {c}"fn": {f}, '
                 if frame is not None:
                     head += f'"frame": {frame}, '
                 if call is None:
                     heads[key] = head
-            if ev.rule is None:  # a RuleRun: a line per label
-                lines += [f'{head}"rule": {esc(rule)}, "seq": {seq}, '
-                          '"writes": []}\n'
-                          for seq, rule in enumerate(ev.rules, ev.seq)]
+            if ev.rule is None:  # a RuleRun: one line per label
+                if rules := ev.rules:
+                    if (frags := runs.get(rules)) is None:
+                        frags = runs[rules] = [*map(labels.__getitem__,
+                                                    rules)]
+                    lines.append(head + head.join([
+                        f"{frag}{seq}{tail}"
+                        for seq, frag in enumerate(frags, ev.seq)]))
                 continue
             line = head
             if ev.note is not None:
                 line += f'"note": {esc(ev.note)}, '
             if ev.omega is not None:
                 line += f'"omega": {ev.omega}, '
-            line += f'"rule": {esc(ev.rule)}, "seq": {ev.seq}, '
+            line += f"{labels[ev.rule]}{ev.seq}, "
             if ev.value is not None:
                 line += f'"value": {_int(ev.value)}, '
             writes = ev.writes
@@ -273,7 +330,7 @@ class Trace:
                     f'"space": {esc(w.space)}}}' for w in writes]) + "]}\n")
             else:
                 lines.append(line + '"writes": []}\n')
-        # each line carries its newline: joined lines plus a trailing "\n"
+        # each piece ends in a newline: joined lines plus a trailing "\n"
         # would hold a second copy of the whole output while `lines` lives
         return "".join(lines)
 

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -80,6 +81,25 @@ def read(world: World, address: int, text: str):
     a scenario assert reads it: the world's state and trace stay as they
     are."""
     return eval_readonly(world, address, parse_expression(text))
+
+
+def python_calls(run) -> int:
+    """The Python `call` events that sys.setprofile reports during run(),
+    with the cycle collector off, so no finalizer runs in between."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
 
 
 def make_world(*contract_files: str, options=None) -> World:

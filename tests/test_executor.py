@@ -1,6 +1,5 @@
 """Statement execution, calls, transactions, and their invariants."""
 
-import gc
 import random
 import sys
 
@@ -16,7 +15,8 @@ from solsem.state import EngineOptions, decode_value
 from solsem.trace import Trace, committed, expand, replay_storage_writes
 from solsem.typesys import UInt
 
-from conftest import deploy, make_world, read, world_from_source
+from conftest import deploy, make_world, python_calls, read, \
+    world_from_source
 
 U256 = UInt(256)
 
@@ -1084,25 +1084,6 @@ def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
     assert sizes[1][1] - sizes[0][1] == 32  # rules a round applies
 
 
-def _python_calls(run) -> int:
-    """The Python `call` events that sys.setprofile reports during run(),
-    with the cycle collector off, so no finalizer runs in between."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-    gc.collect()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls
-
-
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] != (3, 11),
                     reason="call counts are pinned for CPython 3.11")
@@ -1116,7 +1097,7 @@ def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
         assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
                                      args=(to, 50))).ok
     tx = Tx(sender=0xA, to=coin, fname="send", args=(0xB, 5))
-    assert _python_calls(lambda: ex.run_transaction(tx)) == COIN_SEND_CALLS
+    assert python_calls(lambda: ex.run_transaction(tx)) == COIN_SEND_CALLS
     ex = Executor(dao_world)
     calls = []
     for bank_value in (10, 12):  # one reentrant round more
@@ -1125,7 +1106,7 @@ def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
         assert ex.run_transaction(Tx(sender=0xB, to=attack,
                                      fname="addToBalance")).ok
         tx = Tx(sender=0xB, to=attack, fname="withdrawBalance")
-        calls.append(_python_calls(lambda: ex.run_transaction(tx)))
+        calls.append(python_calls(lambda: ex.run_transaction(tx)))
     assert calls[1] - calls[0] == REENTRANT_ROUND_CALLS
 
 

@@ -4,6 +4,7 @@ the consumers' oracles over its expansion."""
 
 import copy
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,8 @@ from solsem.trace import (
     replay_storage_writes,
 )
 
-from conftest import CLI_RUNS, deploy, make_world, scenario_source, \
-    world_from_source
+from conftest import CLI_RUNS, deploy, make_world, python_calls, \
+    scenario_source, world_from_source
 from ndjson_oracle import event_to_json
 from reentrancy_oracle import detect_reentrancy as oracle_detect_reentrancy
 
@@ -114,6 +115,86 @@ def test_ndjson_matches_the_dict_oracle():
         assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events)), \
             label
     _drawn_entries_match()
+
+
+@pytest.mark.parametrize("first, second", [(True, 1), (1, True), (False, 0),
+                                           (0, False), (1.0, 1)])
+def test_equal_calls_that_print_apart_are_each_encoded(first, second):
+    # CallInfo equality takes True and 1.0 for 1, but they print
+    # differently, so the writer's call fragments must not hand one the
+    # other's encoding
+    for field in ("args", "value", "gas"):
+        calls = [CallInfo("tx", 0x10, "f", **{
+            field: (v,) if field == "args" else v}) for v in (first, second)]
+        assert calls[0] == calls[1]
+        trace = Trace()
+        trace.events.extend(TraceEvent(seq, "TX-START", 0x10, "f", 7, (), call)
+                            for seq, call in enumerate(calls, 1))
+        assert trace.to_ndjson() == _oracle_ndjson(trace.events), field
+
+
+def test_library_txs_with_a_float_value_or_a_list_argument_are_written():
+    # a library Tx may carry any value: 1.0 == 1, and a list argument makes
+    # its CallInfo unhashable
+    world = make_world("coin.sol")
+    coin = deploy(world, "Coin", sender=0xA)
+    ex = Executor(world)
+    with pytest.raises(TypeError):  # rolled back; its TX-START is logged
+        ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                              args=([1], 2)))
+    for value in (1.0, 1):
+        assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                     args=(0xB, 2), value=value)).ok
+    trace = world.trace
+    assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events))
+
+
+def test_a_rule_run_with_no_labels_writes_no_line():
+    trace = Trace()
+    trace.events.extend([RuleRun(1, (), 0x10, "f", 7),
+                         TraceEvent(1, "TX-END", 0x10, "f", 7),
+                         RuleRun(2, (), None, None, None)])
+    assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events)) == (
+        '{"addr": "0x10", "fn": "f", "frame": 7, "rule": "TX-END", '
+        '"seq": 1, "writes": []}\n')
+
+
+def _drain(bank_value: int):
+    """The world of a DAO drain of a bank holding `bank_value` wei: an
+    attacker's deposit of 2, then (bank_value + 2) // 2 nested withdraws."""
+    world = make_world("dao.sol")
+    ex = Executor(world)
+    bank = ex.deploy("Bank", value=bank_value)
+    attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
+    for fname in ("addToBalance", "withdrawBalance"):
+        assert ex.run_transaction(Tx(sender=0xB, to=attack, fname=fname)).ok
+    return world
+
+
+def test_a_51_level_drain_matches_the_dict_oracle():
+    # every level repeats the same four calls, so most call fragments the
+    # writer encodes are reused across levels
+    trace = _drain(100).trace
+    calls = [ev.call for ev in trace.events if ev.call is not None]
+    assert sum(ev.rule == "E-FUN2" for ev in trace.events) == 51
+    assert (len(calls), len(set(calls))) == (215, 13)
+    assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events))
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="call counts are pinned for CPython 3.11")
+def test_python_calls_of_the_writer_on_the_dao_scenario():
+    # pinned exactly: a helper called per line or per entry moves it, and
+    # says so in CHANGES.md
+    world = make_world("dao.sol")
+    run_scenario(world, parse_scenario(scenario_source("dao.scn")))
+    trace = world.trace
+    trace.events  # the pending labels are logged before the count
+    assert python_calls(trace.to_ndjson) == WRITER_CALLS
+
+
+WRITER_CALLS = 94
 
 
 def test_an_event_keeps_its_writes_list_or_the_shared_empty_tuple():
