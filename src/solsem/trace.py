@@ -243,9 +243,9 @@ class Trace:
         Each distinct value is encoded once per call, in dicts that die
         with it: an address's `"0x.."`, a function name's escaped form, a
         rule's `"rule": "..", "seq": ` (and their list per tuple of RuleRun
-        labels), the `{"addr": .., "fn": .., "frame": .., ` head of a call-less
-        entry, and a CallInfo's `"call": {..}, ` (only a `_PLAIN` one: see
-        there). A TX-START and its I-FUN share one `args` tuple, as do an
+        labels), the `{"addr": .., "fn": .., "frame": .., ` head of a
+        call-less entry, and a CallInfo's `"call": {..}, ` (only a `_PLAIN`
+        one: see there). A TX-START and its I-FUN share one `args` tuple, as do an
         E-FUN1 and its callee's, so the last `args` encoded is kept by
         identity. A RuleRun is one string: its lines joined on their
         shared head, so `lines` holds one piece per entry."""
