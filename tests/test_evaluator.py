@@ -210,6 +210,19 @@ def test_a_literal_takes_its_unsigned_partners_width():
     assert read(world, address, "y") == 0
 
 
+@pytest.mark.parametrize("text, sem", [
+    # too big for uint8, or not a literal at all (`-(-5)`): uint256
+    ("x + 300", U256), ("x + -(-5)", U256), ("x + 1", UInt(8)),
+    # a negative literal adapts to a signed partner on either side
+    ("y + -5", Int256()), ("-5 + y", Int256()),
+])
+def test_a_literal_adapts_to_its_partner_by_its_value(text, sem):
+    world = world_from_source("contract Mixed { uint8 x = 7; int256 y = -7; }")
+    ev = _ev(world, deploy(world, "Mixed"))
+    e = parse_expression(text)
+    assert ev.type_of(e).sem == type_of(ev, e).sem == sem
+
+
 def test_int256_truncates_toward_zero():
     t = Int256()
     assert apply_binop("/", -5, 2, t) == -2

@@ -401,6 +401,48 @@ def test_handles_resolve_in_sender_and_arg_positions():
     assert "calls are not allowed" in outcome.results[-1].detail
 
 
+# the handles are bank 0x1000, attack 0x1001 (4097) and main; bank holds 4
+# wei, and main() leaves s.x == 3
+_PINNED_SETUP = """
+deploy bank Bank () from 0xA value 4
+deploy attack Attack (bank) from 0xB value 2
+tx bank.deposit() from attack value 0
+deploy main Main () from 0xA
+tx main.main() from 0xA
+"""
+
+
+@pytest.mark.parametrize("line, expected", [
+    # a handle is a value, not a place
+    ("bank.attack[0] == 0", (False, "expression is not addressable")),
+    ("bank.attack.x == 0", (False, "expression is not addressable")),
+    ("bank.attack.length == 0", (False, "expression is not addressable")),
+    # only a non-negative literal stands for an address key
+    ("bank.credit[-attack] == 0",
+     (False, "mapping key must be address, got uint256")),
+    ("bank.credit[attack + 0] == 0",
+     (False, "mapping key must be address, got uint256")),
+    ("bank.credit[-5] == 0",
+     (False, "mapping key must be address, got uint256")),
+    ("bank.credit[0x5] == 0", (True, "")),
+    ("bank.-attack == -4097", (True, "")),
+    ("bank.attack - attack + 7 == 7", (True, "")),
+    ("bank.balance == 4", (True, "")),
+    ("bank.balance + 1 == 5", (False, "unknown identifier balance")),
+    ("main.s.x == 3", (True, "")),
+    # `-(-5)` is not a literal; `x + -5` wraps at uint256, not int256
+    ("main.s.x + -(-5) == 8", (True, "")),
+    (f"main.s.x + -5 == {(1 << 256) - 2}", (True, "")),
+])
+def test_asserts_read_handles_and_literals(line, expected):
+    world = make_world("dao.sol", "coverage.sol")
+    outcome = run_scenario(world, parse_scenario(
+        f"{_PINNED_SETUP}assert {line}\n"))
+    assert not outcome.halted
+    result = outcome.results[-1]
+    assert (result.ok, result.detail) == expected
+
+
 def test_two_instances_in_one_world_have_identical_storage():
     world = make_world("test2.sol")
     a1 = deploy(world, "Test2")
