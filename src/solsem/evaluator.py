@@ -316,15 +316,17 @@ class _Compiler:
     (`compile_expression`), against `registry`, the contracts it may name.
     `locals` maps a local's name to (its index in the frame, its Located);
     `layout`, by default the contract's, maps a state variable's name to its
-    LValue, the same in every instance. A node compiles to (run, located); a
-    statement to run, which returns True when it executed a `return`. An
-    ill-typed node raises its error."""
+    LValue, the same in every instance; `constants` maps a name to the
+    integer it stands for, in an expression with no locals. A node compiles
+    to (run, located); a statement to run, which returns True when it
+    executed a `return`. An ill-typed node raises its error."""
 
     def __init__(self, registry: dict, trace, info, locals_: dict, fn=None,
-                 layout=None, inner=None):
+                 layout=None, inner=None, constants=None):
         self.registry, self.info, self.locals, self.fn, self.inner = \
             registry, info, locals_, fn, inner
         self.layout = info.layout if layout is None else layout
+        self.constants = constants or {}
         self.rules, self.emit = trace.rules, trace.emit
 
     def typed(self, e: ast.Expr):
@@ -383,6 +385,8 @@ class _Compiler:
                 return addr
             return run, located
         if name not in self.layout:
+            if name in self.constants:  # a value, not a place
+                self._unaddressable(e)
             raise UnknownIdentifier(f"unknown identifier {name}", span)
         addr, located = self.layout[name]
 
@@ -394,7 +398,11 @@ class _Compiler:
     def _read(self, e):
         """An identifier, index or member as a value: a ref's pointer after
         Size7, or E-RV and the value at its address. A state variable's
-        address is fixed, so its labels and read join in one closure."""
+        address is fixed, so its labels and read join in one closure. A named
+        constant no state variable shadows is its literal."""
+        if isinstance(e, ast.Ident) and e.name in self.constants \
+                and e.name not in self.layout:
+            return self._literal(self.constants[e.name])
         run, located = self.lvalue(e)
         labels = ("Size7",) if isinstance(located.sem, typesys.Ref) \
             else ("E-RV",)
@@ -507,6 +515,10 @@ class _Compiler:
         value = e.value
         return (lambda ev: value), _LITERALS[type(e)]
 
+    def _literal(self, value: int):
+        """An integer literal of `value`, typed by it."""
+        return (lambda ev: value), Located(typesys.Literal(value), MEMORY)
+
     def _msg(self, e):
         field = "sender" if isinstance(e, ast.MsgSender) else "value"
 
@@ -521,8 +533,8 @@ class _Compiler:
         t = typesys.unary_type(e, it.sem)
         if e.op == "!":
             return (lambda ev: not run(ev)), _BOOL
-        if isinstance(e.operand, ast.IntLit):  # a signed literal
-            return (lambda ev: -run(ev)), Located(t, MEMORY)
+        if isinstance(it.sem, typesys.Literal) and it.sem.value >= 0:
+            return self._literal(-it.sem.value)  # a signed literal
         sub = _operator("-", t)
         return (lambda ev: sub(0, run(ev))), Located(t, MEMORY)
 
@@ -857,13 +869,13 @@ class _Compiler:
 
 
 _UNTYPED = {ast.ArrayLit: "an array literal", ast.Push: "a push"}
-_LITERALS = {ast.IntLit: _U256, ast.BoolLit: _BOOL,
+_LITERALS = {ast.BoolLit: _BOOL,
              ast.StringLit: Located(typesys.ELEMENTARY["string"], MEMORY)}
 _C = _Compiler
 _LVALUES = {ast.Ident: _C._ident, ast.Index: _C._index, ast.Member: _C._member}
 _TYPED = {
     ast.Ident: _C._read, ast.Index: _C._read, ast.Member: _C._read,
-    ast.IntLit: _C._constant, ast.BoolLit: _C._constant,
+    ast.IntLit: lambda c, e: c._literal(e.value), ast.BoolLit: _C._constant,
     ast.StringLit: _C._constant, ast.MsgSender: _C._msg,
     ast.MsgValue: _C._msg, ast.Unary: _C._unary, ast.Binary: _C._binary,
     ast.ArrayLength: _C._array_length, ast.Call: _C._call,
@@ -989,13 +1001,15 @@ class Evaluator:
         return compile_expression(self.world, self.address, e)[1]
 
 
-def compile_expression(world, address: int, e: ast.Expr):
+def compile_expression(world, address: int, e: ast.Expr, constants=None):
     """(run, located) of `e` compiled against the contract of the instance
-    at `address`, with no locals: run(ev) returns its value. The compiler
-    records into a `Trace()` of its own, so running the code touches
-    nothing of `world.trace`."""
+    at `address`, with no locals: run(ev) returns its value. A name in
+    `constants` (name -> int) that no state variable shadows compiles as an
+    integer literal of its value. The compiler records into a `Trace()` of
+    its own, so running the code touches nothing of `world.trace`."""
     info = world.registry[world.instance(address).contract_name]
-    return _Compiler(world.registry, Trace(), info, {}).typed(e)
+    return _Compiler(world.registry, Trace(), info, {},
+                     constants=constants).typed(e)
 
 
 def read_value(world, config, loc: str, addr: int, sem: typesys.SemType):

@@ -20,7 +20,7 @@ of events: each reentry is decided when its outer frame closes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ast, typesys
@@ -187,40 +187,18 @@ def _contains_call(e: ast.Expr) -> bool:
                for c in (v if isinstance(v, list) else (v,)))
 
 
-def _substitute_handles(expr: ast.Expr, handles: dict,
-                        layout: dict) -> ast.Expr:
-    """Replace free identifiers that name scenario handles (and are not
-    state variables in `layout`) with their deployed addresses."""
-
-    def walk(e):
-        if isinstance(e, ast.Ident):
-            if e.name in handles and e.name not in layout:
-                return ast.IntLit(value=handles[e.name], span=e.span)
-            return e
-        return replace(e, **{
-            name: [walk(x) for x in v] if isinstance(v, list) else walk(v)
-            for name, v in ast.children(e)})
-
-    return walk(expr)
-
-
 def eval_readonly(world: World, address: int, expr: ast.Expr,
                   handles: Optional[dict] = None):
     """The value of a state expression of one instance, compiled against a
     trace of its own and run under a snapshot, so neither the world's state
-    nor its trace changes. A handle not shadowed by a state variable stands
-    for its address as an integer literal; calls, casts among them, are
-    rejected."""
+    nor its trace changes. Each of `handles` (name -> address) and
+    `balance`, the instance's wei, is a named constant: an integer literal,
+    unless a state variable of its name shadows it. A handle named `balance`
+    shadows the balance. Calls, casts among them, are rejected."""
     if _contains_call(expr):
         raise ScenarioError("calls are not allowed in assert expressions")
-    instance = world.instance(address)
-    layout = world.contract_info(instance.contract_name).layout
-    if handles:
-        expr = _substitute_handles(expr, handles, layout)
-    if isinstance(expr, ast.Ident) and expr.name == "balance" \
-            and "balance" not in layout:
-        return instance.balance
-    run = compile_expression(world, address, expr)[0]
+    constants = {"balance": world.instance(address).balance, **(handles or {})}
+    run = compile_expression(world, address, expr, constants)[0]
     mark = world.snapshot()  # a read of an unseen key records its region
     try:
         return run(Executor(world).evaluator(address))

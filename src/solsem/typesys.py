@@ -15,7 +15,7 @@ always start slot-aligned and occupy a multiple of 32 bytes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import ast
@@ -39,6 +39,14 @@ class SemType:
 @dataclass(frozen=True)
 class UInt(SemType):
     width: int  # bits, power of two in [8, 256]
+
+
+@dataclass(frozen=True)
+class Literal(UInt):
+    """An integer literal's type, solc's integer constant: a uint256 that
+    carries its value. `binary_type` and `unary_type` never return one."""
+    width: int = field(default=256, init=False)
+    value: int
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,8 @@ def is_reference_kind(t: SemType) -> bool:
 
 
 def type_to_str(t: SemType) -> str:
+    if isinstance(t, UInt):  # a literal's too
+        return f"uint{t.width}"
     if t in _NAMES:
         return _NAMES[t]
     if isinstance(t, StaticArray):
@@ -361,18 +371,14 @@ def zero_value(t: SemType):
 
 
 # ---------------------------------------------------------------------------
-# typing steps: a node's type from its children's (the compiler applies them)
+# typing steps: a node's type from its children's (the compiler applies them).
+# An integer literal types as a `Literal` (so does a named constant, and a
+# literal's negation), and every step reads literal-ness off those types.
 # ---------------------------------------------------------------------------
 
-def _is_int_literal(e) -> bool:
-    return isinstance(e, ast.IntLit) or (
-        isinstance(e, ast.Unary) and e.op == "-"
-        and isinstance(e.operand, ast.IntLit))
-
-
-def _literal_fits(e, t: UInt) -> bool:
-    """`e` is a non-negative integer literal within the range of `t`."""
-    return isinstance(e, ast.IntLit) and e.value < 1 << t.width
+def _fits(t: SemType, u: UInt) -> bool:
+    """t is a literal whose value a u holds."""
+    return isinstance(t, Literal) and 0 <= t.value < 1 << u.width
 
 
 def _comparable(op: str, a: SemType, b: SemType) -> bool:
@@ -398,9 +404,7 @@ def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:
     if isinstance(sem, Mapping):
         if base.loc != STORAGE:
             raise SolTypeError("mappings live in storage only", e.span)
-        # an integer literal may stand for an address key
-        if not (_mapping_key_compatible(sem.key, index_t) or isinstance(
-                sem.key, Address) and isinstance(e.index, ast.IntLit)):
+        if not _mapping_key_compatible(sem.key, index_t):
             raise SolTypeError(
                 f"mapping key must be {type_to_str(sem.key)}, got "
                 f"{type_to_str(index_t)}", e.span)
@@ -443,16 +447,12 @@ def binary_type(e, lt: SemType, rt: SemType) -> SemType:
     # arithmetic: the operands unify; an integer literal adapts to a signed
     # operand, and to an unsigned one that can hold it
     if isinstance(lt, UInt) and isinstance(rt, UInt):
-        if _literal_fits(e.rhs, lt):
-            return lt
-        if _literal_fits(e.lhs, rt):
-            return rt
-        return lt if lt.width >= rt.width else rt
-    if isinstance(lt, Int256) and (isinstance(rt, Int256) or isinstance(
-            rt, UInt) and _is_int_literal(e.rhs)):
+        t = lt if _fits(rt, lt) else rt if _fits(lt, rt) else \
+            lt if lt.width >= rt.width else rt
+        return UINT256 if isinstance(t, Literal) else t  # on literals alone
+    if isinstance(lt, Int256) and isinstance(rt, (Int256, Literal)):
         return lt
-    if isinstance(lt, UInt) and isinstance(rt, Int256) \
-            and _is_int_literal(e.lhs):
+    if isinstance(lt, Literal) and isinstance(rt, Int256):
         return rt
     if isinstance(lt, (UInt, Int256)) and isinstance(rt, (UInt, Int256)):
         raise SolTypeError("cannot mix signed and unsigned arithmetic", e.span)
@@ -468,7 +468,7 @@ def unary_type(e: ast.Unary, it: SemType) -> SemType:
         return BOOL
     if not isinstance(it, (UInt, Int256)):
         raise SolTypeError("unary - requires a numeric operand", e.span)
-    return it
+    return UINT256 if isinstance(it, Literal) else it
 
 
 def _strip_ref(t: SemType):
@@ -478,12 +478,11 @@ def _strip_ref(t: SemType):
 
 
 def _mapping_key_compatible(declared: SemType, actual: SemType) -> bool:
-    if isinstance(declared, UInt) and isinstance(actual, UInt):
-        return True
-    if isinstance(declared, Address) and isinstance(actual, (Address, Contract)):
-        return True
     if isinstance(declared, StaticArray) and isinstance(actual, StaticArray):
         return declared.length == actual.length and \
             _mapping_key_compatible(declared.elem, actual.elem)
-    return False
+    if isinstance(declared, Address):  # a non-negative literal stands for one
+        return isinstance(actual, (Address, Contract)) or isinstance(
+            actual, Literal) and actual.value >= 0
+    return isinstance(declared, UInt) and isinstance(actual, UInt)
 

@@ -428,7 +428,8 @@ tx main.main() from 0xA
     ("bank.-attack == -4097", (True, "")),
     ("bank.attack - attack + 7 == 7", (True, "")),
     ("bank.balance == 4", (True, "")),
-    ("bank.balance + 1 == 5", (False, "unknown identifier balance")),
+    # `balance` is a named constant, so it works inside an expression too
+    ("bank.balance + 1 == 5", (True, "")),
     ("main.s.x == 3", (True, "")),
     # `-(-5)` is not a literal; `x + -5` wraps at uint256, not int256
     ("main.s.x + -(-5) == 8", (True, "")),

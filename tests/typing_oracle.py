@@ -13,7 +13,8 @@ messages against it.
 from solsem import ast
 from solsem.errors import SolTypeError, UnknownIdentifier
 from solsem.typesys import (
-    MEMORY, UINT256, Address, Bool, Contract, Int256, Located, String, UInt,
+    MEMORY, UINT256, Address, Bool, Contract, Int256, Literal, Located,
+    String, UInt,
     _strip_ref, binary_type, dyn_array, index_type, member_type, unary_type,
 )
 
@@ -65,7 +66,7 @@ def type_of(env, e: ast.Expr) -> Located:
     if isinstance(e, ast.Ident):
         return _lookup(env, e)
     if isinstance(e, ast.IntLit):
-        return Located(UINT256, MEMORY)
+        return Located(Literal(e.value), MEMORY)
     if isinstance(e, ast.BoolLit):
         return Located(Bool(), MEMORY)
     if isinstance(e, ast.StringLit):
@@ -114,6 +115,9 @@ def type_of(env, e: ast.Expr) -> Located:
     if isinstance(e, ast.Binary):
         lt = type_of(env, e.lhs).sem
         return Located(binary_type(e, lt, type_of(env, e.rhs).sem), MEMORY)
+    if isinstance(e, ast.Unary) and e.op == "-" \
+            and isinstance(e.operand, ast.IntLit):  # a signed literal
+        return Located(Literal(-e.operand.value), MEMORY)
     if isinstance(e, ast.Unary):
         return Located(unary_type(e, type_of(env, e.operand).sem), MEMORY)
     raise SolTypeError(f"expression has no type: {e!r}",
