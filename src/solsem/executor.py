@@ -126,7 +126,8 @@ class Executor:
         return self._transact(tx, "tx", call)
 
     def _transact(self, tx: Tx, kind: str, body) -> TxResult:
-        """The transaction bracket: run `body` under a fresh Msg and frame.
+        """The transaction bracket: run `body` under a fresh Msg and frame,
+        if the transaction's value and gas are non-negative ints.
 
         On any exception the world is rolled back to its pre-state through
         the journal, and the trace gets TX-ABORT.
@@ -151,6 +152,11 @@ class Executor:
                                     tx.value, tx.gas)),
                     None if deploying else tx.value or None)
         try:
+            if type(tx.value) is not int or type(tx.gas) is not int \
+                    or min(tx.value, tx.gas) < 0:  # a bool is no amount
+                raise SolTypeError(f"transaction value and gas must be non-"
+                                   f"negative integers, not {tx.value!r} and "
+                                   f"{tx.gas!r}")
             value = body()
             trace.emit("TX-END")
             return TxResult(ok=True, value=value,

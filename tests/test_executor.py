@@ -336,6 +336,26 @@ def test_arguments_from_outside_are_counted_at_run_time(dao_world):
     assert world.storage_fingerprint() == before
 
 
+@pytest.mark.parametrize("amounts", [
+    {"value": -5}, {"value": 1.0}, {"value": True}, {"gas": -1}])
+def test_a_library_tx_with_a_bad_value_or_gas_aborts(coin_world, amounts):
+    # a library Tx is not parsed as a scenario line is: the bracket checks
+    # its value and gas, so no balance goes negative or turns into a float
+    ex = Executor(coin_world)
+    coin = deploy(coin_world, "Coin", sender=0xA)
+    before = coin_world.storage_fingerprint()
+    n = len(coin_world.trace.events)
+    res = ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                args=(0xB, 2), **amounts))
+    assert not res.ok and isinstance(res.error.cause, SolTypeError)
+    assert "must be non-negative integers" in res.error.reason
+    with pytest.raises(TxAborted, match="must be non-negative integers"):
+        ex.deploy("Coin", sender=0xA, **amounts)
+    assert coin_world.storage_fingerprint() == before
+    assert [e.rule for e in coin_world.trace.events[n:]] == \
+        ["TX-START", "TX-ABORT"] * 2
+
+
 def test_a_mapping_key_wider_than_a_word_does_not_register():
     # bytes32(k) must hold the key: rejected where the mapping is declared
     err = _rejected("contract M {\n  mapping(uint[2] => uint) m;\n}")

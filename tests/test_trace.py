@@ -134,17 +134,17 @@ def test_equal_calls_that_print_apart_are_each_encoded(first, second):
 
 
 def test_library_txs_with_a_float_value_or_a_list_argument_are_written():
-    # a library Tx may carry any value: 1.0 == 1, and a list argument makes
-    # its CallInfo unhashable
+    # a library Tx may carry any value: 1.0 == 1 (the bracket aborts it, but
+    # its TX-START logs it), and a list argument makes its CallInfo unhashable
     world = make_world("coin.sol")
     coin = deploy(world, "Coin", sender=0xA)
     ex = Executor(world)
     with pytest.raises(TypeError):  # rolled back; its TX-START is logged
         ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
                               args=([1], 2)))
-    for value in (1.0, 1):
-        assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
-                                     args=(0xB, 2), value=value)).ok
+    assert [ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                  args=(0xB, 2), value=value)).ok
+            for value in (1.0, 1)] == [False, True]
     trace = world.trace
     assert trace.to_ndjson() == _oracle_ndjson(expand(trace.events))
 
