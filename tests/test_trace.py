@@ -93,17 +93,47 @@ _calls = st.builds(
         st.one_of(_ints, st.booleans(), _strings), min_size=1,
         max_size=3).map(tuple)),
     value=_opt_amounts, gas=_opt_amounts)
-_events = st.builds(
-    TraceEvent, seq=_ints, rule=_strings, addr=_addrs, fn=_fns, frame=_frames,
-    writes=st.one_of(st.just(()), st.lists(_writes, max_size=3)),
-    call=st.one_of(st.none(), _calls), value=_opt_amounts, omega=_opt_ints,
-    note=st.one_of(st.none(), _strings))
 _runs = st.builds(RuleRun, seq=_ints, rules=st.lists(_strings, max_size=4)
                   .map(tuple), addr=_addrs, fn=_fns, frame=_frames)
 
 
+def _swaps(x) -> list:
+    """The values equal to x that print apart from it (`True == 1.0 == 1`)."""
+    if type(x) is bool:
+        return [int(x), float(x)]
+    if type(x) is int:
+        return [bool(x)] * (x in (0, 1)) + [float(x)] * (float(x) == x)
+    return []
+
+
+def _twins(call: CallInfo) -> list:
+    """`call` with one argument, its value or its gas swapped for an equal
+    value that prints apart: each twin equals `call`."""
+    args = call.args
+    return [call._replace(args=args[:i] + (y,) + args[i + 1:])
+            for i, x in enumerate(args) for y in _swaps(x)] + \
+        [call._replace(value=y) for y in _swaps(call.value)] + \
+        [call._replace(gas=y) for y in _swaps(call.gas)]
+
+
+@st.composite
+def _entry_lists(draw):
+    """Up to 6 entries; an event's call is None, a fresh CallInfo, or one of
+    a few shared ones or their twins, so that equal calls recur."""
+    shared = draw(st.lists(_calls, min_size=1, max_size=2))
+    shared += [twin for call in shared for twin in _twins(call)]
+    events = st.builds(
+        TraceEvent, seq=_ints, rule=_strings, addr=_addrs, fn=_fns,
+        frame=_frames,
+        writes=st.one_of(st.just(()), st.lists(_writes, max_size=3)),
+        call=st.one_of(st.none(), _calls, st.sampled_from(shared)),
+        value=_opt_amounts, omega=_opt_ints,
+        note=st.one_of(st.none(), _strings))
+    return draw(st.lists(st.one_of(events, _runs), max_size=6))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_events, _runs), max_size=6))
+@given(_entry_lists())
 def _drawn_entries_match(entries):
     trace = Trace()
     trace.events.extend(entries)
