@@ -81,7 +81,8 @@ class _Labels(dict):
 
 
 def _int(x) -> str:
-    """A transferred value or gas as JSON: a library `Tx` can carry a bool."""
+    """A transferred value or gas as JSON: a library `Tx` can carry a bool,
+    which its TX-START logs before the bracket aborts it."""
     return "true" if x is True else "false" if x is False else repr(x)
 
 

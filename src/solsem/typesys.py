@@ -449,7 +449,7 @@ def binary_type(e, lt: SemType, rt: SemType) -> SemType:
     if isinstance(lt, UInt) and isinstance(rt, UInt):
         t = lt if _fits(rt, lt) else rt if _fits(lt, rt) else \
             lt if lt.width >= rt.width else rt
-        return UINT256 if isinstance(t, Literal) else t  # on literals alone
+        return UINT256 if isinstance(t, Literal) else t  # never a literal
     if isinstance(lt, Int256) and isinstance(rt, (Int256, Literal)):
         return lt
     if isinstance(lt, Literal) and isinstance(rt, Int256):
