@@ -209,7 +209,7 @@ class Return(Stmt):
 
 @dataclass(eq=True)
 class Placeholder(Stmt):
-    """The `_;` statement inside a modifier body."""
+    """The `_;` statement; only a modifier body may hold one."""
 
 
 # ---------------------------------------------------------------------------

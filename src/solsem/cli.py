@@ -218,11 +218,8 @@ def _cmd_layout(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "layout":
-            return _cmd_layout(args)
+    try:  # argparse requires one of the two commands
+        return _cmd_run(args) if args.command == "run" else _cmd_layout(args)
     except _CliExit as e:
         return e.code
     except SolsemError as err:
@@ -232,7 +229,6 @@ def main(argv=None) -> int:
         print(f"error: engine fault: {type(err).__name__}: {err}",
               file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

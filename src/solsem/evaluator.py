@@ -25,7 +25,8 @@ application's own `VarDecl`s), else a state variable, else an
 `UnknownIdentifier`. Each local has a fixed index in the function's frame,
 a list of addresses filled as declarations run, so a local used before its
 declaration has run aborts. A second declaration of a name in one scope is
-a registration error, as are an unknown modifier and `return e;` in one.
+a registration error, as are an unknown modifier, `return e;` in one and
+`_;` outside one.
 
 Dynamic-array and mapping addresses are hash-derived at slot granularity:
 element i of an array based at slot p lives at slot keccak256(bytes32(p))+i,
@@ -143,10 +144,7 @@ _OPERATORS = {
 def _operator(op: str, t: typesys.SemType):
     """The function (lhs, rhs) -> lhs op rhs at type t: comparisons at any
     type; unsigned arithmetic wraps modulo 2^w, signed wraps into int256."""
-    make = _OPERATORS.get((op, type(t))) or _OPERATORS.get((op, None))
-    if make is None:
-        raise SolTypeError(
-            f"operator {op} not defined at {typesys.type_to_str(t)}")
+    make = _OPERATORS.get((op, type(t))) or _OPERATORS[op, None]
     return make(t)
 
 
@@ -296,7 +294,7 @@ def _local(s: ast.VarDecl, structs: dict, registry) -> Located:
     if isinstance(t, typesys.Mapping) and s.location == "memory":
         raise SolTypeError("mappings live in storage only", s.span)
     if typesys.is_reference_kind(t) and s.location != "memory":
-        return Located(typesys.make_ref(t), STORAGE)
+        return Located(typesys.Ref(t), STORAGE)
     return Located(t, MEMORY)
 
 
@@ -792,8 +790,11 @@ class _Compiler:
 
     def _placeholder(self, s: ast.Placeholder):
         """`_;` runs the code it wraps, and goes on: a `return` in there
-        leaves only that."""
+        leaves only that. A function body wraps nothing."""
         inner = self.inner
+        if inner is None:
+            raise SolTypeError(
+                "placeholder `_;` is only valid inside a modifier body", s.span)
         return lambda ev: inner(ev) and False
 
     def _var_decl(self, s: ast.VarDecl):
@@ -880,15 +881,13 @@ _TYPED = {
     ast.MsgValue: _C._msg, ast.Unary: _C._unary, ast.Binary: _C._binary,
     ast.ArrayLength: _C._array_length, ast.Call: _C._call,
     ast.ExternalCall: lambda c, e: c._external(e, operand=True),
-    ast.LowLevelCallValue: lambda c, e: c._external(e, operand=True),
+    ast.LowLevelCallValue: _C._external,
 }
-_RVALUES = {ast.ArrayLit: _C._array, ast.ExternalCall: _C._external,
-            ast.LowLevelCallValue: _C._external}
+_RVALUES = {ast.ArrayLit: _C._array, ast.ExternalCall: _C._external}
 _EFFECTS = {  # expression statements that are not evaluated as a value
     ast.ArrayLit: _C._array, ast.Push: _C._push,
     ast.Call: lambda c, e: c._call(e, expression=False),
     ast.ExternalCall: lambda c, e: c._external(e, expression=False),
-    ast.LowLevelCallValue: lambda c, e: c._external(e, expression=False),
 }
 _STATEMENTS = {
     ast.VarDecl: _C._var_decl, ast.Assign: _C._assign,

@@ -96,7 +96,8 @@ class Executor:
             if info.constructor is not None:
                 _check_arity(info.constructor, tx.args)
                 self.call_internal(address, info.constructor, tx.args,
-                                   expression=False)
+                                   expression=False,
+                                   config=world.instance(address).config)
             elif args:
                 raise SolTypeError(
                     f"{contract_name} has no constructor but got arguments")
@@ -186,16 +187,13 @@ class Executor:
     # -- function calls ---------------------------------------------------------------
 
     def call_internal(self, address: int, fn: FunctionInfo, values: tuple,
-                      expression: bool, call_kind: str = "internal",
-                      config=None):
+                      expression: bool, config, call_kind: str = "internal"):
         """Push a fresh frame, bind parameters and the return slot, run the
         body inside its modifiers, and hand back the return value."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
         size, bind, body, result = fn.code
-        if config is None:
-            config = world.instance(address).config
         frame = [None] * size
         ev = Evaluator(self, address, config, frame)
         world.call_depth += 1
@@ -219,8 +217,8 @@ class Executor:
             world.call_depth -= 1
 
     def external_call(self, ev: Evaluator, target: int, name: Optional[str],
-                      values: tuple, m: int, n: int, span=None,
-                      expression: bool = False, expect=None):
+                      values: tuple, m: int, n: int, span, expression: bool,
+                      expect):
         """E-FUN1, a named call `c.f.value(m).gas(n)(args)` of function
         `name`, or E-FUN2, a low-level `c.call.value(m)()` (`name` None)
         that runs the callee's fallback; the caller has evaluated the

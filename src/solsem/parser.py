@@ -46,7 +46,6 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.allow_hex = allow_hex  # scenario expressions accept hex literals
-        self.in_modifier = False
 
     # -- token helpers ------------------------------------------------------
 
@@ -148,12 +147,7 @@ class Parser:
             if not self.at_punct(")"):
                 raise UnsupportedFeature("modifier parameters", self.peek().span)
             self.expect("punct", ")")
-        self.in_modifier = True
-        try:
-            body = self.parse_block()
-        finally:
-            self.in_modifier = False
-        return ast.ModifierDef(name=name, body=body, span=kw.span)
+        return ast.ModifierDef(name=name, body=self.parse_block(), span=kw.span)
 
     def parse_state_var(self) -> ast.StateVarDecl:
         tname = self.parse_type()
@@ -336,9 +330,6 @@ class Parser:
                 return [ast.Return(expr=expr, span=t.span)]
         if t.kind == "ident" and t.value == "_" \
                 and self.peek(1).kind == "punct" and self.peek(1).value == ";":
-            if not self.in_modifier:
-                raise SolSyntaxError(
-                    "placeholder `_;` is only valid inside a modifier body", t.span)
             self.advance()
             self.expect("punct", ";")
             return [ast.Placeholder(span=t.span)]

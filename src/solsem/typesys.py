@@ -115,11 +115,6 @@ _NAMES = {t: name for name, t in reversed(ELEMENTARY.items())}
 UINT256, BOOL = ELEMENTARY["uint256"], ELEMENTARY["bool"]
 
 
-def make_ref(t: SemType) -> Ref:
-    # Ref never wraps Ref
-    return t if isinstance(t, Ref) else Ref(t)
-
-
 class Located(NamedTuple):
     """A semantic type paired with its location class."""
     sem: SemType
@@ -234,8 +229,6 @@ def sized(t: SemType) -> tuple:
     if isinstance(t, Struct):
         extent, labels = packed(0, t.field_types())
         return _ceil_to_slot(extent), labels + ("Size3",)
-    if type(t) not in _FIXED_SIZES:
-        raise UnsizedType(f"type {t!r} has no size")
     return _FIXED_SIZES[type(t)]
 
 
@@ -297,8 +290,6 @@ def size_packed(start: int, fields) -> int:
 def field_offset(struct_t: Struct, k: int) -> int:
     """Packed byte offset of field k within its struct."""
     types = struct_t.field_types()
-    if k >= len(types):
-        raise SolTypeError(f"struct {struct_t.name} has no field index {k}")
     return align_up(size_packed(0, types[:k]), types[k])
 
 
@@ -352,17 +343,16 @@ def decode_value(data: bytes, t: SemType):
 
 @functools.cache
 def key_encoder(t: SemType):
-    """k -> bytes32(k) for a mapping key of type t (resolve_type bounds t)."""
+    """k -> bytes32(k) for a mapping key of type t: a uint, an address, or a
+    static array of them (`resolve_type` admits no other key)."""
     if isinstance(t, StaticArray):
         enc, size = key_encoder(t.elem), size_of(t.elem)
         return lambda v: b"".join([enc(x)[-size:] for x in v]).rjust(
             SLOT, b"\x00")
-    if isinstance(t, (UInt, Address, Contract)):
-        bound = 1 << (t.width if isinstance(t, UInt) else 160)
-        # encode_value's range test, inlined: it is called only to raise
-        return lambda v: v.to_bytes(SLOT, "big") if 0 <= v < bound \
-            else encode_value(v, t)
-    return lambda v: encode_value(v, t).rjust(SLOT, b"\x00")
+    bound = 1 << (t.width if isinstance(t, UInt) else 160)  # else an address
+    # encode_value's range test, inlined: it is called only to raise
+    return lambda v: v.to_bytes(SLOT, "big") if 0 <= v < bound \
+        else encode_value(v, t)
 
 
 def zero_value(t: SemType):
@@ -405,9 +395,10 @@ def index_type(e: ast.Index, base: Located, index_t: SemType) -> Located:
         if base.loc != STORAGE:
             raise SolTypeError("mappings live in storage only", e.span)
         if not _mapping_key_compatible(sem.key, index_t):
-            raise SolTypeError(
-                f"mapping key must be {type_to_str(sem.key)}, got "
-                f"{type_to_str(index_t)}", e.span)
+            got = f"int_const {index_t.value}" \
+                if isinstance(index_t, Literal) else type_to_str(index_t)
+            raise SolTypeError(f"mapping key must be {type_to_str(sem.key)}, "
+                               f"got {got}", e.span)
         return Located(sem.value, base.loc)
     raise SolTypeError(
         f"cannot index a value of type {type_to_str(base.sem)}", e.span)
@@ -444,6 +435,8 @@ def binary_type(e, lt: SemType, rt: SemType) -> SemType:
                 f"cannot compare {type_to_str(lt)} with {type_to_str(rt)}",
                 e.span)
         return BOOL
+    if e.op not in ("+", "-", "*", "/", "%"):  # not from the parser
+        raise SolTypeError(f"operator {e.op} not defined", e.span)
     # arithmetic: the operands unify; an integer literal adapts to a signed
     # operand, and to an unsigned one that can hold it
     if isinstance(lt, UInt) and isinstance(rt, UInt):
@@ -466,6 +459,8 @@ def unary_type(e: ast.Unary, it: SemType) -> SemType:
         if not isinstance(it, Bool):
             raise SolTypeError("! requires a bool operand", e.span)
         return BOOL
+    if e.op != "-":  # not from the parser
+        raise SolTypeError(f"operator {e.op} not defined", e.span)
     if not isinstance(it, (UInt, Int256)):
         raise SolTypeError("unary - requires a numeric operand", e.span)
     return UINT256 if isinstance(it, Literal) else it
@@ -481,8 +476,10 @@ def _mapping_key_compatible(declared: SemType, actual: SemType) -> bool:
     if isinstance(declared, StaticArray) and isinstance(actual, StaticArray):
         return declared.length == actual.length and \
             _mapping_key_compatible(declared.elem, actual.elem)
-    if isinstance(declared, Address):  # a non-negative literal stands for one
+    if isinstance(declared, Address):  # or a literal in [0, 2**160)
         return isinstance(actual, (Address, Contract)) or isinstance(
-            actual, Literal) and actual.value >= 0
-    return isinstance(declared, UInt) and isinstance(actual, UInt)
+            actual, Literal) and 0 <= actual.value < 1 << 160
+    # a literal key must fit its key type
+    return isinstance(declared, UInt) and isinstance(actual, UInt) and (
+        _fits(actual, declared) or not isinstance(actual, Literal))
 

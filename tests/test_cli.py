@@ -192,6 +192,17 @@ def test_unpackable_struct_field_exits_two_with_position(tmp_path, capsys):
                               f"a struct\n")
 
 
+def test_a_placeholder_outside_a_modifier_exits_two_with_position(tmp_path,
+                                                                   capsys):
+    # it parses; registration rejects it, before anything deploys
+    bad = tmp_path / "bad.sol"
+    bad.write_text("contract X { function f() public { _; } }\n")
+    code = main(["run", str(bad)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"{bad}:1:36: placeholder `_;` is "
+                                       f"only valid inside a modifier body\n")
+
+
 def test_missing_main_exits_two(capsys):
     code = main(["run", _path("c", "coin.sol")])
     assert code == 2
@@ -260,6 +271,16 @@ def test_layout_unknown_contract_exits_two(capsys):
     assert code == 2
 
 
+def test_layout_of_an_aborting_constructor_exits_two_with_one_line(tmp_path,
+                                                                  capsys):
+    bad = tmp_path / "bad.sol"
+    bad.write_text("contract C { uint x; function C() { x = 1 / x; } }\n")
+    code = main(["layout", str(bad), "--contract", "C"])
+    assert code == 2
+    assert capsys.readouterr() == \
+        ("", f"{bad}: transaction aborted: / by zero\n")
+
+
 def test_run_json_document(capsys):
     code = main(["run", _path("c", "dao.sol"),
                  "--scenario", _path("s", "dao.scn"),
@@ -277,6 +298,16 @@ def test_emit_layout_flag(capsys):
     code = main(["run", _path("c", "test4.sol"), "--scenario", "/dev/null",
                  "--emit-layout", "--json"])
     assert code == 0
+    capsys.readouterr()
+    # in text mode, each handle's layout follows the report, hashed regions
+    # after the variables
+    code = main(["run", _path("c", "coin.sol"), "--scenario",
+                 _path("s", "coin.scn"), "--emit-layout"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[6].startswith("layout of Coin (coin) at 0x1000")
+    assert lines[-2].startswith("  [mapping base slot 1 key 2827] slot 0x")
+    assert lines[-2].endswith(" = 2")
 
 
 def test_stdout_is_deterministic(capsys):

@@ -289,7 +289,7 @@ def _typed_fixture_evaluators():
                          ("pp", "s")):
         lv = eval_lvalue(ev, parse_expression(target))
         ev = bind_local(ev, name, typesys.Located(
-            typesys.make_ref(lv.located.sem), typesys.STORAGE), lv.addr)
+            typesys.Ref(lv.located.sem), typesys.STORAGE), lv.addr)
     yield "Main", ev
     for fixture, fname in (("test2.sol", "foo2"), ("test3.sol", "foo3"),
                            ("test4.sol", "foo4")):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from solsem import parse, typesys
+from solsem import ast, parse, typesys
 from solsem.errors import (
     DuplicateDeclaration, RangeError, SolsemError, SolTypeError, TxAborted,
 )
@@ -203,6 +203,8 @@ _MODIFIED = [  # (modifiers and f, in `contract C { uint y; ... }`) ->
     ("modifier m { return 5; _; } "
      "function f() m public returns (uint) { y = 1; }",
      ("return value in a modifier", "return 5")),
+    ("modifier m { _; } function f() m public { if (y == 0) { _; } }",
+     ("placeholder `_;` is only valid inside a modifier body", "_; } }")),
 ]
 
 
@@ -225,6 +227,27 @@ def test_a_modifier_is_a_scope_that_runs_where_it_is_listed(decls, expected):
         expected
 
 
+@pytest.mark.parametrize("stmt, message", [
+    (ast.Placeholder(), "placeholder `_;` is only valid inside a modifier body"),
+    (ast.ExprStmt(expr=ast.Binary(op="**", lhs=ast.IntLit(value=2),
+                                  rhs=ast.IntLit(value=3))),
+     "operator ** not defined"),
+    (ast.ExprStmt(expr=ast.Unary(op="~", operand=ast.IntLit(value=2))),
+     "operator ~ not defined"),
+], ids=["placeholder", "binary", "unary"])
+def test_a_library_built_statement_is_checked_at_registration(stmt, message):
+    # a library can build what the parser never makes, or (`_;`) makes
+    # anywhere: registration rejects it, so the function never runs
+    unit = parse("contract C { uint y; function f() public { y = 1; } }")
+    unit.contract("C").functions[0].body.append(stmt)
+    world = make_world("coin.sol")
+    registry = dict(world.registry)
+    with pytest.raises(SolTypeError) as err:
+        world.register(unit)
+    assert err.value.message == message
+    assert world.registry == registry
+
+
 # one source node, one rule: a compound assignment runs its rhs, then its
 # target's address once (solc's order); a `do` loop's body is one block, run
 # once before the first test
@@ -238,6 +261,9 @@ _ONE_RULE_PER_NODE = [  # (declarations in `contract C { uint y; ... }`) ->
     ("function f() public { do { uint k = 1; y = y + k; } while (y < 3); }",
      3),
     ("function f() public { y = 7; do { y = y + 1; } while (y < 3); }", 8),
+    # a `return` on the first pass leaves the function, not only the loop
+    ("function f() public { do { y = 5; return; } while (y < 3); y = 9; }",
+     5),
 ]
 
 
@@ -312,7 +338,7 @@ def test_an_internal_call_with_the_wrong_argument_count_does_not_register():
 
 def test_arguments_from_outside_are_counted_at_run_time(dao_world):
     # a transaction, a deploy and a named call on a plain address carry
-    # arguments that no registration saw
+    # arguments, and name a function, that no registration saw
     ex = Executor(dao_world)
     bank = deploy(dao_world, "Bank", value=10)
     before = dao_world.storage_fingerprint()
@@ -322,17 +348,23 @@ def test_arguments_from_outside_are_counted_at_run_time(dao_world):
     assert res.error.reason == "withdraw expects 1 arguments, got 2"
     with pytest.raises(TxAborted, match="Attack expects 1 arguments, got 0"):
         ex.deploy("Attack", sender=0xB)
+    with pytest.raises(TxAborted,
+                       match="Bank has no constructor but got arguments"):
+        ex.deploy("Bank", args=(1,), sender=0xB)
     assert dao_world.storage_fingerprint() == before
     world = world_from_source("""
     contract R { uint hits; function g(uint x) public { hits = x; } }
-    contract P { function pay(address to) public { to.g(1, 2); } }""")
+    contract P { function pay(address to) public { to.g(1, 2); }
+                 function miss(address to) public { to.h(); } }""")
     r, p = deploy(world, "R"), deploy(world, "P")
     before = world.storage_fingerprint()
-    res = Executor(world).run_transaction(Tx(sender=1, to=p, fname="pay",
-                                             args=(r,)))
+    ex = Executor(world)
+    res = ex.run_transaction(Tx(sender=1, to=p, fname="pay", args=(r,)))
     assert not res.ok
     assert res.error.reason == "g expects 1 arguments, got 2"
     assert repr(res.error.cause.span) == "3:54"  # the call's
+    res = ex.run_transaction(Tx(sender=1, to=p, fname="miss", args=(r,)))
+    assert (res.ok, res.error.reason) == (False, "R has no function h")
     assert world.storage_fingerprint() == before
 
 
@@ -797,6 +829,10 @@ def test_abort_restores_bytes_for_runtime_faults():
       function div0(uint d) public { a = 1; a = a / d; }
       function oob(uint i) public { a = 2; xs[i] = 1; }
       function warn(uint d) public { uint[2] p; p[0] = 1 / d; }
+      string s;
+      function neg(int i) public { a = 3; xs[i] = 1; }
+      function three() public { a = 4; xs = [1, 2, 3]; }
+      function text() public { a = 5; s = [1]; }
     }""")
     address = deploy(world, "F")
     ex = Executor(world)
@@ -812,6 +848,14 @@ def test_abort_restores_bytes_for_runtime_faults():
     assert [e.rule for e in res.events if e.rule in ("WARN", "TX-ABORT")] \
         == ["WARN", "TX-ABORT"]
     assert _warnings(world) == []
+    for fname, args, reason in (
+            ("neg", (-1,), "negative index -1"),
+            ("three", (), "expected 2 elements for uint256[2]"),
+            ("text", (), "expected a string value")):
+        res = ex.run_transaction(Tx(sender=1, to=address, fname=fname,
+                                    args=args))
+        assert (res.ok, res.error.reason) == (False, reason)
+        assert world.storage_fingerprint() == before
     # committed sanity: the same functions succeed with benign arguments
     assert ex.run_transaction(Tx(sender=1, to=address, fname="div0",
                                  args=(1,))).ok
@@ -839,6 +883,15 @@ _ILL_TYPED = {  # the function (with its modifier) -> the type error's message
         "if condition must be boolean",
     "function f() public { a = 5; while (a) { a = 0; } }":
         "while condition must be boolean",
+    "function f() public { uint8(b, b); }": "cast to uint8 takes one argument",
+    "uint[2] x; uint[2] y; "
+    "function f() public { uint[2] storage p = x; p = y; }":
+        "cannot assign a whole uint256[2] ref",
+    "uint[0] x;": "static array length must be positive",
+    "function f() public { mapping(uint => uint) memory m; }":
+        "mappings live in storage only",
+    "function f() public { return 1; }":
+        "return value in a function with no declared return",
     "modifier m { if (a) _; } function f() m public { a = 5; }":
         "if condition must be boolean",
     "modifier m { if (a) _; } modifier n { if (true) _; } "
@@ -1276,13 +1329,30 @@ def test_nested_mapping_addresses_compose():
 
 @pytest.mark.parametrize("key_t, top", [
     (UInt(8), 255), (U256, (1 << 256) - 1),
-    (typesys.Address(), (1 << 160) - 1),
-    (typesys.Contract("Coin"), (1 << 160) - 1)])
+    (typesys.Address(), (1 << 160) - 1)])
 def test_a_key_encoder_gives_the_bytes32_of_encode_value(key_t, top):
-    # a uint, address or contract key skips encode_value when it is in range
+    # a uint or address key skips encode_value when it is in range
     for key in (0, top):
         assert typesys.key_encoder(key_t)(key) == \
             typesys.encode_value(key, key_t).rjust(32, b"\x00")
+
+
+def test_a_literal_mapping_key_must_fit_its_key_type():
+    # checked at registration, at the index's `[`, as solc does
+    err = _rejected("contract K { mapping(uint8 => uint) m;\n"
+                    "  function f() public { m[256] = 1; } }")
+    assert (err.message, repr(err.span)) == \
+        ("mapping key must be uint8, got int_const 256", "2:26")
+    top = (1 << 160) - 1  # a key at its type's bound registers
+    world = world_from_source(f"""
+    contract K {{
+      mapping(uint8 => uint) m; mapping(address => uint) n;
+      function f() public {{ m[255] = 1; n[{top}] = 2; }} }}""")
+    address = deploy(world, "K")
+    assert Executor(world).run_transaction(
+        Tx(sender=1, to=address, fname="f")).ok
+    assert (read(world, address, "m[255]"), read(world, address, f"n[{top}]")) \
+        == (1, 2)
 
 
 def test_a_mapping_key_out_of_range_aborts_and_rolls_back():

@@ -10,9 +10,10 @@ import pytest
 import lexer_oracle
 from solsem import ast
 from ast_printer import to_source
-from solsem.errors import SolSyntaxError, UnsupportedFeature
+from solsem.errors import SolSyntaxError, SolsemError, UnsupportedFeature
 from solsem.lexer import tokenize
 from solsem.parser import parse, parse_expression, try_parse
+from solsem.state import World
 
 from conftest import FIXTURE_CONTRACTS, contract_source
 
@@ -205,8 +206,12 @@ def test_every_parsed_unit_is_a_tree():
 
 
 def test_placeholder_only_in_modifiers():
-    _, diags = try_parse("contract X { function f() public { _; } }")
-    assert diags and "placeholder" in diags[0].message
+    # `_;` parses anywhere; registration rejects it outside a modifier body
+    unit = parse("contract X { function f() public { _; } }")
+    with pytest.raises(SolsemError) as err:
+        World().register(unit)
+    assert (repr(err.value.span), err.value.message) == (
+        "1:36", "placeholder `_;` is only valid inside a modifier body")
     unit = parse("""
     contract X {
       uint owner;

@@ -417,13 +417,13 @@ tx main.main() from 0xA
     ("bank.attack[0] == 0", (False, "expression is not addressable")),
     ("bank.attack.x == 0", (False, "expression is not addressable")),
     ("bank.attack.length == 0", (False, "expression is not addressable")),
-    # only a non-negative literal stands for an address key
+    # only a literal that an address holds stands for an address key
     ("bank.credit[-attack] == 0",
-     (False, "mapping key must be address, got uint256")),
+     (False, "mapping key must be address, got int_const -4097")),
     ("bank.credit[attack + 0] == 0",
      (False, "mapping key must be address, got uint256")),
     ("bank.credit[-5] == 0",
-     (False, "mapping key must be address, got uint256")),
+     (False, "mapping key must be address, got int_const -5")),
     ("bank.credit[0x5] == 0", (True, "")),
     ("bank.-attack == -4097", (True, "")),
     ("bank.attack - attack + 7 == 7", (True, "")),
@@ -434,6 +434,15 @@ tx main.main() from 0xA
     # `-(-5)` is not a literal; `x + -5` wraps at uint256, not int256
     ("main.s.x + -(-5) == 8", (True, "")),
     (f"main.s.x + -5 == {(1 << 256) - 2}", (True, "")),
+    # a literal key at its key type's bounds, and past them
+    (f"bank.credit[{(1 << 160) - 1}] == 0", (True, "")),
+    (f"bank.credit[{1 << 160}] == 0",
+     (False, f"mapping key must be address, got int_const {1 << 160}")),
+    ("main.m2[-1] == 0",
+     (False, "mapping key must be uint256, got int_const -1")),
+    # an assert runs outside any transaction
+    ("bank.msg.sender == 0",
+     (False, "no transaction context (msg) is active")),
 ])
 def test_asserts_read_handles_and_literals(line, expected):
     world = make_world("dao.sol", "coverage.sol")

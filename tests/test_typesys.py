@@ -242,11 +242,6 @@ def test_exactly_the_integer_and_address_names_cast():
                     "uint256", "int", "int256", "address"}
 
 
-def test_ref_never_wraps_ref():
-    inner = typesys.make_ref(StaticArray(U256, 2))
-    assert typesys.make_ref(inner) is inner
-
-
 # -- static typing against deployed fixtures -----------------------------------------
 
 def _typing_env(world, address):
