@@ -10,9 +10,11 @@ each node's kind, each identifier's binding, each typing step of `typesys`
 (`index_type`, `binary_type`, ...), the sizes with their Size/SR labels
 (`typesys.sized`, cached per type, and `typesys.packed`), the operators,
 the value codecs (`_reader` and `_writer` per type; a primitive's are
-state.py's one-word field_reader and field_writer) and the rule labels
-each node emits, joined where nodes always run together (a state
-variable's read is Type3, E-ID1 and E-RV in one call). Each node is
+state.py's one-word field_reader and field_writer, and a parameter or
+primitive local binds through state.py's fresh_writer in one call) and the
+rule labels each node emits, joined where nodes always run together (an
+identifier's read is Type3, E-ID1 or E-ID2, and E-RV in one call, and a
+uint or address mapping key becomes its bytes32 inline). Each node is
 compiled once, by its kind's rule: a guard `if (c) _;` is an `if`. The
 first ill-typed node raises its error, with its span, so a contract that
 registers is well typed. A closure does only the dynamic work, against an
@@ -49,7 +51,7 @@ from .errors import (
     SolTypeError, SolsemError, TxAborted, UnknownIdentifier,
 )
 from .keccak import keccak256_int
-from .state import field_reader, field_writer
+from .state import field_reader, field_writer, fresh_writer
 from .trace import Trace, Write
 from .typesys import (
     MEMORY, SLOT, STORAGE, UINT256, Located, zero_value,
@@ -395,9 +397,10 @@ class _Compiler:
 
     def _read(self, e):
         """An identifier, index or member as a value: a ref's pointer after
-        Size7, or E-RV and the value at its address. A state variable's
-        address is fixed, so its labels and read join in one closure. A named
-        constant no state variable shadows is its literal."""
+        Size7, or E-RV and the value at its address. An identifier's labels
+        and read join in one closure: a state variable's address is fixed,
+        and a local's is its frame slot, checked as `_ident` checks it. A
+        named constant no state variable shadows is its literal."""
         if isinstance(e, ast.Ident) and e.name in self.constants \
                 and e.name not in self.layout:
             return self._literal(self.constants[e.name])
@@ -413,6 +416,17 @@ class _Compiler:
                 rules(labels)
                 return read(ev, addr)
             return state_var, located
+        if isinstance(e, ast.Ident):  # a local
+            i, name, span = self.locals[e.name][0], e.name, e.span
+            labels = ("Type3", "E-ID2") + labels
+
+            def local(ev):
+                addr = ev.locals[i]
+                if addr is None:
+                    raise UnknownIdentifier(f"unknown identifier {name}", span)
+                rules(labels)
+                return read(ev, addr)
+            return local, located
 
         def value(ev):
             addr = run(ev)
@@ -428,6 +442,10 @@ class _Compiler:
         rules = self.rules
         if isinstance(sem, typesys.Mapping):
             encode, value_t = typesys.key_encoder(sem.key), sem.value
+            # a uint or address key in range is its bytes32 inline; a static
+            # array key (bound 0), or one out of range, goes to `encode`
+            bound = 0 if isinstance(sem.key, typesys.StaticArray) else \
+                1 << 8 * typesys.size_of(sem.key)
             static = self._state_var(e.base)  # its base slot p is fixed
             if static is not None:
                 labels, base = ("Type3", "E-ID1") + labels, static.addr // SLOT
@@ -437,7 +455,8 @@ class _Compiler:
                 p = base if static is not None else run_b(ev) // SLOT
                 rules(labels)
                 world = ev.world
-                key = (p, encode(i), world.options.evm_hash_order)
+                key = (p, i.to_bytes(32, "big") if bound and 0 <= i < bound
+                       else encode(i), world.options.evm_hash_order)
                 slot = world.derived_slots.get(key)
                 if slot is None:
                     slot = world.derived_slots[key] = slot_of_map(*key)
@@ -841,11 +860,11 @@ class _Compiler:
         memory address holding v."""
         i, emit = self.locals[name][0], self.emit
         if typesys.is_primitive(sem):
-            write = _writer(Located(sem, MEMORY))
+            put = fresh_writer(sem)
 
             def bind(ev, v):
-                ev.locals[i] = addr = ev.memory.alloc(SLOT)
-                emit("VD2", write(ev, addr, v))
+                ev.locals[i], writes = put(ev.memory, v)
+                emit("VD2", writes)
             return bind
         if not isinstance(sem, typesys.String):
             raise SolTypeError(f"cannot bind a value of type "
@@ -860,7 +879,9 @@ class _Compiler:
         emit = self.emit
 
         def bind(ev, v):
-            raw = str(v).encode("utf-8")
+            if not isinstance(v, str):  # an argument from outside
+                raise SolTypeError(f"{v!r} is not a value of type string")
+            raw = v.encode("utf-8")
             data = len(raw).to_bytes(SLOT, "big") + raw
             memory = ev.memory
             ev.locals[i] = addr = memory.alloc(len(data))

@@ -14,9 +14,13 @@ A named external call (E-FUN1) and a low-level call that runs the fallback
 `World.transfer`, threads the ambient Msg through a save/restore stack and
 pushes the caller onto the callee's omega stack; the pop on return is SKIP2.
 Each frame edge (TX-START, I-FUN/E-FUN, E-FUN1/E-FUN2, SKIP2) is one call,
-`Trace.enter` or `Trace.leave`. Expression statements completing with an
-empty omega emit SKIP1. A named call whose value is taken checks that the
-function it reaches returns the type the compiler gave the call.
+`Trace.enter` or `Trace.leave`, and an external call pushes one trace
+context: E-FUN1/E-FUN2 enter (callee, function, frame), the callee's
+I-FUN/E-FUN is an event in it (`Trace.emit`), and SKIP2 leaves it. An
+internal call, a transaction and a deploy push a context of their own.
+Expression statements completing with an empty omega emit SKIP1. A named
+call whose value is taken checks that the function it reaches returns the
+type the compiler gave the call.
 
 Statements and expressions run as the closures `World.register` compiled:
 `call_internal` makes a frame of the size registration laid out and runs
@@ -28,7 +32,9 @@ type-checked them and counted each internal call's arguments, so the faults
 left to run time are dynamic: division by zero, a bad index, an unknown
 address, a local read before its declaration has run, a named call reaching
 a function that does not return the type its value was given, and a wrong
-argument count from outside (a transaction, a deploy, a named call).
+argument count from outside (a transaction, a deploy, a named call). An
+argument of the wrong Python kind from outside (a `str` for a uint, an int
+for a bool) is a SolTypeError from its parameter's codec when it binds.
 """
 
 from __future__ import annotations
@@ -189,7 +195,10 @@ class Executor:
     def call_internal(self, address: int, fn: FunctionInfo, values: tuple,
                       expression: bool, config, call_kind: str = "internal"):
         """Push a fresh frame, bind parameters and the return slot, run the
-        body inside its modifiers, and hand back the return value."""
+        body inside its modifiers, and hand back the return value. An
+        internal call (a transaction's and a deploy's too) opens a trace
+        context of its own; an external callee logs its I-FUN/E-FUN in the
+        one its E-FUN1/E-FUN2 opened."""
         world = self.world
         if world.call_depth >= world.options.max_call_depth:
             raise TxAborted("call depth limit exceeded")
@@ -199,9 +208,14 @@ class Executor:
         world.call_depth += 1
         display = fn.name or "()"
         trace = world.trace
-        trace.enter("E-FUN" if expression else "I-FUN", address, display, None,
-                    _new(CallInfo, (call_kind, address, display,
-                                    tuple(values), None, None)))
+        rule = "E-FUN" if expression else "I-FUN"
+        call = _new(CallInfo, (call_kind, address, display, tuple(values),
+                               None, None))
+        own = call_kind == "internal"  # else in the context E-FUN1/2 entered
+        if own:
+            trace.enter(rule, address, display, None, call)
+        else:
+            trace.emit(rule, call=call)
         memory = config.memory
         scopes = memory.scopes
         scopes.append(frame)
@@ -213,7 +227,8 @@ class Executor:
             scopes.pop()
             if len(scopes) == 1:  # its last live frame: memory is freed
                 memory.words.clear()
-            trace.leave()
+            if own:
+                trace.leave()
             world.call_depth -= 1
 
     def external_call(self, ev: Evaluator, target: int, name: Optional[str],

@@ -35,7 +35,7 @@ from .typesys import (  # noqa: F401
 # 32-byte words
 # ---------------------------------------------------------------------------
 
-SLOT = typesys.SLOT
+SLOT = typesys.SLOT  # the slot of a slot-aligned address is addr >> 5
 ZERO_WORD = bytes(SLOT)
 _INTS = (typesys.UInt, typesys.Address, typesys.Contract)  # int.from_bytes
 
@@ -86,10 +86,14 @@ class ByteStore:
 
 @functools.cache
 def field_reader(loc: str, t: typesys.SemType):
-    """read(ev, addr): the primitive t at addr in ev's `loc` store, one word
-    lookup and a slice unless the field straddles two slots."""
+    """read(ev, addr): the primitive t at addr in ev's `loc` store. A uint256
+    is its whole word: every 32-byte field starts a slot. Any other is one
+    word lookup and a slice, unless the field straddles two slots."""
     space, size, ints = operator.attrgetter(loc), typesys.size_of(t), \
         isinstance(t, _INTS)
+    if size == SLOT and ints:
+        return lambda ev, addr: int.from_bytes(
+            space(ev).words.get(addr >> 5, ZERO_WORD), "big")
 
     def read(ev, addr):
         slot, off = divmod(addr, SLOT)
@@ -103,10 +107,24 @@ def field_reader(loc: str, t: typesys.SemType):
 def field_writer(loc: str, t: typesys.SemType):
     """write(ev, addr, v) -> its Writes: v as the primitive t at addr in ev's
     `loc` store. An integer in range is encoded inline, else by encode_value
-    (its RangeError); a field inside one slot is one spliced word."""
+    (its RangeError or SolTypeError). A uint256 replaces its whole word; any
+    other field inside one slot is one spliced word."""
     space, size = operator.attrgetter(loc), typesys.size_of(t)
     bound, journaled = 1 << 8 * size if isinstance(t, _INTS) else 0, \
         loc == typesys.STORAGE
+
+    def write_word(ev, addr, v):
+        data = v.to_bytes(SLOT, "big") if type(v) is int and 0 <= v < bound \
+            else encode_value(v, t)
+        store, slot = space(ev), addr >> 5
+        words = store.words
+        if journaled:  # the undo record ByteStore.write appends
+            store.journal.append((_put_word, words, slot, words.get(slot)))
+        if data == ZERO_WORD:  # as _put_word: an all-zero word is absent
+            words.pop(slot, None)
+        else:
+            words[slot] = data
+        return [Write(loc, addr, data)]
 
     def write(ev, addr, v):
         data = v.to_bytes(size, "big") if type(v) is int and 0 <= v < bound \
@@ -118,14 +136,36 @@ def field_writer(loc: str, t: typesys.SemType):
             return [Write(loc, addr, data)]
         words = store.words
         old = words.get(slot)
-        if journaled:  # the undo record ByteStore.write appends
+        if journaled:
             store.journal.append((_put_word, words, slot, old))
         base = old or ZERO_WORD
         words[slot] = word = base[:off] + data + base[off + size:]
-        if word == ZERO_WORD:  # as _put_word: an all-zero word is absent
+        if word == ZERO_WORD:
             del words[slot]
         return [Write(loc, addr, data)]
-    return write
+    return write_word if size == SLOT and bound else write
+
+
+@functools.cache
+def fresh_writer(t: typesys.SemType):
+    """put(memory, v) -> (address, its Writes): v as the primitive t at the
+    start of a fresh memory slot, allocated as `MemoryState.alloc` allocates
+    one (one undo record for `fresh`). A fresh slot holds nothing, so the
+    word is v's bytes padded, and absent when all zero."""
+    size = typesys.size_of(t)
+    bound, pad = 1 << 8 * size if isinstance(t, _INTS) else 0, \
+        bytes(SLOT - size)
+
+    def put(memory, v):
+        data = v.to_bytes(size, "big") if type(v) is int and 0 <= v < bound \
+            else encode_value(v, t)
+        addr = memory.fresh
+        memory.journal.append((setattr, memory, "fresh", addr))
+        memory.fresh = addr + SLOT
+        if (word := data + pad) != ZERO_WORD:
+            memory.words[addr >> 5] = word
+        return addr, [Write(typesys.MEMORY, addr, data)]
+    return put
 
 
 # ---------------------------------------------------------------------------

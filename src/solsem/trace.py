@@ -8,18 +8,21 @@ RULE_LABELS, so nothing checks a label per call. A rule recorded through
 its rule's Write list uncopied or the shared `()`. A frame edge is one call:
 `enter` pushes a context and logs the event that opens it (TX-START, I-FUN,
 E-FUN, E-FUN1, E-FUN2), `leave` logs the one that closes it (SKIP2), if
-any, and pops. A pure rule application (typing, sizing, E-RV, SEQ, ...)
-appends its label to a pending list, in a C call (`Trace.rules` is the
-list's `extend`, the only way a pure label reaches the trace); before the
-next event, frame edge or read of `Trace.events`, the pending labels become
-one `RuleRun` entry (a Coin `send`: 36 rules, 9 entries), a NamedTuple built
-in C. It reads as an event with no payload, so the reentrancy detector and
-the replay pass over it; `expand` yields a TraceEvent per rule and
-`len(trace)` counts rules. Entries are read-only to every consumer. Code
-that must leave a world's trace alone (a scenario assert) is compiled
-against a `Trace()` of its own. `committed` picks out the slices of the
-transactions that committed; the storage replay and the CLI's warnings (a
-warning is its WARN event) read the log through it.
+any, and pops. An external callee's I-FUN or E-FUN is an `emit` with its
+CallInfo in the context its E-FUN1 or E-FUN2 entered, which is the same
+(callee, function, frame): one context per external call. A pure rule
+application (typing, sizing, E-RV, SEQ, ...) appends its label to a
+pending list, in a C call (`Trace.rules` is the list's `extend`, the only
+way a pure label reaches the trace); before the next event, frame edge or
+read of `Trace.events`, the pending labels become one `RuleRun` entry (a
+Coin `send`: 36 rules, 9 entries), a NamedTuple built in C. It reads as an
+event with no payload, so the reentrancy detector and the replay pass over
+it; `expand` yields a TraceEvent per rule and `len(trace)` counts rules.
+Entries are read-only to every consumer. Code that must leave a world's
+trace alone (a scenario assert) is compiled against a `Trace()` of its
+own. `committed` picks out the slices of the transactions that committed;
+the storage replay and the CLI's warnings (a warning is its WARN event)
+read the log through it.
 
 Serialized form is newline-delimited JSON, one line per rule, written
 straight out as f-strings with no dict per event: keys in sorted order, hex
@@ -207,7 +210,8 @@ class Trace:
 
     # -- emission ----------------------------------------------------------------
 
-    def emit(self, rule: str, writes=(), value=None, note=None) -> TraceEvent:
+    def emit(self, rule: str, writes=(), value=None, note=None,
+             call=None) -> TraceEvent:
         """Append and return the event of `rule` in the current context. It
         keeps `writes` uncopied: the caller must not change that list
         afterwards."""
@@ -215,7 +219,7 @@ class Trace:
             self._flush()
         self._seq = seq = self._seq + 1
         addr, fn, frame = self._ctx[-1]
-        ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), None, value,
+        ev = TraceEvent(seq, rule, addr, fn, frame, writes or (), call, value,
                         None, note)
         self._log.append(ev)
         return ev

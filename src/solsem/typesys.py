@@ -305,23 +305,24 @@ def field_index(struct_t: Struct, name: str, span=None) -> int:
 # ---------------------------------------------------------------------------
 
 def encode_value(v, t: SemType) -> bytes:
-    """Fixed-width big-endian encoding of a primitive value at type t."""
+    """Fixed-width big-endian encoding of a primitive value at type t. A
+    bool takes a bool; an integer, address or contract an int that is not a
+    bool. A value of another kind (from outside: a transaction's argument)
+    is a SolTypeError, an int out of t's range a RangeError."""
+    # a bool is an int to Python: only a Bool takes one
+    if not isinstance(v, int) or isinstance(t, Bool) != (type(v) is bool):
+        raise SolTypeError(f"{v!r} is not a value of type {type_to_str(t)}")
     if isinstance(t, UInt):
-        v = int(v)
         if not 0 <= v < (1 << t.width):
             raise RangeError(f"{v} out of range for uint{t.width}")
         return v.to_bytes(t.width // 8, "big")
     if isinstance(t, Int256):
-        v = int(v)
         if not -(1 << 255) <= v < (1 << 255):
             raise RangeError(f"{v} out of range for int256")
         return (v % (1 << 256)).to_bytes(32, "big")
     if isinstance(t, Bool):
-        if isinstance(v, int):
-            v = bool(v)
         return b"\x01" if v else b"\x00"
     if isinstance(t, (Address, Contract)):
-        v = int(v)
         if not 0 <= v < (1 << 160):
             raise RangeError(f"{v} is not a 160-bit address")
         return v.to_bytes(20, "big")

@@ -102,6 +102,31 @@ def python_calls(run) -> int:
     return calls
 
 
+def python_bytecodes(run) -> int:
+    """The opcode events that sys.settrace reports during run(), with the
+    cycle collector off. The tracer in place before (tests/reach.py's) is
+    put back afterwards."""
+    count = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        else:
+            count += event == "opcode"
+        return opcodes
+    previous = sys.gettrace()
+    gc.collect()
+    gc.disable()
+    sys.settrace(opcodes)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+        gc.enable()
+    return count
+
+
 def make_world(*contract_files: str, options=None) -> World:
     world = World(options=options)
     for name in contract_files:

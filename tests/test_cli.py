@@ -400,6 +400,23 @@ def test_unknown_handle_in_tx_arguments_halts_that_action(tmp_path, capsys):
         "error: tx c.mint: unknown handle nosuch"]
 
 
+def test_a_bool_argument_to_an_address_parameter_halts_the_run(tmp_path,
+                                                               capsys):
+    scn = tmp_path / "b.scn"
+    scn.write_text("deploy c Coin () from 0xA\n"
+                   "tx c.mint(true, 5) from 0xA\n"
+                   "assert c.balances[1] == 0\n")
+    code = main(["run", _path("c", "coin.sol"), "--scenario", str(scn)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines()[1:] == [
+        "[FAIL] tx c.mint  (transaction aborted: True is not a value of "
+        "type address)"]
+    assert captured.err.splitlines() == [
+        "error: tx c.mint: transaction aborted: True is not a value of type "
+        "address"]
+
+
 def test_unknown_handle_as_expected_value_fails_that_assert(tmp_path, capsys):
     scn = tmp_path / "h.scn"
     scn.write_text("deploy c Coin () from 0xA\n"

@@ -15,8 +15,8 @@ from solsem.state import EngineOptions, decode_value
 from solsem.trace import Trace, committed, expand, replay_storage_writes
 from solsem.typesys import UInt
 
-from conftest import deploy, make_world, python_calls, read, \
-    world_from_source
+from conftest import deploy, make_world, python_bytecodes, python_calls, \
+    read, world_from_source
 
 U256 = UInt(256)
 
@@ -503,13 +503,112 @@ def test_a_local_used_before_its_declaration_aborts():
     contract C {
       uint y = 7; uint out;
       function f() public { out = 1; out = y; uint y = 3; }
+      function g() public { out = 1; y = 2; uint y = 3; }
     }""")
     address = deploy(world, "C")
     before = world.storage_fingerprint()
-    res = Executor(world).run_transaction(Tx(sender=1, to=address, fname="f"))
-    assert not res.ok
-    assert res.error.cause.message == "unknown identifier y"
+    for fname, span in (("f", "4:44"), ("g", "5:38")):  # a read, a target
+        res = Executor(world).run_transaction(Tx(sender=1, to=address,
+                                                 fname=fname))
+        assert not res.ok
+        assert res.error.cause.message == "unknown identifier y"
+        assert repr(res.error.cause.span) == span
+        assert world.storage_fingerprint() == before
+
+
+_PARAMETERS = [(f"uint{w}", UInt(w), (0, 1, (1 << w) - 1))
+               for w in (8, 16, 32, 64, 128, 256)] + [
+    ("address", typesys.Address(), (0, 0xB0B, (1 << 160) - 1)),
+    ("D", typesys.Contract("D"), (0, (1 << 160) - 1)),
+    ("int256", typesys.Int256(), (0, -1, 1 << 254, -(1 << 255))),
+    ("bool", typesys.BOOL, (False, True))]
+
+
+@pytest.mark.parametrize("name, t, values", _PARAMETERS,
+                         ids=[p[0] for p in _PARAMETERS])
+def test_a_parameter_binds_and_reads_back_as_encode_value_gives(name, t,
+                                                                values):
+    # the one-call bind writes a fresh slot; the local read is one closure
+    world = world_from_source(f"""
+    contract D {{ }}
+    contract C {{
+      function f({name} x) public returns ({name}) {{ return x; }} }}""")
+    address = deploy(world, "C")
+    memory = world.instance(address).config.memory
+    words = []
+    world.options.step_hook = lambda w, step: words.append(dict(memory.words))
+    for v in values:
+        res = Executor(world).run_transaction(Tx(sender=1, to=address,
+                                                 fname="f", args=(v,)))
+        assert res.ok and res.value == v and type(res.value) is type(v)
+        data = typesys.encode_value(v, t)
+        bind = next(ev for ev in res.events if ev.rule == "VD2")
+        [write] = bind.writes
+        assert (write.space, write.data) == ("memory", data)
+        word = data.ljust(32, b"\x00")
+        assert words.pop().get(write.at // 32, bytes(32)) == word
+
+
+_KEYS = """
+contract K {
+  mapping(address => uint) a; mapping(uint => uint) u;
+  mapping(uint8[2] => uint) s;
+  function f(address k, uint j) public { a[k] = 1; u[j] = 2; }
+  function g(uint8 x) public { uint8[2] memory k; k[1] = x; s[k] = 3; }
+}"""
+
+
+def test_a_mapping_key_derives_the_oracles_slot():
+    # a uint or address key is its bytes32 inline; a static-array key is
+    # still encoded by key_encoder
+    from keccak_oracle import keccak256_oracle_int
+    world = world_from_source(_KEYS)
+    address = deploy(world, "K")
+    hashed = world.instance(address).config.storage.hashed
+    ex = Executor(world)
+
+    def slot(base: int, key32: bytes) -> int:
+        return keccak256_oracle_int(base.to_bytes(32, "big") + key32)
+    for k, j in ((0, 0), ((1 << 160) - 1, (1 << 256) - 1)):
+        assert ex.run_transaction(Tx(sender=1, to=address, fname="f",
+                                     args=(k, j))).ok
+        assert hashed[slot(0, k.to_bytes(32, "big"))].key == k
+        assert hashed[slot(1, j.to_bytes(32, "big"))].key == j
+    assert ex.run_transaction(Tx(sender=1, to=address, fname="g",
+                                 args=(7,))).ok
+    assert hashed[slot(2, bytes(30) + b"\x00\x07")].key == [0, 7]
+
+
+@pytest.mark.parametrize("fname, arg", [
+    ("f", "12"), ("f", 3.9), ("f", True), ("f", None), ("f", "abc"),
+    ("g", "x"), ("g", 2), ("g", 1), ("h", 5), ("h", None), ("h", b"x"),
+    ("k", True)])
+def test_an_argument_of_another_kind_aborts_the_transaction(fname, arg):
+    # a transaction's argument is not coerced: a uint, address or contract
+    # takes an int that is not a bool, a bool a bool, a string a str
+    world = world_from_source("""
+    contract K {
+      uint u; bool b; string s; address a;
+      function f(uint x) public { u = x; }
+      function g(bool x) public { b = x; }
+      function h(string x) public { s = x; }
+      function k(address x) public { a = x; }
+    }""")
+    address = deploy(world, "K")
+    before = world.storage_fingerprint()
+    res = Executor(world).run_transaction(Tx(sender=1, to=address,
+                                             fname=fname, args=(arg,)))
+    assert not res.ok and isinstance(res.error.cause, SolTypeError)
+    assert res.error.cause.message.startswith(f"{arg!r} is not a value of ")
     assert world.storage_fingerprint() == before
+
+
+def test_a_constructor_argument_of_another_kind_aborts_the_deploy():
+    world = world_from_source(
+        "contract K { uint u; function K(uint x) public { u = x; } }")
+    with pytest.raises(TxAborted, match="'7' is not a value of type uint256"):
+        deploy(world, "K", args=("7",))
+    assert world.instances == {}
 
 
 def test_an_ill_typed_branch_is_rejected_at_registration():
@@ -1157,34 +1256,69 @@ def test_pure_rules_between_two_events_are_one_log_entry(coin_world,
     assert sizes[1][1] - sizes[0][1] == 32  # rules a round applies
 
 
-@pytest.mark.skipif(sys.implementation.name != "cpython"
-                    or sys.version_info[:2] != (3, 11),
-                    reason="call counts are pinned for CPython 3.11")
-def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
-                                                           dao_world):
-    # the op path's dispatch cost, pinned exactly: a change that adds or
-    # fuses closures on it moves these counts, and says so in CHANGES.md
+def _send_and_round(counter, coin_world, dao_world) -> tuple:
+    """counter(run) of a Coin `send`, and of one reentrant DAO round: the
+    difference between drains one round apart."""
     ex = Executor(coin_world)
     coin = deploy(coin_world, "Coin", sender=0xA)
     for to in (0xA, 0xB):  # both balances' slots are derived and recorded
         assert ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
                                      args=(to, 50))).ok
     tx = Tx(sender=0xA, to=coin, fname="send", args=(0xB, 5))
-    assert python_calls(lambda: ex.run_transaction(tx)) == COIN_SEND_CALLS
+    send = counter(lambda: ex.run_transaction(tx))
     ex = Executor(dao_world)
-    calls = []
+    counts = []
     for bank_value in (10, 12):  # one reentrant round more
         bank = ex.deploy("Bank", value=bank_value)
         attack = ex.deploy("Attack", args=(bank,), sender=0xB, value=2)
         assert ex.run_transaction(Tx(sender=0xB, to=attack,
                                      fname="addToBalance")).ok
         tx = Tx(sender=0xB, to=attack, fname="withdrawBalance")
-        calls.append(python_calls(lambda: ex.run_transaction(tx)))
-    assert calls[1] - calls[0] == REENTRANT_ROUND_CALLS
+        counts.append(counter(lambda: ex.run_transaction(tx)))
+    return send, counts[1] - counts[0]
 
 
-COIN_SEND_CALLS = 78
-REENTRANT_ROUND_CALLS = 73
+_CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="call and bytecode counts are pinned for CPython 3.11")
+
+
+@_CPYTHON_311
+def test_python_calls_of_a_coin_send_and_a_reentrant_round(coin_world,
+                                                           dao_world):
+    # the op path's dispatch cost, pinned exactly: a change that adds or
+    # fuses closures on it moves these counts, and says so in CHANGES.md
+    assert _send_and_round(python_calls, coin_world, dao_world) == (
+        COIN_SEND_CALLS, REENTRANT_ROUND_CALLS)
+
+
+@_CPYTHON_311
+def test_bytecodes_of_a_coin_send_and_a_reentrant_round(coin_world,
+                                                        dao_world):
+    # op time tracks the bytecodes run more than the calls made: a change
+    # on the op path moves these counts, and says so in CHANGES.md
+    assert _send_and_round(python_bytecodes, coin_world, dao_world) == (
+        COIN_SEND_BYTECODES, REENTRANT_ROUND_BYTECODES)
+
+
+
+def test_counting_bytecodes_puts_the_previous_tracer_back():
+    # tests/reach.py traces the whole suite through sys.settrace
+    def tracer(frame, event, arg):
+        return None
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        assert python_bytecodes(lambda: [i for i in range(3)]) > 0
+        assert sys.gettrace() is tracer
+    finally:
+        sys.settrace(previous)
+
+
+COIN_SEND_CALLS = 69
+REENTRANT_ROUND_CALLS = 65
+COIN_SEND_BYTECODES = 2297
+REENTRANT_ROUND_BYTECODES = 2506
 
 
 def test_call_depth_cap():

@@ -4,25 +4,29 @@ import copy
 import gc
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from solsem import typesys
 from solsem.errors import (
-    DuplicateDeclaration, RangeError, SolTypeError, UnknownIdentifier,
+    DuplicateDeclaration, RangeError, SolTypeError, SolsemError,
+    UnknownIdentifier,
 )
 from solsem.executor import Executor, Tx
 from solsem.parser import parse, parse_expression
 from solsem.state import (
-    ByteStore, Config, Msg, StorageState, World, decode_value,
-    encode_value, key_encoder, zero_value,
+    ByteStore, Config, MemoryState, Msg, StorageState, World, decode_value,
+    encode_value, field_reader, field_writer, fresh_writer, key_encoder,
+    zero_value,
 )
+from solsem.trace import Write, replay_storage_writes
 from solsem.typesys import Address, Bool, Int256, Located, UInt, bump
 
 from conftest import (
-    bind_local, contract_source, deploy, eval_lvalue, make_world, read,
-    world_from_source,
+    FIXTURE_CONTRACTS, bind_local, contract_source, deploy, eval_lvalue,
+    make_world, read, world_from_source,
 )
 
 U128 = UInt(128)
@@ -156,6 +160,108 @@ def test_key32_padding():
     arr_key = typesys.StaticArray(U128, 2)
     assert key_encoder(arr_key)([1, 2]) == \
         (1).to_bytes(16, "big") + (2).to_bytes(16, "big")
+
+
+@pytest.mark.parametrize("t, v", [
+    (U256, "12"), (U256, 3.9), (U256, True), (U256, None), (Address(), False),
+    (Int256(), "1"), (Bool(), "x"), (Bool(), 2), (Bool(), 1), (Bool(), None)])
+def test_a_value_of_another_kind_is_a_type_error(t, v):
+    # a bool takes a bool, an integer or address an int that is not a bool
+    with pytest.raises(SolTypeError, match="is not a value of type"):
+        encode_value(v, t)
+
+
+# -- the field codecs -------------------------------------------------------------
+
+def test_a_full_word_write_of_zero_leaves_the_slot_absent_and_undoes():
+    s = StorageState()
+    ev = SimpleNamespace(storage=s)
+    write = field_writer(typesys.STORAGE, U256)
+    assert write(ev, 32, 7) == [Write("storage", 32, encode_value(7, U256))]
+    assert write(ev, 32, 0) == [Write("storage", 32, bytes(32))]
+    assert s.words == {} and len(s.journal) == 2  # one record per write
+    undo, *args = s.journal.pop()
+    undo(*args)
+    assert s.words == {1: encode_value(7, U256)}
+    assert field_reader(typesys.STORAGE, U256)(ev, 32) == 7
+    for v, error in ((1 << 256, RangeError), (True, SolTypeError)):
+        with pytest.raises(error):  # from encode_value, before any change
+            write(ev, 32, v)
+    assert s.words == {1: encode_value(7, U256)} and len(s.journal) == 1
+
+
+def test_a_fresh_slot_bind_allocates_one_slot_and_writes_it():
+    memory = MemoryState(fresh=64)
+    put = fresh_writer(Address())
+    assert put(memory, 0xAB) == (
+        64, [Write("memory", 64, encode_value(0xAB, Address()))])
+    assert memory.words == {2: encode_value(0xAB, Address()) + bytes(12)}
+    assert put(memory, 0) == (96, [Write("memory", 96, bytes(20))])
+    assert 3 not in memory.words and memory.fresh == 128
+    assert memory.journal == [(setattr, memory, "fresh", 64),
+                              (setattr, memory, "fresh", 96)]
+
+
+STRADDLING = """
+contract S {
+  address[3] a;
+  function f(address x) public { a[1] = x; a[2] = x; }
+}"""
+
+
+def test_a_straddling_field_writes_both_words_and_rolls_back():
+    # element 1 of an address[3] spans bytes 20..40: the end of slot 0 and
+    # the start of slot 1, where element 2 follows it at bytes 40..60
+    world = world_from_source(STRADDLING)
+    address = deploy(world, "S")
+    storage = world.instance(address).config.storage
+    ex, top = Executor(world), (1 << 160) - 1
+    res = ex.run_transaction(Tx(sender=1, to=address, fname="f", args=(top,)))
+    assert res.ok
+    ff = encode_value(top, Address())
+    assert storage.words == {0: bytes(20) + b"\xff" * 12,
+                             1: b"\xff" * 28 + bytes(4)}
+    assert [ev.writes for ev in res.events if ev.rule == "ASSIGN"] == [
+        [Write("storage", 20, ff)], [Write("storage", 40, ff)]]
+    assert replay_storage_writes(world.trace.events)[address] == storage.bytes
+    before = world.storage_fingerprint()
+
+    def fault(world, step):  # after the first statement, a[1] = x, ran
+        if step == 2:
+            raise SolsemError("injected")
+    world.options.step_hook = fault
+    assert not ex.run_transaction(Tx(sender=1, to=address, fname="f",
+                                     args=(0x0102030405,))).ok
+    assert world.storage_fingerprint() == before
+
+
+def _wide_fields(t, at: int):
+    """The addresses of the 32-byte primitives in a t at `at`; a mapping's
+    values and a dynamic array's elements each start at a slot of their own."""
+    if typesys.is_primitive(t):
+        if typesys.size_of(t) == typesys.SLOT:
+            yield at
+    elif isinstance(t, typesys.StaticArray):
+        for i in range(t.length):
+            yield from _wide_fields(t.elem, at + i * typesys.size_of(t.elem))
+    elif isinstance(t, typesys.Struct):
+        for k, (_, ft) in enumerate(t.fields):
+            yield from _wide_fields(ft, at + typesys.field_offset(t, k))
+    elif isinstance(t, typesys.Mapping):
+        yield from _wide_fields(t.value, 0)
+    elif isinstance(t, typesys.DynArray):
+        yield from _wide_fields(t.elem, 0)
+
+
+@pytest.mark.parametrize("name", FIXTURE_CONTRACTS)
+def test_every_32_byte_field_of_a_fixture_starts_a_slot(name):
+    # the full-word codec reads and writes a uint256 as its slot's word
+    for info in make_world(name).registry.values():
+        wide = [at for addr, located in info.layout.values()
+                for at in _wide_fields(located.sem, addr)]
+        wide += [at for t in info.structs.values()
+                 for at in _wide_fields(t, 0)]
+        assert all(at % typesys.SLOT == 0 for at in wide), info.name
 
 
 # -- static allocation -----------------------------------------------------------

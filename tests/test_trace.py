@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import solsem.trace
 
-from solsem.errors import TxAborted
+from solsem.errors import SolTypeError, TxAborted
 from solsem.executor import Executor, Tx
 from solsem.harness import (
     detect_reentrancy, eval_readonly, parse_scenario, run_main_contract,
@@ -166,12 +166,13 @@ def test_equal_calls_that_print_apart_are_each_encoded(first, second):
 def test_library_txs_with_a_float_value_or_a_list_argument_are_written():
     # a library Tx may carry any value: 1.0 == 1 (the bracket aborts it, but
     # its TX-START logs it), and a list argument makes its CallInfo unhashable
+    # (the parameter's codec rejects it, and its TX-START is logged)
     world = make_world("coin.sol")
     coin = deploy(world, "Coin", sender=0xA)
     ex = Executor(world)
-    with pytest.raises(TypeError):  # rolled back; its TX-START is logged
-        ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
-                              args=([1], 2)))
+    res = ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
+                                args=([1], 2)))
+    assert not res.ok and isinstance(res.error.cause, SolTypeError)
     assert [ex.run_transaction(Tx(sender=0xA, to=coin, fname="mint",
                                   args=(0xB, 2), value=value)).ok
             for value in (1.0, 1)] == [False, True]
@@ -309,6 +310,57 @@ def test_unwind_after_a_failed_enter_restores_the_depth(monkeypatch):
     monkeypatch.undo()
     trace.unwind(depth)
     assert (trace.depth, _context(trace)) == (depth, (None, None, None))
+
+
+
+def test_an_external_callee_runs_in_the_context_its_call_entered(
+        monkeypatch):
+    # E-FUN1/E-FUN2 push (callee, fn, frame); the callee's I-FUN/E-FUN is an
+    # event in that context, and only the SKIP2 pops it
+    pushed = []
+    enter = Trace.enter
+
+    def recording(trace, rule, addr, fn, frame, call, *args):
+        pushed.append((rule, call.kind))
+        return enter(trace, rule, addr, fn, frame, call, *args)
+    monkeypatch.setattr(Trace, "enter", recording)
+    world = _drain(4)
+    assert set(pushed) == {("TX-START", "deploy"), ("TX-START", "tx"),
+                           ("I-FUN", "internal"), ("E-FUN1", "external"),
+                           ("E-FUN2", "fallback")}  # a tx's I-FUN: internal
+    entries = world.trace.events
+    edges = [i for i, ev in enumerate(entries)
+             if ev.rule in ("E-FUN1", "E-FUN2")]
+    assert len(edges) == sum(rule in ("E-FUN1", "E-FUN2")
+                             for rule, _ in pushed)
+    for i in edges:
+        call, opened = entries[i], entries[i + 1]
+        assert opened.rule in ("I-FUN", "E-FUN")
+        assert (opened.addr, opened.fn, opened.frame) == \
+            (call.addr, call.fn, call.frame)
+        assert opened.call.kind == call.call.kind == (
+            "external" if call.rule == "E-FUN1" else "fallback")
+
+
+def test_a_callee_that_aborts_leaves_the_trace_depth_as_it_was(monkeypatch):
+    world = world_from_source("""
+    contract D { uint x; function g() public { x = 1 / x; } }
+    contract C { function f(D d) public { d.g(); } }""")
+    d, c = deploy(world, "D"), deploy(world, "C")
+    depths = []
+    external_call = Executor.external_call
+
+    def recording(self, *args, **kwargs):
+        depths.append(world.trace.depth)
+        try:
+            return external_call(self, *args, **kwargs)
+        finally:
+            depths.append(world.trace.depth)
+    monkeypatch.setattr(Executor, "external_call", recording)
+    res = Executor(world).run_transaction(Tx(sender=1, to=c, fname="f",
+                                             args=(d,)))
+    assert not res.ok and res.error.cause.message == "/ by zero"
+    assert depths == [3, 3]  # the base, TX-START's and f's I-FUN contexts
 
 
 # -- the log of RuleRuns against the consumers' oracles ----------------------------
